@@ -26,6 +26,7 @@ from .params import (
     BoundBreakdown,
     DomainError,
     OutageBreakdown,
+    ParameterError,
     ProblemParams,
     make_breakdown,
 )
@@ -471,3 +472,36 @@ def bound_for(
     if theorem in ("main", "main_tau"):
         return fn(acc, params, beta_as_printed)
     return fn(acc, params)
+
+
+def eps_for(theorem: str, r: float, N: int, params: ProblemParams) -> float:
+    """Outage bound at (r, N) for the given bound family, clipped to 1."""
+    if theorem == "main":
+        floor = 4.0 * params.require_R() ** 2 * params.alpha**2 / (
+            params.sigma_min**2 * r**2
+        )
+        if N <= floor:
+            return 1.0
+        return eps_of_n(r, N, params).eps_final
+    if theorem == "fixed_mds":
+        return eps_fixed_design(r, N, params)
+    if theorem in ("bounded", "mds_subgaussian", "mds_bounded"):
+        # Exact inversion of max(C1 * log(f/eps), C_rand * log(f/eps)).
+        if theorem == "bounded":
+            factor = 3.0 * params.p
+            c1 = 2.0 * params.alpha**2 * params.require_b() ** 2 / (
+                r**2 * params.sigma_min**2
+            )
+        elif theorem == "mds_subgaussian":
+            factor = 2.0 * params.p
+            c1 = 8.0 * params.alpha**2 * params.require_R() ** 2 / (
+                r**2 * params.sigma_min**2
+            )
+        else:
+            factor = 2.0 * params.p
+            c1 = 8.0 * params.alpha**2 * params.require_b() ** 2 / (
+                r**2 * params.sigma_min**2
+            )
+        lead = max(c1, (4.0 / 3.0) * _n_rand_coeff(params))
+        return min(1.0, factor * math.exp(-N / lead))
+    raise ParameterError(f"no outage expression for bound tag {theorem!r}")

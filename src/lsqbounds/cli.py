@@ -212,7 +212,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "seed", None) is None and args.command == "reproduce":
         env_seed = default_seed()
-        args.seed = env_seed if env_seed != 0 else DEFAULT_SEED
+        args.seed = env_seed if env_seed is not None else DEFAULT_SEED
     try:
         return args.func(args)
     except (ParameterError, DomainError, json.JSONDecodeError) as exc:

@@ -212,11 +212,11 @@ _TOP_KEYS = {
 }
 
 
-def default_seed() -> int:
-    """Default base seed; overridable with the LSQBOUNDS_SEED env variable."""
+def default_seed() -> int | None:
+    """Base seed from the LSQBOUNDS_SEED env variable; None when it is unset."""
     raw = os.environ.get(SEED_ENV_VAR)
     if raw is None:
-        return 0
+        return None
     try:
         seed = int(raw)
     except ValueError:
@@ -275,7 +275,7 @@ def parse_run_config(doc: dict) -> RunConfig:
         r=float(r) if r is not None else None,
         eps=float(eps) if eps is not None else None,
         trials=int(doc.get("trials", 50_000)),
-        base_seed=int(doc.get("base_seed", default_seed())),
+        base_seed=int(doc.get("base_seed", default_seed() or 0)),
         diagnostics=bool(doc.get("diagnostics", False)),
         beta_as_printed=bool(doc.get("beta_as_printed", False)),
         n_hint=int(doc["n_hint"]) if "n_hint" in doc else None,

@@ -1,8 +1,9 @@
 """Small dense symmetric linear algebra sized for a few dozen parameters.
 
 Matrices are plain 2-D float64 numpy arrays; ``as_matrix`` validates and
-freezes them.  The eigensolver uses cyclic Jacobi rotation sweeps, which are
-robust for the small symmetric matrices this package works with.
+freezes them.  Eigenvalues, factorizations and solves come from numpy's
+LAPACK bindings; this module adds the symmetry check, the rank rule for Gram
+matrices and the conventions for singular inputs.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 SYMMETRY_RTOL = 1e-12
-OFFDIAG_RTOL = 1e-12
-MAX_SWEEPS = 100
 PIVOT_RTOL = 1e-12
 
 
@@ -68,39 +67,6 @@ def max_abs_entry(A: np.ndarray) -> float:
     return float(np.max(np.abs(A)))
 
 
-def _jacobi_eigenvalues(S: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi sweeps."""
-    A = np.array(S, dtype=float)
-    p = A.shape[0]
-    if p == 1:
-        return A[0, :1].copy()
-    scale = math.sqrt(np.sum(A * A))
-    if scale == 0.0:
-        return np.zeros(p)
-    for _ in range(MAX_SWEEPS):
-        off = math.sqrt(2.0 * np.sum(np.triu(A, 1) ** 2))
-        if off <= OFFDIAG_RTOL * scale:
-            break
-        for i in range(p - 1):
-            for j in range(i + 1, p):
-                aij = A[i, j]
-                if abs(aij) <= OFFDIAG_RTOL * scale / (p * p):
-                    continue
-                theta = (A[j, j] - A[i, i]) / (2.0 * aij)
-                t = math.copysign(1.0, theta) / (
-                    abs(theta) + math.sqrt(1.0 + theta * theta)
-                )
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rot_i = c * A[i, :] - s * A[j, :]
-                rot_j = s * A[i, :] + c * A[j, :]
-                A[i, :], A[j, :] = rot_i, rot_j
-                col_i = c * A[:, i] - s * A[:, j]
-                col_j = s * A[:, i] + c * A[:, j]
-                A[:, i], A[:, j] = col_i, col_j
-    return np.diag(A).copy()
-
-
 def sym_extremal_eigs(S: np.ndarray) -> SymSpectrumSummary:
     """Extremal eigenvalues of a symmetric matrix.
 
@@ -113,8 +79,8 @@ def sym_extremal_eigs(S: np.ndarray) -> SymSpectrumSummary:
     scale = max(float(np.max(np.abs(S))), 1e-300)
     if float(np.max(np.abs(S - S.T))) > SYMMETRY_RTOL * scale:
         raise NonSymmetricError("matrix is not symmetric within 1e-12 relative")
-    eigs = _jacobi_eigenvalues((S + S.T) / 2.0)
-    lo, hi = float(np.min(eigs)), float(np.max(eigs))
+    eigs = np.linalg.eigvalsh((S + S.T) / 2.0)
+    lo, hi = float(eigs[0]), float(eigs[-1])
     tilde = 1.0 / lo if lo > 0 else math.inf
     cond = hi / lo if lo > 0 else math.inf
     return SymSpectrumSummary(
@@ -122,34 +88,23 @@ def sym_extremal_eigs(S: np.ndarray) -> SymSpectrumSummary:
     )
 
 
-def _cholesky_lower(G: np.ndarray) -> np.ndarray:
-    """Cholesky factor of a symmetric positive-definite matrix; each pivot
-    must stay above 1e-12 times the trace."""
-    p = G.shape[0]
+def gram_solve(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve G x = rhs for a Gram matrix G; rhs is a vector or a matrix.
+
+    Raises RankDeficiencyError unless G has a Cholesky factor L whose every
+    squared pivot L_jj^2 exceeds 1e-12 times the trace of G.
+    """
+    try:
+        L = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficiencyError(f"Gram matrix is not positive definite ({exc})") from None
     floor = PIVOT_RTOL * float(np.trace(G))
-    L = np.zeros_like(G)
-    for j in range(p):
-        d = G[j, j] - L[j, :j] @ L[j, :j]
-        if not (d > floor):
-            raise RankDeficiencyError(
-                f"pivot {d:.3e} at column {j} below 1e-12 * trace = {floor:.3e}"
-            )
-        L[j, j] = math.sqrt(d)
-        if j + 1 < p:
-            L[j + 1 :, j] = (G[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
-    return L
-
-
-def _solve_spd(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve L L^T x = rhs given the lower Cholesky factor L."""
-    p = L.shape[0]
-    y = np.zeros(p)
-    for i in range(p):
-        y[i] = (rhs[i] - L[i, :i] @ y[:i]) / L[i, i]
-    x = np.zeros(p)
-    for i in range(p - 1, -1, -1):
-        x[i] = (y[i] - L[i + 1 :, i] @ x[i + 1 :]) / L[i, i]
-    return x
+    pivot = float(np.min(np.diagonal(L))) ** 2
+    if not (pivot > floor):
+        raise RankDeficiencyError(
+            f"smallest pivot {pivot:.3e} below 1e-12 * trace = {floor:.3e}"
+        )
+    return np.linalg.solve(G, rhs)
 
 
 def ls_solve(A: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -166,5 +121,4 @@ def ls_solve(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     if x.shape[0] != N:
         raise ValueError(f"rhs length {x.shape[0]} does not match {N} rows")
     G = A.T @ A
-    L = _cholesky_lower((G + G.T) / 2.0)
-    return _solve_spd(L, A.T @ x)
+    return gram_solve((G + G.T) / 2.0, A.T @ x)

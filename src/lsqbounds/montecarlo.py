@@ -18,9 +18,8 @@ from . import bounds
 from .io import ResultRow
 from .linalg import (
     RankDeficiencyError,
-    _cholesky_lower,
-    _solve_spd,
     gram_normalized,
+    gram_solve,
     sym_extremal_eigs,
 )
 from .models import (
@@ -54,9 +53,10 @@ class RangeExhaustedError(RuntimeError):
 class ExperimentSpec:
     """One tail-probability experiment.
 
-    theta0 defaults to the all-ones vector; the error law does not depend on
-    it, so the choice is immaterial.  Random designs are redrawn every trial;
-    pilot and fixed designs are materialized once.
+    theta0 is accepted and validated but immaterial: the estimation error
+    (A^T A)^{-1} A^T v does not depend on it, so no trial uses it.  Random
+    designs are redrawn every trial; pilot and fixed designs are materialized
+    once per chunk of trials.
     """
 
     design: DesignModel
@@ -81,11 +81,6 @@ class ExperimentSpec:
             if len(theta) != p:
                 raise ParameterError(f"theta0 has length {len(theta)}, expected {p}")
             object.__setattr__(self, "theta0", theta)
-
-    def theta(self) -> np.ndarray:
-        if self.theta0 is None:
-            return np.ones(design_dim(self.design))
-        return np.asarray(self.theta0, dtype=float)
 
     def seed(self) -> SeedSpec:
         return SeedSpec(self.base_seed)
@@ -138,42 +133,42 @@ def wilson_interval(successes: int, n: int, z: float = Z_95) -> tuple[float, flo
     return (lo, hi)
 
 
-def _fixed_design_pack(spec: ExperimentSpec):
-    """Materialize a non-random design once and prefactor its normal equations."""
-    A = sample_design(spec.design, spec.N, spec.seed().for_trial(0, "design"))
-    try:
-        L = _cholesky_lower(A.T @ A)
-    except RankDeficiencyError as exc:
-        raise SimulationQualityError(
-            f"fixed design is rank deficient; every trial would be invalid ({exc})"
-        ) from exc
-    return A, L
-
-
-def _tail_chunk(spec: ExperimentSpec, start: int, stop: int, pack) -> tuple[int, int]:
-    theta0 = spec.theta()
+def _trials(spec: ExperimentSpec, start: int, stop: int):
+    """Yield (A, v, err) for trials start..stop-1, where err = (A^T A)^{-1} A^T v
+    is the least-squares estimation error; err is None for a rank-deficient
+    draw.  A non-random design is materialized once, with its solve map
+    (A^T A)^{-1} A^T, and yielded as the same array for every trial.
+    """
     seed = spec.seed()
-    exceed = 0
-    invalid = 0
-    random_design = pack is None
+    random_design = design_is_random(spec.design)
     if not random_design:
-        A, L = pack
-        At = A.T
+        A = sample_design(spec.design, spec.N, seed.for_trial(0, "design"))
+        try:
+            solve_map = gram_solve(A.T @ A, A.T)
+        except RankDeficiencyError as exc:
+            raise SimulationQualityError(
+                f"fixed design is rank deficient; every trial would be invalid ({exc})"
+            ) from exc
     for t in range(start, stop):
         v = sample_noise(spec.noise, spec.N, seed.for_trial(t, "noise"))
-        if random_design:
-            A = sample_design(spec.design, spec.N, seed.for_trial(t, "design"))
-            x = A @ theta0 + v
-            try:
-                L_t = _cholesky_lower(A.T @ A)
-            except RankDeficiencyError:
-                invalid += 1
-                continue
-            theta_hat = _solve_spd(L_t, A.T @ x)
-        else:
-            x = A @ theta0 + v
-            theta_hat = _solve_spd(L, At @ x)
-        if np.max(np.abs(theta_hat - theta0)) > spec.r:
+        if not random_design:
+            yield A, v, solve_map @ v
+            continue
+        A = sample_design(spec.design, spec.N, seed.for_trial(t, "design"))
+        try:
+            err = gram_solve(A.T @ A, A.T @ v)
+        except RankDeficiencyError:
+            err = None
+        yield A, v, err
+
+
+def _tail_chunk(spec: ExperimentSpec, start: int, stop: int) -> tuple[int, int]:
+    exceed = 0
+    invalid = 0
+    for _, _, err in _trials(spec, start, stop):
+        if err is None:
+            invalid += 1
+        elif np.max(np.abs(err)) > spec.r:
             exceed += 1
     return exceed, invalid
 
@@ -184,22 +179,24 @@ def _chunk_ranges(total: int, workers: int) -> list[tuple[int, int]]:
     return [(i, min(i + step, total)) for i in range(0, total, step)]
 
 
+def _run_chunks(chunk, spec: ExperimentSpec, workers: int, *args) -> list:
+    """Results of chunk(spec, start, stop, *args) over all trials, in trial
+    order: one serial chunk, or chunks spread over a process pool."""
+    if workers <= 1 or spec.trials < 256:
+        return [chunk(spec, 0, spec.trials, *args)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [
+            pool.submit(chunk, spec, a, b, *args)
+            for a, b in _chunk_ranges(spec.trials, workers)
+        ]
+        return [fut.result() for fut in futures]
+
+
 def run_tail(spec: ExperimentSpec, workers: int = 1) -> TailEstimate:
     """Estimate P(max-coordinate error > r) over spec.trials trials."""
-    pack = None if design_is_random(spec.design) else _fixed_design_pack(spec)
-    if workers <= 1 or spec.trials < 256:
-        exceed, invalid = _tail_chunk(spec, 0, spec.trials, pack)
-    else:
-        exceed = invalid = 0
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_tail_chunk, spec, a, b, pack)
-                for a, b in _chunk_ranges(spec.trials, workers)
-            ]
-            for fut in futures:
-                e, i = fut.result()
-                exceed += e
-                invalid += i
+    parts = _run_chunks(_tail_chunk, spec, workers)
+    exceed = sum(e for e, _ in parts)
+    invalid = sum(i for _, i in parts)
     if invalid > INVALID_TRIAL_LIMIT * spec.trials:
         raise SimulationQualityError(
             f"{invalid} of {spec.trials} trials were rank-deficient "
@@ -222,11 +219,8 @@ def _diag_chunk(
     spec: ExperimentSpec,
     start: int,
     stop: int,
-    pack,
     sigma_min: float,
-) -> tuple[np.ndarray, np.ndarray, int, int, int]:
-    theta0 = spec.theta()
-    seed = spec.seed()
+) -> tuple[np.ndarray, np.ndarray, int, int, int, int]:
     p = design_dim(spec.design)
     threshold = sigma_min**2 * spec.r**2 / 8.0
     tilde_limit = 2.0 / sigma_min
@@ -236,25 +230,14 @@ def _diag_chunk(
     lemma1_bad = 0
     identity_bad = 0
     linf_bad = 0
-    random_design = pack is None
-    if not random_design:
-        A, L = pack
-        lam_tilde_fixed = sym_extremal_eigs(gram_normalized(A)).lambda_tilde
-    for t in range(start, stop):
-        v = sample_noise(spec.noise, spec.N, seed.for_trial(t, "noise"))
-        if random_design:
-            A = sample_design(spec.design, spec.N, seed.for_trial(t, "design"))
-            try:
-                L_t = _cholesky_lower(A.T @ A)
-            except RankDeficiencyError:
-                e_rand += 1  # singular Gram certainly exceeds the eigenvalue limit
-                continue
+    A_seen = None
+    for A, v, err in _trials(spec, start, stop):
+        if err is None:
+            e_rand += 1  # singular Gram certainly exceeds the eigenvalue limit
+            continue
+        if A is not A_seen:  # _trials yields a fixed design as one array per chunk
             lam_tilde = sym_extremal_eigs(gram_normalized(A)).lambda_tilde
-        else:
-            L_t = L
-            lam_tilde = lam_tilde_fixed
-        x = A @ theta0 + v
-        theta_hat = _solve_spd(L_t, A.T @ x)
+            A_seen = A
 
         s_vec = (A.T @ v) / spec.N
         total_sq = s_vec**2
@@ -263,10 +246,10 @@ def _diag_chunk(
         e2 += diag_sum > threshold
         e3 += off_sum > threshold
         e_rand += lam_tilde > tilde_limit
-        err = float(np.max(np.abs(theta_hat - theta0)))
-        if err > lam_tilde * float(np.linalg.norm(s_vec)) + LEMMA1_TOL:
+        err_max = float(np.max(np.abs(err)))
+        if err_max > lam_tilde * float(np.linalg.norm(s_vec)) + LEMMA1_TOL:
             lemma1_bad += 1
-        if err > lam_tilde * float(np.max(np.abs(s_vec))) + LEMMA1_TOL:
+        if err_max > lam_tilde * float(np.max(np.abs(s_vec))) + LEMMA1_TOL:
             linf_bad += 1
         scale = np.maximum.reduce(
             [np.abs(total_sq), np.abs(diag_sum), np.abs(off_sum), np.full_like(total_sq, 1e-300)]
@@ -287,28 +270,8 @@ def run_event_diagnostics(
         raise ParameterError("set diagnostics=True on the spec to run diagnostics")
     if params is None:
         params = implied_problem_params(spec.design, spec.noise, N_hint=spec.N)
-    pack = None if design_is_random(spec.design) else _fixed_design_pack(spec)
-    args = (pack, params.sigma_min)
-    if workers <= 1 or spec.trials < 256:
-        parts = [_diag_chunk(spec, 0, spec.trials, *args)]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_diag_chunk, spec, a, b, *args)
-                for a, b in _chunk_ranges(spec.trials, workers)
-            ]
-            parts = [f.result() for f in futures]
-    p = design_dim(spec.design)
-    e2 = np.zeros(p, dtype=np.int64)
-    e3 = np.zeros(p, dtype=np.int64)
-    e_rand = lemma1_bad = identity_bad = linf_bad = 0
-    for c2, c3, cr, cl, ci, cx in parts:
-        e2 += c2
-        e3 += c3
-        e_rand += cr
-        lemma1_bad += cl
-        identity_bad += ci
-        linf_bad += cx
+    parts = _run_chunks(_diag_chunk, spec, workers, params.sigma_min)
+    e2, e3, e_rand, lemma1_bad, identity_bad, linf_bad = (sum(col) for col in zip(*parts))
     n = spec.trials
     return EventDiagnostics(
         trials=n,
@@ -323,39 +286,6 @@ def run_event_diagnostics(
 
 # ---------------------------------------------------------------------------
 # Sweeps and empirical sample-count search
-
-
-def _outage_value(theorem: str, r: float, N: int, params: ProblemParams) -> float:
-    """Outage bound at (r, N) for the given bound family, clipped to 1."""
-    if theorem == "main":
-        floor = 4.0 * params.require_R() ** 2 * params.alpha**2 / (
-            params.sigma_min**2 * r**2
-        )
-        if N <= floor:
-            return 1.0
-        return bounds.eps_of_n(r, N, params).eps_final
-    if theorem == "fixed_mds":
-        return bounds.eps_fixed_design(r, N, params)
-    if theorem in ("bounded", "mds_subgaussian", "mds_bounded"):
-        # Exact inversion of max(C1 * log(f/eps), C_rand * log(f/eps)).
-        if theorem == "bounded":
-            factor = 3.0 * params.p
-            c1 = 2.0 * params.alpha**2 * params.require_b() ** 2 / (
-                r**2 * params.sigma_min**2
-            )
-        elif theorem == "mds_subgaussian":
-            factor = 2.0 * params.p
-            c1 = 8.0 * params.alpha**2 * params.require_R() ** 2 / (
-                r**2 * params.sigma_min**2
-            )
-        else:
-            factor = 2.0 * params.p
-            c1 = 8.0 * params.alpha**2 * params.require_b() ** 2 / (
-                r**2 * params.sigma_min**2
-            )
-        lead = max(c1, (4.0 / 3.0) * bounds._n_rand_coeff(params))
-        return min(1.0, factor * math.exp(-N / lead))
-    raise ParameterError(f"no outage expression for bound tag {theorem!r}")
 
 
 def sweep(
@@ -391,7 +321,7 @@ def sweep(
                 ResultRow(
                     axis_name="N",
                     axis_value=float(value),
-                    n_bound_real=_outage_value(theorem, base.r, int(value), params),
+                    n_bound_real=bounds.eps_for(theorem, base.r, int(value), params),
                     n_bound_ceil=None,
                     binding_term=None,
                     s_opt_n2=None,

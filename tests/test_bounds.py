@@ -329,6 +329,10 @@ class TestClosedFormBounds:
         n = bounds.n_fixed_design(acc, params).n_final
         assert bounds.eps_fixed_design(acc.r, n, params) == pytest.approx(acc.eps, rel=1e-10)
 
+    def test_eps_for_has_no_main_tau_outage(self):
+        with pytest.raises(ParameterError, match="main_tau"):
+            bounds.eps_for("main_tau", 1.0, 500, UNIT)
+
 
 class TestL2Radius:
     @pytest.mark.parametrize(

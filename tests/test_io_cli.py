@@ -233,6 +233,12 @@ class TestCli:
         rows = read_result_csv(tmp_path / "one.csv")
         assert rows[0].p_hat in (0.0, 1.0)
 
+    def test_reproduce_honours_seed_zero_from_env(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("LSQBOUNDS_SEED", "0")
+        assert cli.main(["reproduce", "fig1", "--trials", "20", "--outdir", str(tmp_path)]) == 0
+        rows = read_result_csv(tmp_path / "fig1.csv")
+        assert [row.seed for row in rows] == [0] * len(rows)
+
     def test_simulate_unknown_key_exit_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text('{"schema_version": "1", "surprise": true}', encoding="utf-8")

@@ -119,8 +119,18 @@ class TestLsSolve:
             resid = A.T @ (x - A @ theta)
             assert np.max(np.abs(resid)) <= 1e-9 * max(np.max(np.abs(A.T @ x)), 1e-30)
 
-    def test_rank_deficiency(self):
-        A = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
+    @pytest.mark.parametrize(
+        "A",
+        [
+            [[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]],
+            # near-collinear: LAPACK factors it, but the squared pivot L_11^2
+            # = 1.4e-12 falls below 1e-12 * trace = 2.8e-11
+            [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0 + 2e-6]],
+        ],
+        ids=["collinear", "near-collinear"],
+    )
+    def test_rank_deficiency(self, A):
+        A = np.array(A)
         with pytest.raises(RankDeficiencyError):
             ls_solve(A, np.array([1.0, 2.0, 3.0]))
 

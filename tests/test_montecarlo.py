@@ -22,6 +22,7 @@ from lsqbounds.models import (
     sample_noise,
 )
 from lsqbounds.montecarlo import (
+    EventDiagnostics,
     ExperimentSpec,
     RangeExhaustedError,
     SimulationQualityError,
@@ -32,6 +33,7 @@ from lsqbounds.montecarlo import (
     wilson_interval,
 )
 from lsqbounds.params import Accuracy, ParameterError
+from lsqbounds.presets import channel_pilot_design, fig2_models, fir_mds_with_param
 
 from helpers import gaussian_cdf
 
@@ -199,6 +201,36 @@ class TestEventDiagnostics:
         design = IidBoundedColumns((1.0, 1.0), "scaled-uniform")
         spec = ExperimentSpec(design, Uniform(1.0), N=64, r=0.25, trials=600, base_seed=8, diagnostics=True)
         assert run_event_diagnostics(spec, workers=1) == run_event_diagnostics(spec, workers=2)
+
+
+class TestPinnedSeededCounts:
+    """Literal results recorded with the earlier pure-Python Cholesky, solve
+    and Jacobi kernel.  A refactor of the trial path must reproduce them; a
+    flipped count means a stream or the error arithmetic changed."""
+
+    def test_random_design_tail(self):
+        design, noise = fig2_models()
+        est = run_tail(ExperimentSpec(design, noise, N=200, r=0.15, trials=4000, base_seed=7))
+        assert (est.exceed_count, est.invalid_trials) == (438, 0)
+
+    def test_fixed_design_fir_tail_two_workers(self):
+        design = channel_pilot_design(p=8)
+        spec = ExperimentSpec(design, fir_mds_with_param(1.0), N=1000, r=0.05, trials=4000, base_seed=9)
+        est = run_tail(spec, workers=2)
+        assert (est.exceed_count, est.trials) == (19, 4000)
+
+    def test_event_diagnostics(self):
+        design = IidBoundedColumns((1.0,) * 4, "scaled-uniform")
+        spec = ExperimentSpec(design, Gaussian(10.0), N=20, r=4.0, trials=1000, base_seed=3, diagnostics=True)
+        assert run_event_diagnostics(spec) == EventDiagnostics(
+            trials=1000,
+            freq_e_rand=0.536,
+            freq_e2=(0.934, 0.943, 0.935, 0.935),
+            freq_e3=(0.263, 0.243, 0.244, 0.23),
+            lemma1_violations=0,
+            identity_violations=0,
+            linf_decomp_violations=8,
+        )
 
 
 class TestSweep:

@@ -95,3 +95,13 @@ class TestRecordedRoundTrip:
             hold += ob.eps_final <= acc.eps * (1 + 1e-9)
         print(f"round-trip eps_of_n(r, n_ceil) <= eps held in {hold}/{cases} sampled cases")
         assert cases > 0
+
+
+class TestClosedFormOutageRoundTrip:
+    @pytest.mark.parametrize("tag", ["bounded", "mds_subgaussian", "mds_bounded", "fixed_mds"])
+    def test_outage_at_bound_ceiling_within_target(self, tag):
+        # eps_for inverts the closed-form bounds exactly, so the outage at the
+        # bound's own integer ceiling never exceeds the target eps
+        for params, acc in random_problem_sets(1000, seed=4242):
+            n_ceil = bounds.bound_for(tag, acc, params).n_ceil
+            assert bounds.eps_for(tag, acc.r, n_ceil, params) <= acc.eps, (params, acc)
