@@ -12,6 +12,20 @@ Selected bound families, by tag:
 
 All logarithms are natural.  Sample counts are returned as reals; the bounds
 hold for every integer N strictly greater than the returned value.
+
+The diagonal Chernoff problems are one-dimensional and convex, so they are
+solved exactly by bisecting the sign change of an increasing stationarity
+function (``_bisect``).  With a = alpha^2*R^2 and D = sigma_min^2*r^2:
+
+  n2    inf over s of (8*beta(s) + c*sqrt(s)) / (D*s), the root of
+        8*a^2/(1 - 2as)^2 = c/(2*s^(3/2)); the as-printed beta is convex too,
+        and its optimum may sit at the right end of its domain
+  eps2  max over s of m(s)/sqrt(s) with m = D*N*s - 8*beta(s), feasible iff
+        D*N > 8a, the root of 16a^2*s*(1.5 - as)/(1 - 2as)^2 = D*N - 8a
+
+Each returns its objective evaluated at the returned witness.  The cross term
+(n3, eps3) and main_tau's weight search still use the log scan plus
+golden-section search of ``optimize.infimum_1d``.
 """
 
 from __future__ import annotations
@@ -32,6 +46,26 @@ from .params import (
 )
 
 TAU_GRID_STEP = 0.01
+
+
+def _bisect(h, hi: float) -> float:
+    """The point of (0, hi) next to the sign change of the increasing h.
+
+    Midpoints are geometric while the bracket spans more than a factor of 2,
+    because optima can sit many decades below the interval width, and
+    arithmetic after that.  The search stops when the midpoint equals an
+    endpoint and returns the last probe with h < 0: the largest float below
+    hi when h is negative throughout.
+    """
+    lo = math.ulp(0.0)
+    while True:
+        mid = math.sqrt(lo) * math.sqrt(hi) if hi > 2.0 * lo else 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return lo
+        if h(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
 
 
 # ---------------------------------------------------------------------------
@@ -58,35 +92,6 @@ def beta(s: float, params: ProblemParams, as_printed: bool = False) -> float:
         return a2r2 * params.p + (a2r2 * s) ** 2 / (1.0 - 2.0 * R**2 * s)
     x = a2r2 * s
     return x + x * x / (1.0 - 2.0 * x)
-
-
-def _beta_of(params: ProblemParams, as_printed: bool):
-    """Vectorized beta(s) with +inf outside its domain."""
-    R = params.require_R()
-    a2r2 = params.alpha**2 * R**2
-    p = params.p
-    if as_printed:
-        pole = 1.0 / (2.0 * R**2)
-
-        def f(s):
-            s = np.asarray(s, dtype=float)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                x = a2r2 * s
-                core = a2r2 * p + x * x / (1.0 - 2.0 * R**2 * s)
-                ok = (s > 0) & (x < 0.5) & (s < pole)
-            return np.where(ok, core, np.inf)
-
-        return f, a2r2
-
-    def f(s):
-        s = np.asarray(s, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = a2r2 * s
-            core = x + x * x / (1.0 - 2.0 * x)
-            ok = (s > 0) & (x < 0.5)
-        return np.where(ok, core, np.inf)
-
-    return f, a2r2
 
 
 def gamma(s: float, params: ProblemParams) -> float:
@@ -123,26 +128,46 @@ def _gamma_of(params: ProblemParams):
 # Individual sample-count terms
 
 
+def _scaled_floor(const: float, scale: float, r: float, params: ProblemParams) -> float:
+    """const * alpha^2 * scale^2 / (sigma_min^2 * r^2), the shape of every
+    first term."""
+    return const * params.alpha**2 * scale**2 / (params.sigma_min**2 * r**2)
+
+
 def n1_main(acc: Accuracy, params: ProblemParams) -> float:
     """Variance floor 4*alpha^2*R^2 / (sigma_min^2 * r^2)."""
-    R = params.require_R()
-    return 4.0 * params.alpha**2 * R**2 / (params.sigma_min**2 * acc.r**2)
+    return _scaled_floor(4.0, params.require_R(), acc.r, params)
 
 
 def _n2_infimum(
     r: float, log_term: float, params: ProblemParams, as_printed: bool = False
 ) -> InfimumResult:
     """inf over s of (8*beta(s) + 2*sigma_min*r*sqrt(2*s*log_term)) / (sm^2 r^2 s)."""
-    beta_f, a2r2 = _beta_of(params, as_printed)
-    sm = params.sigma_min
-    denom_scale = sm**2 * r**2
-    two_l = 2.0 * max(log_term, 0.0)
+    R = params.require_R()
+    a = params.alpha**2 * R**2
+    D = params.sigma_min**2 * r**2
+    c = 2.0 * params.sigma_min * r * math.sqrt(2.0 * max(log_term, 0.0))
+    if as_printed:
+        # Derivative of 8*[a*p/s + a^2*s/(1 - 2R^2 s)] + c/sqrt(s), times
+        # s^2*(1 - 2R^2 s)^2 > 0.
+        q = 2.0 * R**2
+        hi = min(1.0 / (2.0 * a), 1.0 / q)
 
-    def objective(s):
-        s = np.asarray(s, dtype=float)
-        return (8.0 * beta_f(s) + 2.0 * sm * r * np.sqrt(two_l * s)) / (denom_scale * s)
+        def h(s):
+            w = (1.0 - q * s) ** 2
+            return 8.0 * (a * a * s * s - a * params.p * w) - 0.5 * c * math.sqrt(s) * w
 
-    return infimum_1d(objective, 0.0, 1.0 / (2.0 * a2r2))
+    elif c == 0.0:
+        return InfimumResult(8.0 * a / D, 0.0)  # the s -> 0 limit
+    else:
+        hi = 1.0 / (2.0 * a)
+
+        # 8a^2/(1 - 2as)^2 - c/(2 s^(3/2)), times s^(3/2)*(1 - 2as)^2 > 0.
+        def h(s):
+            return 8.0 * a * a * s**1.5 - 0.5 * c * (1.0 - 2.0 * a * s) ** 2
+
+    s = _bisect(h, hi)
+    return InfimumResult((8.0 * beta(s, params, as_printed) + c * math.sqrt(s)) / (D * s), s)
 
 
 def n2_main(
@@ -187,6 +212,12 @@ def n3_main(acc: Accuracy, params: ProblemParams) -> tuple[float, float]:
     return res.value, res.argmin
 
 
+def _n_rand_lead(params: ProblemParams) -> float:
+    """Coefficient of the log term in n_rand."""
+    sm, sx = params.sigma_min, params.sigma_max
+    return (4.0 / 3.0) * (6.0 * sx + sm) * (params.p * params.alpha**2 + sx) / sm**2
+
+
 def n_rand(eps_arg: float, p_factor: float, params: ProblemParams) -> float:
     """Sample count ensuring the empirical Gram matrix keeps its smallest
     eigenvalue above sigma_min/2 with probability >= 1 - eps_arg.
@@ -198,14 +229,7 @@ def n_rand(eps_arg: float, p_factor: float, params: ProblemParams) -> float:
         raise DomainError(f"eps_arg must be positive, got {eps_arg}")
     if not (p_factor > 0):
         raise DomainError(f"p_factor must be positive, got {p_factor}")
-    sm, sx = params.sigma_min, params.sigma_max
-    lead = (4.0 / 3.0) * (6.0 * sx + sm) * (params.p * params.alpha**2 + sx) / sm**2
-    return lead * max(math.log(p_factor / eps_arg), 0.0)
-
-
-def _n_rand_coeff(params: ProblemParams) -> float:
-    sm, sx = params.sigma_min, params.sigma_max
-    return (6.0 * sx + sm) * (params.p * params.alpha**2 + sx) / sm**2
+    return _n_rand_lead(params) * max(math.log(p_factor / eps_arg), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -259,27 +283,20 @@ def n_main_tau(
     n1 = n1_main(acc, params)
     nr = n_rand(acc.eps, 3.0 * params.p, params)
 
-    # Inner infimum of the diagonal term at tau = 1 (scales as 1/tau), with
-    # the 4*beta + sigma*r*sqrt(...) coefficients of the split variant.
-    beta_f, a2r2 = _beta_of(params, beta_as_printed)
-    sm = params.sigma_min
-    denom_scale = sm**2 * acc.r**2
-    two_l = 2.0 * log2eps
-
-    def n2_objective(s):
-        s = np.asarray(s, dtype=float)
-        return (4.0 * beta_f(s) + sm * acc.r * np.sqrt(two_l * s)) / (denom_scale * s)
-
-    n2_base = infimum_1d(n2_objective, 0.0, 1.0 / (2.0 * a2r2))
+    # Inner infimum of the diagonal term at tau = 1 (scales as 1/tau): the
+    # split objective (4*beta + sigma_min*r*sqrt(2*s*log2eps))/(D*s) is half
+    # of n2's at the same log term.
+    base = _n2_infimum(acc.r, log2eps, params, beta_as_printed)
+    n2_base = InfimumResult(value=base.value / 2.0, argmin=base.argmin)
 
     # Coarse pass over the 0.01-step weight grid on a shared s-grid (the cross
     # term's inner optimum is re-solved exactly only near the winning weight).
     taus = np.arange(TAU_GRID_STEP, 1.0, TAU_GRID_STEP)
-    gamma_f, a2r2_g = _gamma_of(params)
-    s_hi = 1.0 / a2r2_g
+    gamma_f, a2r2 = _gamma_of(params)
+    s_hi = 1.0 / a2r2
     s_grid = np.geomspace(s_hi * 1e-9, s_hi * (1.0 - 1e-9), 2048)
     gam = gamma_f(s_grid)
-    slope = sm**2 * acc.r**2 / 8.0
+    slope = params.sigma_min**2 * acc.r**2 / 8.0
     h_max = np.max(
         2.0 * (1.0 - taus)[:, None] * slope * s_grid[None, :] - gam[None, :], axis=1
     )
@@ -316,37 +333,43 @@ def n_main_tau(
     )
 
 
+# Closed-form families: n1 = C * alpha^2 * scale^2 / (sigma_min^2 r^2) *
+# log(f * p / eps), by tag (C, noise scale, f).
+_CLOSED_FORMS = {
+    "bounded": (2.0, ProblemParams.require_b, 3.0),
+    "mds_subgaussian": (8.0, ProblemParams.require_R, 2.0),
+    "mds_bounded": (8.0, ProblemParams.require_b, 2.0),
+    "fixed_mds": (8.0, ProblemParams.require_R, 2.0),
+}
+
+
+def _closed_form(theorem: str, r: float, params: ProblemParams) -> tuple[float, float]:
+    """(C1, f) with first term C1 * log(f / eps) for a closed-form family."""
+    const, scale, per_p = _CLOSED_FORMS[theorem]
+    return _scaled_floor(const, scale(params), r, params), per_p * params.p
+
+
+def _closed_form_bound(theorem: str, acc: Accuracy, params: ProblemParams) -> BoundBreakdown:
+    c1, factor = _closed_form(theorem, acc.r, params)
+    terms = {"n1": c1 * max(math.log(factor / acc.eps), 0.0)}
+    if theorem != "fixed_mds":
+        terms["n_rand"] = n_rand(acc.eps, factor, params)
+    return make_breakdown(theorem, terms)
+
+
 def n_bounded(acc: Accuracy, params: ProblemParams) -> BoundBreakdown:
     """Sample-count bound for i.i.d. almost-surely bounded noise."""
-    b = params.require_b()
-    log_term = math.log(3.0 * params.p / acc.eps)
-    n1 = 2.0 * params.alpha**2 * b**2 / (acc.r**2 * params.sigma_min**2) * max(
-        log_term, 0.0
-    )
-    terms = {"n1": n1, "n_rand": n_rand(acc.eps, 3.0 * params.p, params)}
-    return make_breakdown("bounded", terms)
+    return _closed_form_bound("bounded", acc, params)
 
 
 def n_mds_subgaussian(acc: Accuracy, params: ProblemParams) -> BoundBreakdown:
     """Sample-count bound for conditionally sub-Gaussian martingale noise."""
-    R = params.require_R()
-    log_term = math.log(2.0 * params.p / acc.eps)
-    n1 = 8.0 * params.alpha**2 * R**2 / (acc.r**2 * params.sigma_min**2) * max(
-        log_term, 0.0
-    )
-    terms = {"n1": n1, "n_rand": n_rand(acc.eps, 2.0 * params.p, params)}
-    return make_breakdown("mds_subgaussian", terms)
+    return _closed_form_bound("mds_subgaussian", acc, params)
 
 
 def n_mds_bounded(acc: Accuracy, params: ProblemParams) -> BoundBreakdown:
     """Sample-count bound for bounded martingale-difference noise."""
-    b = params.require_b()
-    log_term = math.log(2.0 * params.p / acc.eps)
-    n1 = 8.0 * params.alpha**2 * b**2 / (acc.r**2 * params.sigma_min**2) * max(
-        log_term, 0.0
-    )
-    terms = {"n1": n1, "n_rand": n_rand(acc.eps, 2.0 * params.p, params)}
-    return make_breakdown("mds_bounded", terms)
+    return _closed_form_bound("mds_bounded", acc, params)
 
 
 def n_fixed_design(acc: Accuracy, params: ProblemParams) -> BoundBreakdown:
@@ -355,22 +378,16 @@ def n_fixed_design(acc: Accuracy, params: ProblemParams) -> BoundBreakdown:
     ``params.sigma_min`` and ``params.alpha`` must be measured from the actual
     matrix; there is no Gram-concentration term.
     """
-    R = params.require_R()
-    log_term = math.log(2.0 * params.p / acc.eps)
-    n1 = 8.0 * params.alpha**2 * R**2 / (acc.r**2 * params.sigma_min**2) * max(
-        log_term, 0.0
-    )
-    return make_breakdown("fixed_mds", {"n1": n1})
+    return _closed_form_bound("fixed_mds", acc, params)
 
 
 def eps_fixed_design(r: float, N: float, params: ProblemParams) -> float:
     """Outage level implied by the fixed-design bound at sample count N
     (exact inversion of n_fixed_design in eps), clipped to 1."""
-    R = params.require_R()
     if not (r > 0 and N > 0):
         raise DomainError("r and N must be positive")
-    expo = N * r**2 * params.sigma_min**2 / (8.0 * params.alpha**2 * R**2)
-    return min(1.0, 2.0 * params.p * math.exp(-expo))
+    c1, factor = _closed_form("fixed_mds", r, params)
+    return min(1.0, factor * math.exp(-N / c1))
 
 
 # ---------------------------------------------------------------------------
@@ -387,33 +404,27 @@ def eps_of_n(r: float, N: float, params: ProblemParams) -> OutageBreakdown:
     R = params.require_R()
     if not (r > 0):
         raise DomainError(f"r must be positive, got {r}")
-    n1_floor = 4.0 * params.alpha**2 * R**2 / (params.sigma_min**2 * r**2)
+    n1_floor = _scaled_floor(4.0, R, r, params)
     if not (N > n1_floor):
         raise DomainError(
             f"N must exceed 4*alpha^2*R^2/(sigma_min^2*r^2) = {n1_floor}, got {N}"
         )
     three_p = 3.0 * params.p
-    sm2r2 = params.sigma_min**2 * r**2
+    a = params.alpha**2 * R**2
+    D = params.sigma_min**2 * r**2
 
-    # Diagonal term: maximize the squared one-sided exponent over the region
-    # where the exponent argument is nonnegative.
-    beta_f, a2r2 = _beta_of(params, as_printed=False)
-
-    def neg_expo2(s):
-        s = np.asarray(s, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            margin = sm2r2 * s * N - 8.0 * beta_f(s)
-            expo = margin**2 / (8.0 * s * sm2r2)
-        return np.where((s > 0) & (margin >= 0), -expo, np.inf)
-
-    eps2_feasible = True
-    s_opt2: float | None = None
-    try:
-        res2 = infimum_1d(neg_expo2, 0.0, 1.0 / (2.0 * a2r2))
-        eps2 = min(1.0, three_p * math.exp(res2.value))
-        s_opt2 = res2.argmin
-    except NoFinitePointError:
-        eps2, eps2_feasible = 1.0, False
+    # Diagonal term: the squared one-sided exponent m(s)^2/(8*s*D) is largest
+    # where m(s)/sqrt(s) is; it is positive somewhere iff D*N > 8a.
+    slope = D * N - 8.0 * a
+    eps2_feasible = slope > 0
+    eps2, s_opt2 = 1.0, None
+    if eps2_feasible:
+        s_opt2 = _bisect(
+            lambda s: 16.0 * a * a * s * (1.5 - a * s) - slope * (1.0 - 2.0 * a * s) ** 2,
+            1.0 / (2.0 * a),
+        )
+        margin = max(D * N * s_opt2 - 8.0 * beta(s_opt2, params), 0.0)
+        eps2 = min(1.0, three_p * math.exp(-(margin**2) / (8.0 * s_opt2 * D)))
 
     # Cross term: best exponent is N^2 times the maximal positive slack.
     best3 = _n3_denominator_max(r, params)
@@ -424,7 +435,7 @@ def eps_of_n(r: float, N: float, params: ProblemParams) -> OutageBreakdown:
     else:
         eps3, eps3_feasible, s_opt3 = 1.0, False, None
 
-    eps_rand = min(1.0, three_p * math.exp(-0.75 * N / _n_rand_coeff(params)))
+    eps_rand = min(1.0, three_p * math.exp(-N / _n_rand_lead(params)))
 
     return OutageBreakdown(
         eps2=eps2,
@@ -477,31 +488,13 @@ def bound_for(
 def eps_for(theorem: str, r: float, N: int, params: ProblemParams) -> float:
     """Outage bound at (r, N) for the given bound family, clipped to 1."""
     if theorem == "main":
-        floor = 4.0 * params.require_R() ** 2 * params.alpha**2 / (
-            params.sigma_min**2 * r**2
-        )
-        if N <= floor:
+        if N <= _scaled_floor(4.0, params.require_R(), r, params):
             return 1.0
         return eps_of_n(r, N, params).eps_final
     if theorem == "fixed_mds":
         return eps_fixed_design(r, N, params)
-    if theorem in ("bounded", "mds_subgaussian", "mds_bounded"):
-        # Exact inversion of max(C1 * log(f/eps), C_rand * log(f/eps)).
-        if theorem == "bounded":
-            factor = 3.0 * params.p
-            c1 = 2.0 * params.alpha**2 * params.require_b() ** 2 / (
-                r**2 * params.sigma_min**2
-            )
-        elif theorem == "mds_subgaussian":
-            factor = 2.0 * params.p
-            c1 = 8.0 * params.alpha**2 * params.require_R() ** 2 / (
-                r**2 * params.sigma_min**2
-            )
-        else:
-            factor = 2.0 * params.p
-            c1 = 8.0 * params.alpha**2 * params.require_b() ** 2 / (
-                r**2 * params.sigma_min**2
-            )
-        lead = max(c1, (4.0 / 3.0) * _n_rand_coeff(params))
-        return min(1.0, factor * math.exp(-N / lead))
+    if theorem in _CLOSED_FORMS:
+        # Exact inversion of max(C1, C_rand) * log(f/eps).
+        c1, factor = _closed_form(theorem, r, params)
+        return min(1.0, factor * math.exp(-N / max(c1, _n_rand_lead(params))))
     raise ParameterError(f"no outage expression for bound tag {theorem!r}")

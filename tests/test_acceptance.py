@@ -225,7 +225,7 @@ def test_criterion_7_per_trial_identities():
 
 def test_criterion_8_property_suites(tmp_path):
     t0 = time.perf_counter()
-    violations = run_property_sweep(total_sets=1000, main_sets=150, tau_sets=60)
+    violations = run_property_sweep(total_sets=1000, main_sets=1000, tau_sets=60)
 
     params = ProblemParams(p=2, alpha=1.0, sigma_min=1.0, sigma_max=1.0, R=1.0)
     shape_ok = True

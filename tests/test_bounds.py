@@ -7,17 +7,23 @@ import pytest
 
 from lsqbounds import bounds
 from lsqbounds.bounds import _n2_infimum, _n3_infimum, _tau_inner_max
+from lsqbounds.optimize import InfimumResult
 from lsqbounds.params import Accuracy, DomainError, ParameterError, ProblemParams
 
 from helpers import (
+    beta_proof,
     eps2_grid_oracle,
     eps3_grid_oracle,
+    gamma_ref,
     n2_grid_oracle,
     n3_grid_oracle,
+    random_problem_sets,
 )
 
 UNIT = ProblemParams(p=2, alpha=1.0, sigma_min=1.0, sigma_max=1.0, R=1.0)
 ACC = Accuracy(r=1.0, eps=0.05)
+RANDOM_SETS = random_problem_sets(30, seed=1618)
+ORACLE_POINTS = 200_000
 
 
 class TestBeta:
@@ -139,6 +145,72 @@ class TestN3:
         assert v2 / v1 == pytest.approx(expected, rel=1e-6)
 
 
+class TestInnerOptimaOnRandomSets:
+    """The inner solves never lose to a dense grid, and each value is
+    its objective at the returned witness."""
+
+    def test_n2(self):
+        for params, acc in RANDOM_SETS:
+            al, R, sm, r = params.alpha, params.R, params.sigma_min, acc.r
+            value, s = bounds.n2_main(acc, params)
+            oracle, _ = n2_grid_oracle(r, acc.eps, params.p, al, R, sm, points=ORACLE_POINTS)
+            assert value <= oracle * (1 + 1e-12), (params, acc)
+            log_term = math.log(3.0 * params.p / acc.eps)
+            at_s = (8.0 * beta_proof(s, al, R) + 2.0 * sm * r * math.sqrt(2.0 * s * log_term)) / (
+                sm**2 * r**2 * s
+            )
+            assert value == pytest.approx(at_s, rel=1e-12), (params, acc)
+
+    def test_n3(self):
+        for params, acc in RANDOM_SETS:
+            al, R, sm, r = params.alpha, params.R, params.sigma_min, acc.r
+            value, s = bounds.n3_main(acc, params)
+            oracle, _, _ = n3_grid_oracle(r, acc.eps, params.p, al, R, sm, points=ORACLE_POINTS)
+            assert value <= oracle * (1 + 1e-12), (params, acc)
+            slack = sm**2 * r**2 * s / 8.0 - gamma_ref(s, al, R)
+            at_s = math.sqrt(math.log(3.0 * params.p / acc.eps) / slack)
+            assert value == pytest.approx(at_s, rel=1e-12), (params, acc)
+
+    def test_eps2(self):
+        for params, acc in RANDOM_SETS:
+            al, R, sm, r = params.alpha, params.R, params.sigma_min, acc.r
+            # at N = n2 the term sits near eps, neither clipped nor underflowed
+            N, _ = bounds.n2_main(acc, params)
+            ob = bounds.eps_of_n(r, N, params)
+            oracle = eps2_grid_oracle(r, N, params.p, al, R, sm, points=ORACLE_POINTS)
+            assert ob.eps2 <= oracle * (1 + 1e-12), (params, acc)
+            s = ob.s_opt_eps2
+            margin = sm**2 * r**2 * s * N - 8.0 * beta_proof(s, al, R)
+            at_s = min(1.0, 3.0 * params.p * math.exp(-(margin**2) / (8.0 * s * sm**2 * r**2)))
+            assert ob.eps2 == pytest.approx(at_s, rel=1e-12), (params, acc)
+
+    def test_as_printed_n2(self):
+        for params, acc in RANDOM_SETS:
+            a, R, sm, r = params.alpha**2 * params.R**2, params.R, params.sigma_min, acc.r
+            value, s_opt = bounds.n2_main(acc, params, as_printed=True)
+            log_term = math.log(3.0 * params.p / acc.eps)
+
+            def objective(s):
+                beta_printed = a * params.p + (a * s) ** 2 / (1.0 - 2.0 * R**2 * s)
+                return (8.0 * beta_printed + 2.0 * sm * r * np.sqrt(2.0 * s * log_term)) / (
+                    sm**2 * r**2 * s
+                )
+
+            s_hi = min(1.0 / (2.0 * a), 1.0 / (2.0 * R**2))
+            grid = np.geomspace(s_hi * 1e-9, s_hi * (1.0 - 1e-9), ORACLE_POINTS)
+            assert value <= float(np.min(objective(grid))) * (1 + 1e-12), (params, acc)
+            assert value == pytest.approx(objective(s_opt), rel=1e-12), (params, acc)
+
+    def test_as_printed_n2_boundary_optimum(self):
+        # alpha > 1: the as-printed objective still falls at the right end of
+        # its domain 1/(2*alpha^2*R^2) = 0.5, so the witness is the largest
+        # float inside it; the value is no worse than the scan-based search's
+        params = ProblemParams(p=2, alpha=2.0, sigma_min=1.0, sigma_max=1.0, R=0.5)
+        value, s = bounds.n2_main(Accuracy(r=1.0, eps=0.05), params, as_printed=True)
+        assert 0 < s < 1.0 / (2.0 * params.alpha**2 * params.R**2)
+        assert value <= 46.08546840980321
+
+
 class TestNRand:
     def test_reference_values(self):
         p4 = ProblemParams(p=4, alpha=1.0, sigma_min=1.0, sigma_max=1.0, R=1.0)
@@ -206,14 +278,15 @@ class TestNMainTau:
         n1 = bounds.n1_main(ACC, UNIT)
         nr = bounds.n_rand(ACC.eps, 3.0 * UNIT.p, UNIT)
         # recompute the tau-independent inner infimum of the split diagonal term
-        from lsqbounds.bounds import _beta_of
-        from lsqbounds.optimize import infimum_1d
-
-        beta_f, a2r2 = _beta_of(UNIT, False)
-        obj = lambda s: (4.0 * beta_f(np.asarray(s)) + UNIT.sigma_min * ACC.r * np.sqrt(2.0 * log2eps * np.asarray(s))) / (
-            UNIT.sigma_min**2 * ACC.r**2 * np.asarray(s)
-        )
-        n2_base = infimum_1d(obj, 0.0, 1.0 / (2.0 * a2r2))
+        # on a dense log grid
+        s_hi = 1.0 / (2.0 * UNIT.alpha**2 * UNIT.R**2)
+        s = np.geomspace(s_hi * 1e-9, s_hi * (1.0 - 1e-9), 1_000_000)
+        obj = (
+            4.0 * beta_proof(s, UNIT.alpha, UNIT.R)
+            + UNIT.sigma_min * ACC.r * np.sqrt(2.0 * log2eps * s)
+        ) / (UNIT.sigma_min**2 * ACC.r**2 * s)
+        k = int(np.argmin(obj))
+        n2_base = InfimumResult(value=float(obj[k]), argmin=float(s[k]))
         at_half, _, _ = _tau_inner_max(0.5, n1, nr, n2_base, ACC.r, log2eps, UNIT)
         assert bd.n_final <= at_half * (1 + 1e-9)
 

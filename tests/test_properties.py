@@ -18,7 +18,7 @@ from helpers import random_problem_sets, run_property_sweep
 
 class TestRandomizedMonotonicity:
     def test_thousand_parameter_sets(self):
-        violations = run_property_sweep(total_sets=1000, main_sets=150, tau_sets=60)
+        violations = run_property_sweep(total_sets=1000, main_sets=1000, tau_sets=60)
         assert violations == []
 
 
