@@ -181,7 +181,12 @@ def n2_main(
 def _n3_denominator_max(
     r: float, params: ProblemParams, weight: float = 1.0
 ) -> InfimumResult:
-    """max over s of weight*sigma_min^2*r^2*s/8 - gamma(s) (returned as a max)."""
+    """max over s of weight*sigma_min^2*r^2*s/8 - gamma(s) (returned as a max).
+
+    gamma(s) >= (alpha^2*R^2*s)^2/2, so the slack is positive only below
+    2*slope/(alpha^2*R^2)^2; the scan stops there when that is inside the
+    domain, so an optimum far below the domain width is still bracketed.
+    """
     gamma_f, a2r2 = _gamma_of(params)
     slope = weight * params.sigma_min**2 * r**2 / 8.0
 
@@ -189,7 +194,7 @@ def _n3_denominator_max(
         s = np.asarray(s, dtype=float)
         return gamma_f(s) - slope * s
 
-    res = infimum_1d(neg, 0.0, 1.0 / a2r2)
+    res = infimum_1d(neg, 0.0, min(1.0 / a2r2, 2.0 * slope / a2r2**2))
     return InfimumResult(value=-res.value, argmin=res.argmin)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 from . import bounds
 from .io import (
@@ -21,11 +21,12 @@ from .io import (
     outage_to_json,
     write_result_csv,
 )
-from .models import design_dim, implied_problem_params
+from .models import design_dim
 from .montecarlo import (
     ExperimentSpec,
     RangeExhaustedError,
     SimulationQualityError,
+    _sweep_rows,
     run_event_diagnostics,
     sweep,
 )
@@ -91,33 +92,19 @@ def _cmd_bound_eps(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config)
     trials = args.trials if args.trials is not None else cfg.trials
-    p = design_dim(cfg.design)
-    if cfg.axis_name == "N":
-        base_n = int(max(cfg.axis_values))
-    else:
-        base_n = cfg.n_hint if cfg.n_hint is not None else max(p + 2, 2 * p)
-    base_r = cfg.r if cfg.r is not None else float(cfg.axis_values[0])
+    # Every row sets its own N, so the base only needs a valid one.
     base = ExperimentSpec(
         design=cfg.design,
         noise=cfg.noise,
-        N=base_n,
-        r=base_r,
+        N=design_dim(cfg.design) + 1,
+        r=cfg.r if cfg.r is not None else float(cfg.axis_values[0]),
         theta0=cfg.theta0,
         trials=trials,
         base_seed=cfg.base_seed,
         diagnostics=cfg.diagnostics,
     )
-    params = implied_problem_params(cfg.design, cfg.noise, N_hint=base_n)
-    rows = sweep(
-        base,
-        cfg.axis_name,
-        cfg.axis_values,
-        cfg.theorem,
-        eps=cfg.eps,
-        params=params,
-        beta_as_printed=cfg.beta_as_printed,
-        workers=args.workers,
-    )
+    row_args = (base, cfg.axis_name, cfg.axis_values, cfg.theorem, cfg.eps, cfg.beta_as_printed)
+    rows = sweep(*row_args, workers=args.workers)
     write_result_csv(cfg.csv_path, rows)
     if cfg.svg_path is not None:
         xs = [row.axis_value for row in rows]
@@ -132,13 +119,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             y_label="bound / p_hat",
         )
     if cfg.diagnostics:
-        for row in rows:
-            n_run = int(row.axis_value) if cfg.axis_name == "N" else max(
-                int(row.n_bound_ceil or 0), p + 1
-            )
-            spec = replace(base, N=n_run, r=row.axis_value if cfg.axis_name == "r" else base_r)
+        for value, spec, params, _ in _sweep_rows(*row_args):
             diag = run_event_diagnostics(spec, params=params, workers=args.workers)
-            print(dump_json({"axis_value": row.axis_value, **asdict(diag)}))
+            print(dump_json({"axis_value": float(value), **asdict(diag)}))
     return EXIT_OK
 
 

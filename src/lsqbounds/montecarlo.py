@@ -288,79 +288,110 @@ def run_event_diagnostics(
 # Sweeps and empirical sample-count search
 
 
-def sweep(
+FIXED_SEARCH_START = 4  # fixed_design_bound's search starts at 4p rows
+FIXED_SEARCH_ROUNDS = 50
+
+
+def fixed_design_bound(
+    acc: Accuracy, design: DesignModel, noise: NoiseModel
+) -> tuple[int, ProblemParams, bounds.BoundBreakdown]:
+    """Self-consistent sample count for a measured design.
+
+    The fixed-design bound uses the smallest Gram eigenvalue of the matrix
+    actually used, which itself depends on N; iterate N upward from 4p until
+    the bound evaluated at the materialized matrix no longer exceeds N.
+    """
+    N = FIXED_SEARCH_START * design_dim(design)
+    for _ in range(FIXED_SEARCH_ROUNDS):
+        params = implied_problem_params(design, noise, N_hint=N)
+        bd = bounds.n_fixed_design(acc, params)
+        if bd.n_ceil <= N:
+            return N, params, bd
+        N = bd.n_ceil
+    raise ParameterError(
+        f"fixed-design bound did not stabilize within {FIXED_SEARCH_ROUNDS} iterations"
+    )
+
+
+def _sweep_rows(
     base: ExperimentSpec,
     axis_name: str,
     axis_values,
     theorem: str,
-    eps: float | None = None,
-    params: ProblemParams | None = None,
-    beta_as_printed: bool = False,
-    workers: int = 1,
-) -> list[ResultRow]:
-    """One tail run per axis value plus the matching bound evaluation.
+    eps: float | None,
+    beta_as_printed: bool,
+):
+    """Yield (axis value, spec, params, bound) for each row of a sweep: the
+    spec the row runs, the ProblemParams of the design it runs, and the bound
+    (a BoundBreakdown on the r and eps axes, the outage value on the N axis).
 
-    r-axis and eps-axis rows run at N equal to the bound's integer ceiling
-    (so p_hat <= eps checks bound soundness); N-axis rows run at the given N
-    and report the bound's outage value in the n_bound_real column.
+    A random design has one set of params for every row.  A non-random design
+    is measured at the N its row runs: the axis value on the N axis, and
+    fixed_design_bound's self-consistent N on the r and eps axes.
     """
     values = list(axis_values)
     if not values:
         raise ParameterError("axis must be nonempty")
     if axis_name not in ("r", "eps", "N"):
         raise ParameterError(f"axis_name must be r, eps, or N, got {axis_name!r}")
-    if params is None:
-        params = implied_problem_params(base.design, base.noise, N_hint=base.N)
+    if axis_name == "r" and eps is None:
+        raise ParameterError("r-axis sweeps need a target eps")
+    random_design = design_is_random(base.design)
+    if not random_design and theorem != "fixed_mds":
+        raise ParameterError(
+            f"a non-random design is covered only by the fixed_mds bound, got {theorem!r}"
+        )
+    params = implied_problem_params(base.design, base.noise) if random_design else None
     p = design_dim(base.design)
-    rows = []
     for value in values:
         if axis_name == "N":
-            spec = replace(base, N=int(value))
-            est = run_tail(spec, workers=workers)
-            rows.append(
-                ResultRow(
-                    axis_name="N",
-                    axis_value=float(value),
-                    n_bound_real=bounds.eps_for(theorem, base.r, int(value), params),
-                    n_bound_ceil=None,
-                    binding_term=None,
-                    s_opt_n2=None,
-                    s_opt_n3=None,
-                    tau_opt=None,
-                    p_hat=est.p_hat,
-                    ci_low=est.ci_low,
-                    ci_high=est.ci_high,
-                    trials=est.trials,
-                    seed=base.base_seed,
-                )
-            )
+            N = int(value)
+            if not random_design:
+                params = implied_problem_params(base.design, base.noise, N_hint=N)
+            yield value, replace(base, N=N), params, bounds.eps_for(theorem, base.r, N, params)
             continue
         if axis_name == "r":
-            if eps is None:
-                raise ParameterError("r-axis sweeps need a target eps")
             acc = Accuracy(r=float(value), eps=eps)
         else:
             acc = Accuracy(r=base.r, eps=float(value))
-        bd = bounds.bound_for(theorem, acc, params, beta_as_printed)
-        n_run = max(bd.n_ceil, p + 1)
-        spec = replace(base, N=n_run, r=acc.r)
+        if random_design:
+            bd = bounds.bound_for(theorem, acc, params, beta_as_printed)
+            N = max(bd.n_ceil, p + 1)
+        else:
+            N, params, bd = fixed_design_bound(acc, base.design, base.noise)
+        yield value, replace(base, N=N, r=acc.r), params, bd
+
+
+def sweep(
+    base: ExperimentSpec,
+    axis_name: str,
+    axis_values,
+    theorem: str,
+    eps: float | None = None,
+    beta_as_printed: bool = False,
+    workers: int = 1,
+) -> list[ResultRow]:
+    """One tail run per axis value plus the matching bound evaluation.
+
+    r-axis and eps-axis rows of a random design run at N equal to the bound's
+    integer ceiling (so p_hat <= eps checks bound soundness); those of a
+    non-random design run at the self-consistent N of fixed_design_bound,
+    which can exceed the ceiling.  N-axis rows run at the given N and report
+    the bound's outage value in the n_bound_real column.  base.N is not used.
+    """
+    rows = []
+    for value, spec, _, bound in _sweep_rows(
+        base, axis_name, axis_values, theorem, eps, beta_as_printed
+    ):
         est = run_tail(spec, workers=workers)
+        if axis_name == "N":
+            cells = (bound, None, None, None, None, None)
+        else:
+            cells = (bound.n_final, bound.n_ceil, bound.binding,
+                     bound.s_opt_n2, bound.s_opt_n3, bound.tau_opt)
         rows.append(
-            ResultRow(
-                axis_name=axis_name,
-                axis_value=float(value),
-                n_bound_real=bd.n_final,
-                n_bound_ceil=bd.n_ceil,
-                binding_term=bd.binding,
-                s_opt_n2=bd.s_opt_n2,
-                s_opt_n3=bd.s_opt_n3,
-                tau_opt=bd.tau_opt,
-                p_hat=est.p_hat,
-                ci_low=est.ci_low,
-                ci_high=est.ci_high,
-                trials=est.trials,
-                seed=base.base_seed,
-            )
+            ResultRow(axis_name, float(value), *cells, est.p_hat, est.ci_low,
+                      est.ci_high, est.trials, base.base_seed)
         )
     return rows
 

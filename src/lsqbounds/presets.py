@@ -1,8 +1,10 @@
 """One-command simulation presets (fig1..fig6).
 
-Each preset pins a design model, a noise model, an accuracy target, and an
-axis grid, then emits result CSVs (and a diagnostic SVG) whose rows pair the
-computed bound with a seeded tail estimate at the bound's sample count.
+Each preset is one entry of the FIGURES table: a list of panels, each
+pinning a design model, a noise model, an accuracy target and an axis grid.
+reproduce runs every panel through montecarlo.sweep, so its rows pair the
+computed bound with a seeded tail estimate at the N that sweep chooses, and
+writes one CSV per panel plus one diagnostic SVG per figure.
 
 The mixture component variances and the FIR tap profile are preset choices;
 they are tuned so the declared noise parameters (R, b) hit their targets
@@ -11,12 +13,14 @@ exactly, which is all the bounds consume.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
-from . import bounds
-from .io import ResultRow, write_result_csv
+from .io import write_result_csv
 from .models import (
+    DesignModel,
     FirMds,
     Gaussian,
     GaussianMixture,
@@ -26,19 +30,15 @@ from .models import (
     ToeplitzPilot,
     Uniform,
     design_dim,
-    implied_problem_params,
     random_pilots,
     subgaussian_param,
 )
-from .montecarlo import ExperimentSpec, run_tail, sweep
-from .params import Accuracy, ParameterError, ProblemParams
+from .montecarlo import ExperimentSpec, fixed_design_bound, sweep  # noqa: F401  (re-exported)
+from .params import ParameterError
 from .svg import write_line_plot
 
 DEFAULT_TRIALS = 50_000
-DESK_TRIALS = 10_000  # documented desk-scale override
 DEFAULT_SEED = 20_240_601
-
-FIGURE_IDS = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6")
 
 DEFAULT_FIR_TAPS = (1.0, 0.8, 0.64, 0.512)
 PILOT_BUDGET = 8192
@@ -92,240 +92,103 @@ def channel_pilot_design(p: int = 8, length: int = PILOT_BUDGET, seed: int = DEF
     return ToeplitzPilot(random_pilots(length, SeedSpec(seed, 0, "design")), p)
 
 
-def fixed_design_bound(
-    acc: Accuracy,
-    design: ToeplitzPilot,
-    noise: NoiseModel,
-    n_start: int | None = None,
-    max_iter: int = 50,
-) -> tuple[int, ProblemParams, "bounds.BoundBreakdown"]:
-    """Self-consistent sample count for a measured design.
-
-    The fixed-design bound uses the smallest Gram eigenvalue of the matrix
-    actually used, which itself depends on N; iterate N upward until the
-    bound evaluated at the materialized matrix no longer exceeds N.
-    """
-    p = design_dim(design)
-    N = max(n_start or 4 * p, p + 1)
-    for _ in range(max_iter):
-        params = implied_problem_params(design, noise, N_hint=N)
-        bd = bounds.n_fixed_design(acc, params)
-        target = max(bd.n_ceil, p + 1)
-        if target <= N:
-            return N, params, bd
-        N = target
-    raise ParameterError(f"fixed-design bound did not stabilize within {max_iter} iterations")
-
-
 # ---------------------------------------------------------------------------
 # Figure presets
 
 
-@dataclass(frozen=True)
-class PresetOutput:
-    csv_paths: tuple[Path, ...]
-    svg_path: Path
-
-
-def _svg_series_from_rows(rows: list[ResultRow]) -> list[tuple[str, list[float], list[float]]]:
-    xs = [row.axis_value for row in rows]
-    return [
-        ("bound", xs, [row.n_bound_real for row in rows]),
-        ("p_hat", xs, [row.p_hat for row in rows]),
-    ]
-
-
-def _reproduce_fig1(outdir: Path, trials: int, seed: int, workers: int) -> PresetOutput:
-    design = IidBoundedColumns((1.0,) * 8, "scaled-uniform")
-    noise = gaussian_mixture_with_param(0.1)
-    base = ExperimentSpec(design, noise, N=16, r=0.01, trials=trials, base_seed=seed)
-    rows = sweep(base, "eps", [0.1, 0.05, 0.02, 0.01], "main", workers=workers)
-    csv_path = outdir / "fig1.csv"
-    write_result_csv(csv_path, rows)
-    svg_path = outdir / "fig1.svg"
-    write_line_plot(
-        svg_path,
-        _svg_series_from_rows(rows),
-        title="required N and tail estimate vs outage target",
-        x_label="eps",
-        y_label="N / p_hat",
-    )
-    return PresetOutput((csv_path,), svg_path)
+def _fig1_models(seed: int):
+    return IidBoundedColumns((1.0,) * 8, "scaled-uniform"), gaussian_mixture_with_param(0.1)
 
 
 def fig2_models() -> tuple[IidBoundedColumns, Uniform]:
-    import math
-
     return IidBoundedColumns((math.sqrt(0.2), 1.0), "scaled-uniform"), Uniform(1.0)
 
 
-def _reproduce_fig2(outdir: Path, trials: int, seed: int, workers: int) -> PresetOutput:
-    design, noise = fig2_models()
-    base = ExperimentSpec(design, noise, N=8, r=1.0, trials=trials, base_seed=seed)
-    rows = sweep(base, "r", [0.2, 0.4, 0.8, 1.6], "main", eps=0.01, workers=workers)
-    csv_path = outdir / "fig2.csv"
-    write_result_csv(csv_path, rows)
-    svg_path = outdir / "fig2.svg"
-    write_line_plot(
-        svg_path,
-        _svg_series_from_rows(rows),
-        title="required N and tail estimate vs radius (uniform noise)",
-        x_label="r",
-        y_label="N / p_hat",
-    )
-    return PresetOutput((csv_path,), svg_path)
+def _fig3_models(seed: int):
+    return IidBoundedColumns((1.0,) * 4, "scaled-uniform"), Gaussian(10.0)
 
 
-def _reproduce_fig3(outdir: Path, trials: int, seed: int, workers: int) -> PresetOutput:
-    design = IidBoundedColumns((1.0,) * 4, "scaled-uniform")
-    noise = Gaussian(10.0)
-    base = ExperimentSpec(design, noise, N=8, r=1.0, trials=trials, base_seed=seed)
-    r_grid = [1.0, 2.0, 4.0]
-    rows_main = sweep(base, "r", r_grid, "main", eps=0.05, workers=workers)
-    rows_mds = sweep(base, "r", r_grid, "mds_subgaussian", eps=0.05, workers=workers)
-    main_csv = outdir / "fig3_main.csv"
-    mds_csv = outdir / "fig3_mds.csv"
-    write_result_csv(main_csv, rows_main)
-    write_result_csv(mds_csv, rows_mds)
-    svg_path = outdir / "fig3.svg"
-    write_line_plot(
-        svg_path,
-        [
-            ("main bound", r_grid, [row.n_bound_real for row in rows_main]),
-            ("mds bound", r_grid, [row.n_bound_real for row in rows_mds]),
-            ("p_hat (main)", r_grid, [row.p_hat for row in rows_main]),
-            ("p_hat (mds)", r_grid, [row.p_hat for row in rows_mds]),
-        ],
-        title="joint vs martingale bound (Gaussian noise, R=10)",
-        x_label="r",
-        y_label="N / p_hat",
-    )
-    return PresetOutput((main_csv, mds_csv), svg_path)
-
-
-FIG4_CONDITIONS = (1.0, 5.0, 25.0)
-FIG4_R_GRIDS = {1.0: (1.0, 2.0, 4.0), 5.0: (2.0, 4.0, 8.0), 25.0: (8.0, 16.0, 32.0)}
-
-
-def _reproduce_fig4(outdir: Path, trials: int, seed: int, workers: int) -> PresetOutput:
-    import math
-
-    noise = Gaussian(10.0)
-    csvs = []
-    series = []
-    for cond in FIG4_CONDITIONS:
-        stddevs = (math.sqrt(1.0 / cond), 1.0, 1.0, 1.0)
-        design = IidBoundedColumns(stddevs, "scaled-uniform")
-        base = ExperimentSpec(design, noise, N=8, r=1.0, trials=trials, base_seed=seed)
-        r_grid = list(FIG4_R_GRIDS[cond])
-        rows = sweep(base, "r", r_grid, "main", eps=0.05, workers=workers)
-        csv_path = outdir / f"fig4_cond{int(cond)}.csv"
-        write_result_csv(csv_path, rows)
-        csvs.append(csv_path)
-        series.append((f"bound cond={int(cond)}", r_grid, [row.n_bound_real for row in rows]))
-    svg_path = outdir / "fig4.svg"
-    write_line_plot(
-        svg_path,
-        series,
-        title="required N vs radius for several condition numbers",
-        x_label="r",
-        y_label="N",
-    )
-    return PresetOutput(tuple(csvs), svg_path)
+def _fig4_models(cond: float):
+    """The fig3 setting with one column's variance cut to 1/cond."""
+    stddevs = (math.sqrt(1.0 / cond), 1.0, 1.0, 1.0)
+    return lambda seed: (IidBoundedColumns(stddevs, "scaled-uniform"), Gaussian(10.0))
 
 
 def fig5_models(seed: int = DEFAULT_SEED) -> tuple[ToeplitzPilot, FirMds]:
     return channel_pilot_design(p=8, seed=seed), fir_mds_with_param(0.1)
 
 
-def _reproduce_fig5(outdir: Path, trials: int, seed: int, workers: int) -> PresetOutput:
-    design, noise = fig5_models(seed)
-    rows = []
-    for r in (0.05, 0.1, 0.2):
-        acc = Accuracy(r=r, eps=0.01)
-        N, params, bd = fixed_design_bound(acc, design, noise)
-        spec = ExperimentSpec(design, noise, N=N, r=r, trials=trials, base_seed=seed)
-        est = run_tail(spec, workers=workers)
-        rows.append(
-            ResultRow(
-                axis_name="r",
-                axis_value=r,
-                n_bound_real=bd.n_final,
-                n_bound_ceil=bd.n_ceil,
-                binding_term=bd.binding,
-                s_opt_n2=None,
-                s_opt_n3=None,
-                tau_opt=None,
-                p_hat=est.p_hat,
-                ci_low=est.ci_low,
-                ci_high=est.ci_high,
-                trials=est.trials,
-                seed=seed,
-            )
-        )
-    csv_path = outdir / "fig5.csv"
-    write_result_csv(csv_path, rows)
-    svg_path = outdir / "fig5.svg"
-    write_line_plot(
-        svg_path,
-        _svg_series_from_rows(rows),
-        title="channel estimation: required N vs radius",
-        x_label="r",
-        y_label="N / p_hat",
-    )
-    return PresetOutput((csv_path,), svg_path)
+@dataclass(frozen=True)
+class Panel:
+    """One sweep of a figure, written to <csv>.csv.  models maps the base seed
+    to (design, noise); r is the radius of eps- and N-axis rows."""
+
+    csv: str
+    models: Callable[[int], tuple[DesignModel, NoiseModel]]
+    r: float
+    axis: str
+    values: tuple[float, ...]
+    theorem: str
+    bound_label: str
+    eps: float | None = None
+    p_hat_label: str | None = None
 
 
-def _reproduce_fig6(outdir: Path, trials: int, seed: int, workers: int) -> PresetOutput:
-    design, noise = fig5_models(seed)
-    r = 0.01
-    rows = []
-    for N in (3000, 4500, 6000, 7500):
-        params = implied_problem_params(design, noise, N_hint=N)
-        eps_bound = bounds.eps_fixed_design(r, N, params)
-        spec = ExperimentSpec(design, noise, N=N, r=r, trials=trials, base_seed=seed)
-        est = run_tail(spec, workers=workers)
-        rows.append(
-            ResultRow(
-                axis_name="N",
-                axis_value=float(N),
-                n_bound_real=eps_bound,
-                n_bound_ceil=None,
-                binding_term=None,
-                s_opt_n2=None,
-                s_opt_n3=None,
-                tau_opt=None,
-                p_hat=est.p_hat,
-                ci_low=est.ci_low,
-                ci_high=est.ci_high,
-                trials=est.trials,
-                seed=seed,
-            )
-        )
-    csv_path = outdir / "fig6.csv"
-    write_result_csv(csv_path, rows)
-    svg_path = outdir / "fig6.svg"
-    write_line_plot(
-        svg_path,
-        [
-            ("eps bound", [row.axis_value for row in rows], [row.n_bound_real for row in rows]),
-            ("p_hat", [row.axis_value for row in rows], [row.p_hat for row in rows]),
-        ],
-        title="channel estimation: outage vs sample count",
-        x_label="N",
-        y_label="eps / p_hat",
-    )
-    return PresetOutput((csv_path,), svg_path)
+@dataclass(frozen=True)
+class Figure:
+    title: str
+    x_label: str
+    y_label: str
+    panels: tuple[Panel, ...]
 
 
-_BUILDERS = {
-    "fig1": _reproduce_fig1,
-    "fig2": _reproduce_fig2,
-    "fig3": _reproduce_fig3,
-    "fig4": _reproduce_fig4,
-    "fig5": _reproduce_fig5,
-    "fig6": _reproduce_fig6,
+FIGURES = {
+    "fig1": Figure(
+        "required N and tail estimate vs outage target", "eps", "N / p_hat",
+        (Panel("fig1", _fig1_models, r=0.01, axis="eps", values=(0.1, 0.05, 0.02, 0.01),
+               theorem="main", bound_label="bound", p_hat_label="p_hat"),),
+    ),
+    "fig2": Figure(
+        "required N and tail estimate vs radius (uniform noise)", "r", "N / p_hat",
+        (Panel("fig2", lambda seed: fig2_models(), r=1.0, axis="r", values=(0.2, 0.4, 0.8, 1.6),
+               theorem="main", eps=0.01, bound_label="bound", p_hat_label="p_hat"),),
+    ),
+    "fig3": Figure(
+        "joint vs martingale bound (Gaussian noise, R=10)", "r", "N / p_hat",
+        (
+            Panel("fig3_main", _fig3_models, r=1.0, axis="r", values=(1.0, 2.0, 4.0),
+                  theorem="main", eps=0.05, bound_label="main bound", p_hat_label="p_hat (main)"),
+            Panel("fig3_mds", _fig3_models, r=1.0, axis="r", values=(1.0, 2.0, 4.0),
+                  theorem="mds_subgaussian", eps=0.05, bound_label="mds bound",
+                  p_hat_label="p_hat (mds)"),
+        ),
+    ),
+    "fig4": Figure(
+        "required N vs radius for several condition numbers", "r", "N",
+        tuple(
+            Panel(f"fig4_cond{cond}", _fig4_models(cond), r=1.0, axis="r", values=r_grid,
+                  theorem="main", eps=0.05, bound_label=f"bound cond={cond}")
+            for cond, r_grid in ((1, (1.0, 2.0, 4.0)), (5, (2.0, 4.0, 8.0)), (25, (8.0, 16.0, 32.0)))
+        ),
+    ),
+    "fig5": Figure(
+        "channel estimation: required N vs radius", "r", "N / p_hat",
+        (Panel("fig5", fig5_models, r=0.05, axis="r", values=(0.05, 0.1, 0.2),
+               theorem="fixed_mds", eps=0.01, bound_label="bound", p_hat_label="p_hat"),),
+    ),
+    "fig6": Figure(
+        "channel estimation: outage vs sample count", "N", "eps / p_hat",
+        (Panel("fig6", fig5_models, r=0.01, axis="N", values=(3000, 4500, 6000, 7500),
+               theorem="fixed_mds", bound_label="eps bound", p_hat_label="p_hat"),),
+    ),
 }
+FIGURE_IDS = tuple(FIGURES)
+
+
+@dataclass(frozen=True)
+class PresetOutput:
+    csv_paths: tuple[Path, ...]
+    svg_path: Path
 
 
 def reproduce(
@@ -335,9 +198,37 @@ def reproduce(
     base_seed: int = DEFAULT_SEED,
     workers: int = 1,
 ) -> PresetOutput:
-    """Run one figure preset and write its CSV/SVG outputs into outdir."""
-    if figure not in _BUILDERS:
+    """Run one figure preset and write its CSV/SVG outputs into outdir.
+
+    Each panel is one sweep and one CSV; the SVG plots every panel's bound
+    series, then every labelled p_hat series.
+    """
+    if figure not in FIGURES:
         raise ParameterError(f"unknown figure {figure!r}; expected one of {FIGURE_IDS}")
+    fig = FIGURES[figure]
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    return _BUILDERS[figure](out, trials, base_seed, workers)
+    csv_paths, bound_series, p_hat_series = [], [], []
+    for panel in fig.panels:
+        design, noise = panel.models(base_seed)
+        # Every row sets its own N; the base only needs a valid one.
+        base = ExperimentSpec(
+            design, noise, N=design_dim(design) + 1, r=panel.r, trials=trials, base_seed=base_seed
+        )
+        rows = sweep(base, panel.axis, panel.values, panel.theorem, eps=panel.eps, workers=workers)
+        csv_path = out / f"{panel.csv}.csv"
+        write_result_csv(csv_path, rows)
+        csv_paths.append(csv_path)
+        xs = [row.axis_value for row in rows]
+        bound_series.append((panel.bound_label, xs, [row.n_bound_real for row in rows]))
+        if panel.p_hat_label is not None:
+            p_hat_series.append((panel.p_hat_label, xs, [row.p_hat for row in rows]))
+    svg_path = out / f"{figure}.svg"
+    write_line_plot(
+        svg_path,
+        bound_series + p_hat_series,
+        title=fig.title,
+        x_label=fig.x_label,
+        y_label=fig.y_label,
+    )
+    return PresetOutput(tuple(csv_paths), svg_path)

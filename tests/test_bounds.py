@@ -144,6 +144,26 @@ class TestN3:
         expected = math.sqrt(math.log(240.0) / math.log(120.0))
         assert v2 / v1 == pytest.approx(expected, rel=1e-6)
 
+    def test_optimum_far_below_the_domain_width(self):
+        # The slack is positive only for s < 1.5e-15, about 1e-16 of the
+        # domain (0, 1/(alpha^2 R^2)) = (0, 15.7).
+        params = ProblemParams(p=24, alpha=0.0152, sigma_min=7.68e-6, sigma_max=7.74e-6, R=16.6)
+        acc = Accuracy(r=6.5e-4, eps=1.6e-7)
+        for bd in (
+            bounds.n_main(acc, params),
+            bounds.n_main(acc, params, beta_as_printed=True),
+            bounds.n_main_tau(acc, params),
+            bounds.n_main_tau(acc, params, beta_as_printed=True),
+        ):
+            assert math.isfinite(bd.n_final), bd
+        ob = bounds.eps_of_n(acc.r, bounds.n_main(acc, params).n_final, params)
+        assert ob.eps3_feasible and math.isfinite(ob.eps_final)
+        value, s = bounds.n3_main(acc, params)
+        al, R, sm, r = params.alpha, params.R, params.sigma_min, acc.r
+        assert 0.0 < s < 1.0 / (al**2 * R**2)
+        slack = sm**2 * r**2 * s / 8.0 - gamma_ref(s, al, R)
+        assert value == pytest.approx(math.sqrt(math.log(3.0 * params.p / acc.eps) / slack), rel=1e-12)
+
 
 class TestInnerOptimaOnRandomSets:
     """The inner solves never lose to a dense grid, and each value is

@@ -1,6 +1,7 @@
 """CSV round-trips, JSON schema conformance, run configs, and CLI exit codes."""
 
 import json
+from dataclasses import asdict
 from importlib import resources
 
 import jsonschema
@@ -18,8 +19,10 @@ from lsqbounds.io import (
     read_result_csv,
     write_result_csv,
 )
+from lsqbounds.models import Gaussian, design_to_config, noise_to_config
+from lsqbounds.montecarlo import ExperimentSpec, run_event_diagnostics
 from lsqbounds.params import Accuracy, ParameterError, ProblemParams
-from lsqbounds.presets import reproduce
+from lsqbounds.presets import channel_pilot_design, fig5_models, fixed_design_bound, reproduce
 
 UNIT = ProblemParams(p=2, alpha=1.0, sigma_min=1.0, sigma_max=1.0, R=1.0)
 
@@ -289,3 +292,152 @@ class TestPresetSmoke:
         vals = [row.n_bound_real for row in rows6]
         assert all(b <= a for a, b in zip(vals, vals[1:]))  # outage falls with N
         assert all(row.n_bound_ceil is None for row in rows6)
+
+
+def _write_config(tmp_path, doc) -> str:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+class TestSimulateFixedDesign:
+    """simulate measures a fixed design at the N each row runs."""
+
+    def fig5_config(self, tmp_path, seed, trials):
+        design, noise = fig5_models(seed)
+        return {
+            "schema_version": "1",
+            "theorem": "fixed_mds",
+            "design": design_to_config(design),
+            "noise": noise_to_config(noise),
+            "eps": 0.01,
+            "axis": {"name": "r", "values": [0.05, 0.1, 0.2]},
+            "trials": trials,
+            "base_seed": seed,
+            "output": {"csv": str(tmp_path / "sim.csv")},
+        }
+
+    def test_r_axis_matches_fig5_preset(self, tmp_path, capsys):
+        seed, trials = 3, 40
+        cfg = self.fig5_config(tmp_path, seed, trials)
+        assert cli.main(["simulate", "--config", _write_config(tmp_path, cfg)]) == 0
+        out = reproduce("fig5", tmp_path / "preset", trials=trials, base_seed=seed)
+        assert (tmp_path / "sim.csv").read_bytes() == out.csv_paths[0].read_bytes()
+
+    def test_other_theorem_on_fixed_design_exit_2(self, tmp_path, capsys):
+        cfg = self.fig5_config(tmp_path, 3, 40)
+        cfg["theorem"] = "main"
+        assert cli.main(["simulate", "--config", _write_config(tmp_path, cfg)]) == 2
+        assert "fixed_mds" in capsys.readouterr().err
+
+    def test_diagnostics_run_at_each_rows_n(self, tmp_path, capsys):
+        design = channel_pilot_design(p=4, length=2048, seed=5)
+        noise = Gaussian(0.1)
+        cfg = {
+            "schema_version": "1",
+            "theorem": "fixed_mds",
+            "design": design_to_config(design),
+            "noise": noise_to_config(noise),
+            "eps": 0.05,
+            "axis": {"name": "r", "values": [0.05, 0.1]},
+            "trials": 300,
+            "base_seed": 9,
+            "diagnostics": True,
+            "output": {"csv": str(tmp_path / "diag.csv")},
+        }
+        assert cli.main(["simulate", "--config", _write_config(tmp_path, cfg)]) == 0
+        # One indented JSON document per row, in row order.
+        out, docs = capsys.readouterr().out.strip(), []
+        while out:
+            doc, end = json.JSONDecoder().raw_decode(out)
+            docs.append(doc)
+            out = out[end:].lstrip()
+        rows = read_result_csv(tmp_path / "diag.csv")
+        assert len(docs) == len(rows) == 2
+        for doc, row in zip(docs, rows):
+            acc = Accuracy(r=row.axis_value, eps=0.05)
+            N, params, bd = fixed_design_bound(acc, design, noise)
+            assert bd.n_ceil == row.n_bound_ceil < N
+            spec = ExperimentSpec(design, noise, N=N, r=acc.r, trials=300, base_seed=9, diagnostics=True)
+            expected = run_event_diagnostics(spec, params=params)
+            assert doc == json.loads(dump_json({"axis_value": row.axis_value, **asdict(expected)}))
+
+
+# Preset rows recorded at 20 trials, seed 11: per CSV, (axis value,
+# n_bound_real, n_bound_ceil, binding term, exceedances).
+PINNED_PRESET_ROWS = {
+    "fig1": {
+        "fig1": [
+            (0.1, 7945.8772881033365, 7946, "n3", 0),
+            (0.05, 8433.38734381396, 8434, "n3", 0),
+            (0.02, 9037.571147066681, 9038, "n3", 0),
+            (0.01, 9469.041580408084, 9470, "n3", 0),
+        ],
+    },
+    "fig2": {
+        "fig2": [
+            (0.2, 53652.757163487986, 53653, "n3", 0),
+            (0.4, 13413.18951442512, 13414, "n3", 0),
+            (0.8, 9254.22490121269, 9255, "n_rand", 0),
+            (1.6, 9254.22490121269, 9255, "n_rand", 0),
+        ],
+    },
+    "fig3": {
+        "fig3_main": [
+            (1.0, 7945.877288099725, 7946, "n3", 0),
+            (2.0, 1986.4706152967738, 1987, "n3", 0),
+            (4.0, 664.9841893654948, 665, "n_rand", 0),
+        ],
+        "fig3_mds": [
+            (1.0, 12180.417156561181, 12181, "n1", 0),
+            (2.0, 3045.1042891402954, 3046, "n1", 0),
+            (4.0, 761.2760722850738, 762, "n1", 0),
+        ],
+    },
+    "fig4": {
+        "fig4_cond1": [
+            (1.0, 7945.877288099725, 7946, "n3", 0),
+            (2.0, 1986.4706152967738, 1987, "n3", 0),
+            (4.0, 664.9841893654948, 665, "n_rand", 0),
+        ],
+        "fig4_cond5": [
+            (2.0, 49661.730950345955, 49662, "n3", 0),
+            (4.0, 14724.649907378816, 14725, "n_rand", 0),
+            (8.0, 14724.649907378816, 14725, "n_rand", 0),
+        ],
+        "fig4_cond25": [
+            (8.0, 358616.4735506774, 358617, "n_rand", 0),
+            (16.0, 358616.4735506774, 358617, "n_rand", 0),
+            (32.0, 358616.4735506774, 358617, "n_rand", 0),
+        ],
+    },
+    "fig5": {
+        "fig5": [
+            (0.05, 299.1676513547246, 300, "n1", 0),
+            (0.1, 89.96001213472921, 90, "n1", 0),
+            (0.2, 26.096334146679055, 27, "n1", 0),
+        ],
+    },
+    "fig6": {
+        "fig6": [
+            (3000.0, 0.6538638940747429, None, None, 0),
+            (4500.0, 0.12956400492495282, None, None, 0),
+            (6000.0, 0.03181732896680867, None, None, 0),
+            (7500.0, 0.005662858300939531, None, None, 0),
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("figure", sorted(PINNED_PRESET_ROWS))
+def test_preset_rows_pinned(figure, tmp_path):
+    out = reproduce(figure, tmp_path, trials=20, base_seed=11)
+    pinned = PINNED_PRESET_ROWS[figure]
+    assert [path.stem for path in out.csv_paths] == list(pinned)
+    for path in out.csv_paths:
+        rows = read_result_csv(path)
+        assert len(rows) == len(pinned[path.stem])
+        for row, (axis, n_real, n_ceil, binding, exceed) in zip(rows, pinned[path.stem]):
+            assert (row.axis_value, row.n_bound_ceil, row.binding_term) == (axis, n_ceil, binding)
+            assert round(row.p_hat * row.trials) == exceed and row.trials == 20
+            assert row.n_bound_real == pytest.approx(n_real, rel=1e-12)

@@ -270,7 +270,7 @@ class TestSweep:
 
     def test_n_axis_carries_outage_bound(self):
         params = implied_problem_params(self.DESIGN, self.NOISE)
-        rows = sweep(self.base(), "N", [400, 800], "main", params=params)
+        rows = sweep(self.base(), "N", [400, 800], "main")
         expected = bounds.eps_of_n(1.0, 400, params).eps_final
         assert rows[0].n_bound_real == pytest.approx(expected, rel=1e-12)
         assert rows[0].n_bound_ceil is None and rows[0].binding_term is None
