@@ -66,8 +66,23 @@ class SeedSpec:
         return SeedSpec(self.base_seed, trial, role)
 
 
+# Samplers fill one buffer and scale it in place.  2u - 1 on rng.random's u is
+# exactly rng.uniform(-1, 1), so the values equal scale * rng.uniform(...).
+
+
+def _to_pm1(x: np.ndarray) -> np.ndarray:
+    x *= 2.0
+    x -= 1.0
+    return x
+
+
+def _scale(x: np.ndarray, c: float) -> np.ndarray:
+    x *= c
+    return x
+
+
 def _rademacher(rng: np.random.Generator, shape) -> np.ndarray:
-    return rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
+    return _to_pm1(rng.integers(0, 2, size=shape).astype(float))
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +175,7 @@ def sample_noise(model, n: int, seed: SeedSpec) -> np.ndarray:
 
 @sample_noise.register
 def _(model: Gaussian, n: int, seed: SeedSpec) -> np.ndarray:
-    return model.sigma * seed.generator().standard_normal(n)
+    return _scale(seed.generator().standard_normal(n), model.sigma)
 
 
 @sample_noise.register
@@ -173,7 +188,7 @@ def _(model: GaussianMixture, n: int, seed: SeedSpec) -> np.ndarray:
 
 @sample_noise.register
 def _(model: Uniform, n: int, seed: SeedSpec) -> np.ndarray:
-    return model.half_width * seed.generator().uniform(-1.0, 1.0, n)
+    return _scale(_to_pm1(seed.generator().random(n)), model.half_width)
 
 
 @sample_noise.register
@@ -184,14 +199,15 @@ def _(model: UniformPlusGaussian, n: int, seed: SeedSpec) -> np.ndarray:
 
 @sample_noise.register
 def _(model: Rademacher, n: int, seed: SeedSpec) -> np.ndarray:
-    return model.scale * _rademacher(seed.generator(), n)
+    return _scale(_rademacher(seed.generator(), n), model.scale)
 
 
 @sample_noise.register
 def _(model: FirMds, n: int, seed: SeedSpec) -> np.ndarray:
-    jam = model.jammer_scale * _rademacher(seed.child(0).generator(), n)
+    jam = _scale(_rademacher(seed.child(0).generator(), n), model.jammer_scale)
     v = np.convolve(jam, np.asarray(model.taps))[:n]
-    return v + sample_noise(model.receiver, n, seed.child(1))
+    v += sample_noise(model.receiver, n, seed.child(1))
+    return v
 
 
 @singledispatch
@@ -383,10 +399,13 @@ def _check_rows(N: int, p: int) -> None:
 def _(model: IidBoundedColumns, N: int, seed: SeedSpec) -> np.ndarray:
     _check_rows(N, model.p)
     rng = seed.generator()
-    sd = np.asarray(model.column_stddevs)
-    if model.entry_law == "scaled-uniform":
-        return rng.uniform(-1.0, 1.0, (N, model.p)) * (ROOT3 * sd)
-    return _rademacher(rng, (N, model.p)) * sd
+    uniform = model.entry_law == "scaled-uniform"
+    A = _to_pm1(rng.random((N, model.p))) if uniform else _rademacher(rng, (N, model.p))
+    # Column by column: numpy runs an (N, p) * (p,) broadcast with an inner
+    # loop of length p, which costs as much as the draw itself.
+    for k, sd in enumerate(model.column_stddevs):
+        A[:, k] *= ROOT3 * sd if uniform else sd
+    return A
 
 
 @sample_design.register

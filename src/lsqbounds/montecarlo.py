@@ -24,6 +24,7 @@ from .linalg import (
 )
 from .models import (
     DesignModel,
+    FixedMatrix,
     NoiseModel,
     SeedSpec,
     design_dim,
@@ -327,7 +328,8 @@ def _sweep_rows(
 
     A random design has one set of params for every row.  A non-random design
     is measured at the N its row runs: the axis value on the N axis, and
-    fixed_design_bound's self-consistent N on the r and eps axes.
+    fixed_design_bound's self-consistent N on the r and eps axes.  A
+    FixedMatrix has only its own row count, so it runs on the N axis alone.
     """
     values = list(axis_values)
     if not values:
@@ -341,6 +343,8 @@ def _sweep_rows(
         raise ParameterError(
             f"a non-random design is covered only by the fixed_mds bound, got {theorem!r}"
         )
+    if isinstance(base.design, FixedMatrix) and axis_name != "N":
+        raise ParameterError(f"a fixed-matrix design runs only on the N axis, got {axis_name!r}")
     params = implied_problem_params(base.design, base.noise) if random_design else None
     p = design_dim(base.design)
     for value in values:

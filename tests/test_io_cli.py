@@ -5,6 +5,7 @@ from dataclasses import asdict
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
 
 from lsqbounds import bounds, cli
@@ -329,6 +330,22 @@ class TestSimulateFixedDesign:
         cfg["theorem"] = "main"
         assert cli.main(["simulate", "--config", _write_config(tmp_path, cfg)]) == 2
         assert "fixed_mds" in capsys.readouterr().err
+
+    def test_fixed_matrix_off_n_axis_exit_2(self, tmp_path, capsys):
+        rows = np.random.default_rng(0).uniform(-1.0, 1.0, (400, 2))
+        cfg = {
+            "schema_version": "1",
+            "theorem": "fixed_mds",
+            "design": {"kind": "fixed-matrix", "entries": rows.tolist()},
+            "noise": {"kind": "gaussian", "sigma": 0.1},
+            "eps": 0.05,
+            "axis": {"name": "r", "values": [0.5]},
+            "trials": 40,
+            "output": {"csv": str(tmp_path / "never.csv")},
+        }
+        assert cli.main(["simulate", "--config", _write_config(tmp_path, cfg)]) == 2
+        assert "only on the N axis" in capsys.readouterr().err
+        assert not (tmp_path / "never.csv").exists()
 
     def test_diagnostics_run_at_each_rows_n(self, tmp_path, capsys):
         design = channel_pilot_design(p=4, length=2048, seed=5)

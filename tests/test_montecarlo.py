@@ -284,6 +284,15 @@ class TestSweep:
         with pytest.raises(ParameterError):
             sweep(self.base(), "r", [0.5], "main")  # eps missing
 
+    def test_fixed_matrix_runs_only_on_n_axis(self):
+        design = FixedMatrix(np.random.default_rng(0).uniform(-1.0, 1.0, (400, 2)))
+        base = ExperimentSpec(design, Gaussian(0.1), N=400, r=0.5, trials=40, base_seed=3)
+        for axis, values in (("r", [0.5]), ("eps", [0.05])):
+            with pytest.raises(ParameterError, match="only on the N axis"):
+                sweep(base, axis, values, "fixed_mds", eps=0.05)
+        (row,) = sweep(base, "N", [400], "fixed_mds")
+        assert row.axis_value == 400 and row.trials == 40
+
 
 class TestFindEmpiricalN:
     ALL_ONES = ToeplitzPilot((1.0,) * 1024, p=1)
