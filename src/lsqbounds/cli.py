@@ -39,14 +39,7 @@ EXIT_PARAMETER = 2
 EXIT_IO = 3
 EXIT_QUALITY = 4
 
-_MODEL_FLAGS = {
-    "main": "main",
-    "main-tau": "main_tau",
-    "bounded": "bounded",
-    "mds-subgaussian": "mds_subgaussian",
-    "mds-bounded": "mds_bounded",
-    "fixed-mds": "fixed_mds",
-}
+_MODEL_FLAGS = {tag.replace("_", "-"): tag for tag in bounds.BOUND_FUNCTIONS}
 
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:

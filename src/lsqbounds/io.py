@@ -1,7 +1,9 @@
 """Result rows, bit-stable CSV/JSON serialization, and run configs.
 
 Numeric cells are written with 17 significant digits so that parsing a file
-written by this module reproduces the original doubles exactly.
+written by this module reproduces the original doubles exactly.  Each record
+is one dataclass: CSV columns, cell types, JSON envelopes and run-config keys
+are read from its fields.
 """
 
 from __future__ import annotations
@@ -9,37 +11,16 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
-from .models import (
-    DesignModel,
-    NoiseModel,
-    design_from_config,
-    design_to_config,
-    noise_from_config,
-    noise_to_config,
-)
+from .bounds import BOUND_FUNCTIONS
+from .models import DesignModel, NoiseModel, check_keys, json_value
 from .params import BoundBreakdown, OutageBreakdown, ParameterError
 
 SCHEMA_VERSION = "1"
 SEED_ENV_VAR = "LSQBOUNDS_SEED"
-
-RESULT_COLUMNS = (
-    "axis_name",
-    "axis_value",
-    "n_bound_real",
-    "n_bound_ceil",
-    "binding_term",
-    "s_opt_n2",
-    "s_opt_n3",
-    "tau_opt",
-    "p_hat",
-    "ci_low",
-    "ci_high",
-    "trials",
-    "seed",
-)
 
 
 @dataclass(frozen=True)
@@ -61,6 +42,20 @@ class ResultRow:
     seed: int
 
 
+def _strip_none(hint):
+    """(T, True) for an annotation T | None, else (hint, False)."""
+    args = get_args(hint)
+    if type(None) not in args:
+        return hint, False
+    (base,) = (a for a in args if a is not type(None))
+    return base, True
+
+
+RESULT_COLUMNS = tuple(f.name for f in fields(ResultRow))
+# Column -> (type of a nonempty cell, whether the cell may be empty).
+_CELL_TYPES = {name: _strip_none(hint) for name, hint in get_type_hints(ResultRow).items()}
+
+
 def format_float(x: float) -> str:
     """17-significant-digit decimal form; round-trips float64 exactly."""
     return f"{x:.17g}"
@@ -78,30 +73,13 @@ def _cell(value) -> str:
     return str(value)
 
 
-_FLOAT_FIELDS = {
-    "axis_value",
-    "n_bound_real",
-    "s_opt_n2",
-    "s_opt_n3",
-    "tau_opt",
-    "p_hat",
-    "ci_low",
-    "ci_high",
-}
-_INT_FIELDS = {"n_bound_ceil", "trials", "seed"}
-_OPTIONAL_FIELDS = {"n_bound_ceil", "binding_term", "s_opt_n2", "s_opt_n3", "tau_opt"}
-
-
 def _parse_cell(name: str, text: str):
+    kind, optional = _CELL_TYPES[name]
     if text == "":
-        if name in _OPTIONAL_FIELDS:
+        if optional:
             return None
         raise ParameterError(f"column {name} must not be empty")
-    if name in _FLOAT_FIELDS:
-        return float(text)
-    if name in _INT_FIELDS:
-        return int(text)
-    return text
+    return kind(text)
 
 
 def write_result_csv(path: str | Path, rows: list[ResultRow]) -> None:
@@ -133,36 +111,11 @@ def read_result_csv(path: str | Path) -> list[ResultRow]:
 
 
 def breakdown_to_json(bd: BoundBreakdown, meta: dict | None = None) -> dict:
-    doc = {
-        "theorem": bd.theorem,
-        "n1": bd.n1,
-        "n2": bd.n2,
-        "n3": bd.n3,
-        "n_rand": bd.n_rand,
-        "n_final": bd.n_final,
-        "n_ceil": bd.n_ceil,
-        "binding": bd.binding,
-        "s_opt_n2": bd.s_opt_n2,
-        "s_opt_n3": bd.s_opt_n3,
-        "tau_opt": bd.tau_opt,
-        "meta": meta or {},
-    }
-    return doc
+    return {**asdict(bd), "meta": meta or {}}
 
 
 def outage_to_json(ob: OutageBreakdown, meta: dict | None = None) -> dict:
-    return {
-        "eps2": ob.eps2,
-        "eps3": ob.eps3,
-        "eps_rand": ob.eps_rand,
-        "eps_final": ob.eps_final,
-        "eps2_feasible": ob.eps2_feasible,
-        "eps3_feasible": ob.eps3_feasible,
-        "eps_rand_feasible": ob.eps_rand_feasible,
-        "s_opt_eps2": ob.s_opt_eps2,
-        "s_opt_eps3": ob.s_opt_eps3,
-        "meta": meta or {},
-    }
+    return {**asdict(ob), "meta": meta or {}}
 
 
 def dump_json(doc: dict) -> str:
@@ -175,40 +128,53 @@ def dump_json(doc: dict) -> str:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed experiment description for the simulate command."""
+    """Parsed experiment description for the simulate command.
+
+    A run config's keys are these fields, except that the axis and output
+    fields sit in the nested objects of _NESTED.  Each value is read by its
+    field's annotation; an absent key takes the field's default, and the
+    base seed's default is LSQBOUNDS_SEED when it is set.
+    """
 
     design: DesignModel
     noise: NoiseModel
     theorem: str
     axis_name: str
     axis_values: tuple[float, ...]
-    r: float | None
-    eps: float | None
-    trials: int
-    base_seed: int
-    diagnostics: bool
-    beta_as_printed: bool
-    n_hint: int | None
-    theta0: tuple[float, ...] | None
     csv_path: str
-    svg_path: str | None
+    svg_path: str | None = None
+    r: float | None = None
+    eps: float | None = None
+    trials: int = 50_000
+    base_seed: int = 0
+    diagnostics: bool = False
+    beta_as_printed: bool = False
+    n_hint: int | None = None
+    theta0: tuple[float, ...] | None = None
 
 
-_TOP_KEYS = {
-    "schema_version",
-    "theorem",
-    "beta_as_printed",
-    "design",
-    "noise",
-    "theta0",
-    "r",
-    "eps",
-    "axis",
-    "n_hint",
-    "trials",
-    "base_seed",
-    "diagnostics",
-    "output",
+_TYPES = {name: _strip_none(hint)[0] for name, hint in get_type_hints(RunConfig).items()}
+_REQUIRED = {f.name for f in fields(RunConfig) if f.default is MISSING}
+_NESTED = {
+    "axis": {"name": "axis_name", "values": "axis_values"},
+    "output": {"csv": "csv_path", "svg": "svg_path"},
+}
+# Config key -> RunConfig field, or -> the key map of a nested object.
+_LAYOUT = {
+    **{name: name for name in _TYPES if all(name not in o.values() for o in _NESTED.values())},
+    **_NESTED,
+}
+# The values run_config.schema.json allows beyond a key's JSON type.
+_RANGES = {
+    "theorem": (lambda v: v in BOUND_FUNCTIONS, f"one of {sorted(BOUND_FUNCTIONS)}"),
+    "axis_name": (lambda v: v in ("r", "eps", "N"), "r, eps, or N"),
+    "axis_values": (len, "a nonempty array"),
+    "theta0": (len, "a nonempty array"),
+    "r": (lambda v: v > 0, "positive"),
+    "eps": (lambda v: 0 < v < 1, "in (0, 1)"),
+    "n_hint": (lambda v: v >= 2, "at least 2"),
+    "trials": (lambda v: v >= 1, "at least 1"),
+    "base_seed": (lambda v: v >= 0, "nonnegative"),
 }
 
 
@@ -226,91 +192,40 @@ def default_seed() -> int | None:
     return seed
 
 
+def _read(doc, layout: dict, prefix: str = "") -> dict:
+    """RunConfig field values from a config object laid out as layout, each
+    of its field's JSON type and in the schema's range."""
+    required = [k for k, name in layout.items() if isinstance(name, dict) or name in _REQUIRED]
+    check_keys(doc, layout, required, prefix.rstrip(".") or "run config")
+    out = {}
+    for key, name in layout.items():
+        if isinstance(name, dict):
+            out.update(_read(doc[key], name, f"{prefix}{key}."))
+        elif key in doc:
+            value = out[name] = json_value(doc[key], _TYPES[name], prefix + key)
+            allowed, text = _RANGES.get(name, (None, ""))
+            if allowed and not allowed(value):
+                raise ParameterError(f"{prefix}{key} must be {text}, got {value!r:.60}")
+    return out
+
+
 def parse_run_config(doc: dict) -> RunConfig:
-    """Strict parse; unknown keys anywhere are rejected."""
-    if not isinstance(doc, dict):
-        raise ParameterError("run config must be a JSON object")
-    extra = set(doc) - _TOP_KEYS
-    if extra:
-        raise ParameterError(f"unknown config keys {sorted(extra)}")
-    version = doc.get("schema_version")
+    """Strict parse: a document that run_config.schema.json rejects raises
+    ParameterError."""
+    version = doc.get("schema_version") if isinstance(doc, dict) else None
     if version != SCHEMA_VERSION:
         raise ParameterError(
             f"unsupported schema_version {version!r}; this build reads {SCHEMA_VERSION!r}"
         )
-    for key in ("design", "noise", "axis", "output", "theorem"):
-        if key not in doc:
-            raise ParameterError(f"missing config key {key!r}")
-
-    axis = doc["axis"]
-    if not isinstance(axis, dict) or set(axis) != {"name", "values"}:
-        raise ParameterError('axis must be {"name": ..., "values": [...]}')
-    axis_name = axis["name"]
-    if axis_name not in ("r", "eps", "N"):
-        raise ParameterError(f"axis name must be r, eps, or N, got {axis_name!r}")
-    values = tuple(float(v) for v in axis["values"])
-    if not values:
-        raise ParameterError("axis values must be nonempty")
-
-    output = doc["output"]
-    if not isinstance(output, dict) or not set(output) <= {"csv", "svg"}:
-        raise ParameterError('output must be {"csv": path, "svg": optional path}')
-    if "csv" not in output:
-        raise ParameterError("output.csv path is required")
-
-    r = doc.get("r")
-    eps = doc.get("eps")
-    if axis_name in ("eps", "N") and r is None:
-        raise ParameterError(f"{axis_name}-axis runs need a base r")
-    if axis_name == "r" and eps is None:
+    got = _read({k: v for k, v in doc.items() if k != "schema_version"}, _LAYOUT)
+    if got["axis_name"] in ("eps", "N") and "r" not in got:
+        raise ParameterError(f"{got['axis_name']}-axis runs need a base r")
+    if got["axis_name"] == "r" and "eps" not in got:
         raise ParameterError("r-axis runs need a target eps")
-
-    theta0 = doc.get("theta0")
-    return RunConfig(
-        design=design_from_config(doc["design"]),
-        noise=noise_from_config(doc["noise"]),
-        theorem=doc["theorem"],
-        axis_name=axis_name,
-        axis_values=values,
-        r=float(r) if r is not None else None,
-        eps=float(eps) if eps is not None else None,
-        trials=int(doc.get("trials", 50_000)),
-        base_seed=int(doc.get("base_seed", default_seed() or 0)),
-        diagnostics=bool(doc.get("diagnostics", False)),
-        beta_as_printed=bool(doc.get("beta_as_printed", False)),
-        n_hint=int(doc["n_hint"]) if "n_hint" in doc else None,
-        theta0=tuple(float(x) for x in theta0) if theta0 is not None else None,
-        csv_path=str(output["csv"]),
-        svg_path=str(output["svg"]) if "svg" in output else None,
-    )
+    got.setdefault("base_seed", default_seed() or 0)
+    return RunConfig(**got)
 
 
 def load_run_config(path: str | Path) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_run_config(json.load(fh))
-
-
-def run_config_to_dict(cfg: RunConfig) -> dict:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "theorem": cfg.theorem,
-        "design": design_to_config(cfg.design),
-        "noise": noise_to_config(cfg.noise),
-        "axis": {"name": cfg.axis_name, "values": list(cfg.axis_values)},
-        "trials": cfg.trials,
-        "base_seed": cfg.base_seed,
-        "diagnostics": cfg.diagnostics,
-        "beta_as_printed": cfg.beta_as_printed,
-        "output": {"csv": cfg.csv_path},
-    }
-    if cfg.r is not None:
-        doc["r"] = cfg.r
-    if cfg.eps is not None:
-        doc["eps"] = cfg.eps
-    if cfg.n_hint is not None:
-        doc["n_hint"] = cfg.n_hint
-    if cfg.theta0 is not None:
-        doc["theta0"] = list(cfg.theta0)
-    if cfg.svg_path is not None:
-        doc["output"]["svg"] = cfg.svg_path
-    return doc

@@ -8,8 +8,9 @@ parameter and, when the law is almost surely bounded, a bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from functools import singledispatch
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -19,10 +20,6 @@ from .params import ParameterError, ProblemParams
 ROLE_IDS = {"design": 0, "noise": 1}
 
 ROOT3 = float(np.sqrt(3.0))
-
-MIXTURE_S_GRID_POINTS = 10_000
-MIXTURE_S_SPAN = 1e3  # grid spans [1/span, span] / R0
-MIXTURE_R_GRID_POINTS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +152,7 @@ class FirMds:
 
     taps: tuple[float, ...]
     jammer_scale: float
-    receiver: "NoiseModel"
+    receiver: NoiseModel
 
     def __post_init__(self) -> None:
         if len(self.taps) < 1:
@@ -238,23 +235,10 @@ def _(model: UniformPlusGaussian) -> float:
 
 @subgaussian_param.register
 def _(model: GaussianMixture) -> float:
-    # Numeric envelope: smallest candidate R on a geometric grid such that the
-    # analytic mixture log-MGF stays below s^2 R^2 / 2 across a wide s-grid.
-    w, ss, sl = model.weight_large, model.sigma_small, model.sigma_large
-    if sl == 0.0:
-        return 0.0
-    if ss == sl:
-        return sl
-    r0 = sl
-    s = np.geomspace(1.0 / (MIXTURE_S_SPAN * r0), MIXTURE_S_SPAN / r0, MIXTURE_S_GRID_POINTS)
-    half_s2 = 0.5 * s * s
-    log_mgf = np.logaddexp(np.log1p(-w) + half_s2 * ss * ss, np.log(w) + half_s2 * sl * sl)
-    required = np.sqrt(np.max(2.0 * log_mgf / (s * s)))
-    variance = (1.0 - w) * ss * ss + w * sl * sl
-    lo = max(float(np.sqrt(variance)), 1e-300)
-    candidates = np.geomspace(lo, sl, MIXTURE_R_GRID_POINTS)
-    hit = np.searchsorted(candidates, required)
-    return float(candidates[min(hit, len(candidates) - 1)])
+    # Exact: with u = s^2/2 each component's log-MGF is linear in u, so the
+    # mixture's is convex in u and vanishes at 0.  Hence 2 logMGF(s) / s^2
+    # rises with |s| towards sigma_large^2 and never exceeds it.
+    return model.sigma_large
 
 
 @subgaussian_param.register
@@ -353,11 +337,15 @@ class ToeplitzPilot:
             raise ParameterError("pilot symbols must be +-1")
         if self.p < 1:
             raise ParameterError(f"p must be a positive integer, got {self.p}")
+        if len(self.pilots) <= self.p:
+            raise ParameterError(
+                f"need more than p = {self.p} pilot symbols, got {len(self.pilots)}"
+            )
 
 
 @dataclass(frozen=True)
 class FixedMatrix:
-    matrix: np.ndarray
+    matrix: np.ndarray = field(metadata={"key": "entries"})
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "matrix", as_matrix(self.matrix))
@@ -471,97 +459,110 @@ def implied_problem_params(
 
 
 # ---------------------------------------------------------------------------
-# Declarative config (used by the CLI; see io.py for the document schema)
+# Declarative config (used by the CLI; see io.py for the document schema).
+# A model's config is {"kind": ..., <field>: ...} over its dataclass fields; a
+# field's metadata may name its key, tuples are JSON arrays, a matrix is an
+# array of rows and a nested model is its own config.
 
-
-_NOISE_TAGS = {
-    Gaussian: "gaussian",
-    GaussianMixture: "gaussian-mixture",
-    Uniform: "uniform",
-    UniformPlusGaussian: "uniform-plus-gaussian",
-    Rademacher: "rademacher",
-    FirMds: "fir-mds",
+CONFIG_KINDS = {
+    "gaussian": Gaussian,
+    "gaussian-mixture": GaussianMixture,
+    "uniform": Uniform,
+    "uniform-plus-gaussian": UniformPlusGaussian,
+    "rademacher": Rademacher,
+    "fir-mds": FirMds,
+    "iid-bounded-columns": IidBoundedColumns,
+    "toeplitz-pilot": ToeplitzPilot,
+    "fixed-matrix": FixedMatrix,
 }
+_KIND_NAMES = {cls: kind for kind, cls in CONFIG_KINDS.items()}
+# Per class: config key -> (field name, annotation).
+CONFIG_FIELDS = {
+    cls: {f.metadata.get("key", f.name): (f.name, hints[f.name]) for f in fields(cls)}
+    for cls, hints in ((cls, get_type_hints(cls)) for cls in _KIND_NAMES)
+}
+_JSON_TYPES = {float: "number", int: "integer", str: "string", bool: "boolean"}
+
+
+def json_value(value, hint, where: str):
+    """value read as annotation hint, or ParameterError when its JSON type is
+    not the one the run-config schema gives hint: float a number, int an
+    integer, str a string, bool a boolean, tuple[T, ...] an array of T,
+    np.ndarray an array of number arrays, a model union a model config."""
+    if get_origin(hint) is tuple or hint is np.ndarray:
+        item = tuple[float, ...] if hint is np.ndarray else get_args(hint)[0]
+        if isinstance(value, list):
+            return tuple(json_value(x, item, f"{where}[{k}]") for k, x in enumerate(value))
+        raise ParameterError(f"{where} must be a JSON array, got {value!r:.60}")
+    if hint not in _JSON_TYPES:
+        return _from_config(value, hint)
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    integral = number and (isinstance(value, int) or value.is_integer())
+    if hint is float and number or hint is int and integral:
+        try:
+            return hint(value)
+        except OverflowError:  # an integer literal beyond the float range
+            raise ParameterError(f"{where} is out of range, got {value!r:.60}") from None
+    if hint in (str, bool) and isinstance(value, hint):
+        return value
+    raise ParameterError(f"{where} must be a JSON {_JSON_TYPES[hint]}, got {value!r:.60}")
+
+
+def check_keys(doc, allowed, required, where: str) -> None:
+    """ParameterError unless doc is a JSON object whose keys are all allowed
+    and include every required one."""
+    if not isinstance(doc, dict):
+        raise ParameterError(f"{where} must be a JSON object, got {doc!r:.60}")
+    extra = set(doc) - set(allowed)
+    if extra:
+        raise ParameterError(f"unknown keys {sorted(extra)} in {where}")
+    missing = [k for k in required if k not in doc]
+    if missing:
+        raise ParameterError(f"missing keys {missing} in {where}")
+
+
+def _from_config(doc, union):
+    classes = get_args(union)
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    cls = CONFIG_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls not in classes:
+        expected = sorted(_KIND_NAMES[c] for c in classes)
+        raise ParameterError(f"unknown model kind {kind!r}; expected one of {expected}")
+    keys = CONFIG_FIELDS[cls]
+    check_keys(doc, {"kind", *keys}, keys, f"{kind} config")
+    args = {name: json_value(doc[k], hint, f"{kind}.{k}") for k, (name, hint) in keys.items()}
+    try:
+        return cls(**args)
+    except ValueError as exc:  # e.g. the ragged rows of a fixed matrix
+        raise ParameterError(f"{kind} config: {exc}") from None
+
+
+def _to_config(model, union) -> dict:
+    if type(model) not in get_args(union):
+        expected = [c.__name__ for c in get_args(union)]
+        raise ParameterError(f"{type(model).__name__} is not one of {expected}")
+    doc = {"kind": _KIND_NAMES[type(model)]}
+    for key, (name, hint) in CONFIG_FIELDS[type(model)].items():
+        value = getattr(model, name)
+        if is_dataclass(value):
+            value = _to_config(value, hint)
+        elif isinstance(value, (tuple, np.ndarray)):
+            value = np.asarray(value).tolist()
+        doc[key] = value
+    return doc
 
 
 def noise_to_config(model: NoiseModel) -> dict:
-    kind = _NOISE_TAGS[type(model)]
-    if isinstance(model, Gaussian):
-        return {"kind": kind, "sigma": model.sigma}
-    if isinstance(model, GaussianMixture):
-        return {
-            "kind": kind,
-            "sigma_small": model.sigma_small,
-            "sigma_large": model.sigma_large,
-            "weight_large": model.weight_large,
-        }
-    if isinstance(model, Uniform):
-        return {"kind": kind, "half_width": model.half_width}
-    if isinstance(model, UniformPlusGaussian):
-        return {"kind": kind, "half_width": model.half_width, "sigma": model.sigma}
-    if isinstance(model, Rademacher):
-        return {"kind": kind, "scale": model.scale}
-    return {
-        "kind": kind,
-        "taps": list(model.taps),
-        "jammer_scale": model.jammer_scale,
-        "receiver": noise_to_config(model.receiver),
-    }
-
-
-def _take(doc: dict, kind: str, keys: tuple[str, ...]) -> dict:
-    extra = set(doc) - {"kind", *keys}
-    if extra:
-        raise ParameterError(f"unknown keys {sorted(extra)} in {kind} config")
-    missing = [k for k in keys if k not in doc]
-    if missing:
-        raise ParameterError(f"missing keys {missing} in {kind} config")
-    return {k: doc[k] for k in keys}
+    return _to_config(model, NoiseModel)
 
 
 def noise_from_config(doc: dict) -> NoiseModel:
-    kind = doc.get("kind")
-    if kind == "gaussian":
-        return Gaussian(**_take(doc, kind, ("sigma",)))
-    if kind == "gaussian-mixture":
-        return GaussianMixture(**_take(doc, kind, ("sigma_small", "sigma_large", "weight_large")))
-    if kind == "uniform":
-        return Uniform(**_take(doc, kind, ("half_width",)))
-    if kind == "uniform-plus-gaussian":
-        return UniformPlusGaussian(**_take(doc, kind, ("half_width", "sigma")))
-    if kind == "rademacher":
-        return Rademacher(**_take(doc, kind, ("scale",)))
-    if kind == "fir-mds":
-        raw = _take(doc, kind, ("taps", "jammer_scale", "receiver"))
-        return FirMds(
-            taps=tuple(raw["taps"]),
-            jammer_scale=raw["jammer_scale"],
-            receiver=noise_from_config(raw["receiver"]),
-        )
-    raise ParameterError(f"unknown noise kind {kind!r}")
+    return _from_config(doc, NoiseModel)
 
 
 def design_to_config(model: DesignModel) -> dict:
-    if isinstance(model, IidBoundedColumns):
-        return {
-            "kind": "iid-bounded-columns",
-            "column_stddevs": list(model.column_stddevs),
-            "entry_law": model.entry_law,
-        }
-    if isinstance(model, ToeplitzPilot):
-        return {"kind": "toeplitz-pilot", "pilots": list(model.pilots), "p": model.p}
-    return {"kind": "fixed-matrix", "entries": [list(row) for row in model.matrix]}
+    return _to_config(model, DesignModel)
 
 
 def design_from_config(doc: dict) -> DesignModel:
-    kind = doc.get("kind")
-    if kind == "iid-bounded-columns":
-        raw = _take(doc, kind, ("column_stddevs", "entry_law"))
-        return IidBoundedColumns(tuple(raw["column_stddevs"]), raw["entry_law"])
-    if kind == "toeplitz-pilot":
-        raw = _take(doc, kind, ("pilots", "p"))
-        return ToeplitzPilot(tuple(raw["pilots"]), raw["p"])
-    if kind == "fixed-matrix":
-        raw = _take(doc, kind, ("entries",))
-        return FixedMatrix(np.asarray(raw["entries"], dtype=float))
-    raise ParameterError(f"unknown design kind {kind!r}")
+    return _from_config(doc, DesignModel)

@@ -14,16 +14,6 @@ class DomainError(ValueError):
     """Argument outside the open domain of a formula."""
 
 
-THEOREM_TAGS = (
-    "main",
-    "main_tau",
-    "bounded",
-    "mds_subgaussian",
-    "mds_bounded",
-    "fixed_mds",
-)
-
-
 @dataclass(frozen=True)
 class ProblemParams:
     """Scalars that parameterize every bound.

@@ -31,7 +31,6 @@ from .models import (
     Uniform,
     design_dim,
     random_pilots,
-    subgaussian_param,
 )
 from .montecarlo import ExperimentSpec, fixed_design_bound, sweep  # noqa: F401  (re-exported)
 from .params import ParameterError
@@ -47,23 +46,13 @@ PILOT_BUDGET = 8192
 def gaussian_mixture_with_param(
     target_R: float, sigma_small: float = 0.05, weight_large: float = 0.1
 ) -> GaussianMixture:
-    """Two-component mixture whose declared sub-Gaussian parameter matches
-    target_R (to within the declaration grid) by bisecting the large sigma."""
+    """Two-component mixture whose declared sub-Gaussian parameter, its large
+    sigma, equals target_R."""
     if not (target_R > sigma_small):
         raise ParameterError(
             f"target_R ({target_R}) must exceed sigma_small ({sigma_small})"
         )
-    lo, hi = sigma_small, 2.0 * target_R
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        declared = subgaussian_param(GaussianMixture(sigma_small, mid, weight_large))
-        if declared < target_R:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * target_R:
-            break
-    return GaussianMixture(sigma_small, hi, weight_large)
+    return GaussianMixture(sigma_small, target_R, weight_large)
 
 
 def fir_mds_with_param(

@@ -1,8 +1,10 @@
 """CSV round-trips, JSON schema conformance, run configs, and CLI exit codes."""
 
+import copy
 import json
 from dataclasses import asdict
 from importlib import resources
+from typing import get_args
 
 import jsonschema
 import numpy as np
@@ -20,7 +22,23 @@ from lsqbounds.io import (
     read_result_csv,
     write_result_csv,
 )
-from lsqbounds.models import Gaussian, design_to_config, noise_to_config
+from lsqbounds.models import (
+    CONFIG_FIELDS,
+    CONFIG_KINDS,
+    DesignModel,
+    FirMds,
+    FixedMatrix,
+    Gaussian,
+    GaussianMixture,
+    IidBoundedColumns,
+    NoiseModel,
+    Rademacher,
+    ToeplitzPilot,
+    Uniform,
+    UniformPlusGaussian,
+    design_to_config,
+    noise_to_config,
+)
 from lsqbounds.montecarlo import ExperimentSpec, run_event_diagnostics
 from lsqbounds.params import Accuracy, ParameterError, ProblemParams
 from lsqbounds.presets import channel_pilot_design, fig5_models, fixed_design_bound, reproduce
@@ -147,6 +165,161 @@ class TestRunConfigParsing:
         monkeypatch.setenv("LSQBOUNDS_SEED", "nope")
         with pytest.raises(ParameterError):
             default_seed()
+
+
+def _valid_doc(design=None, noise=None, **top):
+    return {
+        "schema_version": "1",
+        "theorem": "main",
+        "design": design or {"kind": "iid-bounded-columns", "column_stddevs": [1.0, 1.0],
+                             "entry_law": "scaled-uniform"},
+        "noise": noise or {"kind": "uniform", "half_width": 1.0},
+        "eps": 0.05,
+        "axis": {"name": "r", "values": [0.5]},
+        "trials": 10,
+        "output": {"csv": "out.csv"},
+        **top,
+    }
+
+
+# One valid instance of every config kind.
+MODEL_EXAMPLES = {
+    "noise": [
+        Gaussian(0.1),
+        GaussianMixture(0.05, 0.1, 0.1),
+        Uniform(1.0),
+        UniformPlusGaussian(0.2, 0.1),
+        Rademacher(1.0),
+        FirMds(taps=(1.0, 0.5), jammer_scale=0.2, receiver=Gaussian(0.1)),
+    ],
+    "design": [
+        IidBoundedColumns((1.0, 0.5), "scaled-rademacher"),
+        ToeplitzPilot((1.0, -1.0, 1.0, 1.0), 2),
+        FixedMatrix(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])),
+    ],
+}
+_TO_CONFIG = {"noise": noise_to_config, "design": design_to_config}
+
+VALID_DOCS = [
+    _valid_doc(),
+    _valid_doc(trials=10.0, base_seed=3, diagnostics=False, beta_as_printed=True, n_hint=2,
+               theta0=[0.0, 1.0], r=0.5),
+    _valid_doc(axis={"name": "N", "values": [3, 4.0]}, r=0.5, output={"csv": "a.csv", "svg": "a.svg"}),
+    *(_valid_doc(**{slot: _TO_CONFIG[slot](model)}) for slot in MODEL_EXAMPLES
+      for model in MODEL_EXAMPLES[slot]),
+]
+
+
+def _edit(doc, path, value=None, delete=False):
+    doc = copy.deepcopy(doc)
+    *outer, last = path
+    target = doc
+    for key in outer:
+        target = target[key]
+    if delete:
+        del target[last]
+    else:
+        target[last] = value
+    return doc
+
+
+def _malformed_docs():
+    """One document per rule of run_config.schema.json: a wrong JSON type for
+    every key, and an unknown and a missing key at every level."""
+    base = _valid_doc(r=0.5)
+    wrong_type = {
+        "schema_version": 1, "theorem": 1, "beta_as_printed": "no", "design": [], "noise": "x",
+        "theta0": [0.0, "x"], "r": "1", "eps": None, "axis": [], "n_hint": 2.5, "trials": "x",
+        "base_seed": True, "diagnostics": "no", "output": "out.csv",
+    }
+    for key, value in wrong_type.items():
+        yield f"type-{key}", _edit(base, (key,), value)
+    for path, value in {("axis", "name"): 1, ("axis", "values"): 0.5, ("output", "csv"): 1,
+                        ("output", "svg"): False}.items():
+        yield "type-" + ".".join(path), _edit(base, path, value)
+    yield "type-axis.values-entry", _edit(base, ("axis", "values"), [0.5, "x"])
+    yield "range-theorem", _edit(base, ("theorem",), "bogus")
+    yield "range-n_hint", _edit(base, ("n_hint",), -7)
+    yield "range-trials", _edit(base, ("trials",), 0)
+    yield "range-eps", _edit(base, ("eps",), 1.5)
+    yield "range-axis.values-empty", _edit(base, ("axis", "values"), [])
+    yield "range-design.pilots", _edit(
+        base, ("design",), {"kind": "toeplitz-pilot", "pilots": [1.0], "p": 1}
+    )
+    for level in ((), ("axis",), ("output",), ("noise",), ("design",)):
+        yield "unknown-" + ".".join(level or ("top",)), _edit(base, (*level, "bogus"), 1)
+    for path in (("schema_version",), ("theorem",), ("design",), ("noise",), ("axis",),
+                 ("output",), ("axis", "name"), ("axis", "values"), ("output", "csv")):
+        yield "missing-" + ".".join(path), _edit(base, path, delete=True)
+    receiver = _valid_doc(noise=noise_to_config(MODEL_EXAMPLES["noise"][-1]))
+    models = [(slot, _valid_doc(**{slot: _TO_CONFIG[slot](m)})) for slot in MODEL_EXAMPLES
+              for m in MODEL_EXAMPLES[slot]]
+    models.append((("noise", "receiver"), receiver))
+    for slot, doc in models:
+        path = slot if isinstance(slot, tuple) else (slot,)
+        node = doc
+        for key in path:
+            node = node[key]
+        name = f"{'.'.join(path)}-{node['kind']}"
+        for key, value in node.items():
+            wrong = 1 if isinstance(value, str) else "x"
+            yield f"type-{name}.{key}", _edit(doc, (*path, key), wrong)
+            if isinstance(value, list):
+                yield f"type-{name}.{key}-entry", _edit(doc, (*path, key), ["x"])
+            if key != "kind":
+                yield f"missing-{name}.{key}", _edit(doc, (*path, key), delete=True)
+        yield f"unknown-{name}", _edit(doc, (*path, "bogus"), 1)
+    other = {"noise": MODEL_EXAMPLES["design"][0], "design": MODEL_EXAMPLES["noise"][0]}
+    for slot, model in other.items():
+        config = {"noise": design_to_config, "design": noise_to_config}[slot](model)
+        yield f"kind-{slot}-given-{config['kind']}", _valid_doc(**{slot: config})
+    yield "kind-receiver-given-design", _edit(
+        receiver, ("noise", "receiver"), design_to_config(MODEL_EXAMPLES["design"][0])
+    )
+
+
+MALFORMED_DOCS = [pytest.param(doc, id=name) for name, doc in _malformed_docs()]
+
+
+class TestSchemaParity:
+    """The packaged schema and parse_run_config accept and reject the same
+    documents."""
+
+    schema = load_schema("run_config.schema.json")
+
+    def test_theorem_enum_is_the_bound_table(self):
+        tags = sorted(bounds.BOUND_FUNCTIONS)
+        assert self.schema["properties"]["theorem"]["enum"] == tags
+        assert load_schema("bound_breakdown.schema.json")["properties"]["theorem"]["enum"] == tags
+
+    @pytest.mark.parametrize("slot,union", [("noise", NoiseModel), ("design", DesignModel)])
+    def test_model_keys_are_dataclass_fields(self, slot, union):
+        branches = {b["properties"]["kind"]["const"]: b for b in self.schema["$defs"][slot]["oneOf"]}
+        assert set(branches) == {k for k, cls in CONFIG_KINDS.items() if cls in get_args(union)}
+        for kind, branch in branches.items():
+            keys = {"kind", *CONFIG_FIELDS[CONFIG_KINDS[kind]]}
+            assert set(branch["required"]) == set(branch["properties"]) == keys
+
+    @pytest.mark.parametrize("doc", VALID_DOCS)
+    def test_valid_documents_pass_both(self, doc):
+        jsonschema.validate(doc, self.schema)
+        parse_run_config(doc)
+
+    @pytest.mark.parametrize("doc", MALFORMED_DOCS)
+    def test_malformed_documents_fail_both(self, doc, tmp_path, monkeypatch, capsys):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, self.schema)
+        with pytest.raises(ParameterError):
+            parse_run_config(doc)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["simulate", "--config", _write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_diagnostics_string_is_not_true(self):
+        with pytest.raises(ParameterError, match="diagnostics"):
+            parse_run_config(_valid_doc(diagnostics="no"))
 
 
 class TestCli:

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -129,6 +130,33 @@ class TestSubgaussianParam:
                 est = float(np.mean(samples))
                 se = float(np.std(samples)) / math.sqrt(draws.size)
                 assert math.log(max(est - 4.0 * se, 1e-12)) <= s**2 * R**2 / 2.0 + 1e-9
+
+    # At the grid-searched parameter this mixture was declared 3.1e-6 below
+    # sigma_large, an R that fails for large s.
+    FOUND_MIXTURE = GaussianMixture(0.03212514677695308, 0.03233766279609427, 0.038772994030047865)
+
+    def test_mixture_param_against_mpmath_oracle(self):
+        """The declared R^2 bounds 2 logMGF(s) / s^2 for s over 14 decades and
+        equals its large-s limit (the ratio at s*sigma_large = 1e8 is within
+        2|log w| / 1e16 of it)."""
+        rng = np.random.default_rng(20261018)
+        models = [self.FOUND_MIXTURE]
+        for _ in range(40):
+            large = float(10.0 ** rng.uniform(-3.0, 3.0))
+            share = rng.uniform(0.0, 1.0) if rng.random() < 0.5 else 1.0 - 10.0 ** rng.uniform(-5, -1)
+            models.append(GaussianMixture(large * float(share), large, float(rng.uniform(1e-3, 0.999))))
+        with mpmath.workdps(60):
+            for model in models:
+                ss, sl, w = (mpmath.mpf(x) for x in (model.sigma_small, model.sigma_large, model.weight_large))
+                R2 = mpmath.mpf(subgaussian_param(model)) ** 2
+
+                def ratio(s):
+                    mgf = (1 - w) * mpmath.exp(s * s * ss * ss / 2) + w * mpmath.exp(s * s * sl * sl / 2)
+                    return 2 * mpmath.log(mgf) / (s * s)
+
+                for k in range(-18, 25):
+                    assert ratio(mpmath.mpf(10) ** (k / 3.0) / sl) <= R2, (model, k)
+                assert abs(R2 - ratio(mpmath.mpf(10) ** 8 / sl)) <= 1e-12 * R2, model
 
     def test_declared_param_passes_mc_mgf_for_all_laws(self):
         models = [
@@ -435,6 +463,16 @@ class TestConfigRoundTrip:
         again = design_from_config(design_to_config(model))
         np.testing.assert_array_equal(again.matrix, model.matrix)
 
+    def test_kinds_stay_in_their_union(self):
+        with pytest.raises(ParameterError):
+            noise_from_config(design_to_config(ToeplitzPilot((1.0, -1.0, 1.0), 2)))
+        with pytest.raises(ParameterError):
+            design_from_config(noise_to_config(Gaussian(1.0)))
+        with pytest.raises(ParameterError):
+            noise_to_config(ToeplitzPilot((1.0, -1.0, 1.0), 2))
+        with pytest.raises(ParameterError):
+            design_to_config(Gaussian(1.0))
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ParameterError):
             noise_from_config({"kind": "gaussian", "sigma": 1.0, "bogus": 2})
@@ -442,3 +480,7 @@ class TestConfigRoundTrip:
             noise_from_config({"kind": "laplace", "scale": 1.0})
         with pytest.raises(ParameterError):
             design_from_config({"kind": "iid-bounded-columns", "column_stddevs": [1.0]})
+
+    def test_integer_beyond_float_range_rejected(self):
+        with pytest.raises(ParameterError, match="out of range"):
+            noise_from_config({"kind": "gaussian", "sigma": 10**400})
