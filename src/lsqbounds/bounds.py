@@ -104,24 +104,13 @@ def gamma(s: float, params: ProblemParams) -> float:
     a2r2 = params.alpha**2 * R**2
     if not (0 < s < 1.0 / a2r2):
         raise DomainError(f"gamma requires 0 < s < 1/(alpha^2*R^2) = {1.0 / a2r2}")
+    return _gamma(s, a2r2)
+
+
+def _gamma(s, a2r2: float):
+    """gamma at s (a float or an array) strictly inside (0, 1/a2r2)."""
     y = (a2r2 * s) ** 2
     return y / 2.0 + y * y / (4.0 * (1.0 - y))
-
-
-def _gamma_of(params: ProblemParams):
-    """Vectorized gamma(s) with +inf outside its domain."""
-    R = params.require_R()
-    a2r2 = params.alpha**2 * R**2
-
-    def f(s):
-        s = np.asarray(s, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            y = (a2r2 * s) ** 2
-            core = y / 2.0 + y * y / (4.0 * (1.0 - y))
-            ok = (s > 0) & (y < 1.0)
-        return np.where(ok, core, np.inf)
-
-    return f, a2r2
 
 
 # ---------------------------------------------------------------------------
@@ -187,14 +176,11 @@ def _n3_denominator_max(
     2*slope/(alpha^2*R^2)^2; the scan stops there when that is inside the
     domain, so an optimum far below the domain width is still bracketed.
     """
-    gamma_f, a2r2 = _gamma_of(params)
+    a2r2 = params.alpha**2 * params.require_R() ** 2
     slope = weight * params.sigma_min**2 * r**2 / 8.0
-
-    def neg(s):
-        s = np.asarray(s, dtype=float)
-        return gamma_f(s) - slope * s
-
-    res = infimum_1d(neg, 0.0, min(1.0 / a2r2, 2.0 * slope / a2r2**2))
+    res = infimum_1d(
+        lambda s: _gamma(s, a2r2) - slope * s, 0.0, min(1.0 / a2r2, 2.0 * slope / a2r2**2)
+    )
     return InfimumResult(value=-res.value, argmin=res.argmin)
 
 
@@ -297,10 +283,10 @@ def n_main_tau(
     # Coarse pass over the 0.01-step weight grid on a shared s-grid (the cross
     # term's inner optimum is re-solved exactly only near the winning weight).
     taus = np.arange(TAU_GRID_STEP, 1.0, TAU_GRID_STEP)
-    gamma_f, a2r2 = _gamma_of(params)
+    a2r2 = params.alpha**2 * params.require_R() ** 2
     s_hi = 1.0 / a2r2
     s_grid = np.geomspace(s_hi * 1e-9, s_hi * (1.0 - 1e-9), 2048)
-    gam = gamma_f(s_grid)
+    gam = _gamma(s_grid, a2r2)
     slope = params.sigma_min**2 * acc.r**2 / 8.0
     h_max = np.max(
         2.0 * (1.0 - taus)[:, None] * slope * s_grid[None, :] - gam[None, :], axis=1
@@ -328,6 +314,11 @@ def n_main_tau(
     if grid_total < total:  # keep the better of grid point and refinement
         tau_opt = float(taus[k])
         total, n2_res, n3_res = grid_total, grid_n2, grid_n3
+    # At tau = 1/2 every term is at most n_main's (log(2/eps) <= log(3p/eps)),
+    # so that point keeps this bound from ever exceeding n_main.
+    half_total, half_n2, half_n3 = _tau_inner_max(0.5, n1, nr, n2_base, acc.r, log2eps, params)
+    if half_total < total:
+        tau_opt, total, n2_res, n3_res = 0.5, half_total, half_n2, half_n3
     terms = {"n1": n1, "n2": n2_res.value, "n3": n3_res.value, "n_rand": nr}
     return make_breakdown(
         "main_tau",

@@ -8,6 +8,7 @@ parameter and, when the law is almost surely bounded, a bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import singledispatch
 from typing import get_args, get_origin, get_type_hints
@@ -177,9 +178,8 @@ def _(model: Gaussian, n: int, seed: SeedSpec) -> np.ndarray:
 
 @sample_noise.register
 def _(model: GaussianMixture, n: int, seed: SeedSpec) -> np.ndarray:
-    rng = seed.generator()
-    large = rng.random(n) < model.weight_large
-    z = rng.standard_normal(n)
+    large = seed.child(0).generator().random(n) < model.weight_large
+    z = seed.child(1).generator().standard_normal(n)
     return z * np.where(large, model.sigma_large, model.sigma_small)
 
 
@@ -190,8 +190,9 @@ def _(model: Uniform, n: int, seed: SeedSpec) -> np.ndarray:
 
 @sample_noise.register
 def _(model: UniformPlusGaussian, n: int, seed: SeedSpec) -> np.ndarray:
-    rng = seed.generator()
-    return model.half_width * rng.uniform(-1.0, 1.0, n) + model.sigma * rng.standard_normal(n)
+    v = sample_noise(Uniform(model.half_width), n, seed.child(0))
+    v += sample_noise(Gaussian(model.sigma), n, seed.child(1))
+    return v
 
 
 @sample_noise.register
@@ -488,7 +489,8 @@ def json_value(value, hint, where: str):
     """value read as annotation hint, or ParameterError when its JSON type is
     not the one the run-config schema gives hint: float a number, int an
     integer, str a string, bool a boolean, tuple[T, ...] an array of T,
-    np.ndarray an array of number arrays, a model union a model config."""
+    np.ndarray an array of number arrays, a model union a model config.  A
+    float must also be finite, which the schema cannot say."""
     if get_origin(hint) is tuple or hint is np.ndarray:
         item = tuple[float, ...] if hint is np.ndarray else get_args(hint)[0]
         if isinstance(value, list):
@@ -500,9 +502,12 @@ def json_value(value, hint, where: str):
     integral = number and (isinstance(value, int) or value.is_integer())
     if hint is float and number or hint is int and integral:
         try:
-            return hint(value)
+            out = hint(value)
         except OverflowError:  # an integer literal beyond the float range
             raise ParameterError(f"{where} is out of range, got {value!r:.60}") from None
+        if hint is float and not math.isfinite(out):  # NaN, Infinity or 1e400
+            raise ParameterError(f"{where} must be finite, got {value!r:.60}")
+        return out
     if hint in (str, bool) and isinstance(value, hint):
         return value
     raise ParameterError(f"{where} must be a JSON {_JSON_TYPES[hint]}, got {value!r:.60}")

@@ -336,6 +336,8 @@ def _sweep_rows(
         raise ParameterError("axis must be nonempty")
     if axis_name not in ("r", "eps", "N"):
         raise ParameterError(f"axis_name must be r, eps, or N, got {axis_name!r}")
+    if axis_name == "N" and not all(float(v).is_integer() for v in values):
+        raise ParameterError(f"N-axis values must be integers, got {values}")
     if axis_name == "r" and eps is None:
         raise ParameterError("r-axis sweeps need a target eps")
     random_design = design_is_random(base.design)
@@ -401,65 +403,33 @@ def sweep(
 
 
 def find_empirical_n(
-    spec: ExperimentSpec,
-    eps: float,
-    n_lo: int,
-    n_hi: int,
-    workers: int = 1,
+    spec: ExperimentSpec, eps: float, n_lo: int, n_hi: int, workers: int = 1
 ) -> int:
-    """Smallest N in [n_lo, n_hi] with p_hat(N) <= eps, by geometric bracketing
-    then bisection; the returned N must also have its upper CI at or below eps.
+    """Smallest N in [n_lo, n_hi] whose upper 95% CI on the exceedance
+    probability is at or below eps (the Wilson interval contains p_hat, so
+    p_hat <= eps too), by doubling from n_lo and then bisecting on integers.
+
+    Each N runs once.  The returned N passes and N - 1 fails unless
+    N = n_lo; under a tail that falls with N, that N is the smallest.
     """
-    p = design_dim(spec.design)
-    n_lo = max(n_lo, p + 1)
+    n_lo = max(n_lo, design_dim(spec.design) + 1)
     if n_hi < n_lo:
         raise RangeExhaustedError(f"empty range [{n_lo}, {n_hi}]")
     if eps >= 1.0:
         return n_lo
 
-    cache: dict[int, TailEstimate] = {}
-
-    def estimate(n: int) -> TailEstimate:
-        if n not in cache:
-            cache[n] = run_tail(replace(spec, N=n), workers=workers)
-        return cache[n]
-
     def passes(n: int) -> bool:
-        return estimate(n).p_hat <= eps
+        return run_tail(replace(spec, N=n), workers=workers).ci_high <= eps
 
-    if passes(n_lo):
-        smallest = n_lo
-    else:
-        lo, hi = n_lo, n_lo
-        while True:
-            hi = min(hi * 2, n_hi)
-            if passes(hi):
-                break
-            lo = hi
-            if hi == n_hi:
-                raise RangeExhaustedError(
-                    f"p_hat stays above {eps} up to N = {n_hi} "
-                    f"(p_hat = {estimate(n_hi).p_hat:.4g})"
-                )
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if passes(mid):
-                hi = mid
-            else:
-                lo = mid
-        smallest = hi
-
-    n = smallest
-    while estimate(n).ci_high > eps:
-        if n >= n_hi:
-            raise RangeExhaustedError(
-                f"upper CI stays above {eps} up to N = {n_hi}"
-            )
-        n = min(max(n + 1, int(n * 1.1)), n_hi)
-        while n <= n_hi and not passes(n):
-            if n == n_hi:
-                raise RangeExhaustedError(
-                    f"upper CI stays above {eps} up to N = {n_hi}"
-                )
-            n = min(max(n + 1, int(n * 1.1)), n_hi)
-    return n
+    lo, hi = n_lo - 1, n_lo  # lo failed (or lies below the range); hi is next
+    while not passes(hi):
+        if hi == n_hi:
+            raise RangeExhaustedError(f"upper CI stays above {eps} up to N = {n_hi}")
+        lo, hi = hi, min(2 * hi, n_hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if passes(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi

@@ -200,3 +200,30 @@ def run_property_sweep(total_sets=1000, main_sets=150, tau_sets=60, seed=314159)
         if i < tau_sets:
             violations += check_monotonicity(params, acc, ("main_tau",), rel_slack=1e-3)
     return violations
+
+
+def broad_problem_sets(n_sets: int, seed: int):
+    """Seeded log-uniform parameter draws over many decades: p in 1..32,
+    sigma_min down to 1e-4*sigma_max, R in [1e-4, 1e4], r in [1e-6, 1e6] and
+    eps in [1e-9, 0.3]."""
+    from lsqbounds.params import Accuracy, ProblemParams
+
+    rng = np.random.default_rng(seed)
+
+    def log_uniform(lo, hi):
+        return float(10.0 ** rng.uniform(math.log10(lo), math.log10(hi)))
+
+    out = []
+    for _ in range(n_sets):
+        p = int(rng.integers(1, 33))
+        alpha = log_uniform(0.1, 10.0)
+        sigma_max = log_uniform(1e-2, 1.0) * p * alpha**2
+        params = ProblemParams(
+            p=p,
+            alpha=alpha,
+            sigma_min=log_uniform(1e-4, 1.0) * sigma_max,
+            sigma_max=sigma_max,
+            R=log_uniform(1e-4, 1e4),
+        )
+        out.append((params, Accuracy(r=log_uniform(1e-6, 1e6), eps=log_uniform(1e-9, 0.3))))
+    return out

@@ -12,6 +12,7 @@ from lsqbounds.params import Accuracy, DomainError, ParameterError, ProblemParam
 
 from helpers import (
     beta_proof,
+    broad_problem_sets,
     eps2_grid_oracle,
     eps3_grid_oracle,
     gamma_ref,
@@ -317,6 +318,13 @@ class TestNMainTau:
         assert bd.binding in ("n2", "n3")
         assert bd.n2 == pytest.approx(bd.n3, rel=1e-2)
         assert bd.n_final <= bounds.n_main(acc, params).n_final
+
+    def test_never_looser_than_main_on_broad_draws(self):
+        # tau = 1/2 alone gives terms at most n_main's, so the weight search
+        # must never return more than n_main over many decades of parameters.
+        for params, acc in broad_problem_sets(300, seed=2024):
+            tau = bounds.n_main_tau(acc, params).n_final
+            assert tau <= bounds.n_main(acc, params).n_final * (1 + 1e-12), (params, acc)
 
 
 class TestEpsOfN:

@@ -439,6 +439,35 @@ class TestCli:
         cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
         assert cli.main(["simulate", "--config", str(cfg_path)]) == 4
 
+    @pytest.mark.parametrize(
+        "values,sigma,message",
+        [
+            ("[NaN]", "1.0", "axis.values[0] must be finite"),
+            ("[Infinity]", "1.0", "axis.values[0] must be finite"),
+            ("[1e400]", "1.0", "axis.values[0] must be finite"),
+            ("[100]", "NaN", "gaussian.sigma must be finite"),
+            ("[100.7]", "1.0", "N-axis values must be integers"),
+        ],
+    )
+    def test_simulate_nonfinite_or_fractional_n_exit_2(self, tmp_path, capsys, values, sigma, message):
+        cfg = {
+            "schema_version": "1",
+            "theorem": "main",
+            "design": {"kind": "iid-bounded-columns", "column_stddevs": [1.0, 1.0], "entry_law": "scaled-uniform"},
+            "noise": {"kind": "gaussian", "sigma": "SIGMA"},
+            "r": 4.0,
+            "axis": {"name": "N", "values": "VALUES"},
+            "trials": 10,
+            "output": {"csv": str(tmp_path / "never.csv")},
+        }
+        text = json.dumps(cfg).replace('"SIGMA"', sigma).replace('"VALUES"', values)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text, encoding="utf-8")
+        assert cli.main(["simulate", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not (tmp_path / "never.csv").exists()
+
     def test_unknown_figure_rejected_by_argparse(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["reproduce", "fig7", "--outdir", "/tmp/x"])

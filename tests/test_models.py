@@ -391,14 +391,6 @@ class TestPrefixConsistency:
         for N in (4, 5, 1000, 4000):
             np.testing.assert_array_equal(sample_design(model, N, seed), full[:N])
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason=(
-            "the two components are drawn in sequence from one stream, so the "
-            "second starts at an offset that depends on N; a child stream per "
-            "component would make these prefix-consistent"
-        ),
-    )
     @pytest.mark.parametrize(
         "model", [UniformPlusGaussian(1.0, 0.5), GaussianMixture(0.1, 1.0, 0.3)]
     )

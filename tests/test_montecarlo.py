@@ -319,3 +319,9 @@ class TestFindEmpiricalN:
             spec = ExperimentSpec(self.ALL_ONES, Gaussian(1.0), N=8, r=r, trials=5000, base_seed=13)
             found.append(find_empirical_n(spec, eps=0.1, n_lo=4, n_hi=512))
         assert found[0] >= found[1] >= found[2]
+
+    def test_returned_n_passes_and_one_less_fails(self):
+        spec = ExperimentSpec(self.ALL_ONES, Gaussian(1.0), N=8, r=0.3, trials=5000, base_seed=13)
+        found = find_empirical_n(spec, eps=0.1, n_lo=4, n_hi=512)
+        assert run_tail(replace(spec, N=found)).ci_high <= 0.1
+        assert run_tail(replace(spec, N=found - 1)).ci_high > 0.1
