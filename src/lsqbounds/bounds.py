@@ -478,6 +478,10 @@ def bound_for(
         ) from None
     if theorem in ("main", "main_tau"):
         return fn(acc, params, beta_as_printed)
+    if beta_as_printed:
+        raise DomainError(
+            f"the {theorem} bound has no beta term; beta_as_printed needs main or main_tau"
+        )
     return fn(acc, params)
 
 

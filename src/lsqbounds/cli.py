@@ -21,7 +21,6 @@ from .io import (
     outage_to_json,
     write_result_csv,
 )
-from .models import design_dim
 from .montecarlo import (
     ExperimentSpec,
     RangeExhaustedError,
@@ -30,6 +29,7 @@ from .montecarlo import (
     run_event_diagnostics,
     sweep,
 )
+from .optimize import NoFinitePointError
 from .params import Accuracy, DomainError, ParameterError, ProblemParams
 from .presets import DEFAULT_SEED, DEFAULT_TRIALS, FIGURE_IDS, reproduce
 from .svg import write_line_plot
@@ -67,10 +67,12 @@ def _cmd_bound_n(args: argparse.Namespace) -> int:
     acc = Accuracy(r=args.r, eps=args.eps)
     theorem = _MODEL_FLAGS[args.model]
     bd = bounds.bound_for(theorem, acc, params, beta_as_printed=args.beta_as_printed)
-    meta = {
-        "beta_form": "as-printed" if args.beta_as_printed else "proof",
-        "log_numerator_n2_n3": "2" if theorem == "main_tau" else "3p",
-    }
+    meta = {}
+    if theorem in ("main", "main_tau"):  # the only families with beta and n2/n3 terms
+        meta = {
+            "beta_form": "as-printed" if args.beta_as_printed else "proof",
+            "log_numerator_n2_n3": "2" if theorem == "main_tau" else "3p",
+        }
     print(dump_json(breakdown_to_json(bd, meta)))
     return EXIT_OK
 
@@ -89,9 +91,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     base = ExperimentSpec(
         design=cfg.design,
         noise=cfg.noise,
-        N=design_dim(cfg.design) + 1,
+        N=cfg.design.p + 1,
         r=cfg.r if cfg.r is not None else float(cfg.axis_values[0]),
-        theta0=cfg.theta0,
         trials=trials,
         base_seed=cfg.base_seed,
         diagnostics=cfg.diagnostics,
@@ -191,7 +192,10 @@ def main(argv: list[str] | None = None) -> int:
         args.seed = env_seed if env_seed is not None else DEFAULT_SEED
     try:
         return args.func(args)
-    except (ParameterError, DomainError, json.JSONDecodeError) as exc:
+    # Overflow, underflow to zero and an empty cross-term domain come from
+    # finite inputs at the edge of the float range, so they are parameter errors.
+    except (ParameterError, DomainError, json.JSONDecodeError, OverflowError,
+            ZeroDivisionError, NoFinitePointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMETER
     except OSError as exc:

@@ -149,8 +149,6 @@ class RunConfig:
     base_seed: int = 0
     diagnostics: bool = False
     beta_as_printed: bool = False
-    n_hint: int | None = None
-    theta0: tuple[float, ...] | None = None
 
 
 _TYPES = {name: _strip_none(hint)[0] for name, hint in get_type_hints(RunConfig).items()}
@@ -169,10 +167,8 @@ _RANGES = {
     "theorem": (lambda v: v in BOUND_FUNCTIONS, f"one of {sorted(BOUND_FUNCTIONS)}"),
     "axis_name": (lambda v: v in ("r", "eps", "N"), "r, eps, or N"),
     "axis_values": (len, "a nonempty array"),
-    "theta0": (len, "a nonempty array"),
     "r": (lambda v: v > 0, "positive"),
     "eps": (lambda v: 0 < v < 1, "in (0, 1)"),
-    "n_hint": (lambda v: v >= 2, "at least 2"),
     "trials": (lambda v: v >= 1, "at least 1"),
     "base_seed": (lambda v: v >= 0, "nonnegative"),
 }

@@ -60,9 +60,6 @@ class SeedSpec:
         """Independent sub-stream k of this stream (for nested models)."""
         return SeedSpec(self.base_seed, self.trial, self.role, (*self.subkeys, k))
 
-    def for_trial(self, trial: int, role: str) -> "SeedSpec":
-        return SeedSpec(self.base_seed, trial, role)
-
 
 # Samplers fill one buffer and scale it in place.  2u - 1 on rng.random's u is
 # exactly rng.uniform(-1, 1), so the values equal scale * rng.uniform(...).
@@ -92,7 +89,7 @@ class Gaussian:
     sigma: float
 
     def __post_init__(self) -> None:
-        if self.sigma < 0:
+        if not (self.sigma >= 0):
             raise ParameterError(f"sigma must be nonnegative, got {self.sigma}")
 
 
@@ -119,7 +116,7 @@ class Uniform:
     half_width: float
 
     def __post_init__(self) -> None:
-        if self.half_width < 0:
+        if not (self.half_width >= 0):
             raise ParameterError(f"half_width must be nonnegative, got {self.half_width}")
 
 
@@ -129,7 +126,7 @@ class UniformPlusGaussian:
     sigma: float
 
     def __post_init__(self) -> None:
-        if self.half_width < 0 or self.sigma < 0:
+        if not (self.half_width >= 0 and self.sigma >= 0):
             raise ParameterError("half_width and sigma must be nonnegative")
 
 
@@ -138,7 +135,7 @@ class Rademacher:
     scale: float
 
     def __post_init__(self) -> None:
-        if self.scale < 0:
+        if not (self.scale >= 0):
             raise ParameterError(f"scale must be nonnegative, got {self.scale}")
 
 
@@ -159,7 +156,7 @@ class FirMds:
         if len(self.taps) < 1:
             raise ParameterError("FirMds needs at least one tap")
         object.__setattr__(self, "taps", tuple(float(t) for t in self.taps))
-        if self.jammer_scale < 0:
+        if not (self.jammer_scale >= 0):
             raise ParameterError(f"jammer_scale must be nonnegative, got {self.jammer_scale}")
 
 
@@ -309,7 +306,7 @@ class IidBoundedColumns:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "column_stddevs", tuple(float(x) for x in self.column_stddevs))
-        if len(self.column_stddevs) < 1 or any(sd <= 0 for sd in self.column_stddevs):
+        if len(self.column_stddevs) < 1 or any(not (sd > 0) for sd in self.column_stddevs):
             raise ParameterError("column_stddevs must be a nonempty tuple of positive reals")
         if self.entry_law not in ENTRY_LAWS:
             raise ParameterError(f"entry_law must be one of {ENTRY_LAWS}, got {self.entry_law!r}")
@@ -357,10 +354,6 @@ class FixedMatrix:
 
 
 DesignModel = IidBoundedColumns | ToeplitzPilot | FixedMatrix
-
-
-def design_dim(model: DesignModel) -> int:
-    return model.p
 
 
 def design_is_random(model: DesignModel) -> bool:

@@ -27,7 +27,6 @@ from .models import (
     FixedMatrix,
     NoiseModel,
     SeedSpec,
-    design_dim,
     design_is_random,
     implied_problem_params,
     sample_design,
@@ -54,37 +53,25 @@ class RangeExhaustedError(RuntimeError):
 class ExperimentSpec:
     """One tail-probability experiment.
 
-    theta0 is accepted and validated but immaterial: the estimation error
-    (A^T A)^{-1} A^T v does not depend on it, so no trial uses it.  Random
-    designs are redrawn every trial; pilot and fixed designs are materialized
-    once per chunk of trials.
+    Random designs are redrawn every trial; pilot and fixed designs are
+    materialized once per chunk of trials.
     """
 
     design: DesignModel
     noise: NoiseModel
     N: int
     r: float
-    theta0: tuple[float, ...] | None = None
     trials: int = 50_000
     base_seed: int = 0
     diagnostics: bool = False
 
     def __post_init__(self) -> None:
-        p = design_dim(self.design)
-        if self.N <= p:
-            raise ParameterError(f"need N > p, got N = {self.N}, p = {p}")
+        if self.N <= self.design.p:
+            raise ParameterError(f"need N > p, got N = {self.N}, p = {self.design.p}")
         if self.trials < 1:
             raise ParameterError(f"trials must be >= 1, got {self.trials}")
         if not (self.r > 0):
             raise ParameterError(f"r must be positive, got {self.r}")
-        if self.theta0 is not None:
-            theta = tuple(float(x) for x in self.theta0)
-            if len(theta) != p:
-                raise ParameterError(f"theta0 has length {len(theta)}, expected {p}")
-            object.__setattr__(self, "theta0", theta)
-
-    def seed(self) -> SeedSpec:
-        return SeedSpec(self.base_seed)
 
 
 @dataclass(frozen=True)
@@ -121,8 +108,9 @@ class EventDiagnostics:
     linf_decomp_violations: int = 0
 
 
-def wilson_interval(successes: int, n: int, z: float = Z_95) -> tuple[float, float]:
-    """Score confidence interval for a binomial proportion."""
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
+    """95% score confidence interval for a binomial proportion."""
+    z = Z_95
     if n <= 0:
         return (0.0, 1.0)
     p_hat = successes / n
@@ -140,10 +128,9 @@ def _trials(spec: ExperimentSpec, start: int, stop: int):
     draw.  A non-random design is materialized once, with its solve map
     (A^T A)^{-1} A^T, and yielded as the same array for every trial.
     """
-    seed = spec.seed()
     random_design = design_is_random(spec.design)
     if not random_design:
-        A = sample_design(spec.design, spec.N, seed.for_trial(0, "design"))
+        A = sample_design(spec.design, spec.N, SeedSpec(spec.base_seed, 0, "design"))
         try:
             solve_map = gram_solve(A.T @ A, A.T)
         except RankDeficiencyError as exc:
@@ -151,11 +138,11 @@ def _trials(spec: ExperimentSpec, start: int, stop: int):
                 f"fixed design is rank deficient; every trial would be invalid ({exc})"
             ) from exc
     for t in range(start, stop):
-        v = sample_noise(spec.noise, spec.N, seed.for_trial(t, "noise"))
+        v = sample_noise(spec.noise, spec.N, SeedSpec(spec.base_seed, t, "noise"))
         if not random_design:
             yield A, v, solve_map @ v
             continue
-        A = sample_design(spec.design, spec.N, seed.for_trial(t, "design"))
+        A = sample_design(spec.design, spec.N, SeedSpec(spec.base_seed, t, "design"))
         try:
             err = gram_solve(A.T @ A, A.T @ v)
         except RankDeficiencyError:
@@ -222,7 +209,7 @@ def _diag_chunk(
     stop: int,
     sigma_min: float,
 ) -> tuple[np.ndarray, np.ndarray, int, int, int, int]:
-    p = design_dim(spec.design)
+    p = spec.design.p
     threshold = sigma_min**2 * spec.r**2 / 8.0
     tilde_limit = 2.0 / sigma_min
     e2 = np.zeros(p, dtype=np.int64)
@@ -302,7 +289,7 @@ def fixed_design_bound(
     actually used, which itself depends on N; iterate N upward from 4p until
     the bound evaluated at the materialized matrix no longer exceeds N.
     """
-    N = FIXED_SEARCH_START * design_dim(design)
+    N = FIXED_SEARCH_START * design.p
     for _ in range(FIXED_SEARCH_ROUNDS):
         params = implied_problem_params(design, noise, N_hint=N)
         bd = bounds.n_fixed_design(acc, params)
@@ -348,7 +335,7 @@ def _sweep_rows(
     if isinstance(base.design, FixedMatrix) and axis_name != "N":
         raise ParameterError(f"a fixed-matrix design runs only on the N axis, got {axis_name!r}")
     params = implied_problem_params(base.design, base.noise) if random_design else None
-    p = design_dim(base.design)
+    p = base.design.p
     for value in values:
         if axis_name == "N":
             N = int(value)
@@ -412,7 +399,7 @@ def find_empirical_n(
     Each N runs once.  The returned N passes and N - 1 fails unless
     N = n_lo; under a tail that falls with N, that N is the smallest.
     """
-    n_lo = max(n_lo, design_dim(spec.design) + 1)
+    n_lo = max(n_lo, spec.design.p + 1)
     if n_hi < n_lo:
         raise RangeExhaustedError(f"empty range [{n_lo}, {n_hi}]")
     if eps >= 1.0:

@@ -37,6 +37,10 @@ class ProblemParams:
     def __post_init__(self) -> None:
         if self.p < 1 or self.p != int(self.p):
             raise ParameterError(f"p must be a positive integer, got {self.p}")
+        for name in ("alpha", "sigma_min", "sigma_max", "R", "b"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value}")
         if not (self.alpha > 0):
             raise ParameterError(f"alpha must be positive, got {self.alpha}")
         if not (self.sigma_min > 0):
@@ -78,8 +82,8 @@ class Accuracy:
     eps: float
 
     def __post_init__(self) -> None:
-        if not (self.r > 0):
-            raise ParameterError(f"r must be positive, got {self.r}")
+        if not (0 < self.r < math.inf):
+            raise ParameterError(f"r must be positive and finite, got {self.r}")
         if not (0 < self.eps < 1):
             raise ParameterError(f"eps must lie in (0,1), got {self.eps}")
 

@@ -29,7 +29,6 @@ from .models import (
     SeedSpec,
     ToeplitzPilot,
     Uniform,
-    design_dim,
     random_pilots,
 )
 from .montecarlo import ExperimentSpec, fixed_design_bound, sweep  # noqa: F401  (re-exported)
@@ -41,18 +40,6 @@ DEFAULT_SEED = 20_240_601
 
 DEFAULT_FIR_TAPS = (1.0, 0.8, 0.64, 0.512)
 PILOT_BUDGET = 8192
-
-
-def gaussian_mixture_with_param(
-    target_R: float, sigma_small: float = 0.05, weight_large: float = 0.1
-) -> GaussianMixture:
-    """Two-component mixture whose declared sub-Gaussian parameter, its large
-    sigma, equals target_R."""
-    if not (target_R > sigma_small):
-        raise ParameterError(
-            f"target_R ({target_R}) must exceed sigma_small ({sigma_small})"
-        )
-    return GaussianMixture(sigma_small, target_R, weight_large)
 
 
 def fir_mds_with_param(
@@ -86,7 +73,7 @@ def channel_pilot_design(p: int = 8, length: int = PILOT_BUDGET, seed: int = DEF
 
 
 def _fig1_models(seed: int):
-    return IidBoundedColumns((1.0,) * 8, "scaled-uniform"), gaussian_mixture_with_param(0.1)
+    return IidBoundedColumns((1.0,) * 8, "scaled-uniform"), GaussianMixture(0.05, 0.1, 0.1)
 
 
 def fig2_models() -> tuple[IidBoundedColumns, Uniform]:
@@ -202,7 +189,7 @@ def reproduce(
         design, noise = panel.models(base_seed)
         # Every row sets its own N; the base only needs a valid one.
         base = ExperimentSpec(
-            design, noise, N=design_dim(design) + 1, r=panel.r, trials=trials, base_seed=base_seed
+            design, noise, N=design.p + 1, r=panel.r, trials=trials, base_seed=base_seed
         )
         rows = sweep(base, panel.axis, panel.values, panel.theorem, eps=panel.eps, workers=workers)
         csv_path = out / f"{panel.csv}.csv"

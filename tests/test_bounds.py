@@ -467,3 +467,14 @@ class TestParamValidation:
             Accuracy(r=1.0, eps=1.5)
         with pytest.raises(ParameterError):
             Accuracy(r=-1.0, eps=0.5)
+
+    def test_accuracy_rejects_infinite_r(self):
+        with pytest.raises(ParameterError, match="finite"):
+            Accuracy(r=math.inf, eps=0.5)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["alpha", "sigma_min", "sigma_max", "R", "b"])
+    def test_non_finite_rejected(self, name, value):
+        fields = dict(p=2, alpha=1.0, sigma_min=1.0, sigma_max=1.0, R=1.0, b=1.0)
+        with pytest.raises(ParameterError, match=f"{name} must be finite"):
+            ProblemParams(**{**fields, name: value})

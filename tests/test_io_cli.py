@@ -116,6 +116,12 @@ class TestJsonSchemas:
         jsonschema.validate(doc, schema)
         parse_run_config(doc)
 
+    @pytest.mark.parametrize(
+        "name", sorted(f.name for f in resources.files("lsqbounds").joinpath("schemas").iterdir())
+    )
+    def test_packaged_schemas_are_valid_schemas(self, name):
+        jsonschema.Draft202012Validator.check_schema(load_schema(name))
+
     def test_dump_json_rejects_nan(self):
         with pytest.raises(ValueError):
             dump_json({"x": float("nan")})
@@ -202,8 +208,7 @@ _TO_CONFIG = {"noise": noise_to_config, "design": design_to_config}
 
 VALID_DOCS = [
     _valid_doc(),
-    _valid_doc(trials=10.0, base_seed=3, diagnostics=False, beta_as_printed=True, n_hint=2,
-               theta0=[0.0, 1.0], r=0.5),
+    _valid_doc(trials=10.0, base_seed=3, diagnostics=False, beta_as_printed=True, r=0.5),
     _valid_doc(axis={"name": "N", "values": [3, 4.0]}, r=0.5, output={"csv": "a.csv", "svg": "a.svg"}),
     *(_valid_doc(**{slot: _TO_CONFIG[slot](model)}) for slot in MODEL_EXAMPLES
       for model in MODEL_EXAMPLES[slot]),
@@ -229,8 +234,8 @@ def _malformed_docs():
     base = _valid_doc(r=0.5)
     wrong_type = {
         "schema_version": 1, "theorem": 1, "beta_as_printed": "no", "design": [], "noise": "x",
-        "theta0": [0.0, "x"], "r": "1", "eps": None, "axis": [], "n_hint": 2.5, "trials": "x",
-        "base_seed": True, "diagnostics": "no", "output": "out.csv",
+        "r": "1", "eps": None, "axis": [], "trials": "x", "base_seed": True, "diagnostics": "no",
+        "output": "out.csv",
     }
     for key, value in wrong_type.items():
         yield f"type-{key}", _edit(base, (key,), value)
@@ -239,13 +244,14 @@ def _malformed_docs():
         yield "type-" + ".".join(path), _edit(base, path, value)
     yield "type-axis.values-entry", _edit(base, ("axis", "values"), [0.5, "x"])
     yield "range-theorem", _edit(base, ("theorem",), "bogus")
-    yield "range-n_hint", _edit(base, ("n_hint",), -7)
     yield "range-trials", _edit(base, ("trials",), 0)
     yield "range-eps", _edit(base, ("eps",), 1.5)
     yield "range-axis.values-empty", _edit(base, ("axis", "values"), [])
     yield "range-design.pilots", _edit(
         base, ("design",), {"kind": "toeplitz-pilot", "pilots": [1.0], "p": 1}
     )
+    yield "removed-theta0", _edit(base, ("theta0",), [0.0, 1.0])
+    yield "removed-n_hint", _edit(base, ("n_hint",), 2)
     for level in ((), ("axis",), ("output",), ("noise",), ("design",)):
         yield "unknown-" + ".".join(level or ("top",)), _edit(base, (*level, "bogus"), 1)
     for path in (("schema_version",), ("theorem",), ("design",), ("noise",), ("axis",),
@@ -350,6 +356,52 @@ class TestCli:
         )
         assert code == 2
         assert "eps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tag", sorted(bounds.BOUND_FUNCTIONS))
+    def test_bound_n_meta_only_where_it_applies(self, tag, capsys):
+        argv = (f"bound-n --model {tag.replace('_', '-')} --r 1 --eps 0.05 --p 2 --alpha 1 "
+                "--R 1 --b 1 --sigma-min 1 --sigma-max 1").split()
+        has_beta = tag in ("main", "main_tau")
+        assert cli.main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        jsonschema.validate(doc, load_schema("bound_breakdown.schema.json"))
+        log_numerator = "2" if tag == "main_tau" else "3p"
+        assert doc["meta"] == (
+            {"beta_form": "proof", "log_numerator_n2_n3": log_numerator} if has_beta else {}
+        )
+        code = cli.main(argv + ["--beta-as-printed"])
+        captured = capsys.readouterr()
+        if has_beta:
+            assert code == 0
+            assert json.loads(captured.out)["meta"]["beta_form"] == "as-printed"
+        else:
+            assert code == 2
+            assert captured.err.startswith("error:") and "beta_as_printed" in captured.err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e300", "1e160", "1e-160", "1e-300"])
+    @pytest.mark.parametrize("flag", ["alpha", "R", "sigma-min", "sigma-max", "r"])
+    @pytest.mark.parametrize(
+        "command",
+        ["bound-n --model main --eps 0.1", "bound-n --model fixed-mds --eps 0.1",
+         "bound-n --model main-tau --eps 0.1", "bound-eps --n 400"],
+    )
+    def test_bound_commands_at_the_edge_of_the_float_range(self, command, flag, value, capsys):
+        # A non-finite flag is a parameter error.  A finite one whose powers
+        # overflow or underflow gives finite JSON or a parameter error; it
+        # never raises.
+        flags = {"alpha": "1", "R": "0.1", "sigma-min": "0.5", "sigma-max": "1", "r": "0.5",
+                 flag: value}
+        argv = command.split() + ["--p", "4"]
+        for name, text in flags.items():
+            argv += [f"--{name}", text]
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        if code == 0 and value not in ("nan", "inf"):
+            doc = json.loads(captured.out)
+            assert all(np.isfinite(v) for v in doc.values() if isinstance(v, float)), doc
+        else:
+            assert code == 2
+            assert captured.err.startswith("error:")
 
     def test_bound_eps_json(self, capsys):
         code = cli.main(

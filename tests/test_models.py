@@ -293,6 +293,25 @@ class TestSampleDesign:
             ToeplitzPilot(pilots=(1.0, 0.5), p=1)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        Gaussian,
+        Uniform,
+        Rademacher,
+        lambda x: UniformPlusGaussian(x, 1.0),
+        lambda x: UniformPlusGaussian(1.0, x),
+        lambda x: FirMds(taps=(1.0,), jammer_scale=x, receiver=Gaussian(0.1)),
+        lambda x: IidBoundedColumns((x, 1.0)),
+    ],
+    ids=["gaussian", "uniform", "rademacher", "upg-half_width", "upg-sigma", "fir-jammer_scale",
+         "iid-column_stddevs"],
+)
+def test_nan_fails_the_sign_checks(build):
+    with pytest.raises(ParameterError):
+        build(math.nan)
+
+
 def _plain_rademacher(rng, shape):
     return rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
 

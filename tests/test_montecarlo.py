@@ -112,12 +112,6 @@ class TestRunTail:
         parallel = run_tail(spec, workers=2)
         assert serial == parallel
 
-    def test_theta0_choice_is_immaterial(self):
-        design = IidBoundedColumns((1.0, 1.0), "scaled-uniform")
-        a = ExperimentSpec(design, Uniform(1.0), N=64, r=0.25, trials=1000, base_seed=9)
-        b = replace(a, theta0=(5.0, -3.0))
-        assert run_tail(a).exceed_count == run_tail(b).exceed_count
-
     def test_invalid_trials_abort(self):
         # three-row sign design: columns collide with probability 1/4
         design = IidBoundedColumns((1.0, 1.0), "scaled-rademacher")
@@ -136,8 +130,6 @@ class TestRunTail:
             ExperimentSpec(ALL_ONES_4x1, Rademacher(1.0), N=1, r=0.4)
         with pytest.raises(ParameterError):
             ExperimentSpec(ALL_ONES_4x1, Rademacher(1.0), N=4, r=0.4, trials=0)
-        with pytest.raises(ParameterError):
-            ExperimentSpec(ALL_ONES_4x1, Rademacher(1.0), N=4, r=0.4, theta0=(1.0, 2.0))
 
 
 class TestEventDiagnostics:
