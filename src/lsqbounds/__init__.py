@@ -24,16 +24,6 @@ from .bounds import (
     n_mds_subgaussian,
     n_rand,
 )
-from .linalg import (
-    NonSymmetricError,
-    RankDeficiencyError,
-    SymSpectrumSummary,
-    as_matrix,
-    gram_normalized,
-    ls_solve,
-    max_abs_entry,
-    sym_extremal_eigs,
-)
 from .models import (
     FirMds,
     FixedMatrix,
@@ -56,6 +46,7 @@ from .montecarlo import (
     EventDiagnostics,
     ExperimentSpec,
     RangeExhaustedError,
+    RankDeficiencyError,
     SimulationQualityError,
     TailEstimate,
     find_empirical_n,

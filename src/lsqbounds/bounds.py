@@ -240,7 +240,7 @@ def n_main(
         "n3": v3,
         "n_rand": n_rand(acc.eps, 3.0 * params.p, params),
     }
-    return make_breakdown("main", terms, s_opt_n2=s2, s_opt_n3=s3)
+    return make_breakdown("main", terms, params.p, s_opt_n2=s2, s_opt_n3=s3)
 
 
 def _tau_inner_max(
@@ -323,6 +323,7 @@ def n_main_tau(
     return make_breakdown(
         "main_tau",
         terms,
+        params.p,
         s_opt_n2=n2_res.argmin,
         s_opt_n3=n3_res.argmin,
         tau_opt=tau_opt,
@@ -350,7 +351,7 @@ def _closed_form_bound(theorem: str, acc: Accuracy, params: ProblemParams) -> Bo
     terms = {"n1": c1 * max(math.log(factor / acc.eps), 0.0)}
     if theorem != "fixed_mds":
         terms["n_rand"] = n_rand(acc.eps, factor, params)
-    return make_breakdown(theorem, terms)
+    return make_breakdown(theorem, terms, params.p)
 
 
 def n_bounded(acc: Accuracy, params: ProblemParams) -> BoundBreakdown:

@@ -15,7 +15,6 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .linalg import as_matrix, gram_normalized, max_abs_entry, sym_extremal_eigs
 from .params import ParameterError, ProblemParams
 
 ROLE_IDS = {"design": 0, "noise": 1}
@@ -346,7 +345,13 @@ class FixedMatrix:
     matrix: np.ndarray = field(metadata={"key": "entries"})
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", as_matrix(self.matrix))
+        m = np.array(self.matrix, dtype=float, order="C")
+        if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
+            raise ParameterError(f"expected a 2-D matrix, got shape {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise ParameterError("matrix entries must be finite")
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
 
     @property
     def p(self) -> int:
@@ -437,16 +442,15 @@ def implied_problem_params(
     if N_hint is None:
         raise ParameterError("N_hint is required to materialize a non-random design")
     A = sample_design(design, N_hint, SeedSpec(0, 0, "design"))
-    spectrum = sym_extremal_eigs(gram_normalized(A))
-    if not (spectrum.lambda_min > 0):
-        raise ParameterError(
-            f"design Gram matrix is singular (lambda_min = {spectrum.lambda_min})"
-        )
+    eigs = np.linalg.eigvalsh(A.T @ A / N_hint)
+    lam_min, lam_max = float(eigs[0]), float(eigs[-1])
+    if not (lam_min > 0):
+        raise ParameterError(f"design Gram matrix is singular (lambda_min = {lam_min})")
     return ProblemParams(
         p=design.p,
-        alpha=max_abs_entry(A),
-        sigma_min=spectrum.lambda_min,
-        sigma_max=spectrum.lambda_max,
+        alpha=float(np.max(np.abs(A))),
+        sigma_min=lam_min,
+        sigma_max=lam_max,
         R=R if R > 0 else None,
         b=b,
     )

@@ -16,12 +16,6 @@ import numpy as np
 
 from . import bounds
 from .io import ResultRow
-from .linalg import (
-    RankDeficiencyError,
-    gram_normalized,
-    gram_solve,
-    sym_extremal_eigs,
-)
 from .models import (
     DesignModel,
     FixedMatrix,
@@ -39,6 +33,11 @@ Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 INVALID_TRIAL_LIMIT = 1e-3
 LEMMA1_TOL = 1e-9
 IDENTITY_RTOL = 1e-10
+PIVOT_RTOL = 1e-12
+
+
+class RankDeficiencyError(ArithmeticError):
+    """Normal-equations factorization hit a negligible pivot."""
 
 
 class SimulationQualityError(RuntimeError):
@@ -122,17 +121,39 @@ def wilson_interval(successes: int, n: int) -> tuple[float, float]:
     return (lo, hi)
 
 
+def gram_solve(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve G x = rhs for a Gram matrix G; rhs is a vector or a matrix.
+
+    Raises RankDeficiencyError unless G has a Cholesky factor L whose every
+    squared pivot L_jj^2 exceeds 1e-12 times the trace of G.
+    """
+    try:
+        L = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficiencyError(f"Gram matrix is not positive definite ({exc})") from None
+    floor = PIVOT_RTOL * float(np.trace(G))
+    pivot = float(np.min(np.diagonal(L))) ** 2
+    if not (pivot > floor):
+        raise RankDeficiencyError(
+            f"smallest pivot {pivot:.3e} below 1e-12 * trace = {floor:.3e}"
+        )
+    return np.linalg.solve(G, rhs)
+
+
 def _trials(spec: ExperimentSpec, start: int, stop: int):
-    """Yield (A, v, err) for trials start..stop-1, where err = (A^T A)^{-1} A^T v
-    is the least-squares estimation error; err is None for a rank-deficient
-    draw.  A non-random design is materialized once, with its solve map
-    (A^T A)^{-1} A^T, and yielded as the same array for every trial.
+    """Yield (A, G, v, err) for trials start..stop-1, where G = A^T A and
+    err = G^{-1} A^T v is the least-squares estimation error; err is None for
+    a rank-deficient draw.  A non-random design is materialized once, with G
+    and its solve map G^{-1} A^T, and A and G are yielded as the same arrays
+    for every trial.  numpy forms A^T A of a C-ordered A by SYRK and copies
+    the triangle, so G is exactly symmetric.
     """
     random_design = design_is_random(spec.design)
     if not random_design:
         A = sample_design(spec.design, spec.N, SeedSpec(spec.base_seed, 0, "design"))
+        G = A.T @ A
         try:
-            solve_map = gram_solve(A.T @ A, A.T)
+            solve_map = gram_solve(G, A.T)
         except RankDeficiencyError as exc:
             raise SimulationQualityError(
                 f"fixed design is rank deficient; every trial would be invalid ({exc})"
@@ -140,20 +161,21 @@ def _trials(spec: ExperimentSpec, start: int, stop: int):
     for t in range(start, stop):
         v = sample_noise(spec.noise, spec.N, SeedSpec(spec.base_seed, t, "noise"))
         if not random_design:
-            yield A, v, solve_map @ v
+            yield A, G, v, solve_map @ v
             continue
         A = sample_design(spec.design, spec.N, SeedSpec(spec.base_seed, t, "design"))
+        G = A.T @ A
         try:
-            err = gram_solve(A.T @ A, A.T @ v)
+            err = gram_solve(G, A.T @ v)
         except RankDeficiencyError:
             err = None
-        yield A, v, err
+        yield A, G, v, err
 
 
 def _tail_chunk(spec: ExperimentSpec, start: int, stop: int) -> tuple[int, int]:
     exceed = 0
     invalid = 0
-    for _, _, err in _trials(spec, start, stop):
+    for _, _, _, err in _trials(spec, start, stop):
         if err is None:
             invalid += 1
         elif np.max(np.abs(err)) > spec.r:
@@ -218,14 +240,15 @@ def _diag_chunk(
     lemma1_bad = 0
     identity_bad = 0
     linf_bad = 0
-    A_seen = None
-    for A, v, err in _trials(spec, start, stop):
+    G_seen = None
+    for A, G, v, err in _trials(spec, start, stop):
         if err is None:
             e_rand += 1  # singular Gram certainly exceeds the eigenvalue limit
             continue
-        if A is not A_seen:  # _trials yields a fixed design as one array per chunk
-            lam_tilde = sym_extremal_eigs(gram_normalized(A)).lambda_tilde
-            A_seen = A
+        if G is not G_seen:  # _trials yields a fixed design's G once per chunk
+            lam_min = float(np.linalg.eigvalsh(G / spec.N)[0])
+            lam_tilde = 1.0 / lam_min if lam_min > 0 else math.inf
+            G_seen = G
 
         s_vec = (A.T @ v) / spec.N
         total_sq = s_vec**2
@@ -317,6 +340,8 @@ def _sweep_rows(
     is measured at the N its row runs: the axis value on the N axis, and
     fixed_design_bound's self-consistent N on the r and eps axes.  A
     FixedMatrix has only its own row count, so it runs on the N axis alone.
+    beta_as_printed selects main's beta form, so it is accepted only where a
+    row calls bound_for: r- and eps-axis rows of a random design.
     """
     values = list(axis_values)
     if not values:
@@ -334,8 +359,11 @@ def _sweep_rows(
         )
     if isinstance(base.design, FixedMatrix) and axis_name != "N":
         raise ParameterError(f"a fixed-matrix design runs only on the N axis, got {axis_name!r}")
+    if beta_as_printed and (axis_name == "N" or not random_design):
+        raise ParameterError(
+            "beta_as_printed applies only to r- and eps-axis rows of a random design"
+        )
     params = implied_problem_params(base.design, base.noise) if random_design else None
-    p = base.design.p
     for value in values:
         if axis_name == "N":
             N = int(value)
@@ -349,7 +377,7 @@ def _sweep_rows(
             acc = Accuracy(r=base.r, eps=float(value))
         if random_design:
             bd = bounds.bound_for(theorem, acc, params, beta_as_printed)
-            N = max(bd.n_ceil, p + 1)
+            N = bd.n_ceil
         else:
             N, params, bd = fixed_design_bound(acc, base.design, base.noise)
         yield value, replace(base, N=N, r=acc.r), params, bd

@@ -94,7 +94,8 @@ class BoundBreakdown:
 
     Term values are None when the selected bound has no such term.
     n_final is the max over applicable terms; n_ceil is the smallest integer
-    strictly greater than n_final (the bounds hold for all N > n_final).
+    strictly greater than n_final (the bounds hold for all N > n_final), and
+    at least p + 1, the fewest rows a least-squares fit can run at.
     """
 
     theorem: str
@@ -142,6 +143,7 @@ def ceil_strict(x: float) -> int:
 def make_breakdown(
     theorem: str,
     terms: dict[str, float | None],
+    p: int,
     s_opt_n2: float | None = None,
     s_opt_n3: float | None = None,
     tau_opt: float | None = None,
@@ -162,7 +164,7 @@ def make_breakdown(
         n3=terms.get("n3"),
         n_rand=terms.get("n_rand"),
         n_final=n_final,
-        n_ceil=ceil_strict(n_final),
+        n_ceil=max(ceil_strict(n_final), p + 1),
         binding=binding,
         s_opt_n2=s_opt_n2,
         s_opt_n3=s_opt_n3,

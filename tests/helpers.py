@@ -62,26 +62,6 @@ def eps3_grid_oracle(r, N, p, alpha, R, sigma_min, points=1_000_000):
     return min(1.0, 3.0 * p * math.exp(-(N**2) * best))
 
 
-def char_poly_coeffs(A: np.ndarray) -> np.ndarray:
-    """Characteristic polynomial coefficients via the Faddeev-LeVerrier
-    recursion (trace-based; no eigendecomposition involved)."""
-    n = A.shape[0]
-    coeffs = np.zeros(n + 1)
-    coeffs[0] = 1.0
-    M = np.zeros_like(A)
-    for k in range(1, n + 1):
-        M = A @ M + coeffs[k - 1] * np.eye(n)
-        coeffs[k] = -np.trace(A @ M) / k
-    return coeffs
-
-
-def eigs_char_poly(A: np.ndarray) -> np.ndarray:
-    """Eigenvalues as roots of the characteristic polynomial (companion
-    matrix via numpy.roots)."""
-    roots = np.roots(char_poly_coeffs(A))
-    return np.sort(roots.real)
-
-
 def gaussian_cdf(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 

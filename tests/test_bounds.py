@@ -1,6 +1,7 @@
 """Formula-level tests for the sample-count and outage bounds."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -325,6 +326,20 @@ class TestNMainTau:
         for params, acc in broad_problem_sets(300, seed=2024):
             tau = bounds.n_main_tau(acc, params).n_final
             assert tau <= bounds.n_main(acc, params).n_final * (1 + 1e-12), (params, acc)
+
+
+class TestCeiling:
+    def test_n_ceil_is_above_n_final_and_at_least_p_plus_1(self):
+        # A least-squares fit needs N > p, so the ceiling a bound reports never
+        # falls below p + 1, even where n_final is below p.
+        broad = [(replace(params, b=params.R), acc) for params, acc in broad_problem_sets(300, seed=2024)]
+        floored = 0
+        for params, acc in random_problem_sets(100, seed=2025) + broad:
+            for tag in bounds.BOUND_FUNCTIONS:
+                bd = bounds.bound_for(tag, acc, params)
+                assert bd.n_ceil >= params.p + 1 and bd.n_ceil > bd.n_final, (tag, params, acc)
+                floored += bd.n_final < params.p
+        assert floored > 0
 
 
 class TestEpsOfN:

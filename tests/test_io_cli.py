@@ -412,6 +412,16 @@ class TestCli:
         assert doc["eps_rand"] == pytest.approx(12.0 * 2.718281828459045 ** (-0.75 * 256 / 35.0), rel=1e-9)
         jsonschema.validate(doc, load_schema("outage_breakdown.schema.json"))
 
+    def test_bound_n_ceil_at_least_p_plus_1(self, capsys):
+        # n_final is 0.014 here, but least squares needs N > p = 4 rows.
+        code = cli.main(
+            "bound-n --model fixed-mds --r 10 --eps 0.1 --p 4 --alpha 1 --R 0.1 "
+            "--sigma-min 0.5 --sigma-max 1".split()
+        )
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["n_final"] < 1 and doc["n_ceil"] == 5
+
     def test_bound_eps_precondition_exit_2(self, capsys):
         code = cli.main(
             "bound-eps --r 1 --n 4 --p 2 --alpha 1 --R 1 --sigma-min 1 --sigma-max 1".split()
@@ -520,6 +530,22 @@ class TestCli:
         assert err.startswith("error:") and message in err
         assert not (tmp_path / "never.csv").exists()
 
+    def test_simulate_beta_as_printed_on_n_axis_exit_2(self, tmp_path, capsys):
+        cfg = {
+            "schema_version": "1",
+            "theorem": "main",
+            "beta_as_printed": True,
+            "design": {"kind": "iid-bounded-columns", "column_stddevs": [1.0, 1.0], "entry_law": "scaled-uniform"},
+            "noise": {"kind": "gaussian", "sigma": 1.0},
+            "r": 4.0,
+            "axis": {"name": "N", "values": [400]},
+            "trials": 10,
+            "output": {"csv": str(tmp_path / "never.csv")},
+        }
+        assert cli.main(["simulate", "--config", _write_config(tmp_path, cfg)]) == 2
+        assert "beta_as_printed" in capsys.readouterr().err
+        assert not (tmp_path / "never.csv").exists()
+
     def test_unknown_figure_rejected_by_argparse(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["reproduce", "fig7", "--outdir", "/tmp/x"])
@@ -584,6 +610,13 @@ class TestSimulateFixedDesign:
         cfg["theorem"] = "main"
         assert cli.main(["simulate", "--config", _write_config(tmp_path, cfg)]) == 2
         assert "fixed_mds" in capsys.readouterr().err
+
+    def test_beta_as_printed_exit_2(self, tmp_path, capsys):
+        cfg = self.fig5_config(tmp_path, 3, 40)
+        cfg["beta_as_printed"] = True
+        assert cli.main(["simulate", "--config", _write_config(tmp_path, cfg)]) == 2
+        assert "beta_as_printed" in capsys.readouterr().err
+        assert not (tmp_path / "sim.csv").exists()
 
     def test_fixed_matrix_off_n_axis_exit_2(self, tmp_path, capsys):
         rows = np.random.default_rng(0).uniform(-1.0, 1.0, (400, 2))

@@ -288,6 +288,27 @@ class TestSampleDesign:
         with pytest.raises(ParameterError):
             sample_design(IidBoundedColumns((1.0, 1.0)), 2, SeedSpec(0, 0, "design"))
 
+
+class TestFixedMatrix:
+    def test_stores_read_only_c_ordered_copy(self):
+        M = np.asfortranarray([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        m = FixedMatrix(M).matrix
+        assert m.flags.c_contiguous and m is not M
+        np.testing.assert_array_equal(m, M)
+        with pytest.raises(ValueError):
+            m[0, 0] = 5.0
+        M[0, 0] = 5.0
+        assert m[0, 0] == 1.0
+
+    def test_rejects_nonfinite(self):
+        with pytest.raises(ParameterError, match="finite"):
+            FixedMatrix([[1.0, math.nan]])
+
+    @pytest.mark.parametrize("entries", [[1.0, 2.0], [[]], [[[1.0]]]], ids=["1-d", "empty", "3-d"])
+    def test_rejects_wrong_shape(self, entries):
+        with pytest.raises(ParameterError, match="2-D matrix"):
+            FixedMatrix(entries)
+
     def test_pilots_must_be_signs(self):
         with pytest.raises(ParameterError):
             ToeplitzPilot(pilots=(1.0, 0.5), p=1)

@@ -25,15 +25,18 @@ from lsqbounds.montecarlo import (
     EventDiagnostics,
     ExperimentSpec,
     RangeExhaustedError,
+    RankDeficiencyError,
     SimulationQualityError,
+    _trials,
     find_empirical_n,
+    gram_solve,
     run_event_diagnostics,
     run_tail,
     sweep,
     wilson_interval,
 )
 from lsqbounds.params import Accuracy, ParameterError
-from lsqbounds.presets import channel_pilot_design, fig2_models, fir_mds_with_param
+from lsqbounds.presets import channel_pilot_design, fig2_models, fig5_models, fir_mds_with_param
 
 from helpers import gaussian_cdf
 
@@ -76,6 +79,107 @@ class TestWilsonInterval:
             if est.ci_low <= exact <= est.ci_high:
                 covered += 1
         assert covered >= 0.93 * repeats
+
+
+def ls_solve(A, x):
+    """Least-squares solution through the trial kernel's rank-checked solve."""
+    return gram_solve(A.T @ A, A.T @ x)
+
+
+class TestGramSolve:
+    def test_consistent_system_exact(self):
+        A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        theta = ls_solve(A, np.array([1.0, 2.0, 3.0]))
+        np.testing.assert_allclose(theta, [1.0, 2.0], rtol=1e-14)
+
+    def test_orthonormal_columns_give_projection(self):
+        # tall matrix with orthonormal columns: the solution is A^T x
+        A = np.array([[1.0, 1.0], [1.0, -1.0], [1.0, 1.0], [1.0, -1.0]]) / 2.0
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal(4)
+        np.testing.assert_allclose(ls_solve(A, x), A.T @ x, rtol=1e-12, atol=1e-14)
+
+    def test_recovers_truth_with_tiny_noise(self):
+        rng = np.random.default_rng(6)
+        A = rng.uniform(-1.0, 1.0, (50, 3))
+        theta0 = np.array([0.5, -1.5, 2.0])
+        x = A @ theta0 + 1e-12 * rng.standard_normal(50)
+        theta = ls_solve(A, x)
+        assert np.max(np.abs(theta - theta0)) <= 1e-9
+
+    def test_residual_orthogonality(self):
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            A = rng.uniform(-1.0, 1.0, (30, 4))
+            x = rng.standard_normal(30)
+            theta = ls_solve(A, x)
+            resid = A.T @ (x - A @ theta)
+            assert np.max(np.abs(resid)) <= 1e-9 * max(np.max(np.abs(A.T @ x)), 1e-30)
+
+    @pytest.mark.parametrize(
+        "A",
+        [
+            [[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]],
+            # near-collinear: LAPACK factors it, but the squared pivot L_11^2
+            # = 1.4e-12 falls below 1e-12 * trace = 2.8e-11
+            [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0 + 2e-6]],
+        ],
+        ids=["collinear", "near-collinear"],
+    )
+    def test_rank_deficiency(self, A):
+        A = np.array(A)
+        with pytest.raises(RankDeficiencyError):
+            ls_solve(A, np.array([1.0, 2.0, 3.0]))
+
+    def test_error_decomposition_euclidean(self):
+        # max-coordinate error <= lambda_tilde(A) * ||A^T v / N||_2 per instance
+        rng = np.random.default_rng(8)
+        theta0 = np.array([1.0, 1.0, 1.0])
+        for _ in range(50):
+            A = rng.uniform(-1.0, 1.0, (40, 3))
+            v = rng.standard_normal(40)
+            theta = ls_solve(A, A @ theta0 + v)
+            lam_tilde = 1.0 / np.linalg.eigvalsh(A.T @ A / 40.0)[0]
+            proj = A.T @ v / 40.0
+            err = np.max(np.abs(theta - theta0))
+            assert err <= lam_tilde * np.linalg.norm(proj) + 1e-9
+
+
+class TestTrialGram:
+    """_diag_chunk reads lambda_min off the G that _trials yields, once per
+    new G.  That equals the symmetrized (1/N) A^T A only if G is exactly
+    symmetric, and it is computed once per chunk only if a fixed design
+    yields one G object."""
+
+    @staticmethod
+    def grams(design, N, trials=4):
+        spec = ExperimentSpec(design, Gaussian(1.0), N=N, r=1.0, trials=trials, base_seed=N)
+        return [(A, G) for A, G, _, _ in _trials(spec, 0, trials)]
+
+    @pytest.mark.parametrize("law", ["scaled-uniform", "scaled-rademacher"])
+    @pytest.mark.parametrize("p", range(1, 9))
+    def test_random_design(self, law, p):
+        design = IidBoundedColumns(tuple(0.3 + 0.2 * k for k in range(p)), law)
+        for N in (p + 1, 97, 6000):
+            for A, G in self.grams(design, N):
+                assert np.array_equal(G, G.T)
+                assert np.array_equal(G, A.T @ A)
+
+    @pytest.mark.parametrize(
+        "design",
+        [
+            channel_pilot_design(p=8),
+            FixedMatrix(np.asfortranarray(np.random.default_rng(1).uniform(-1.0, 1.0, (50, 3)))),
+        ],
+        ids=["toeplitz", "fixed-matrix"],
+    )
+    def test_fixed_design_one_symmetric_gram(self, design):
+        for N in ((40, 714, 3000) if isinstance(design, ToeplitzPilot) else (50,)):
+            grams = self.grams(design, N)
+            A, G = grams[0]
+            assert np.array_equal(G, G.T)
+            assert np.array_equal(G, A.T @ A)
+            assert all(a is A and g is G for a, g in grams)
 
 
 class TestRunTail:
@@ -224,6 +328,21 @@ class TestPinnedSeededCounts:
             linf_decomp_violations=8,
         )
 
+    def test_fixed_design_event_diagnostics_two_workers(self):
+        # Recorded with the Gram matrix formed once for the solve and again
+        # for the eigenvalue check.
+        design, noise = fig5_models()
+        spec = ExperimentSpec(design, noise, N=40, r=0.05, trials=500, base_seed=5, diagnostics=True)
+        assert run_event_diagnostics(spec, workers=2) == EventDiagnostics(
+            trials=500,
+            freq_e_rand=0.0,
+            freq_e2=(0.0,) * 8,
+            freq_e3=(0.058, 0.04, 0.048, 0.046, 0.072, 0.078, 0.036, 0.054),
+            lemma1_violations=0,
+            identity_violations=0,
+            linf_decomp_violations=1,
+        )
+
 
 class TestSweep:
     DESIGN = IidBoundedColumns((math.sqrt(0.2), 1.0), "scaled-uniform")
@@ -284,6 +403,24 @@ class TestSweep:
                 sweep(base, axis, values, "fixed_mds", eps=0.05)
         (row,) = sweep(base, "N", [400], "fixed_mds")
         assert row.axis_value == 400 and row.trials == 40
+
+    @pytest.mark.parametrize("route", ["n-axis", "fixed-design"])
+    def test_beta_as_printed_only_where_beta_is_evaluated(self, route):
+        if route == "n-axis":
+            args = (self.base(), "N", [400], "main")
+        else:
+            design, noise = fig5_models()
+            base = ExperimentSpec(design, noise, N=40, r=0.05, trials=40, base_seed=3)
+            args = (base, "r", [0.05], "fixed_mds", 0.01)
+        with pytest.raises(ParameterError, match="beta_as_printed"):
+            sweep(*args, beta_as_printed=True)
+        assert sweep(*args)
+
+    def test_beta_as_printed_on_random_r_axis(self):
+        (row,) = sweep(self.base(), "r", [0.5], "main", eps=0.01, beta_as_printed=True)
+        params = implied_problem_params(self.DESIGN, self.NOISE)
+        bd = bounds.n_main(Accuracy(r=0.5, eps=0.01), params, beta_as_printed=True)
+        assert (row.n_bound_real, row.n_bound_ceil) == (bd.n_final, bd.n_ceil)
 
 
 class TestFindEmpiricalN:
