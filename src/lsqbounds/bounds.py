@@ -43,6 +43,7 @@ from .params import (
     ParameterError,
     ProblemParams,
     make_breakdown,
+    require_square_in_range,
 )
 
 TAU_GRID_STEP = 0.01
@@ -120,6 +121,7 @@ def _gamma(s, a2r2: float):
 def _scaled_floor(const: float, scale: float, r: float, params: ProblemParams) -> float:
     """const * alpha^2 * scale^2 / (sigma_min^2 * r^2), the shape of every
     first term."""
+    require_square_in_range((("r", r), ("sigma_min * r", params.sigma_min * r)))
     return const * params.alpha**2 * scale**2 / (params.sigma_min**2 * r**2)
 
 
@@ -231,11 +233,11 @@ def n_main(
     acc: Accuracy, params: ProblemParams, beta_as_printed: bool = False
 ) -> BoundBreakdown:
     """Sample-count bound for i.i.d. sub-Gaussian noise on a random design."""
-    params.require_R()
+    n1 = n1_main(acc, params)  # first: it requires R and checks the range of sigma_min * r
     v2, s2 = n2_main(acc, params, beta_as_printed)
     v3, s3 = n3_main(acc, params)
     terms = {
-        "n1": n1_main(acc, params),
+        "n1": n1,
         "n2": v2,
         "n3": v3,
         "n_rand": n_rand(acc.eps, 3.0 * params.p, params),

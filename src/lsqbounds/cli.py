@@ -25,9 +25,9 @@ from .montecarlo import (
     ExperimentSpec,
     RangeExhaustedError,
     SimulationQualityError,
+    _result_rows,
     _sweep_rows,
     run_event_diagnostics,
-    sweep,
 )
 from .optimize import NoFinitePointError
 from .params import Accuracy, DomainError, ParameterError, ProblemParams
@@ -98,7 +98,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         diagnostics=cfg.diagnostics,
     )
     row_args = (base, cfg.axis_name, cfg.axis_values, cfg.theorem, cfg.eps, cfg.beta_as_printed)
-    rows = sweep(*row_args, workers=args.workers)
+    sweep_rows = list(_sweep_rows(*row_args))
+    rows = _result_rows(base, cfg.axis_name, sweep_rows, args.workers)
     write_result_csv(cfg.csv_path, rows)
     if cfg.svg_path is not None:
         xs = [row.axis_value for row in rows]
@@ -113,7 +114,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             y_label="bound / p_hat",
         )
     if cfg.diagnostics:
-        for value, spec, params, _ in _sweep_rows(*row_args):
+        for value, spec, params, _ in sweep_rows:
             diag = run_event_diagnostics(spec, params=params, workers=args.workers)
             print(dump_json({"axis_value": float(value), **asdict(diag)}))
     return EXIT_OK

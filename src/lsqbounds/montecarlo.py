@@ -140,47 +140,57 @@ def gram_solve(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(G, rhs)
 
 
-def _trials(spec: ExperimentSpec, start: int, stop: int):
-    """Yield (A, G, v, err) for trials start..stop-1, where G = A^T A and
-    err = G^{-1} A^T v is the least-squares estimation error; err is None for
-    a rank-deficient draw.  A non-random design is materialized once, with G
-    and its solve map G^{-1} A^T, and A and G are yielded as the same arrays
-    for every trial.  numpy forms A^T A of a C-ordered A by SYRK and copies
-    the triangle, so G is exactly symmetric.
+def _trials(spec: ExperimentSpec, start: int, stop: int, sizes=None):
+    """Yield (A, G, v, err) for trials start..stop-1 and, within a trial, for
+    each N of sizes (default spec.N): A and v are the first N rows of the
+    trial's design and noise, drawn once at the largest N (every sampler is
+    prefix-consistent), G = A^T A, and err = G^{-1} A^T v is the estimation
+    error, None for a rank-deficient draw.  A non-random design is
+    materialized once, with G and its solve map G^{-1} A^T per N, and yielded
+    as the same arrays for every trial.  numpy forms A^T A of a C-ordered A
+    or row prefix by SYRK and copies the triangle, so G is exactly symmetric.
     """
+    sizes = (spec.N,) if sizes is None else sizes
+    n_max = max(sizes)
     random_design = design_is_random(spec.design)
     if not random_design:
-        A = sample_design(spec.design, spec.N, SeedSpec(spec.base_seed, 0, "design"))
-        G = A.T @ A
+        A = sample_design(spec.design, n_max, SeedSpec(spec.base_seed, 0, "design"))
+        grams = [(A[:N], A[:N].T @ A[:N]) for N in sizes]
         try:
-            solve_map = gram_solve(G, A.T)
+            fixed = [(a, G, gram_solve(G, a.T)) for a, G in grams]
         except RankDeficiencyError as exc:
             raise SimulationQualityError(
                 f"fixed design is rank deficient; every trial would be invalid ({exc})"
             ) from exc
     for t in range(start, stop):
-        v = sample_noise(spec.noise, spec.N, SeedSpec(spec.base_seed, t, "noise"))
+        v = sample_noise(spec.noise, n_max, SeedSpec(spec.base_seed, t, "noise"))
         if not random_design:
-            yield A, G, v, solve_map @ v
+            for a, G, solve_map in fixed:
+                yield a, G, v[: len(a)], solve_map @ v[: len(a)]
             continue
-        A = sample_design(spec.design, spec.N, SeedSpec(spec.base_seed, t, "design"))
-        G = A.T @ A
-        try:
-            err = gram_solve(G, A.T @ v)
-        except RankDeficiencyError:
-            err = None
-        yield A, G, v, err
+        A = sample_design(spec.design, n_max, SeedSpec(spec.base_seed, t, "design"))
+        for N in sizes:
+            a, u = A[:N], v[:N]
+            G = a.T @ a
+            try:
+                err = gram_solve(G, a.T @ u)
+            except RankDeficiencyError:
+                err = None
+            yield a, G, u, err
 
 
-def _tail_chunk(spec: ExperimentSpec, start: int, stop: int) -> tuple[int, int]:
-    exceed = 0
-    invalid = 0
-    for _, _, _, err in _trials(spec, start, stop):
+def _sweep_chunk(spec: ExperimentSpec, start: int, stop: int, rows) -> np.ndarray:
+    """(exceed, invalid) counts of each (N, r) row; rows that share an N share its solve."""
+    radii = np.array([r for _, r in rows])
+    row_ids = {N: np.array([k for k, (n, _) in enumerate(rows) if n == N]) for N, _ in rows}
+    counts = np.zeros((len(rows), 2), dtype=np.int64)
+    for _, _, v, err in _trials(spec, start, stop, tuple(row_ids)):
+        ks = row_ids[len(v)]
         if err is None:
-            invalid += 1
-        elif np.max(np.abs(err)) > spec.r:
-            exceed += 1
-    return exceed, invalid
+            counts[ks, 1] += 1
+        else:
+            counts[ks, 0] += np.max(np.abs(err)) > radii[ks]
+    return counts
 
 
 def _chunk_ranges(total: int, workers: int) -> list[tuple[int, int]]:
@@ -202,27 +212,27 @@ def _run_chunks(chunk, spec: ExperimentSpec, workers: int, *args) -> list:
         return [fut.result() for fut in futures]
 
 
+def _tail_estimates(spec: ExperimentSpec, rows, workers: int) -> list[TailEstimate]:
+    """One TailEstimate per (N, r) row, from one pass over spec.trials trials
+    drawn at the largest N (spec.N is not used): one serial chunk or one pool."""
+    counts = sum(_run_chunks(_sweep_chunk, spec, workers, rows))
+    estimates = []
+    for exceed, invalid in counts.tolist():
+        if invalid > INVALID_TRIAL_LIMIT * spec.trials:
+            raise SimulationQualityError(
+                f"{invalid} of {spec.trials} trials were rank-deficient "
+                f"(limit {INVALID_TRIAL_LIMIT:.1%}); check the design model"
+            )
+        valid = spec.trials - invalid
+        lo, hi = wilson_interval(exceed, valid)
+        p_hat = exceed / valid if valid else 0.0
+        estimates.append(TailEstimate(valid, exceed, p_hat, lo, hi, spec.base_seed, invalid))
+    return estimates
+
+
 def run_tail(spec: ExperimentSpec, workers: int = 1) -> TailEstimate:
     """Estimate P(max-coordinate error > r) over spec.trials trials."""
-    parts = _run_chunks(_tail_chunk, spec, workers)
-    exceed = sum(e for e, _ in parts)
-    invalid = sum(i for _, i in parts)
-    if invalid > INVALID_TRIAL_LIMIT * spec.trials:
-        raise SimulationQualityError(
-            f"{invalid} of {spec.trials} trials were rank-deficient "
-            f"(limit {INVALID_TRIAL_LIMIT:.1%}); check the design model"
-        )
-    valid = spec.trials - invalid
-    lo, hi = wilson_interval(exceed, valid)
-    return TailEstimate(
-        trials=valid,
-        exceed_count=exceed,
-        p_hat=exceed / valid if valid else 0.0,
-        ci_low=lo,
-        ci_high=hi,
-        base_seed=spec.base_seed,
-        invalid_trials=invalid,
-    )
+    return _tail_estimates(spec, [(spec.N, spec.r)], workers)[0]
 
 
 def _diag_chunk(
@@ -392,19 +402,25 @@ def sweep(
     beta_as_printed: bool = False,
     workers: int = 1,
 ) -> list[ResultRow]:
-    """One tail run per axis value plus the matching bound evaluation.
+    """One tail estimate per axis value plus the matching bound evaluation.
 
     r-axis and eps-axis rows of a random design run at N equal to the bound's
     integer ceiling (so p_hat <= eps checks bound soundness); those of a
     non-random design run at the self-consistent N of fixed_design_bound,
     which can exceed the ceiling.  N-axis rows run at the given N and report
     the bound's outage value in the n_bound_real column.  base.N is not used.
+    All rows share one Monte-Carlo pass whose trials are drawn at the largest
+    row N; each row's counts equal those of run_tail at its own N.
     """
+    sweep_rows = list(_sweep_rows(base, axis_name, axis_values, theorem, eps, beta_as_printed))
+    return _result_rows(base, axis_name, sweep_rows, workers)
+
+
+def _result_rows(base: ExperimentSpec, axis_name: str, sweep_rows, workers: int) -> list[ResultRow]:
+    """The ResultRow of each of _sweep_rows' rows, with its tail estimate."""
+    estimates = _tail_estimates(base, [(spec.N, spec.r) for _, spec, _, _ in sweep_rows], workers)
     rows = []
-    for value, spec, _, bound in _sweep_rows(
-        base, axis_name, axis_values, theorem, eps, beta_as_printed
-    ):
-        est = run_tail(spec, workers=workers)
+    for (value, _, _, bound), est in zip(sweep_rows, estimates):
         if axis_name == "N":
             cells = (bound, None, None, None, None, None)
         else:

@@ -14,6 +14,14 @@ class DomainError(ValueError):
     """Argument outside the open domain of a formula."""
 
 
+def require_square_in_range(scales) -> None:
+    """Reject a (name, value) whose square overflows or underflows to 0."""
+    for name, x in scales:
+        if not (0 < x * x < math.inf):
+            fate = "overflows" if x * x == math.inf else "underflows to 0"
+            raise ParameterError(f"{name} = {x:g} is out of range: its square {fate}")
+
+
 @dataclass(frozen=True)
 class ProblemParams:
     """Scalars that parameterize every bound.
@@ -49,6 +57,16 @@ class ProblemParams:
             raise ParameterError(
                 f"sigma_min ({self.sigma_min}) exceeds sigma_max ({self.sigma_max})"
             )
+        if self.R is None and self.b is None:
+            raise ParameterError("at least one of R, b must be present")
+        if self.R is not None and not (self.R > 0):
+            raise ParameterError(f"R must be positive when present, got {self.R}")
+        if self.b is not None and not (self.b > 0):
+            raise ParameterError(f"b must be positive when present, got {self.b}")
+        # The bounds square alpha, sigma_min, each noise scale and alpha times it.
+        noise = [(name, x) for name, x in (("R", self.R), ("b", self.b)) if x is not None]
+        require_square_in_range([("alpha", self.alpha), ("sigma_min", self.sigma_min), *noise,
+                                 *((f"alpha * {name}", self.alpha * x) for name, x in noise)])
         # Trace bound: every eigenvalue of the second-moment matrix is at most
         # p * alpha^2 when entries are bounded by alpha.  Allow float slack.
         if self.sigma_max > self.p * self.alpha**2 * (1 + 1e-9):
@@ -56,12 +74,6 @@ class ProblemParams:
                 f"sigma_max ({self.sigma_max}) exceeds the trace bound "
                 f"p*alpha^2 = {self.p * self.alpha ** 2}"
             )
-        if self.R is None and self.b is None:
-            raise ParameterError("at least one of R, b must be present")
-        if self.R is not None and not (self.R > 0):
-            raise ParameterError(f"R must be positive when present, got {self.R}")
-        if self.b is not None and not (self.b > 0):
-            raise ParameterError(f"b must be positive when present, got {self.b}")
 
     def require_R(self) -> float:
         if self.R is None:

@@ -10,7 +10,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from lsqbounds import bounds, cli
+from lsqbounds import bounds, cli, montecarlo
 from lsqbounds.io import (
     RESULT_COLUMNS,
     ResultRow,
@@ -403,6 +403,16 @@ class TestCli:
             assert code == 2
             assert captured.err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "flags, name",
+        [("--alpha 1 --sigma-min 1e-300", "sigma_min"), ("--alpha 1e300 --sigma-min 0.5", "alpha")],
+        ids=["sigma-min-squared-underflows", "alpha-squared-overflows"],
+    )
+    def test_bound_eps_out_of_float_range_names_the_input(self, flags, name, capsys):
+        argv = f"bound-eps --r 0.5 --n 400 --p 4 --R 0.1 --sigma-max 1 {flags}".split()
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {name} = ")
+
     def test_bound_eps_json(self, capsys):
         code = cli.main(
             "bound-eps --r 0.5 --n 256 --p 4 --alpha 1 --R 0.1 --sigma-min 1 --sigma-max 1".split()
@@ -633,6 +643,21 @@ class TestSimulateFixedDesign:
         assert cli.main(["simulate", "--config", _write_config(tmp_path, cfg)]) == 2
         assert "only on the N axis" in capsys.readouterr().err
         assert not (tmp_path / "never.csv").exists()
+
+    def test_diagnostics_reuse_the_rows(self, tmp_path, capsys, monkeypatch):
+        # The self-consistent N search runs once per row, not again for the
+        # diagnostics runs.
+        calls = []
+
+        def counted(acc, design, noise):
+            calls.append(acc.r)
+            return fixed_design_bound(acc, design, noise)
+
+        monkeypatch.setattr(montecarlo, "fixed_design_bound", counted)
+        cfg = self.fig5_config(tmp_path, 3, 40)
+        cfg["diagnostics"] = True
+        assert cli.main(["simulate", "--config", _write_config(tmp_path, cfg)]) == 0
+        assert calls == [0.05, 0.1, 0.2]
 
     def test_diagnostics_run_at_each_rows_n(self, tmp_path, capsys):
         design = channel_pilot_design(p=4, length=2048, seed=5)

@@ -7,16 +7,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lsqbounds import bounds
+from lsqbounds import bounds, montecarlo
 from lsqbounds.io import ResultRow
 from lsqbounds.models import (
+    FirMds,
     FixedMatrix,
     Gaussian,
+    GaussianMixture,
     IidBoundedColumns,
     Rademacher,
     SeedSpec,
     ToeplitzPilot,
     Uniform,
+    UniformPlusGaussian,
+    design_is_random,
     implied_problem_params,
     sample_design,
     sample_noise,
@@ -27,6 +31,8 @@ from lsqbounds.montecarlo import (
     RangeExhaustedError,
     RankDeficiencyError,
     SimulationQualityError,
+    _sweep_chunk,
+    _tail_estimates,
     _trials,
     find_empirical_n,
     gram_solve,
@@ -421,6 +427,126 @@ class TestSweep:
         params = implied_problem_params(self.DESIGN, self.NOISE)
         bd = bounds.n_main(Accuracy(r=0.5, eps=0.01), params, beta_as_printed=True)
         assert (row.n_bound_real, row.n_bound_ceil) == (bd.n_final, bd.n_ceil)
+
+
+def own_n_err_max(spec: ExperimentSpec, N: int) -> list:
+    """Oracle: the max-coordinate error of each trial drawn at N itself, by
+    sample_design, sample_noise and gram_solve; None for a rank-deficient draw."""
+    out = []
+    for t in range(spec.trials):
+        trial = 0 if not design_is_random(spec.design) else t
+        A = sample_design(spec.design, N, SeedSpec(spec.base_seed, trial, "design"))
+        v = sample_noise(spec.noise, N, SeedSpec(spec.base_seed, t, "noise"))
+        try:
+            out.append(float(np.max(np.abs(gram_solve(A.T @ A, A.T @ v)))))
+        except RankDeficiencyError:
+            out.append(None)
+    return out
+
+
+class TestOnePassSweep:
+    """A sweep draws each trial once at its largest N and reads every row off
+    the prefix; each row's counts must equal a run at the row's own N."""
+
+    # Unsorted and repeated N; a repeated N carries a different radius.
+    SIZES = (40, 12, 40, 90, 12)
+    QUANTILES = (0.5, 0.3, 0.2, 0.5, 0.45)
+    DESIGNS = {
+        "uniform": (IidBoundedColumns((1.0, 0.5), "scaled-uniform"), SIZES),
+        # At N = 3 the two sign columns collide on a quarter of the trials.
+        "rademacher": (IidBoundedColumns((1.0, 0.5), "scaled-rademacher"), (40, 3, 40, 90, 3)),
+        "toeplitz": (channel_pilot_design(p=3, length=128, seed=4), SIZES),
+        # A fixed matrix has only its own row count.
+        "fixed-matrix": (FixedMatrix(np.random.default_rng(2).uniform(-1.0, 1.0, (50, 3))), (50,) * 5),
+    }
+    NOISES = {
+        "gaussian": Gaussian(1.0),
+        "mixture": GaussianMixture(0.5, 2.0, 0.2),
+        "uniform": Uniform(1.0),
+        "uniform-plus-gaussian": UniformPlusGaussian(1.0, 0.3),
+        "rademacher": Rademacher(1.0),
+        "fir": FirMds((1.0, 0.5), 0.8, Gaussian(0.2)),
+    }
+
+    @pytest.mark.parametrize("noise", NOISES)
+    @pytest.mark.parametrize("design", DESIGNS)
+    def test_counts_match_own_n_oracle(self, design, noise):
+        design, sizes = self.DESIGNS[design]
+        spec = ExperimentSpec(design, self.NOISES[noise], N=max(sizes), r=1.0, trials=60, base_seed=17)
+        rows, expected = [], []
+        for N, q in zip(sizes, self.QUANTILES):
+            errs = own_n_err_max(spec, N)
+            valid = [e for e in errs if e is not None]
+            # A radius midway between two clearly distinct errors, so that a
+            # rounding difference between solve routes flips no comparison.
+            vals = np.sort(valid)
+            gaps = [(a + b) / 2 for a, b in zip(vals, vals[1:]) if b - a > 1e-9 * b]
+            r = float(min(gaps, key=lambda m: abs(m - np.quantile(vals, q))))
+            rows.append((N, r))
+            expected.append([sum(e > r for e in valid), len(errs) - len(valid)])
+        counts = _sweep_chunk(spec, 0, spec.trials, tuple(rows)).tolist()
+        assert counts == expected
+        assert all(exceed > 0 for exceed, _ in counts)
+        if design.p == 2 and design.entry_law == "scaled-rademacher":
+            assert all((invalid > 0) == (N == 3) for (N, _), (_, invalid) in zip(rows, counts))
+
+    @pytest.mark.parametrize("design", ["uniform", "toeplitz"])
+    def test_prefix_errors_bit_identical_to_own_n_runs(self, design):
+        design, sizes = self.DESIGNS[design]
+        spec = ExperimentSpec(design, Uniform(1.0), N=max(sizes), r=1.0, trials=20, base_seed=5)
+        distinct = tuple(dict.fromkeys(sizes))
+        one_pass = [err for *_, err in _trials(spec, 0, spec.trials, distinct)]
+        for i, N in enumerate(distinct):
+            own = [err for *_, err in _trials(replace(spec, N=N), 0, spec.trials)]
+            assert all(np.array_equal(a, b) for a, b in zip(one_pass[i :: len(distinct)], own))
+
+    def test_rows_equal_run_tail_at_own_n(self):
+        design, noise = fig2_models()
+        spec = ExperimentSpec(design, noise, N=8, r=0.15, trials=300, base_seed=7)
+        rows = [(400, 0.15), (150, 0.15), (400, 0.1), (150, 0.3)]
+        assert _tail_estimates(spec, rows, workers=1) == [
+            run_tail(replace(spec, N=N, r=r)) for N, r in rows
+        ]
+
+    def test_invalid_limit_is_per_row(self):
+        design, _ = self.DESIGNS["rademacher"]
+        spec = ExperimentSpec(design, Gaussian(1.0), N=8, r=0.5, trials=400, base_seed=3)
+        (est,) = _tail_estimates(spec, [(40, 0.5)], workers=1)
+        assert est.invalid_trials == 0
+        with pytest.raises(SimulationQualityError):
+            _tail_estimates(spec, [(40, 0.5), (3, 0.5)], workers=1)
+
+    def sweep_args(self, trials):
+        design, noise = fig5_models()
+        base = ExperimentSpec(design, noise, N=9, r=0.01, trials=trials, base_seed=21)
+        return base, "N", [1500, 600, 1500, 900], "fixed_mds"
+
+    def test_serial_equals_two_workers(self):
+        args = self.sweep_args(trials=300)
+        assert sweep(*args, workers=1) == sweep(*args, workers=2)
+
+    def test_serial_sweep_draws_each_trial_once(self, monkeypatch):
+        calls = []
+
+        def counted(model, n, seed):
+            calls.append(n)
+            return sample_noise(model, n, seed)
+
+        monkeypatch.setattr(montecarlo, "sample_noise", counted)
+        sweep(*self.sweep_args(trials=50))
+        assert calls == [1500] * 50
+
+    def test_sweep_starts_at_most_one_pool(self, monkeypatch):
+        started = []
+
+        class CountedPool(montecarlo.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountedPool)
+        sweep(*self.sweep_args(trials=300), workers=2)
+        assert len(started) == 1
 
 
 class TestFindEmpiricalN:
