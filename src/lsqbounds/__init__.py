@@ -36,11 +36,7 @@ from .models import (
     Uniform,
     UniformPlusGaussian,
     implied_problem_params,
-    noise_bound,
     random_pilots,
-    sample_design,
-    sample_noise,
-    subgaussian_param,
 )
 from .montecarlo import (
     EventDiagnostics,

@@ -1,16 +1,18 @@
 """Seeded generators for noise laws and design-matrix families.
 
-Every model is a frozen dataclass; sampling is a pure function of
-(model, count, SeedSpec), so trials can run concurrently and in any order
-without sharing RNG state.  Noise models expose a declared sub-Gaussian
-parameter and, when the law is almost surely bounded, a bound.
+Every model is a frozen dataclass whose sample(count, seed) is a pure
+function of (model, count, SeedSpec), so trials can run concurrently and in
+any order without sharing RNG state.  A noise law also declares
+subgaussian_param, a valid (not necessarily minimal) sub-Gaussian parameter,
+and bound, an almost-sure bound on |v| or None when the law is unbounded.  A
+design family declares p and random, whether a trial draws its own matrix.
+Members that are not dataclass fields never become config keys.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
-from functools import singledispatch
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -87,9 +89,18 @@ def _rademacher(rng: np.random.Generator, shape) -> np.ndarray:
 class Gaussian:
     sigma: float
 
+    bound = None
+
     def __post_init__(self) -> None:
         if not (self.sigma >= 0):
             raise ParameterError(f"sigma must be nonnegative, got {self.sigma}")
+
+    def sample(self, n: int, seed: SeedSpec) -> np.ndarray:
+        return _scale(seed.generator().standard_normal(n), self.sigma)
+
+    @property
+    def subgaussian_param(self) -> float:
+        return self.sigma
 
 
 @dataclass(frozen=True)
@@ -101,6 +112,8 @@ class GaussianMixture:
     sigma_large: float
     weight_large: float
 
+    bound = None
+
     def __post_init__(self) -> None:
         if not (0 <= self.sigma_small <= self.sigma_large):
             raise ParameterError(
@@ -108,6 +121,18 @@ class GaussianMixture:
             )
         if not (0 < self.weight_large < 1):
             raise ParameterError(f"weight_large must lie in (0,1), got {self.weight_large}")
+
+    def sample(self, n: int, seed: SeedSpec) -> np.ndarray:
+        large = seed.child(0).generator().random(n) < self.weight_large
+        z = seed.child(1).generator().standard_normal(n)
+        return z * np.where(large, self.sigma_large, self.sigma_small)
+
+    @property
+    def subgaussian_param(self) -> float:
+        # Exact: with u = s^2/2 each component's log-MGF is linear in u, so the
+        # mixture's is convex in u and vanishes at 0.  Hence 2 logMGF(s) / s^2
+        # rises with |s| towards sigma_large^2 and never exceeds it.
+        return self.sigma_large
 
 
 @dataclass(frozen=True)
@@ -118,15 +143,37 @@ class Uniform:
         if not (self.half_width >= 0):
             raise ParameterError(f"half_width must be nonnegative, got {self.half_width}")
 
+    def sample(self, n: int, seed: SeedSpec) -> np.ndarray:
+        return _scale(_to_pm1(seed.generator().random(n)), self.half_width)
+
+    @property
+    def subgaussian_param(self) -> float:
+        return self.half_width
+
+    @property
+    def bound(self) -> float:
+        return self.half_width
+
 
 @dataclass(frozen=True)
 class UniformPlusGaussian:
     half_width: float
     sigma: float
 
+    bound = None
+
     def __post_init__(self) -> None:
         if not (self.half_width >= 0 and self.sigma >= 0):
             raise ParameterError("half_width and sigma must be nonnegative")
+
+    def sample(self, n: int, seed: SeedSpec) -> np.ndarray:
+        v = Uniform(self.half_width).sample(n, seed.child(0))
+        v += Gaussian(self.sigma).sample(n, seed.child(1))
+        return v
+
+    @property
+    def subgaussian_param(self) -> float:
+        return float(np.hypot(self.half_width, self.sigma))
 
 
 @dataclass(frozen=True)
@@ -136,6 +183,17 @@ class Rademacher:
     def __post_init__(self) -> None:
         if not (self.scale >= 0):
             raise ParameterError(f"scale must be nonnegative, got {self.scale}")
+
+    def sample(self, n: int, seed: SeedSpec) -> np.ndarray:
+        return _scale(_rademacher(seed.generator(), n), self.scale)
+
+    @property
+    def subgaussian_param(self) -> float:
+        return self.scale
+
+    @property
+    def bound(self) -> float:
+        return self.scale
 
 
 @dataclass(frozen=True)
@@ -158,130 +216,26 @@ class FirMds:
         if not (self.jammer_scale >= 0):
             raise ParameterError(f"jammer_scale must be nonnegative, got {self.jammer_scale}")
 
+    def sample(self, n: int, seed: SeedSpec) -> np.ndarray:
+        jam = _scale(_rademacher(seed.child(0).generator(), n), self.jammer_scale)
+        v = np.convolve(jam, np.asarray(self.taps))[:n]
+        v += self.receiver.sample(n, seed.child(1))
+        return v
+
+    @property
+    def subgaussian_param(self) -> float:
+        jam = self.jammer_scale * float(np.sum(np.abs(self.taps)))
+        return jam + self.receiver.subgaussian_param
+
+    @property
+    def bound(self) -> float | None:
+        rb = self.receiver.bound
+        if rb is None:
+            return None
+        return self.jammer_scale * float(np.sum(np.abs(self.taps))) + rb
+
 
 NoiseModel = Gaussian | GaussianMixture | Uniform | UniformPlusGaussian | Rademacher | FirMds
-
-
-@singledispatch
-def sample_noise(model, n: int, seed: SeedSpec) -> np.ndarray:
-    raise TypeError(f"unknown noise model {type(model).__name__}")
-
-
-@sample_noise.register
-def _(model: Gaussian, n: int, seed: SeedSpec) -> np.ndarray:
-    return _scale(seed.generator().standard_normal(n), model.sigma)
-
-
-@sample_noise.register
-def _(model: GaussianMixture, n: int, seed: SeedSpec) -> np.ndarray:
-    large = seed.child(0).generator().random(n) < model.weight_large
-    z = seed.child(1).generator().standard_normal(n)
-    return z * np.where(large, model.sigma_large, model.sigma_small)
-
-
-@sample_noise.register
-def _(model: Uniform, n: int, seed: SeedSpec) -> np.ndarray:
-    return _scale(_to_pm1(seed.generator().random(n)), model.half_width)
-
-
-@sample_noise.register
-def _(model: UniformPlusGaussian, n: int, seed: SeedSpec) -> np.ndarray:
-    v = sample_noise(Uniform(model.half_width), n, seed.child(0))
-    v += sample_noise(Gaussian(model.sigma), n, seed.child(1))
-    return v
-
-
-@sample_noise.register
-def _(model: Rademacher, n: int, seed: SeedSpec) -> np.ndarray:
-    return _scale(_rademacher(seed.generator(), n), model.scale)
-
-
-@sample_noise.register
-def _(model: FirMds, n: int, seed: SeedSpec) -> np.ndarray:
-    jam = _scale(_rademacher(seed.child(0).generator(), n), model.jammer_scale)
-    v = np.convolve(jam, np.asarray(model.taps))[:n]
-    v += sample_noise(model.receiver, n, seed.child(1))
-    return v
-
-
-@singledispatch
-def subgaussian_param(model) -> float:
-    """A valid (not necessarily minimal) sub-Gaussian parameter of the law."""
-    raise TypeError(f"unknown noise model {type(model).__name__}")
-
-
-@subgaussian_param.register
-def _(model: Gaussian) -> float:
-    return model.sigma
-
-
-@subgaussian_param.register
-def _(model: Uniform) -> float:
-    return model.half_width
-
-
-@subgaussian_param.register
-def _(model: Rademacher) -> float:
-    return model.scale
-
-
-@subgaussian_param.register
-def _(model: UniformPlusGaussian) -> float:
-    return float(np.hypot(model.half_width, model.sigma))
-
-
-@subgaussian_param.register
-def _(model: GaussianMixture) -> float:
-    # Exact: with u = s^2/2 each component's log-MGF is linear in u, so the
-    # mixture's is convex in u and vanishes at 0.  Hence 2 logMGF(s) / s^2
-    # rises with |s| towards sigma_large^2 and never exceeds it.
-    return model.sigma_large
-
-
-@subgaussian_param.register
-def _(model: FirMds) -> float:
-    return model.jammer_scale * float(np.sum(np.abs(model.taps))) + subgaussian_param(
-        model.receiver
-    )
-
-
-@singledispatch
-def noise_bound(model) -> float | None:
-    """Almost-sure bound on |v|, or None when the law is unbounded."""
-    raise TypeError(f"unknown noise model {type(model).__name__}")
-
-
-@noise_bound.register
-def _(model: Gaussian) -> float | None:
-    return None
-
-
-@noise_bound.register
-def _(model: GaussianMixture) -> float | None:
-    return None
-
-
-@noise_bound.register
-def _(model: UniformPlusGaussian) -> float | None:
-    return None
-
-
-@noise_bound.register
-def _(model: Uniform) -> float | None:
-    return model.half_width
-
-
-@noise_bound.register
-def _(model: Rademacher) -> float | None:
-    return model.scale
-
-
-@noise_bound.register
-def _(model: FirMds) -> float | None:
-    rb = noise_bound(model.receiver)
-    if rb is None:
-        return None
-    return model.jammer_scale * float(np.sum(np.abs(model.taps))) + rb
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +243,11 @@ def _(model: FirMds) -> float | None:
 
 
 ENTRY_LAWS = ("scaled-rademacher", "scaled-uniform")
+
+
+def _check_rows(N: int, p: int) -> None:
+    if N <= p:
+        raise ParameterError(f"need N > p, got N = {N}, p = {p}")
 
 
 @dataclass(frozen=True)
@@ -302,6 +261,8 @@ class IidBoundedColumns:
 
     column_stddevs: tuple[float, ...]
     entry_law: str = "scaled-uniform"
+
+    random = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "column_stddevs", tuple(float(x) for x in self.column_stddevs))
@@ -319,6 +280,17 @@ class IidBoundedColumns:
         peak = max(self.column_stddevs)
         return ROOT3 * peak if self.entry_law == "scaled-uniform" else peak
 
+    def sample(self, N: int, seed: SeedSpec) -> np.ndarray:
+        _check_rows(N, self.p)
+        rng = seed.generator()
+        uniform = self.entry_law == "scaled-uniform"
+        A = _to_pm1(rng.random((N, self.p))) if uniform else _rademacher(rng, (N, self.p))
+        # Column by column: numpy runs an (N, p) * (p,) broadcast with an inner
+        # loop of length p, which costs as much as the draw itself.
+        for k, sd in enumerate(self.column_stddevs):
+            A[:, k] *= ROOT3 * sd if uniform else sd
+        return A
+
 
 @dataclass(frozen=True)
 class ToeplitzPilot:
@@ -327,6 +299,8 @@ class ToeplitzPilot:
 
     pilots: tuple[float, ...]
     p: int
+
+    random = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pilots", tuple(float(x) for x in self.pilots))
@@ -339,10 +313,24 @@ class ToeplitzPilot:
                 f"need more than p = {self.p} pilot symbols, got {len(self.pilots)}"
             )
 
+    def sample(self, N: int, seed: SeedSpec) -> np.ndarray:
+        _check_rows(N, self.p)
+        if N > len(self.pilots):
+            raise ParameterError(
+                f"need at least N = {N} pilot symbols, have {len(self.pilots)}"
+            )
+        s = np.asarray(self.pilots)
+        A = np.zeros((N, self.p))
+        for k in range(self.p):
+            A[k:, k] = s[: N - k]
+        return A
+
 
 @dataclass(frozen=True)
 class FixedMatrix:
     matrix: np.ndarray = field(metadata={"key": "entries"})
+
+    random = False
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=float, order="C")
@@ -357,12 +345,16 @@ class FixedMatrix:
     def p(self) -> int:
         return self.matrix.shape[1]
 
+    def sample(self, N: int, seed: SeedSpec) -> np.ndarray:
+        _check_rows(N, self.p)
+        if N != self.matrix.shape[0]:
+            raise ParameterError(
+                f"fixed matrix has {self.matrix.shape[0]} rows, requested N = {N}"
+            )
+        return self.matrix
+
 
 DesignModel = IidBoundedColumns | ToeplitzPilot | FixedMatrix
-
-
-def design_is_random(model: DesignModel) -> bool:
-    return isinstance(model, IidBoundedColumns)
 
 
 def random_pilots(length: int, seed: SeedSpec) -> tuple[float, ...]:
@@ -370,53 +362,6 @@ def random_pilots(length: int, seed: SeedSpec) -> tuple[float, ...]:
     if length < 1:
         raise ParameterError(f"length must be positive, got {length}")
     return tuple(_rademacher(seed.generator(), length))
-
-
-@singledispatch
-def sample_design(model, N: int, seed: SeedSpec) -> np.ndarray:
-    raise TypeError(f"unknown design model {type(model).__name__}")
-
-
-def _check_rows(N: int, p: int) -> None:
-    if N <= p:
-        raise ParameterError(f"need N > p, got N = {N}, p = {p}")
-
-
-@sample_design.register
-def _(model: IidBoundedColumns, N: int, seed: SeedSpec) -> np.ndarray:
-    _check_rows(N, model.p)
-    rng = seed.generator()
-    uniform = model.entry_law == "scaled-uniform"
-    A = _to_pm1(rng.random((N, model.p))) if uniform else _rademacher(rng, (N, model.p))
-    # Column by column: numpy runs an (N, p) * (p,) broadcast with an inner
-    # loop of length p, which costs as much as the draw itself.
-    for k, sd in enumerate(model.column_stddevs):
-        A[:, k] *= ROOT3 * sd if uniform else sd
-    return A
-
-
-@sample_design.register
-def _(model: ToeplitzPilot, N: int, seed: SeedSpec) -> np.ndarray:
-    _check_rows(N, model.p)
-    if N > len(model.pilots):
-        raise ParameterError(
-            f"need at least N = {N} pilot symbols, have {len(model.pilots)}"
-        )
-    s = np.asarray(model.pilots)
-    A = np.zeros((N, model.p))
-    for k in range(model.p):
-        A[k:, k] = s[: N - k]
-    return A
-
-
-@sample_design.register
-def _(model: FixedMatrix, N: int, seed: SeedSpec) -> np.ndarray:
-    _check_rows(N, model.p)
-    if N != model.matrix.shape[0]:
-        raise ParameterError(
-            f"fixed matrix has {model.matrix.shape[0]} rows, requested N = {N}"
-        )
-    return model.matrix
 
 
 def implied_problem_params(
@@ -427,34 +372,27 @@ def implied_problem_params(
     Random-column designs have a known diagonal second-moment matrix; pilot
     and fixed designs are materialized (N_hint rows) and measured.
     """
-    R = subgaussian_param(noise)
-    b = noise_bound(noise)
     if isinstance(design, IidBoundedColumns):
         variances = [sd * sd for sd in design.column_stddevs]
-        return ProblemParams(
-            p=design.p,
-            alpha=design.alpha,
-            sigma_min=min(variances),
-            sigma_max=max(variances),
-            R=R if R > 0 else None,
-            b=b,
-        )
-    if N_hint is None:
-        raise ParameterError("N_hint is required to materialize a non-random design")
-    A = sample_design(design, N_hint, SeedSpec(0, 0, "design"))
-    eigs = np.linalg.eigvalsh(A.T @ A / N_hint)
-    lam_min, lam_max = float(eigs[0]), float(eigs[-1])
-    if not (lam_min > 0):
-        raise ParameterError(f"design Gram matrix is singular (lambda_min = {lam_min})")
+        alpha, lam_min, lam_max = design.alpha, min(variances), max(variances)
+    else:
+        if N_hint is None:
+            raise ParameterError("N_hint is required to materialize a non-random design")
+        A = design.sample(N_hint, SeedSpec(0, 0, "design"))
+        eigs = np.linalg.eigvalsh(A.T @ A / N_hint)
+        lam_min, lam_max = float(eigs[0]), float(eigs[-1])
+        if not (lam_min > 0):
+            raise ParameterError(f"design Gram matrix is singular (lambda_min = {lam_min})")
+        alpha = float(np.max(np.abs(A)))
+    R = noise.subgaussian_param
     return ProblemParams(
         p=design.p,
-        alpha=float(np.max(np.abs(A))),
+        alpha=alpha,
         sigma_min=lam_min,
         sigma_max=lam_max,
         R=R if R > 0 else None,
-        b=b,
+        b=noise.bound,
     )
-
 
 # ---------------------------------------------------------------------------
 # Declarative config (used by the CLI; see io.py for the document schema).

@@ -21,10 +21,7 @@ from .models import (
     FixedMatrix,
     NoiseModel,
     SeedSpec,
-    design_is_random,
     implied_problem_params,
-    sample_design,
-    sample_noise,
 )
 from .params import Accuracy, ParameterError, ProblemParams
 
@@ -152,9 +149,9 @@ def _trials(spec: ExperimentSpec, start: int, stop: int, sizes=None):
     """
     sizes = (spec.N,) if sizes is None else sizes
     n_max = max(sizes)
-    random_design = design_is_random(spec.design)
+    random_design = spec.design.random
     if not random_design:
-        A = sample_design(spec.design, n_max, SeedSpec(spec.base_seed, 0, "design"))
+        A = spec.design.sample(n_max, SeedSpec(spec.base_seed, 0, "design"))
         grams = [(A[:N], A[:N].T @ A[:N]) for N in sizes]
         try:
             fixed = [(a, G, gram_solve(G, a.T)) for a, G in grams]
@@ -163,12 +160,12 @@ def _trials(spec: ExperimentSpec, start: int, stop: int, sizes=None):
                 f"fixed design is rank deficient; every trial would be invalid ({exc})"
             ) from exc
     for t in range(start, stop):
-        v = sample_noise(spec.noise, n_max, SeedSpec(spec.base_seed, t, "noise"))
+        v = spec.noise.sample(n_max, SeedSpec(spec.base_seed, t, "noise"))
         if not random_design:
             for a, G, solve_map in fixed:
                 yield a, G, v[: len(a)], solve_map @ v[: len(a)]
             continue
-        A = sample_design(spec.design, n_max, SeedSpec(spec.base_seed, t, "design"))
+        A = spec.design.sample(n_max, SeedSpec(spec.base_seed, t, "design"))
         for N in sizes:
             a, u = A[:N], v[:N]
             G = a.T @ a
@@ -362,7 +359,7 @@ def _sweep_rows(
         raise ParameterError(f"N-axis values must be integers, got {values}")
     if axis_name == "r" and eps is None:
         raise ParameterError("r-axis sweeps need a target eps")
-    random_design = design_is_random(base.design)
+    random_design = base.design.random
     if not random_design and theorem != "fixed_mds":
         raise ParameterError(
             f"a non-random design is covered only by the fixed_mds bound, got {theorem!r}"

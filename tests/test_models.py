@@ -1,17 +1,22 @@
 """Tests for noise/design generators, declared parameters, and seeding."""
 
 import math
+from dataclasses import fields
+from typing import get_args
 
 import mpmath
 import numpy as np
 import pytest
 
 from lsqbounds.models import (
+    CONFIG_FIELDS,
+    DesignModel,
     FirMds,
     FixedMatrix,
     Gaussian,
     GaussianMixture,
     IidBoundedColumns,
+    NoiseModel,
     Rademacher,
     SeedSpec,
     ToeplitzPilot,
@@ -20,13 +25,9 @@ from lsqbounds.models import (
     design_from_config,
     design_to_config,
     implied_problem_params,
-    noise_bound,
     noise_from_config,
     noise_to_config,
     random_pilots,
-    sample_design,
-    sample_noise,
-    subgaussian_param,
 )
 from lsqbounds.params import ParameterError
 
@@ -35,14 +36,14 @@ SEED = SeedSpec(base_seed=123, trial=0, role="noise")
 
 class TestSeedSpec:
     def test_reproducible(self):
-        a = sample_noise(Gaussian(1.0), 64, SEED)
-        b = sample_noise(Gaussian(1.0), 64, SeedSpec(123, 0, "noise"))
+        a = Gaussian(1.0).sample(64, SEED)
+        b = Gaussian(1.0).sample(64, SeedSpec(123, 0, "noise"))
         np.testing.assert_array_equal(a, b)
 
     def test_streams_differ_by_trial_and_role(self):
-        a = sample_noise(Gaussian(1.0), 64, SeedSpec(123, 0, "noise"))
-        b = sample_noise(Gaussian(1.0), 64, SeedSpec(123, 1, "noise"))
-        c = sample_noise(Gaussian(1.0), 64, SeedSpec(124, 0, "noise"))
+        a = Gaussian(1.0).sample(64, SeedSpec(123, 0, "noise"))
+        b = Gaussian(1.0).sample(64, SeedSpec(123, 1, "noise"))
+        c = Gaussian(1.0).sample(64, SeedSpec(124, 0, "noise"))
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -57,26 +58,24 @@ class TestSeedSpec:
 
 class TestSampleNoise:
     def test_degenerate_gaussian_is_zero(self):
-        np.testing.assert_array_equal(sample_noise(Gaussian(0.0), 100, SEED), np.zeros(100))
+        np.testing.assert_array_equal(Gaussian(0.0).sample(100, SEED), np.zeros(100))
 
     def test_mixture_mean_matches_law_of_large_numbers(self):
         model = GaussianMixture(0.05, 0.3, 0.1)
-        draws = sample_noise(model, 1_000_000, SEED)
+        draws = model.sample(1_000_000, SEED)
         mix_std = math.sqrt(0.9 * 0.05**2 + 0.1 * 0.3**2)
         assert abs(np.mean(draws)) <= 4.0 * mix_std / 1e3
 
     def test_single_tap_fir_equals_jammer(self):
         model = FirMds(taps=(1.0,), jammer_scale=1.0, receiver=Gaussian(0.0))
-        v = sample_noise(model, 512, SEED)
+        v = model.sample(512, SEED)
         assert set(np.unique(v)) <= {-1.0, 1.0}
 
     def test_fir_convolution_structure(self):
         # with receiver silent and taps (1, h1), v[n] - h1*j[n-1] must be +-eta
         model = FirMds(taps=(1.0, 0.5), jammer_scale=1.0, receiver=Gaussian(0.0))
-        v = sample_noise(model, 256, SEED)
-        jam = sample_noise(
-            FirMds(taps=(1.0,), jammer_scale=1.0, receiver=Gaussian(0.0)), 256, SEED
-        )
+        v = model.sample(256, SEED)
+        jam = FirMds(taps=(1.0,), jammer_scale=1.0, receiver=Gaussian(0.0)).sample(256, SEED)
         np.testing.assert_allclose(v[1:], jam[1:] + 0.5 * jam[:-1], rtol=0, atol=1e-12)
         assert v[0] == jam[0]
 
@@ -86,30 +85,30 @@ class TestSampleNoise:
             Rademacher(1.3),
             FirMds(taps=(1.0, 0.8), jammer_scale=0.5, receiver=Uniform(0.2)),
         ):
-            draws = sample_noise(model, 100_000, SEED)
-            assert np.max(np.abs(draws)) <= noise_bound(model)
+            draws = model.sample(100_000, SEED)
+            assert np.max(np.abs(draws)) <= model.bound
 
 
 class TestSubgaussianParam:
     def test_gaussian(self):
-        assert subgaussian_param(Gaussian(0.1)) == 0.1
+        assert Gaussian(0.1).subgaussian_param == 0.1
 
     def test_rademacher(self):
-        assert subgaussian_param(Rademacher(1.0)) == 1.0
+        assert Rademacher(1.0).subgaussian_param == 1.0
 
     def test_uniform(self):
-        assert subgaussian_param(Uniform(0.4)) == 0.4
+        assert Uniform(0.4).subgaussian_param == 0.4
 
     def test_uniform_plus_gaussian(self):
-        assert subgaussian_param(UniformPlusGaussian(0.3, 0.4)) == pytest.approx(0.5)
+        assert UniformPlusGaussian(0.3, 0.4).subgaussian_param == pytest.approx(0.5)
 
     def test_fir_rule(self):
         model = FirMds(taps=(1.0, 0.8, 0.64), jammer_scale=0.25, receiver=Gaussian(0.1))
-        assert subgaussian_param(model) == pytest.approx(0.25 * 2.44 + 0.1, rel=1e-12)
+        assert model.subgaussian_param == pytest.approx(0.25 * 2.44 + 0.1, rel=1e-12)
 
     def test_mixture_envelope_against_analytic_mgf(self):
         model = GaussianMixture(0.05, 0.3, 0.1)
-        R = subgaussian_param(model)
+        R = model.subgaussian_param
         # declared parameter must dominate the analytic log-MGF on a wide grid
         s = np.geomspace(1e-3 / R, 1e3 / R, 2000)
         log_mgf = np.logaddexp(
@@ -121,8 +120,8 @@ class TestSubgaussianParam:
 
     def test_mixture_envelope_against_monte_carlo_mgf(self):
         model = GaussianMixture(0.05, 0.3, 0.1)
-        R = subgaussian_param(model)
-        draws = sample_noise(model, 1_000_000, SeedSpec(77))
+        R = model.subgaussian_param
+        draws = model.sample(1_000_000, SeedSpec(77))
         for scale in (0.1, 0.5, 1.0, 2.0):
             for sign in (1.0, -1.0):
                 s = sign * scale / R
@@ -148,7 +147,7 @@ class TestSubgaussianParam:
         with mpmath.workdps(60):
             for model in models:
                 ss, sl, w = (mpmath.mpf(x) for x in (model.sigma_small, model.sigma_large, model.weight_large))
-                R2 = mpmath.mpf(subgaussian_param(model)) ** 2
+                R2 = mpmath.mpf(model.subgaussian_param) ** 2
 
                 def ratio(s):
                     mgf = (1 - w) * mpmath.exp(s * s * ss * ss / 2) + w * mpmath.exp(s * s * sl * sl / 2)
@@ -167,8 +166,8 @@ class TestSubgaussianParam:
             FirMds(taps=(1.0, 0.8, 0.64, 0.512), jammer_scale=0.2, receiver=Gaussian(0.1)),
         ]
         for k, model in enumerate(models):
-            R = subgaussian_param(model)
-            draws = sample_noise(model, 400_000, SeedSpec(1000 + k))
+            R = model.subgaussian_param
+            draws = model.sample(400_000, SeedSpec(1000 + k))
             for scale in (0.1, 0.5, 1.0, 2.0):
                 s = scale / R
                 samples = np.exp(s * draws)
@@ -184,10 +183,9 @@ class TestMartingaleProperty:
         jammer symbols, with standard errors."""
         k = len(model.taps) - 1
         seed = SeedSpec(2024, 0, "noise")
-        v = sample_noise(model, n_draws, seed)
-        jam_unit = sample_noise(
-            FirMds(taps=(1.0,), jammer_scale=1.0, receiver=Gaussian(0.0)), n_draws, seed
-        )
+        v = model.sample(n_draws, seed)
+        unit = FirMds(taps=(1.0,), jammer_scale=1.0, receiver=Gaussian(0.0))
+        jam_unit = unit.sample(n_draws, seed)
         signs = (jam_unit > 0).astype(int)
         pattern = np.zeros(n_draws - k, dtype=int)
         for lag in range(1, k + 1):
@@ -201,10 +199,9 @@ class TestMartingaleProperty:
 
     def test_single_tap_conditional_mean_zero(self):
         model = FirMds(taps=(1.0,), jammer_scale=1.0, receiver=Gaussian(0.05))
-        v = sample_noise(model, 1_000_000, SeedSpec(2024))
-        jam = sample_noise(
-            FirMds(taps=(1.0,), jammer_scale=1.0, receiver=Gaussian(0.0)), 1_000_000, SeedSpec(2024)
-        )
+        v = model.sample(1_000_000, SeedSpec(2024))
+        unit = FirMds(taps=(1.0,), jammer_scale=1.0, receiver=Gaussian(0.0))
+        jam = unit.sample(1_000_000, SeedSpec(2024))
         # condition on the previous jammer sign: no dependence for a 1-tap model
         for sign in (-1.0, 1.0):
             bucket = v[1:][jam[:-1] == sign]
@@ -240,32 +237,32 @@ class TestMartingaleProperty:
 
     def test_unconditional_mean_zero(self):
         model = FirMds(taps=(1.0, 0.8, 0.64, 0.512), jammer_scale=0.2, receiver=Gaussian(0.05))
-        v = sample_noise(model, 1_000_000, SeedSpec(55))
+        v = model.sample(1_000_000, SeedSpec(55))
         assert abs(np.mean(v)) <= 4.0 * np.std(v) / 1e3
 
 
 class TestSampleDesign:
     def test_toeplitz_layout(self):
         model = ToeplitzPilot(pilots=(1.0, -1.0, 1.0), p=2)
-        A = sample_design(model, 3, SeedSpec(0, 0, "design"))
+        A = model.sample(3, SeedSpec(0, 0, "design"))
         np.testing.assert_array_equal(A, [[1.0, 0.0], [-1.0, 1.0], [1.0, -1.0]])
 
     def test_toeplitz_deterministic(self):
         model = ToeplitzPilot(pilots=tuple(random_pilots(64, SeedSpec(9, 0, "design"))), p=4)
-        A = sample_design(model, 32, SeedSpec(111, 5, "design"))
-        B = sample_design(model, 32, SeedSpec(222, 9, "design"))
+        A = model.sample(32, SeedSpec(111, 5, "design"))
+        B = model.sample(32, SeedSpec(222, 9, "design"))
         np.testing.assert_array_equal(A, B)
 
     def test_iid_columns_gram_concentrates(self):
         model = IidBoundedColumns((1.0, 1.0), "scaled-rademacher")
-        A = sample_design(model, 100_000, SeedSpec(3, 0, "design"))
+        A = model.sample(100_000, SeedSpec(3, 0, "design"))
         G = A.T @ A / 100_000
         assert np.max(np.abs(G - np.eye(2))) < 0.02
 
     def test_iid_columns_bounded_by_alpha(self):
         for law in ("scaled-uniform", "scaled-rademacher"):
             model = IidBoundedColumns((math.sqrt(0.2), 1.0), law)
-            A = sample_design(model, 50_000, SeedSpec(4, 0, "design"))
+            A = model.sample(50_000, SeedSpec(4, 0, "design"))
             assert np.max(np.abs(A)) <= model.alpha
             # per-column bound: column stddev scales each column's support
             for i, sd in enumerate(model.column_stddevs):
@@ -274,19 +271,19 @@ class TestSampleDesign:
 
     def test_iid_columns_variances(self):
         model = IidBoundedColumns((math.sqrt(0.2), 1.0), "scaled-uniform")
-        A = sample_design(model, 200_000, SeedSpec(5, 0, "design"))
+        A = model.sample(200_000, SeedSpec(5, 0, "design"))
         np.testing.assert_allclose(np.var(A, axis=0), [0.2, 1.0], rtol=0.02)
 
     def test_fixed_matrix_verbatim(self):
         M = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
         model = FixedMatrix(M)
-        np.testing.assert_array_equal(sample_design(model, 3, SeedSpec(0, 0, "design")), M)
+        np.testing.assert_array_equal(model.sample(3, SeedSpec(0, 0, "design")), M)
         with pytest.raises(ParameterError):
-            sample_design(model, 4, SeedSpec(0, 0, "design"))
+            model.sample(4, SeedSpec(0, 0, "design"))
 
     def test_requires_more_rows_than_columns(self):
         with pytest.raises(ParameterError):
-            sample_design(IidBoundedColumns((1.0, 1.0)), 2, SeedSpec(0, 0, "design"))
+            IidBoundedColumns((1.0, 1.0)).sample(2, SeedSpec(0, 0, "design"))
 
 
 class TestFixedMatrix:
@@ -384,7 +381,7 @@ class TestSamplersMatchOneLineExpressions:
         for base in BASE_SEEDS:
             seed = SeedSpec(base, 17, "design")
             for N in (p + 1, 257, 10_000):
-                _assert_bit_identical(sample_design(model, N, seed), _plain_design(model, N, seed))
+                _assert_bit_identical(model.sample(N, seed), _plain_design(model, N, seed))
 
     @pytest.mark.parametrize(
         "model",
@@ -400,7 +397,7 @@ class TestSamplersMatchOneLineExpressions:
         for base in BASE_SEEDS:
             seed = SeedSpec(base, 17, "noise")
             for n in (2, 257, 10_000):
-                _assert_bit_identical(sample_noise(model, n, seed), _plain_noise(model, n, seed))
+                _assert_bit_identical(model.sample(n, seed), _plain_noise(model, n, seed))
 
 
 class TestPrefixConsistency:
@@ -419,25 +416,25 @@ class TestPrefixConsistency:
         ],
     )
     def test_noise(self, model):
-        full = sample_noise(model, 4001, self.SEED)
+        full = model.sample(4001, self.SEED)
         for n in (1, 2, 3, 1000, 4000):
-            np.testing.assert_array_equal(sample_noise(model, n, self.SEED), full[:n])
+            np.testing.assert_array_equal(model.sample(n, self.SEED), full[:n])
 
     @pytest.mark.parametrize("law", ["scaled-uniform", "scaled-rademacher"])
     def test_design(self, law):
         model = IidBoundedColumns((0.5, 1.0, 2.0), law)
         seed = SeedSpec(77, 4, "design")
-        full = sample_design(model, 4001, seed)
+        full = model.sample(4001, seed)
         for N in (4, 5, 1000, 4000):
-            np.testing.assert_array_equal(sample_design(model, N, seed), full[:N])
+            np.testing.assert_array_equal(model.sample(N, seed), full[:N])
 
     @pytest.mark.parametrize(
         "model", [UniformPlusGaussian(1.0, 0.5), GaussianMixture(0.1, 1.0, 0.3)]
     )
     def test_two_component_noise(self, model):
-        full = sample_noise(model, 4001, self.SEED)
+        full = model.sample(4001, self.SEED)
         for n in (1000, 4000):
-            np.testing.assert_array_equal(sample_noise(model, n, self.SEED), full[:n])
+            np.testing.assert_array_equal(model.sample(n, self.SEED), full[:n])
 
 
 class TestImpliedParams:
@@ -465,6 +462,49 @@ class TestImpliedParams:
         design = ToeplitzPilot(random_pilots(64, SeedSpec(2, 0, "design")), p=4)
         with pytest.raises(ParameterError):
             implied_problem_params(design, Gaussian(1.0))
+
+
+class TestModelInterface:
+    """Each noise law answers sample, subgaussian_param and bound; each design
+    family answers sample, random and p.  None of these members is a dataclass
+    field, so none of them is a config key."""
+
+    NOISES = (
+        Gaussian(0.3),
+        GaussianMixture(0.05, 0.31, 0.1),
+        Uniform(1.0),
+        UniformPlusGaussian(0.2, 0.1),
+        Rademacher(2.0),
+        FirMds(taps=(1.0, 0.8), jammer_scale=0.25, receiver=Uniform(0.1)),
+    )
+    DESIGNS = (
+        IidBoundedColumns((0.5, 1.0), "scaled-rademacher"),
+        ToeplitzPilot((1.0, -1.0, 1.0, 1.0), 2),
+        FixedMatrix(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])),
+    )
+
+    def test_examples_cover_every_class(self):
+        assert {type(m) for m in self.NOISES} == set(get_args(NoiseModel))
+        assert {type(m) for m in self.DESIGNS} == set(get_args(DesignModel))
+
+    @pytest.mark.parametrize("model", NOISES, ids=lambda m: type(m).__name__)
+    def test_noise_members(self, model):
+        v = model.sample(5, SEED)
+        assert v.shape == (5,) and v.dtype == np.float64
+        assert isinstance(model.subgaussian_param, float) and model.subgaussian_param > 0
+        assert model.bound is None or np.max(np.abs(v)) <= model.bound
+
+    @pytest.mark.parametrize("model", DESIGNS, ids=lambda m: type(m).__name__)
+    def test_design_members(self, model):
+        A = model.sample(3, SeedSpec(0, 0, "design"))
+        assert A.shape == (3, model.p)
+        assert model.random is isinstance(model, IidBoundedColumns)
+
+    @pytest.mark.parametrize("cls", list(CONFIG_FIELDS), ids=lambda c: c.__name__)
+    def test_config_keys_are_the_dataclass_fields(self, cls):
+        names = [f.name for f in fields(cls)]
+        assert [name for name, _ in CONFIG_FIELDS[cls].values()] == names
+        assert not {"sample", "subgaussian_param", "bound", "random"} & set(names)
 
 
 class TestConfigRoundTrip:

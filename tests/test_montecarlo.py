@@ -20,10 +20,7 @@ from lsqbounds.models import (
     ToeplitzPilot,
     Uniform,
     UniformPlusGaussian,
-    design_is_random,
     implied_problem_params,
-    sample_design,
-    sample_noise,
 )
 from lsqbounds.montecarlo import (
     EventDiagnostics,
@@ -267,8 +264,8 @@ class TestEventDiagnostics:
         rng_design = SeedSpec(6, 0, "design")
         rng_noise = SeedSpec(6, 0, "noise")
         design = IidBoundedColumns((1.0, 0.7), "scaled-uniform")
-        A = sample_design(design, 16, rng_design)
-        v = sample_noise(Uniform(1.0), 16, rng_noise)
+        A = design.sample(16, rng_design)
+        v = Uniform(1.0).sample(16, rng_noise)
         N = 16
         for i in range(2):
             diag_sum = float(np.sum(A[:, i] ** 2 * v**2)) / N**2
@@ -431,12 +428,12 @@ class TestSweep:
 
 def own_n_err_max(spec: ExperimentSpec, N: int) -> list:
     """Oracle: the max-coordinate error of each trial drawn at N itself, by
-    sample_design, sample_noise and gram_solve; None for a rank-deficient draw."""
+    the models' own samplers and gram_solve; None for a rank-deficient draw."""
     out = []
     for t in range(spec.trials):
-        trial = 0 if not design_is_random(spec.design) else t
-        A = sample_design(spec.design, N, SeedSpec(spec.base_seed, trial, "design"))
-        v = sample_noise(spec.noise, N, SeedSpec(spec.base_seed, t, "noise"))
+        trial = 0 if not spec.design.random else t
+        A = spec.design.sample(N, SeedSpec(spec.base_seed, trial, "design"))
+        v = spec.noise.sample(N, SeedSpec(spec.base_seed, t, "noise"))
         try:
             out.append(float(np.max(np.abs(gram_solve(A.T @ A, A.T @ v)))))
         except RankDeficiencyError:
@@ -527,13 +524,16 @@ class TestOnePassSweep:
 
     def test_serial_sweep_draws_each_trial_once(self, monkeypatch):
         calls = []
+        args = self.sweep_args(trials=50)
+        law = type(args[0].noise)
+        sample = law.sample
 
         def counted(model, n, seed):
             calls.append(n)
-            return sample_noise(model, n, seed)
+            return sample(model, n, seed)
 
-        monkeypatch.setattr(montecarlo, "sample_noise", counted)
-        sweep(*self.sweep_args(trials=50))
+        monkeypatch.setattr(law, "sample", counted)
+        sweep(*args)
         assert calls == [1500] * 50
 
     def test_sweep_starts_at_most_one_pool(self, monkeypatch):
