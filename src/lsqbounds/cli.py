@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from pathlib import Path
 
 from . import bounds
 from .io import (
@@ -99,6 +100,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     )
     row_args = (base, cfg.axis_name, cfg.axis_values, cfg.theorem, cfg.eps, cfg.beta_as_printed)
     sweep_rows = list(_sweep_rows(*row_args))
+    for path in (cfg.csv_path, cfg.svg_path):  # now, not after every trial has run
+        if path is not None:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
     rows = _result_rows(base, cfg.axis_name, sweep_rows, args.workers)
     write_result_csv(cfg.csv_path, rows)
     if cfg.svg_path is not None:

@@ -3,7 +3,9 @@
 Trials are independent tasks keyed by trial index; every random draw comes
 from a stream derived from (base_seed, trial, role), and aggregation is a
 commutative count-merge, so results do not depend on the worker count or
-execution order.
+execution order.  Trials run in blocks: stacked numpy calls solve and count
+a block at once, bit-identical to one call per trial, so results do not
+depend on the block size either.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ INVALID_TRIAL_LIMIT = 1e-3
 LEMMA1_TOL = 1e-9
 IDENTITY_RTOL = 1e-10
 PIVOT_RTOL = 1e-12
+BLOCK_BYTES = 1 << 19  # draws held per block of trials
 
 
 class RankDeficiencyError(ArithmeticError):
@@ -118,39 +121,74 @@ def wilson_interval(successes: int, n: int) -> tuple[float, float]:
     return (lo, hi)
 
 
+def _full_rank(G: np.ndarray) -> np.ndarray:
+    """For each Gram matrix of the stack G, whether it has a Cholesky factor L
+    whose every squared pivot L_jj^2 exceeds 1e-12 times its trace.  LAPACK
+    factors each matrix on its own; if one is not positive definite, the
+    stack is factored again one matrix at a time."""
+    try:
+        L = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        if len(G) == 1:
+            return np.zeros(1, dtype=bool)
+        return np.concatenate([_full_rank(g) for g in G[:, None]])
+    floor = PIVOT_RTOL * G.trace(axis1=1, axis2=2)
+    # libm pow, as Python's float ** 2; np.square can differ by an ulp.
+    pivot = np.float_power(L.diagonal(axis1=1, axis2=2).min(axis=1), 2.0)
+    return pivot > floor
+
+
 def gram_solve(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve G x = rhs for a Gram matrix G; rhs is a vector or a matrix.
 
-    Raises RankDeficiencyError unless G has a Cholesky factor L whose every
-    squared pivot L_jj^2 exceeds 1e-12 times the trace of G.
+    Raises RankDeficiencyError unless _full_rank accepts G.
     """
-    try:
-        L = np.linalg.cholesky(G)
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficiencyError(f"Gram matrix is not positive definite ({exc})") from None
-    floor = PIVOT_RTOL * float(np.trace(G))
-    pivot = float(np.min(np.diagonal(L))) ** 2
-    if not (pivot > floor):
+    if not _full_rank(G[None])[0]:
         raise RankDeficiencyError(
-            f"smallest pivot {pivot:.3e} below 1e-12 * trace = {floor:.3e}"
+            "Gram matrix has no Cholesky factor whose squared pivots exceed 1e-12 * trace"
         )
     return np.linalg.solve(G, rhs)
 
 
+def _stack(model, n: int, seed: int, trials: range, role: str, buf: np.ndarray) -> np.ndarray:
+    """model's draws of size n for trials, stacked on a new first axis: a lone
+    trial's own array, uncopied, or buf filled one trial at a time."""
+    if len(trials) == 1:
+        return model.sample(n, SeedSpec(seed, trials[0], role))[None]
+    for i, t in enumerate(trials):
+        buf[i] = model.sample(n, SeedSpec(seed, t, role))
+    return buf[: len(trials)]
+
+
 def _trials(spec: ExperimentSpec, start: int, stop: int, sizes=None):
-    """Yield (A, G, v, err) for trials start..stop-1 and, within a trial, for
-    each N of sizes (default spec.N): A and v are the first N rows of the
-    trial's design and noise, drawn once at the largest N (every sampler is
-    prefix-consistent), G = A^T A, and err = G^{-1} A^T v is the estimation
-    error, None for a rank-deficient draw.  A non-random design is
-    materialized once, with G and its solve map G^{-1} A^T per N, and yielded
-    as the same arrays for every trial.  numpy forms A^T A of a C-ordered A
-    or row prefix by SYRK and copies the triangle, so G is exactly symmetric.
+    """Yield (a, G, u, err, invalid) for each block of up to B consecutive
+    trials of start..stop-1 and, within a block, for each N of sizes (default
+    spec.N).  Each trial draws its noise (and a random design) from its own
+    (base_seed, trial, role) stream, once at the largest N; every sampler is
+    prefix-consistent, so u is the block's (m, N) noise prefix.  For a random
+    design, a is the (m, N, p) design prefix and G = a^T a per matrix; trials
+    whose G fails _full_rank are left out of a, G, u and err and counted in
+    invalid.  err holds each kept trial's error G^{-1} a^T u as a row.  A
+    non-random design is materialized once, with G and its solve map
+    G^{-1} A^T per N, and yielded as the same (N, p) and (p, p) arrays for
+    every block, with err = solve_map @ u per trial.  u, and a of a random
+    design, are views of buffers that the next block refills.
+
+    B is max(1, BLOCK_BYTES // (8 n_max (p + 1))) for a random design and
+    max(1, BLOCK_BYTES // (8 n_max)) for a non-random one: the size of the
+    preallocated draw buffers.  Each stacked call is bit-identical to the
+    per-trial call, since numpy runs SYRK (exactly symmetric G) and GEMV per
+    slice and LAPACK per matrix, so no count depends on B or block bounds.
     """
     sizes = (spec.N,) if sizes is None else sizes
     n_max = max(sizes)
+    p = spec.design.p
     random_design = spec.design.random
-    if not random_design:
+    block = max(1, BLOCK_BYTES // (8 * n_max * (p + 1 if random_design else 1)))
+    v_buf = np.empty((block, n_max))
+    if random_design:
+        a_buf = np.empty((block, n_max, p))
+    else:
         A = spec.design.sample(n_max, SeedSpec(spec.base_seed, 0, "design"))
         grams = [(A[:N], A[:N].T @ A[:N]) for N in sizes]
         try:
@@ -159,21 +197,24 @@ def _trials(spec: ExperimentSpec, start: int, stop: int, sizes=None):
             raise SimulationQualityError(
                 f"fixed design is rank deficient; every trial would be invalid ({exc})"
             ) from exc
-    for t in range(start, stop):
-        v = spec.noise.sample(n_max, SeedSpec(spec.base_seed, t, "noise"))
+    for lo in range(start, stop, block):
+        trials = range(lo, min(lo + block, stop))
+        V = _stack(spec.noise, n_max, spec.base_seed, trials, "noise", v_buf)
         if not random_design:
             for a, G, solve_map in fixed:
-                yield a, G, v[: len(a)], solve_map @ v[: len(a)]
+                u = V[:, : len(a)]
+                yield a, G, u, (solve_map @ u[..., None])[..., 0], 0
             continue
-        A = spec.design.sample(n_max, SeedSpec(spec.base_seed, t, "design"))
+        A = _stack(spec.design, n_max, spec.base_seed, trials, "design", a_buf)
         for N in sizes:
-            a, u = A[:N], v[:N]
-            G = a.T @ a
-            try:
-                err = gram_solve(G, a.T @ u)
-            except RankDeficiencyError:
-                err = None
-            yield a, G, u, err
+            a, u = A[:, :N], V[:, :N]
+            aT = a.swapaxes(-1, -2)
+            G, rhs = aT @ a, aT @ u[..., None]
+            ok = _full_rank(G)
+            invalid = len(ok) - np.count_nonzero(ok)
+            if invalid:
+                a, G, u, rhs = a[ok], G[ok], u[ok], rhs[ok]
+            yield a, G, u, np.linalg.solve(G, rhs)[..., 0], invalid
 
 
 def _sweep_chunk(spec: ExperimentSpec, start: int, stop: int, rows) -> np.ndarray:
@@ -181,12 +222,11 @@ def _sweep_chunk(spec: ExperimentSpec, start: int, stop: int, rows) -> np.ndarra
     radii = np.array([r for _, r in rows])
     row_ids = {N: np.array([k for k, (n, _) in enumerate(rows) if n == N]) for N, _ in rows}
     counts = np.zeros((len(rows), 2), dtype=np.int64)
-    for _, _, v, err in _trials(spec, start, stop, tuple(row_ids)):
-        ks = row_ids[len(v)]
-        if err is None:
-            counts[ks, 1] += 1
-        else:
-            counts[ks, 0] += np.max(np.abs(err)) > radii[ks]
+    for _, _, u, err, invalid in _trials(spec, start, stop, tuple(row_ids)):
+        ks = row_ids[u.shape[1]]
+        if invalid:
+            counts[ks, 1] += invalid
+        counts[ks, 0] += (np.abs(err).max(axis=1)[:, None] > radii[ks]).sum(axis=0)
     return counts
 
 
@@ -248,33 +288,31 @@ def _diag_chunk(
     identity_bad = 0
     linf_bad = 0
     G_seen = None
-    for A, G, v, err in _trials(spec, start, stop):
-        if err is None:
-            e_rand += 1  # singular Gram certainly exceeds the eigenvalue limit
-            continue
-        if G is not G_seen:  # _trials yields a fixed design's G once per chunk
-            lam_min = float(np.linalg.eigvalsh(G / spec.N)[0])
-            lam_tilde = 1.0 / lam_min if lam_min > 0 else math.inf
+    for a, G, u, err, invalid in _trials(spec, start, stop):
+        e_rand += invalid  # a singular Gram certainly exceeds the eigenvalue limit
+        if G is not G_seen:  # a fixed design yields one G object for every block
+            lam_min = np.linalg.eigvalsh(G / spec.N)[..., 0]
+            lam_tilde = np.divide(1.0, lam_min, out=np.full_like(lam_min, np.inf), where=lam_min > 0)
             G_seen = G
-
-        s_vec = (A.T @ v) / spec.N
+        lam = np.broadcast_to(lam_tilde, len(u))
+        s_vec = (a.swapaxes(-1, -2) @ u[..., None])[..., 0] / spec.N
         total_sq = s_vec**2
-        diag_sum = (A * A).T @ (v * v) / spec.N**2
+        diag_sum = ((a * a).swapaxes(-1, -2) @ (u * u)[..., None])[..., 0] / spec.N**2
         off_sum = total_sq - diag_sum
-        e2 += diag_sum > threshold
-        e3 += off_sum > threshold
-        e_rand += lam_tilde > tilde_limit
-        err_max = float(np.max(np.abs(err)))
-        if err_max > lam_tilde * float(np.linalg.norm(s_vec)) + LEMMA1_TOL:
-            lemma1_bad += 1
-        if err_max > lam_tilde * float(np.max(np.abs(s_vec))) + LEMMA1_TOL:
-            linf_bad += 1
+        e2 += np.count_nonzero(diag_sum > threshold, axis=0)
+        e3 += np.count_nonzero(off_sum > threshold, axis=0)
+        e_rand += np.count_nonzero(lam > tilde_limit)
+        err_max = np.max(np.abs(err), axis=1)
+        norm = np.sqrt((s_vec[:, None, :] @ s_vec[:, :, None])[:, 0, 0])  # a dot per row, as norm
+        with np.errstate(invalid="ignore"):  # inf * 0 is nan; err_max > nan is no violation
+            lemma1_bad += np.count_nonzero(err_max > lam * norm + LEMMA1_TOL)
+            linf_bad += np.count_nonzero(err_max > lam * np.max(np.abs(s_vec), axis=1) + LEMMA1_TOL)
         scale = np.maximum.reduce(
             [np.abs(total_sq), np.abs(diag_sum), np.abs(off_sum), np.full_like(total_sq, 1e-300)]
         )
-        if np.any(np.abs(diag_sum + off_sum - total_sq) > IDENTITY_RTOL * scale):
-            identity_bad += 1
-    return e2, e3, e_rand, lemma1_bad, identity_bad, linf_bad
+        residual = np.abs(diag_sum + off_sum - total_sq)
+        identity_bad += np.count_nonzero(np.any(residual > IDENTITY_RTOL * scale, axis=1))
+    return e2, e3, int(e_rand), int(lemma1_bad), int(identity_bad), int(linf_bad)
 
 
 def run_event_diagnostics(

@@ -465,6 +465,24 @@ class TestCli:
         assert cli.main(["simulate", "--config", str(cfg_path)]) == 0
         assert (tmp_path / "out.csv").read_bytes() == first
 
+    def test_simulate_creates_output_directories(self, tmp_path):
+        out = tmp_path / "a" / "b"
+        cfg = {
+            "schema_version": "1",
+            "theorem": "main",
+            "design": {"kind": "iid-bounded-columns", "column_stddevs": [1.0], "entry_law": "scaled-uniform"},
+            "noise": {"kind": "uniform", "half_width": 1.0},
+            "eps": 0.05,
+            "axis": {"name": "r", "values": [0.5]},
+            "trials": 20,
+            "output": {"csv": str(out / "sim.csv"), "svg": str(out / "sim.svg")},
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert cli.main(["simulate", "--config", str(cfg_path)]) == 0
+        assert read_result_csv(out / "sim.csv")[0].trials == 20
+        assert (out / "sim.svg").read_text(encoding="utf-8").startswith("<svg")
+
     def test_simulate_single_trial_phat_binary(self, tmp_path):
         cfg = {
             "schema_version": "1",

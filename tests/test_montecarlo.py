@@ -150,14 +150,19 @@ class TestGramSolve:
 
 class TestTrialGram:
     """_diag_chunk reads lambda_min off the G that _trials yields, once per
-    new G.  That equals the symmetrized (1/N) A^T A only if G is exactly
-    symmetric, and it is computed once per chunk only if a fixed design
-    yields one G object."""
+    new G: one stacked G per block of a random design, one (p, p) G for every
+    block of a fixed one.  That equals the symmetrized (1/N) A^T A only if
+    each trial's G is exactly symmetric, and it is computed once per chunk
+    only if a fixed design yields one G object."""
 
     @staticmethod
     def grams(design, N, trials=4):
         spec = ExperimentSpec(design, Gaussian(1.0), N=N, r=1.0, trials=trials, base_seed=N)
-        return [(A, G) for A, G, _, _ in _trials(spec, 0, trials)]
+        return [
+            (a, G) if a.ndim == 2 else (a[i].copy(), G[i])  # the next block reuses a's buffer
+            for a, G, u, _, _ in _trials(spec, 0, trials)
+            for i in range(len(u))
+        ]
 
     @pytest.mark.parametrize("law", ["scaled-uniform", "scaled-rademacher"])
     @pytest.mark.parametrize("p", range(1, 9))
@@ -492,10 +497,14 @@ class TestOnePassSweep:
         design, sizes = self.DESIGNS[design]
         spec = ExperimentSpec(design, Uniform(1.0), N=max(sizes), r=1.0, trials=20, base_seed=5)
         distinct = tuple(dict.fromkeys(sizes))
-        one_pass = [err for *_, err in _trials(spec, 0, spec.trials, distinct)]
-        for i, N in enumerate(distinct):
-            own = [err for *_, err in _trials(replace(spec, N=N), 0, spec.trials)]
-            assert all(np.array_equal(a, b) for a, b in zip(one_pass[i :: len(distinct)], own))
+        one_pass = [(u.shape[1], row) for _, _, u, err, _ in _trials(spec, 0, spec.trials, distinct)
+                    for row in err]
+        for N in distinct:
+            own = [err for _, _, _, block, _ in _trials(replace(spec, N=N), 0, spec.trials)
+                   for err in block]
+            prefix = [err for n, err in one_pass if n == N]
+            assert len(prefix) == len(own) == spec.trials
+            assert all(np.array_equal(a, b) for a, b in zip(prefix, own))
 
     def test_rows_equal_run_tail_at_own_n(self):
         design, noise = fig2_models()
@@ -547,6 +556,142 @@ class TestOnePassSweep:
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountedPool)
         sweep(*self.sweep_args(trials=300), workers=2)
         assert len(started) == 1
+
+
+def oracle_diagnostics(spec: ExperimentSpec) -> EventDiagnostics:
+    """Oracle: run_event_diagnostics one trial at a time, by the models' own
+    samplers and gram_solve and the per-trial event formulas."""
+    sigma_min = implied_problem_params(spec.design, spec.noise, N_hint=spec.N).sigma_min
+    N, p = spec.N, spec.design.p
+    threshold = sigma_min**2 * spec.r**2 / 8.0
+    tilde_limit = 2.0 / sigma_min
+    e2 = np.zeros(p, dtype=np.int64)
+    e3 = np.zeros(p, dtype=np.int64)
+    e_rand = lemma1_bad = identity_bad = linf_bad = 0
+    for t in range(spec.trials):
+        A = spec.design.sample(N, SeedSpec(spec.base_seed, t if spec.design.random else 0, "design"))
+        v = spec.noise.sample(N, SeedSpec(spec.base_seed, t, "noise"))
+        G = A.T @ A
+        try:
+            # A fixed design solves through its solve map, as the harness does.
+            err = gram_solve(G, A.T @ v) if spec.design.random else gram_solve(G, A.T) @ v
+        except RankDeficiencyError:
+            e_rand += 1
+            continue
+        lam_min = float(np.linalg.eigvalsh(G / N)[0])
+        lam_tilde = 1.0 / lam_min if lam_min > 0 else math.inf
+        s_vec = (A.T @ v) / N
+        total_sq = s_vec**2
+        diag_sum = (A * A).T @ (v * v) / N**2
+        off_sum = total_sq - diag_sum
+        e2 += diag_sum > threshold
+        e3 += off_sum > threshold
+        e_rand += lam_tilde > tilde_limit
+        err_max = float(np.max(np.abs(err)))
+        lemma1_bad += err_max > lam_tilde * float(np.linalg.norm(s_vec)) + montecarlo.LEMMA1_TOL
+        linf_bad += err_max > lam_tilde * float(np.max(np.abs(s_vec))) + montecarlo.LEMMA1_TOL
+        scale = np.maximum.reduce(
+            [np.abs(total_sq), np.abs(diag_sum), np.abs(off_sum), np.full_like(total_sq, 1e-300)]
+        )
+        identity_bad += bool(
+            np.any(np.abs(diag_sum + off_sum - total_sq) > montecarlo.IDENTITY_RTOL * scale)
+        )
+    n = spec.trials
+    return EventDiagnostics(
+        trials=n,
+        freq_e_rand=e_rand / n,
+        freq_e2=tuple(float(x) for x in e2 / n),
+        freq_e3=tuple(float(x) for x in e3 / n),
+        lemma1_violations=lemma1_bad,
+        identity_violations=identity_bad,
+        linf_decomp_violations=linf_bad,
+    )
+
+
+FIG3_DESIGN, FIG3_NOISE = IidBoundedColumns((1.0,) * 4, "scaled-uniform"), Gaussian(10.0)
+# Two sign columns collide on a quarter of the trials at N = 3.
+SIGNS_2 = IidBoundedColumns((1.0, 1.0), "scaled-rademacher")
+
+
+class TestTrialBlocks:
+    """_trials runs trials in blocks of B, with stacked solves and stacked
+    event reductions; no count may depend on where the blocks start and end,
+    and each must equal the per-trial computation."""
+
+    CASES = {
+        "uniform": (
+            IidBoundedColumns((1.0, 0.5), "scaled-uniform"), Gaussian(1.0), ((90, 0.15), (12, 0.5), (90, 0.3))
+        ),
+        "toeplitz": (channel_pilot_design(p=8), fir_mds_with_param(0.1), ((900, 0.003), (300, 0.005))),
+        "rademacher": (SIGNS_2, Gaussian(1.0), ((3, 1.0), (3, 2.0))),
+    }
+
+    @staticmethod
+    def split_spec(case):
+        """A spec of the case at its largest N whose trial count T is not a
+        multiple of the block size B, and the sub-ranges split at 1, B - 1 and B + 1."""
+        design, noise, rows = case
+        n_max = max(N for N, _ in rows)
+        per_row = 8 * n_max * (design.p + 1 if design.random else 1)
+        B = max(1, montecarlo.BLOCK_BYTES // per_row)
+        T = B + 7
+        assert B > 7 and T % B
+        spec = ExperimentSpec(design, noise, N=n_max, r=rows[0][1], trials=T, base_seed=31, diagnostics=True)
+        cuts = [0, 1, B - 1, B + 1, T]
+        return spec, list(zip(cuts, cuts[1:]))
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_sweep_counts_do_not_depend_on_blocks(self, case, monkeypatch):
+        raised = []
+        cholesky = np.linalg.cholesky
+
+        def counted(G):
+            try:
+                return cholesky(G)
+            except np.linalg.LinAlgError:
+                raised.append(len(G))
+                raise
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        rows = self.CASES[case][2]
+        spec, ranges = self.split_spec(self.CASES[case])
+        whole = _sweep_chunk(spec, 0, spec.trials, rows)
+        assert np.array_equal(whole, sum(_sweep_chunk(spec, a, b, rows) for a, b in ranges))
+        assert all(0 < exceed < spec.trials for exceed, _ in whole.tolist())
+        if case == "rademacher":
+            invalid = sum(e is None for e in own_n_err_max(spec, 3))
+            assert invalid > 0 and whole[:, 1].tolist() == [invalid, invalid]
+            assert any(n > 1 for n in raised)  # a stack with a singular Gram fell back per matrix
+        else:
+            assert not whole[:, 1].any()
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_diag_counts_do_not_depend_on_blocks(self, case):
+        spec, ranges = self.split_spec(self.CASES[case])
+        sigma_min = implied_problem_params(spec.design, spec.noise, N_hint=spec.N).sigma_min
+        whole = montecarlo._diag_chunk(spec, 0, spec.trials, sigma_min)
+        parts = [montecarlo._diag_chunk(spec, a, b, sigma_min) for a, b in ranges]
+        for field, total in zip(whole, zip(*parts)):
+            assert np.array_equal(field, sum(total))
+        assert whole[0].any() and whole[1].any()
+        assert (whole[2] > 0) == (case == "rademacher")
+
+    @pytest.mark.parametrize(
+        "design,noise,N,r",
+        [
+            (FIG3_DESIGN, FIG3_NOISE, 5, 12.0),
+            (FIG3_DESIGN, FIG3_NOISE, 200, 2.0),
+            (FIG3_DESIGN, FIG3_NOISE, 665, 1.1),
+            (channel_pilot_design(p=8), fir_mds_with_param(0.1), 900, 0.005),
+            (SIGNS_2, Gaussian(1.0), 3, 1.0),
+        ],
+        ids=["fig3-N5", "fig3-N200", "fig3-N665", "toeplitz-N900", "rademacher-N3"],
+    )
+    def test_diagnostics_match_per_trial_oracle(self, design, noise, N, r):
+        spec = ExperimentSpec(design, noise, N=N, r=r, trials=300, base_seed=13, diagnostics=True)
+        got = run_event_diagnostics(spec)
+        assert repr(got) == repr(oracle_diagnostics(spec))
+        assert any(got.freq_e2) and any(got.freq_e3)
 
 
 class TestFindEmpiricalN:
