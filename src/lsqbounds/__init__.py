@@ -51,11 +51,11 @@ from .montecarlo import (
     sweep,
     wilson_interval,
 )
-from .optimize import InfimumResult, NoFinitePointError, infimum_1d
 from .params import (
     Accuracy,
     BoundBreakdown,
     DomainError,
+    NoFinitePointError,
     OutageBreakdown,
     ParameterError,
     ProblemParams,

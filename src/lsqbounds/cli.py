@@ -30,8 +30,7 @@ from .montecarlo import (
     _sweep_rows,
     run_event_diagnostics,
 )
-from .optimize import NoFinitePointError
-from .params import Accuracy, DomainError, ParameterError, ProblemParams
+from .params import Accuracy, DomainError, NoFinitePointError, ParameterError, ProblemParams
 from .presets import DEFAULT_SEED, DEFAULT_TRIALS, FIGURE_IDS, reproduce
 from .svg import write_line_plot
 

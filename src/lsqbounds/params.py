@@ -14,6 +14,10 @@ class DomainError(ValueError):
     """Argument outside the open domain of a formula."""
 
 
+class NoFinitePointError(RuntimeError):
+    """An inner Chernoff problem has no feasible point: its slack is empty."""
+
+
 def require_square_in_range(scales) -> None:
     """Reject a (name, value) whose square overflows or underflows to 0."""
     for name, x in scales:
@@ -98,6 +102,14 @@ class Accuracy:
             raise ParameterError(f"r must be positive and finite, got {self.r}")
         if not (0 < self.eps < 1):
             raise ParameterError(f"eps must lie in (0,1), got {self.eps}")
+
+
+@dataclass(frozen=True)
+class InfimumResult:
+    """An inner optimum: its value and the point that attains it."""
+
+    value: float
+    argmin: float
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,7 @@ import pytest
 
 from lsqbounds import bounds
 from lsqbounds.bounds import _n2_infimum, _n3_infimum, _tau_inner_max
-from lsqbounds.optimize import InfimumResult
-from lsqbounds.params import Accuracy, DomainError, ParameterError, ProblemParams
+from lsqbounds.params import Accuracy, DomainError, InfimumResult, ParameterError, ProblemParams
 
 from helpers import (
     beta_proof,
@@ -321,11 +320,23 @@ class TestNMainTau:
         assert bd.n_final <= bounds.n_main(acc, params).n_final
 
     def test_never_looser_than_main_on_broad_draws(self):
-        # tau = 1/2 alone gives terms at most n_main's, so the weight search
-        # must never return more than n_main over many decades of parameters.
+        # The weight search evaluates its whole 0.01-step grid exactly and
+        # keeps the best point, so over many decades of parameters it never
+        # returns more than its grid minimum; tau = 1/2 is on that grid and
+        # gives terms at most n_main's, so it never returns more than n_main.
         for params, acc in broad_problem_sets(300, seed=2024):
             tau = bounds.n_main_tau(acc, params).n_final
             assert tau <= bounds.n_main(acc, params).n_final * (1 + 1e-12), (params, acc)
+            log2eps = math.log(2.0 / acc.eps)
+            base = _n2_infimum(acc.r, log2eps, params)
+            n2_base = InfimumResult(value=base.value / 2.0, argmin=base.argmin)
+            n1 = bounds.n1_main(acc, params)
+            nr = bounds.n_rand(acc.eps, 3.0 * params.p, params)
+            grid_min = min(
+                _tau_inner_max(w, n1, nr, n2_base, acc.r, log2eps, params)[0]
+                for w in np.arange(0.01, 1.0, 0.01)
+            )
+            assert tau <= grid_min * (1 + 1e-12), (params, acc)
 
 
 class TestCeiling:

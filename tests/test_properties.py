@@ -10,8 +10,7 @@ from lsqbounds import bounds
 from lsqbounds.io import ResultRow, write_result_csv
 from lsqbounds.models import IidBoundedColumns, Uniform
 from lsqbounds.montecarlo import ExperimentSpec, run_tail
-from lsqbounds.optimize import NoFinitePointError
-from lsqbounds.params import Accuracy, ProblemParams
+from lsqbounds.params import Accuracy, NoFinitePointError, ProblemParams
 
 from helpers import broad_problem_sets, random_problem_sets, run_property_sweep
 
