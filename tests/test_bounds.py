@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from lsqbounds import bounds
-from lsqbounds.bounds import _n2_infimum, _n3_infimum, _tau_inner_max
+from lsqbounds.bounds import (
+    _bisect,
+    _n2_infimum,
+    _n3_denominator_max,
+    _n3_infimum,
+    _refine_weight,
+    _tau_inner_max,
+)
 from lsqbounds.params import Accuracy, DomainError, InfimumResult, ParameterError, ProblemParams
 
 from helpers import (
@@ -164,6 +171,69 @@ class TestN3:
         assert 0.0 < s < 1.0 / (al**2 * R**2)
         slack = sm**2 * r**2 * s / 8.0 - gamma_ref(s, al, R)
         assert value == pytest.approx(math.sqrt(math.log(3.0 * params.p / acc.eps) / slack), rel=1e-12)
+
+
+class TestBisect:
+    def test_root_of_increasing_function(self):
+        s = _bisect(lambda s: s - 0.25, 1.0)
+        assert s - 0.25 < 0
+        assert s == pytest.approx(0.25, rel=1e-15)
+
+    def test_root_many_decades_below_width(self):
+        s = _bisect(lambda s: s - 1e-12, 1.0)
+        assert s == pytest.approx(1e-12, rel=1e-15)
+
+    def test_negative_throughout_returns_largest_float_below_hi(self):
+        assert _bisect(lambda s: -1.0, 2.0) == math.nextafter(2.0, 0.0)
+
+
+class TestN3DenominatorMax:
+    def test_witness_is_stationary(self):
+        res = _n3_denominator_max(ACC.r, UNIT)
+        slope = UNIT.sigma_min**2 * ACC.r**2 / 8.0
+        s, h = res.argmin, res.argmin * 1e-5
+        derivative = (gamma_ref(s + h, 1.0, 1.0) - gamma_ref(s - h, 1.0, 1.0)) / (2.0 * h)
+        assert derivative == pytest.approx(slope, rel=1e-6)
+        assert res.value == pytest.approx(slope * s - gamma_ref(s, 1.0, 1.0), rel=1e-12)
+
+    def test_smaller_weight_lowers_value_and_witness(self):
+        full = _n3_denominator_max(ACC.r, UNIT)
+        half = _n3_denominator_max(ACC.r, UNIT, weight=0.5)
+        assert 0.0 < half.value < full.value
+        assert 0.0 < half.argmin < full.argmin
+
+
+class TestRefineWeight:
+    """The weight search's scan plus golden section, on plain objectives."""
+
+    def test_analytic_quadratic(self):
+        assert _refine_weight(lambda x: (x - 0.3) ** 2 + 1.0, 0.0, 1.0) == pytest.approx(0.3, abs=1e-4)
+
+    def test_minimum_many_decades_below_width(self):
+        # the log-spaced probes must bracket an argmin at 1e-6 on (0, 1)
+        x = _refine_weight(lambda x: (math.log(x) - math.log(1e-6)) ** 2, 0.0, 1.0)
+        assert x == pytest.approx(1e-6, rel=1e-3)
+
+    def test_minimum_inside_a_grid_bracket(self):
+        # n_main_tau refines between the neighbours of its best grid weight
+        assert _refine_weight(lambda t: (t - 0.57) ** 2, 0.5, 0.6) == pytest.approx(0.57, abs=1e-4)
+
+    def test_infinite_values_shrink_toward_feasible_side(self):
+        x = _refine_weight(lambda t: math.inf if t < 0.5 else (t - 0.7) ** 2, 0.0, 1.0)
+        assert x == pytest.approx(0.7, abs=1e-4)
+
+    def test_not_above_objective_at_random_points(self):
+        f = lambda x: (x - 0.3) ** 2 + math.sin(5.0 * x) * 0.1 + 1.0
+        x = _refine_weight(f, 0.0, 1.0)
+        points = np.random.default_rng(42).uniform(1e-9, 1.0 - 1e-9, 100)
+        assert all(f(x) <= f(float(q)) + 1e-12 for q in points)
+
+    def test_increasing_objective_returns_left_inset(self):
+        assert _refine_weight(lambda t: t, 0.2, 0.4) == pytest.approx(0.2, abs=1e-8)
+
+    def test_deterministic(self):
+        f = lambda x: (x - 0.25) ** 4 + 2.0
+        assert _refine_weight(f, 0.0, 1.0) == _refine_weight(f, 0.0, 1.0)
 
 
 class TestInnerOptimaOnRandomSets:
