@@ -26,10 +26,18 @@ x = a*s:
   n3    max over s of slope*s - gamma(s) with slope = weight*D/8 (eps3 too),
         the root of gamma'(s) = a*x*(2 - 2x^2 + x^4)/(2*(1 - x^2)^2) = slope
 
-Each returns its objective evaluated at the returned witness.  Only main_tau's
-split weight keeps a search: exact values on a 0.01-step grid, then a log scan
-plus golden section between the winner's neighbours, whose probes fix the
-weight's tie-breaks.
+Each returns the pair (value, witness), the value being its objective at the
+witness.  Only main_tau's split weight keeps a search: exact values on a
+0.01-step grid, then a log scan plus golden section between the winner's
+neighbours, whose probes fix the weight's tie-breaks.
+
+fixed_mds also covers FIR interference v = H*j + w on a fixed design, which is
+not a martingale difference (H: lower-triangular Toeplitz of jammer_scale*taps).
+With c_i row i of G^-1 A^T, Young's inequality gives ||H^T c_i|| <=
+jammer_scale*||taps||_1*||c_i||, so c_i^T v is sub-Gaussian with parameter
+R*||c_i||, and ||c_i||^2 = (G^-1)_ii <= 1/(N*sigma_min).  Hoeffding plus a
+union bound need only N >= 2R^2*log(2p/eps)/(sigma_min*r^2); fixed_mds exceeds
+that by 4*alpha^2/sigma_min >= 4, as sigma_min <= (G/N)_kk <= alpha^2.
 """
 
 from __future__ import annotations
@@ -42,7 +50,6 @@ from .params import (
     Accuracy,
     BoundBreakdown,
     DomainError,
-    InfimumResult,
     NoFinitePointError,
     OutageBreakdown,
     ParameterError,
@@ -138,8 +145,9 @@ def n1_main(acc: Accuracy, params: ProblemParams) -> float:
 
 def _n2_infimum(
     r: float, log_term: float, params: ProblemParams, as_printed: bool = False
-) -> InfimumResult:
-    """inf over s of (8*beta(s) + 2*sigma_min*r*sqrt(2*s*log_term)) / (sm^2 r^2 s)."""
+) -> tuple[float, float]:
+    """inf over s of (8*beta(s) + 2*sigma_min*r*sqrt(2*s*log_term)) / (sm^2 r^2 s),
+    as (value, witness)."""
     R = params.require_R()
     a = params.alpha**2 * R**2
     D = params.sigma_min**2 * r**2
@@ -155,7 +163,7 @@ def _n2_infimum(
             return 8.0 * (a * a * s * s - a * params.p * w) - 0.5 * c * math.sqrt(s) * w
 
     elif c == 0.0:
-        return InfimumResult(8.0 * a / D, 0.0)  # the s -> 0 limit
+        return 8.0 * a / D, 0.0  # the s -> 0 limit
     else:
         hi = 1.0 / (2.0 * a)
 
@@ -164,21 +172,21 @@ def _n2_infimum(
             return 8.0 * a * a * s**1.5 - 0.5 * c * (1.0 - 2.0 * a * s) ** 2
 
     s = _bisect(h, hi)
-    return InfimumResult((8.0 * beta(s, params, as_printed) + c * math.sqrt(s)) / (D * s), s)
+    return (8.0 * beta(s, params, as_printed) + c * math.sqrt(s)) / (D * s), s
 
 
 def n2_main(
     acc: Accuracy, params: ProblemParams, as_printed: bool = False
 ) -> tuple[float, float]:
     """Diagonal-sum Chernoff term; returns (value, optimizer witness)."""
-    res = _n2_infimum(acc.r, math.log(3.0 * params.p / acc.eps), params, as_printed)
-    return res.value, res.argmin
+    return _n2_infimum(acc.r, math.log(3.0 * params.p / acc.eps), params, as_printed)
 
 
 def _n3_denominator_max(
     r: float, params: ProblemParams, weight: float = 1.0
-) -> InfimumResult:
-    """max over s of slope*s - gamma(s), slope = weight*sigma_min^2*r^2/8.
+) -> tuple[float, float]:
+    """max over s of slope*s - gamma(s), slope = weight*sigma_min^2*r^2/8, as
+    (value, witness).
 
     gamma is convex with gamma'(0) = 0 and a pole at 1/(alpha^2*R^2), so the
     maximum is the root of gamma'(s) = slope.  The slack is positive in exact
@@ -194,26 +202,23 @@ def _n3_denominator_max(
         return a * x * (2.0 - 2.0 * y + y * y) - 2.0 * slope * (1.0 - y) ** 2
 
     s = _bisect(h, 1.0 / a)
-    return InfimumResult(value=slope * s - _gamma(s, a), argmin=s)
+    return slope * s - _gamma(s, a), s
 
 
 def _n3_infimum(
     r: float, log_term: float, params: ProblemParams, weight: float = 1.0
-) -> InfimumResult:
-    best = _n3_denominator_max(r, params, weight)
-    if best.value <= 0:
+) -> tuple[float, float]:
+    slack, s = _n3_denominator_max(r, params, weight)
+    if slack <= 0:
         raise NoFinitePointError(
             "cross-term exponent has no positive slack on its domain"
         )
-    return InfimumResult(
-        value=math.sqrt(max(log_term, 0.0) / best.value), argmin=best.argmin
-    )
+    return math.sqrt(max(log_term, 0.0) / slack), s
 
 
 def n3_main(acc: Accuracy, params: ProblemParams) -> tuple[float, float]:
     """Cross-term Chernoff term; returns (value, optimizer witness)."""
-    res = _n3_infimum(acc.r, math.log(3.0 * params.p / acc.eps), params)
-    return res.value, res.argmin
+    return _n3_infimum(acc.r, math.log(3.0 * params.p / acc.eps), params)
 
 
 def _n_rand_lead(params: ProblemParams) -> float:
@@ -260,17 +265,17 @@ def _tau_inner_max(
     tau: float,
     n1: float,
     nr: float,
-    n2_base: InfimumResult,
+    n2_base: tuple[float, float],
     r: float,
     log2eps: float,
     params: ProblemParams,
-) -> tuple[float, InfimumResult, InfimumResult]:
+) -> tuple[float, tuple[float, float], tuple[float, float]]:
     # The split-weight variant scales the diagonal term by 1/tau (its inner
     # infimum does not depend on tau) and re-solves the cross term with the
     # slack weight 2*(1-tau) relative to the unsplit exponent.
-    n2_res = InfimumResult(value=n2_base.value / tau, argmin=n2_base.argmin)
-    n3_res = _n3_infimum(r, log2eps, params, weight=2.0 * (1.0 - tau))
-    return max(n1, nr, n2_res.value, n3_res.value), n2_res, n3_res
+    n2 = n2_base[0] / tau
+    n3, s3 = _n3_infimum(r, log2eps, params, weight=2.0 * (1.0 - tau))
+    return max(n1, nr, n2, n3), (n2, n2_base[1]), (n3, s3)
 
 
 def _refine_weight(f, lo: float, hi: float) -> float:
@@ -320,8 +325,8 @@ def n_main_tau(
     # Inner infimum of the diagonal term at tau = 1 (scales as 1/tau): the
     # split objective (4*beta + sigma_min*r*sqrt(2*s*log2eps))/(D*s) is half
     # of n2's at the same log term.
-    base = _n2_infimum(acc.r, log2eps, params, beta_as_printed)
-    n2_base = InfimumResult(value=base.value / 2.0, argmin=base.argmin)
+    v2, s2 = _n2_infimum(acc.r, log2eps, params, beta_as_printed)
+    n2_base = (v2 / 2.0, s2)
 
     def inner(tau):
         return _tau_inner_max(tau, n1, nr, n2_base, acc.r, log2eps, params)
@@ -334,21 +339,16 @@ def n_main_tau(
     lo = float(taus[k - 1]) if k > 0 else float(taus[0]) / 2.0
     hi = float(taus[k + 1]) if k < len(taus) - 1 else (1.0 + float(taus[-1])) / 2.0
     tau_opt = _refine_weight(lambda tau: inner(tau)[0], lo, hi)
-    total, n2_res, n3_res = inner(tau_opt)
+    total, (n2, s2), (n3, s3) = inner(tau_opt)
     # Keep the refinement unless the grid point is strictly better.  Where n1
     # or n_rand binds, a whole interval of weights ties, and the values that
     # perfbench/reference.json pins for n2 and n3 are the refinement's.
     if grid[k][0] < total:
         tau_opt = float(taus[k])
-        total, n2_res, n3_res = grid[k]
-    terms = {"n1": n1, "n2": n2_res.value, "n3": n3_res.value, "n_rand": nr}
+        total, (n2, s2), (n3, s3) = grid[k]
+    terms = {"n1": n1, "n2": n2, "n3": n3, "n_rand": nr}
     return make_breakdown(
-        "main_tau",
-        terms,
-        params.p,
-        s_opt_n2=n2_res.argmin,
-        s_opt_n3=n3_res.argmin,
-        tau_opt=tau_opt,
+        "main_tau", terms, params.p, s_opt_n2=s2, s_opt_n3=s3, tau_opt=tau_opt
     )
 
 
@@ -446,11 +446,11 @@ def eps_of_n(r: float, N: float, params: ProblemParams) -> OutageBreakdown:
         eps2 = min(1.0, three_p * math.exp(-(margin**2) / (8.0 * s_opt2 * D)))
 
     # Cross term: best exponent is N^2 times the maximal positive slack.
-    best3 = _n3_denominator_max(r, params)
-    if best3.value > 0:
-        eps3 = min(1.0, three_p * math.exp(-(N**2) * best3.value))
+    slack3, s3 = _n3_denominator_max(r, params)
+    if slack3 > 0:
+        eps3 = min(1.0, three_p * math.exp(-(N**2) * slack3))
         eps3_feasible = True
-        s_opt3: float | None = best3.argmin
+        s_opt3: float | None = s3
     else:
         eps3, eps3_feasible, s_opt3 = 1.0, False, None
 

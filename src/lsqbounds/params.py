@@ -105,14 +105,6 @@ class Accuracy:
 
 
 @dataclass(frozen=True)
-class InfimumResult:
-    """An inner optimum: its value and the point that attains it."""
-
-    value: float
-    argmin: float
-
-
-@dataclass(frozen=True)
 class BoundBreakdown:
     """A computed sample-count bound with per-term values and witnesses.
 

@@ -39,28 +39,22 @@ DEFAULT_TRIALS = 50_000
 DEFAULT_SEED = 20_240_601
 
 DEFAULT_FIR_TAPS = (1.0, 0.8, 0.64, 0.512)
+FIR_RECEIVER_SHARE = 0.2
 PILOT_BUDGET = 8192
 
 
-def fir_mds_with_param(
-    target_R: float,
-    taps: tuple[float, ...] = DEFAULT_FIR_TAPS,
-    receiver_kind: str = "gaussian",
-    receiver_share: float = 0.2,
-) -> FirMds:
-    """FIR-interference noise whose declared sub-Gaussian parameter equals
-    target_R; receiver_share of the parameter budget goes to receiver noise."""
-    if not (0 < receiver_share < 1):
-        raise ParameterError(f"receiver_share must lie in (0,1), got {receiver_share}")
-    receiver_param = receiver_share * target_R
-    jammer_scale = (1.0 - receiver_share) * target_R / sum(abs(t) for t in taps)
+def fir_mds_with_param(target_R: float, receiver_kind: str = "gaussian") -> FirMds:
+    """FIR-interference noise on DEFAULT_FIR_TAPS whose declared sub-Gaussian
+    parameter equals target_R; FIR_RECEIVER_SHARE of it goes to receiver noise."""
+    receiver_param = FIR_RECEIVER_SHARE * target_R
+    jammer_scale = (1.0 - FIR_RECEIVER_SHARE) * target_R / sum(abs(t) for t in DEFAULT_FIR_TAPS)
     if receiver_kind == "gaussian":
         receiver: NoiseModel = Gaussian(receiver_param)
     elif receiver_kind == "uniform":
         receiver = Uniform(receiver_param)
     else:
         raise ParameterError(f"receiver_kind must be gaussian or uniform, got {receiver_kind!r}")
-    return FirMds(taps=taps, jammer_scale=jammer_scale, receiver=receiver)
+    return FirMds(taps=DEFAULT_FIR_TAPS, jammer_scale=jammer_scale, receiver=receiver)
 
 
 def channel_pilot_design(p: int = 8, length: int = PILOT_BUDGET, seed: int = DEFAULT_SEED) -> ToeplitzPilot:

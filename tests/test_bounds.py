@@ -15,7 +15,7 @@ from lsqbounds.bounds import (
     _refine_weight,
     _tau_inner_max,
 )
-from lsqbounds.params import Accuracy, DomainError, InfimumResult, ParameterError, ProblemParams
+from lsqbounds.params import Accuracy, DomainError, ParameterError, ProblemParams
 
 from helpers import (
     beta_proof,
@@ -122,8 +122,8 @@ class TestN2:
 
     def test_formal_limit_log_term_zero(self):
         # with a vanishing log term the infimum tends to 8*alpha^2*R^2/sigma^2/r^2
-        res = _n2_infimum(1.0, 0.0, UNIT)
-        assert res.value == pytest.approx(8.0, rel=1e-4)
+        value, _ = _n2_infimum(1.0, 0.0, UNIT)
+        assert value == pytest.approx(8.0, rel=1e-4)
 
     def test_decreasing_in_r(self):
         v1, _ = bounds.n2_main(Accuracy(r=1.0, eps=0.05), UNIT)
@@ -144,7 +144,7 @@ class TestN3:
         assert s_opt == pytest.approx(oracle_s, rel=1e-2)
 
     def test_formal_limit_zero(self):
-        assert _n3_infimum(1.0, 0.0, UNIT).value == 0.0
+        assert _n3_infimum(1.0, 0.0, UNIT)[0] == 0.0
 
     def test_eps_halving_ratio(self):
         v1, _ = bounds.n3_main(Accuracy(r=1.0, eps=0.05), UNIT)
@@ -189,18 +189,18 @@ class TestBisect:
 
 class TestN3DenominatorMax:
     def test_witness_is_stationary(self):
-        res = _n3_denominator_max(ACC.r, UNIT)
+        value, s = _n3_denominator_max(ACC.r, UNIT)
         slope = UNIT.sigma_min**2 * ACC.r**2 / 8.0
-        s, h = res.argmin, res.argmin * 1e-5
+        h = s * 1e-5
         derivative = (gamma_ref(s + h, 1.0, 1.0) - gamma_ref(s - h, 1.0, 1.0)) / (2.0 * h)
         assert derivative == pytest.approx(slope, rel=1e-6)
-        assert res.value == pytest.approx(slope * s - gamma_ref(s, 1.0, 1.0), rel=1e-12)
+        assert value == pytest.approx(slope * s - gamma_ref(s, 1.0, 1.0), rel=1e-12)
 
     def test_smaller_weight_lowers_value_and_witness(self):
-        full = _n3_denominator_max(ACC.r, UNIT)
-        half = _n3_denominator_max(ACC.r, UNIT, weight=0.5)
-        assert 0.0 < half.value < full.value
-        assert 0.0 < half.argmin < full.argmin
+        full, s_full = _n3_denominator_max(ACC.r, UNIT)
+        half, s_half = _n3_denominator_max(ACC.r, UNIT, weight=0.5)
+        assert 0.0 < half < full
+        assert 0.0 < s_half < s_full
 
 
 class TestRefineWeight:
@@ -377,7 +377,7 @@ class TestNMainTau:
             + UNIT.sigma_min * ACC.r * np.sqrt(2.0 * log2eps * s)
         ) / (UNIT.sigma_min**2 * ACC.r**2 * s)
         k = int(np.argmin(obj))
-        n2_base = InfimumResult(value=float(obj[k]), argmin=float(s[k]))
+        n2_base = (float(obj[k]), float(s[k]))
         at_half, _, _ = _tau_inner_max(0.5, n1, nr, n2_base, ACC.r, log2eps, UNIT)
         assert bd.n_final <= at_half * (1 + 1e-9)
 
@@ -398,8 +398,8 @@ class TestNMainTau:
             tau = bounds.n_main_tau(acc, params).n_final
             assert tau <= bounds.n_main(acc, params).n_final * (1 + 1e-12), (params, acc)
             log2eps = math.log(2.0 / acc.eps)
-            base = _n2_infimum(acc.r, log2eps, params)
-            n2_base = InfimumResult(value=base.value / 2.0, argmin=base.argmin)
+            v2, s2 = _n2_infimum(acc.r, log2eps, params)
+            n2_base = (v2 / 2.0, s2)
             n1 = bounds.n1_main(acc, params)
             nr = bounds.n_rand(acc.eps, 3.0 * params.p, params)
             grid_min = min(
@@ -461,6 +461,23 @@ class TestEpsOfN:
         for term in (ob.eps2, ob.eps3, ob.eps_rand, ob.eps_final):
             assert 0.0 <= term <= 1.0
         assert ob.eps_final == max(ob.eps2, ob.eps3, ob.eps_rand)
+
+    def test_cross_term_slack_underflow_is_infeasible(self):
+        # At r = 1e-150 the cross-term slack slope*s - gamma(s) is about 1e-602,
+        # which underflows to 0: the term reads 1, flagged infeasible, with no witness.
+        ob = bounds.eps_of_n(1e-150, 1e301, self.PARAMS)
+        assert ob.eps3 == 1.0
+        assert not ob.eps3_feasible
+        assert ob.s_opt_eps3 is None
+        assert ob.eps2_feasible and ob.eps_final == 1.0
+
+    @pytest.mark.parametrize("N", [3, 4])
+    def test_eps_for_main_is_one_at_or_below_the_variance_floor(self, N):
+        # The floor 4*alpha^2*R^2/(sigma_min^2 r^2) is 4 here; eps_of_n rejects
+        # such N, and eps_for reports the trivial outage bound instead.
+        with pytest.raises(DomainError):
+            bounds.eps_of_n(1.0, N, self.PARAMS)
+        assert bounds.eps_for("main", 1.0, N, self.PARAMS) == 1.0
 
 
 class TestClosedFormBounds:

@@ -32,6 +32,7 @@ from lsqbounds.montecarlo import (
     _tail_estimates,
     _trials,
     find_empirical_n,
+    fixed_design_bound,
     gram_solve,
     run_event_diagnostics,
     run_tail,
@@ -39,7 +40,7 @@ from lsqbounds.montecarlo import (
     wilson_interval,
 )
 from lsqbounds.params import Accuracy, ParameterError
-from lsqbounds.presets import channel_pilot_design, fig2_models, fig5_models, fir_mds_with_param
+from lsqbounds.presets import FIGURES, channel_pilot_design, fig2_models, fig5_models, fir_mds_with_param
 
 from helpers import gaussian_cdf
 
@@ -395,6 +396,15 @@ class TestSweep:
         assert rows[0].n_bound_ceil is None and rows[0].binding_term is None
         assert rows[1].n_bound_real <= rows[0].n_bound_real
 
+    def test_n_axis_at_or_below_the_variance_floor(self):
+        # alpha = sqrt(3), sigma_min = R = r = 1: the floor
+        # 4*alpha^2*R^2/(sigma_min^2 r^2) is 12, so these rows have no guarantee.
+        design = IidBoundedColumns((1.0, 1.0))
+        base = ExperimentSpec(design, self.NOISE, N=8, r=1.0, trials=50, base_seed=11)
+        rows = sweep(base, "N", [3, 4], "main")
+        assert [row.n_bound_real for row in rows] == [1.0, 1.0]
+        assert [row.trials for row in rows] == [50, 50]
+
     def test_requires_axis_values(self):
         with pytest.raises(ParameterError):
             sweep(self.base(), "r", [], "main", eps=0.01)
@@ -444,6 +454,33 @@ def own_n_err_max(spec: ExperimentSpec, N: int) -> list:
         except RankDeficiencyError:
             out.append(None)
     return out
+
+
+class TestFixedMdsCoversFirNoise:
+    """FIR interference is not a martingale difference (see test_models.py),
+    yet fixed_mds covers it on a fixed design by the route in the bounds
+    module docstring; each step is checked on fig5's matrix.  c_i is row i of
+    G^-1 A^T and H the lower-triangular Toeplitz matrix of jammer_scale*taps."""
+
+    PANEL = FIGURES["fig5"].panels[0]
+
+    @pytest.mark.parametrize("r", PANEL.values)
+    def test_route_holds_at_each_fig5_row(self, r):
+        design, noise = fig5_models()
+        N, params, bd = fixed_design_bound(Accuracy(r, self.PANEL.eps), design, noise)
+        A = design.sample(N, SeedSpec(0, 0, "design"))
+        C = np.linalg.solve(A.T @ A, A.T)
+        H = sum(noise.jammer_scale * t * np.eye(N, k=-k) for k, t in enumerate(noise.taps))
+        c_norm = np.linalg.norm(C, axis=1)
+        young = noise.jammer_scale * np.sum(np.abs(noise.taps)) * c_norm
+        assert np.all(np.linalg.norm(C @ H, axis=1) <= young)
+        assert np.all(c_norm * math.sqrt(N * params.sigma_min) <= 1.0)
+        hoeffding = 2.0 * params.R**2 * math.log(2 * params.p / self.PANEL.eps) / (params.sigma_min * r**2)
+        margin = 4.0 * params.alpha**2 / params.sigma_min
+        assert bd.n_final / hoeffding == pytest.approx(margin, rel=1e-12)
+        # sigma_min <= (G/N)_kk <= alpha^2, so the margin is at least 4.
+        assert params.sigma_min <= np.min(np.diag(A.T @ A)) / N <= params.alpha**2
+        assert margin >= 4.0
 
 
 class TestOnePassSweep:
