@@ -11,7 +11,10 @@ Members that are not dataclass fields never become config keys.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
 
@@ -27,14 +30,17 @@ ROOT3 = float(np.sqrt(3.0))
 # ---------------------------------------------------------------------------
 # Seeding
 
+_MASK32 = 0xFFFFFFFF
+_SEED_BLOCK = 256  # trials per cached block of seed words; divides 2**32
+
 
 @dataclass(frozen=True)
 class SeedSpec:
-    """Reproducible stream label: (base seed, trial index, role).
+    """Reproducible stream label: (base seed, trial index, role, subkeys).
 
-    Streams are derived by a splittable counter construction, so the draw
-    sequence for a given label is identical across runs, platforms, and
-    thread schedules, and trials may be generated in any order.
+    Its stream is default_rng(SeedSequence(base_seed, spawn_key=(trial,
+    ROLE_IDS[role], *subkeys))), the same across runs, platforms, worker
+    counts and call orders, built from a cached block of 256 trials' words.
     """
 
     base_seed: int
@@ -43,6 +49,16 @@ class SeedSpec:
     subkeys: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        # operator.index turns numpy integers into ints; a plain (int, int, ()) label skips it.
+        if type(self.base_seed) is not int or type(self.trial) is not int or self.subkeys != ():
+            try:
+                object.__setattr__(self, "base_seed", operator.index(self.base_seed))
+                object.__setattr__(self, "trial", operator.index(self.trial))
+                object.__setattr__(self, "subkeys", tuple(map(operator.index, self.subkeys)))
+            except TypeError as exc:
+                raise ParameterError(f"stream labels must be integers, got {self!r}") from exc
+            if self.subkeys and min(self.subkeys) < 0:
+                raise ParameterError(f"subkeys must be nonnegative, got {self.subkeys}")
         if not (0 <= self.base_seed < 2**64):
             raise ParameterError(f"base_seed must be a 64-bit unsigned int, got {self.base_seed}")
         if self.role not in ROLE_IDS:
@@ -51,15 +67,74 @@ class SeedSpec:
             raise ParameterError(f"trial index must be nonnegative, got {self.trial}")
 
     def generator(self) -> np.random.Generator:
-        seq = np.random.SeedSequence(
-            entropy=self.base_seed,
-            spawn_key=(self.trial, ROLE_IDS[self.role], *self.subkeys),
-        )
-        return np.random.default_rng(seq)
+        block, row = divmod(self.trial, _SEED_BLOCK)
+        words = _seed_words(self.base_seed, ROLE_IDS[self.role], self.subkeys, block)[row]
+        return np.random.Generator(_seeded_pcg64()(words))
 
     def child(self, k: int) -> "SeedSpec":
         """Independent sub-stream k of this stream (for nested models)."""
         return SeedSpec(self.base_seed, self.trial, self.role, (*self.subkeys, k))
+
+
+@functools.cache
+def _seeded_pcg64():
+    """The map from a row of _seed_words to a fresh PCG64, which seeds itself
+    in C; built on the first generator() call, which imports numpy.random."""
+    from numpy.random import PCG64
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            return self.words  # PCG64 asks for (4, np.uint64) only
+
+    return lambda words: PCG64(SeedWords(words))
+
+
+def _words32(n: int) -> list[int]:
+    """n as little-endian 32-bit words, [0] for 0, as SeedSequence splits it."""
+    return [n >> s & _MASK32 for s in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _hasher(const: int, mult: int):
+    """numpy's hashmix on an int or a uint32 array (which wraps mod 2**32)."""
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _mix(x, y):  # numpy's mix, with its MIX_MULT_L and MIX_MULT_R
+    out = ((0xCA01F9DD * x & _MASK32) - (0x4973F715 * y & _MASK32)) & _MASK32
+    return out ^ out >> 16
+
+
+@functools.lru_cache(maxsize=32)
+def _seed_words(base_seed: int, role_id: int, subkeys: tuple[int, ...], block: int) -> np.ndarray:
+    """Read-only (256, 4) uint64 array whose row i is SeedSequence(base_seed, spawn_key=
+    (t, role_id, *subkeys)).generate_state(4, np.uint64) for t = 256 block + i: numpy's
+    mix_entropy and generate_state, the trial's low word as an array, all else as ints."""
+    base, trial = _words32(base_seed), _words32(block * _SEED_BLOCK)
+    trial[0] = np.arange(_SEED_BLOCK, dtype=np.uint32) + trial[0]
+    entropy = [*base, *[0] * (4 - len(base)), *trial, role_id, *(w for k in subkeys for w in _words32(k))]
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)  # numpy's INIT_A, MULT_A
+    pool = [hashmix(e) for e in entropy[:4]]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for e, dst in itertools.product(entropy[4:], range(4)):
+        pool[dst] = _mix(pool[dst], hashmix(e))
+    hashmix = _hasher(0x8B51F9DD, 0x58F38DED)  # numpy's INIT_B, MULT_B
+    half = np.array([hashmix(pool[i % 4]) for i in range(8)], dtype=np.uint64)
+    words = np.ascontiguousarray((half[0::2] | half[1::2] << 32).T)
+    words.flags.writeable = False
+    return words
 
 
 # Samplers fill one buffer and scale it in place.  2u - 1 on rng.random's u is

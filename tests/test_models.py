@@ -1,7 +1,11 @@
 """Tests for noise/design generators, declared parameters, and seeding."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 from typing import get_args
 
 import mpmath
@@ -10,6 +14,7 @@ import pytest
 
 from lsqbounds.models import (
     CONFIG_FIELDS,
+    ROLE_IDS,
     DesignModel,
     FirMds,
     FixedMatrix,
@@ -22,6 +27,7 @@ from lsqbounds.models import (
     ToeplitzPilot,
     Uniform,
     UniformPlusGaussian,
+    _seed_words,
     design_from_config,
     design_to_config,
     implied_problem_params,
@@ -54,6 +60,73 @@ class TestSeedSpec:
             SeedSpec(0, 0, "other")
         with pytest.raises(ParameterError):
             SeedSpec(2**64)
+        for bad in (
+            lambda: SeedSpec(1.0),
+            lambda: SeedSpec(0, 2.0),
+            lambda: SeedSpec(0, -1),
+            lambda: SeedSpec(0, 0, "noise", (1.0,)),
+            lambda: SeedSpec(0, 0, "noise", (-1,)),
+            lambda: SeedSpec(0, 0, "noise", 3),
+            lambda: SEED.child(-1),
+            lambda: SEED.child(0.5),
+        ):
+            with pytest.raises(ParameterError):
+                bad()
+
+    def test_numpy_integer_labels_become_ints(self):
+        spec = SeedSpec(np.uint64(2**64 - 1), np.int64(300), "design", [np.int32(2)])
+        assert spec == SeedSpec(2**64 - 1, 300, "design", (2,))
+        assert type(spec.base_seed) is int and type(spec.trial) is int
+        assert type(spec.subkeys) is tuple and type(spec.subkeys[0]) is int
+
+    def test_generator_equals_numpy_seed_sequence(self):
+        # Streams are defined as default_rng(SeedSequence(...)); a numpy
+        # release that changes SeedSequence fails here instead of silently
+        # moving every seeded count.
+        rng = np.random.default_rng(20261018)
+        random_seeds = rng.integers(0, 2**64, 4, dtype=np.uint64)
+        seeds = [0, 2**32 - 1, 2**32, 2**64 - 1, *(int(x) for x in random_seeds)]
+        trials = [0, 255, 256, 2**32 - 1, 2**32, *(int(x) for x in rng.integers(0, 2**40, 4))]
+        subkey_sets = [(), (0,), (1,), (2**32 + 5,), (3, 2**33), (int(rng.integers(0, 2**62)),)]
+        for seed in seeds:
+            for trial in trials:
+                for subkeys in subkey_sets:
+                    role = ("design", "noise")[int(rng.integers(2))]
+                    ours = SeedSpec(seed, trial, role, subkeys).generator()
+                    ref = np.random.default_rng(
+                        np.random.SeedSequence(entropy=seed, spawn_key=(trial, ROLE_IDS[role], *subkeys))
+                    )
+                    assert ours.bit_generator.state == ref.bit_generator.state, (seed, trial, subkeys)
+                    np.testing.assert_array_equal(ours.random(3), ref.random(3))
+
+    def test_generators_of_one_label_share_no_state(self):
+        label = SeedSpec(5, 300, "noise", (1,))
+        first, second = label.generator(), label.generator()
+        interleaved = [(first.random(), second.random()) for _ in range(4)]
+        alone = label.generator().random(4)
+        np.testing.assert_array_equal([a for a, _ in interleaved], alone)
+        np.testing.assert_array_equal([b for _, b in interleaved], alone)
+
+    def test_seed_word_block_is_a_pure_function_of_its_key(self):
+        key = (11, ROLE_IDS["noise"], (0,), 3)
+        cached = _seed_words(*key).copy()
+        _seed_words.cache_clear()
+        fresh = _seed_words(*key)
+        np.testing.assert_array_equal(fresh, cached)
+        assert fresh.shape == (256, 4) and fresh.dtype == np.uint64 and not fresh.flags.writeable
+
+    def test_import_does_not_load_numpy_random(self):
+        # numpy.random loads on the first generator() call; importing it with
+        # the package would add to every command's start-up time.
+        import lsqbounds
+
+        src = str(Path(lsqbounds.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = "import sys, lsqbounds; print('numpy.random' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestSampleNoise:
