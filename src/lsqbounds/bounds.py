@@ -19,8 +19,7 @@ function (``_bisect``).  With a = alpha^2*R^2, D = sigma_min^2*r^2 and
 x = a*s:
 
   n2    inf over s of (8*beta(s) + c*sqrt(s)) / (D*s), the root of
-        8*a^2/(1 - 2as)^2 = c/(2*s^(3/2)); the as-printed beta is convex too,
-        and its optimum may sit at the right end of its domain
+        8*a^2/(1 - 2as)^2 = c/(2*s^(3/2))
   eps2  max over s of m(s)/sqrt(s) with m = D*N*s - 8*beta(s), feasible iff
         D*N > 8a, the root of 16a^2*s*(1.5 - as)/(1 - 2as)^2 = D*N - 8a
   n3    max over s of slope*s - gamma(s) with slope = weight*D/8 (eps3 too),
@@ -86,24 +85,18 @@ def _bisect(h, hi: float) -> float:
 # Chernoff-exponent helper functions
 
 
-def beta(s: float, params: ProblemParams, as_printed: bool = False) -> float:
+def beta(s: float, params: ProblemParams) -> float:
     """Log-MGF bound for the squared-noise Chernoff term.
 
-    Default form: a2r2*s + (a2r2*s)^2 / (1 - 2*a2r2*s) with a2r2 = alpha^2*R^2,
-    which vanishes at s -> 0 as a log-MGF bound must.  ``as_printed`` selects
-    the alternative form alpha^2*R^2*p + alpha^4*R^4*s^2/(1-2*R^2*s), kept as a
-    comparison mode; it does not vanish at 0 and has its pole at 1/(2*R^2).
+    beta(s) = a2r2*s + (a2r2*s)^2 / (1 - 2*a2r2*s) with a2r2 = alpha^2*R^2,
+    valid on 0 < s < 1/(2*a2r2).  It vanishes at s -> 0 as a log-MGF bound
+    must; the form the paper prints, alpha^2*R^2*p + alpha^4*R^4*s^2/(1 -
+    2*R^2*s), does not, and is not used.
     """
     R = params.require_R()
     a2r2 = params.alpha**2 * R**2
     if not (0 < s < 1.0 / (2.0 * a2r2)):
         raise DomainError(f"beta requires 0 < s < 1/(2*alpha^2*R^2) = {1.0 / (2.0 * a2r2)}")
-    if as_printed:
-        if s >= 1.0 / (2.0 * R**2):
-            raise DomainError(
-                f"as-printed beta requires s < 1/(2*R^2) = {1.0 / (2.0 * R ** 2)}"
-            )
-        return a2r2 * params.p + (a2r2 * s) ** 2 / (1.0 - 2.0 * R**2 * s)
     x = a2r2 * s
     return x + x * x / (1.0 - 2.0 * x)
 
@@ -143,43 +136,26 @@ def n1_main(acc: Accuracy, params: ProblemParams) -> float:
     return _scaled_floor(4.0, params.require_R(), acc.r, params)
 
 
-def _n2_infimum(
-    r: float, log_term: float, params: ProblemParams, as_printed: bool = False
-) -> tuple[float, float]:
+def _n2_infimum(r: float, log_term: float, params: ProblemParams) -> tuple[float, float]:
     """inf over s of (8*beta(s) + 2*sigma_min*r*sqrt(2*s*log_term)) / (sm^2 r^2 s),
     as (value, witness)."""
-    R = params.require_R()
-    a = params.alpha**2 * R**2
+    a = params.alpha**2 * params.require_R() ** 2
     D = params.sigma_min**2 * r**2
     c = 2.0 * params.sigma_min * r * math.sqrt(2.0 * max(log_term, 0.0))
-    if as_printed:
-        # Derivative of 8*[a*p/s + a^2*s/(1 - 2R^2 s)] + c/sqrt(s), times
-        # s^2*(1 - 2R^2 s)^2 > 0.
-        q = 2.0 * R**2
-        hi = min(1.0 / (2.0 * a), 1.0 / q)
-
-        def h(s):
-            w = (1.0 - q * s) ** 2
-            return 8.0 * (a * a * s * s - a * params.p * w) - 0.5 * c * math.sqrt(s) * w
-
-    elif c == 0.0:
+    if c == 0.0:
         return 8.0 * a / D, 0.0  # the s -> 0 limit
-    else:
-        hi = 1.0 / (2.0 * a)
 
-        # 8a^2/(1 - 2as)^2 - c/(2 s^(3/2)), times s^(3/2)*(1 - 2as)^2 > 0.
-        def h(s):
-            return 8.0 * a * a * s**1.5 - 0.5 * c * (1.0 - 2.0 * a * s) ** 2
+    # 8a^2/(1 - 2as)^2 - c/(2 s^(3/2)), times s^(3/2)*(1 - 2as)^2 > 0.
+    def h(s):
+        return 8.0 * a * a * s**1.5 - 0.5 * c * (1.0 - 2.0 * a * s) ** 2
 
-    s = _bisect(h, hi)
-    return (8.0 * beta(s, params, as_printed) + c * math.sqrt(s)) / (D * s), s
+    s = _bisect(h, 1.0 / (2.0 * a))
+    return (8.0 * beta(s, params) + c * math.sqrt(s)) / (D * s), s
 
 
-def n2_main(
-    acc: Accuracy, params: ProblemParams, as_printed: bool = False
-) -> tuple[float, float]:
+def n2_main(acc: Accuracy, params: ProblemParams) -> tuple[float, float]:
     """Diagonal-sum Chernoff term; returns (value, optimizer witness)."""
-    return _n2_infimum(acc.r, math.log(3.0 * params.p / acc.eps), params, as_printed)
+    return _n2_infimum(acc.r, math.log(3.0 * params.p / acc.eps), params)
 
 
 def _n3_denominator_max(
@@ -245,12 +221,10 @@ def n_rand(eps_arg: float, p_factor: float, params: ProblemParams) -> float:
 # Assembled bounds
 
 
-def n_main(
-    acc: Accuracy, params: ProblemParams, beta_as_printed: bool = False
-) -> BoundBreakdown:
+def n_main(acc: Accuracy, params: ProblemParams) -> BoundBreakdown:
     """Sample-count bound for i.i.d. sub-Gaussian noise on a random design."""
     n1 = n1_main(acc, params)  # first: it requires R and checks the range of sigma_min * r
-    v2, s2 = n2_main(acc, params, beta_as_printed)
+    v2, s2 = n2_main(acc, params)
     v3, s3 = n3_main(acc, params)
     terms = {
         "n1": n1,
@@ -309,9 +283,7 @@ def _refine_weight(f, lo: float, hi: float) -> float:
     return best_x
 
 
-def n_main_tau(
-    acc: Accuracy, params: ProblemParams, beta_as_printed: bool = False
-) -> BoundBreakdown:
+def n_main_tau(acc: Accuracy, params: ProblemParams) -> BoundBreakdown:
     """Split-weight variant of the main bound, minimized over the weight.
 
     The diagonal and cross terms here carry a log(2/eps) factor rather than
@@ -325,7 +297,7 @@ def n_main_tau(
     # Inner infimum of the diagonal term at tau = 1 (scales as 1/tau): the
     # split objective (4*beta + sigma_min*r*sqrt(2*s*log2eps))/(D*s) is half
     # of n2's at the same log term.
-    v2, s2 = _n2_infimum(acc.r, log2eps, params, beta_as_printed)
+    v2, s2 = _n2_infimum(acc.r, log2eps, params)
     n2_base = (v2 / 2.0, s2)
 
     def inner(tau):
@@ -489,9 +461,7 @@ BOUND_FUNCTIONS = {
 }
 
 
-def bound_for(
-    theorem: str, acc: Accuracy, params: ProblemParams, beta_as_printed: bool = False
-) -> BoundBreakdown:
+def bound_for(theorem: str, acc: Accuracy, params: ProblemParams) -> BoundBreakdown:
     """Dispatch a bound computation by tag."""
     try:
         fn = BOUND_FUNCTIONS[theorem]
@@ -499,12 +469,6 @@ def bound_for(
         raise DomainError(
             f"unknown bound tag {theorem!r}; expected one of {sorted(BOUND_FUNCTIONS)}"
         ) from None
-    if theorem in ("main", "main_tau"):
-        return fn(acc, params, beta_as_printed)
-    if beta_as_printed:
-        raise DomainError(
-            f"the {theorem} bound has no beta term; beta_as_printed needs main or main_tau"
-        )
     return fn(acc, params)
 
 

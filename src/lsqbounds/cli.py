@@ -66,13 +66,10 @@ def _cmd_bound_n(args: argparse.Namespace) -> int:
     params = _params_from(args)
     acc = Accuracy(r=args.r, eps=args.eps)
     theorem = _MODEL_FLAGS[args.model]
-    bd = bounds.bound_for(theorem, acc, params, beta_as_printed=args.beta_as_printed)
+    bd = bounds.bound_for(theorem, acc, params)
     meta = {}
-    if theorem in ("main", "main_tau"):  # the only families with beta and n2/n3 terms
-        meta = {
-            "beta_form": "as-printed" if args.beta_as_printed else "proof",
-            "log_numerator_n2_n3": "2" if theorem == "main_tau" else "3p",
-        }
+    if theorem in ("main", "main_tau"):  # the only families with n2/n3 terms
+        meta = {"log_numerator_n2_n3": "2" if theorem == "main_tau" else "3p"}
     print(dump_json(breakdown_to_json(bd, meta)))
     return EXIT_OK
 
@@ -80,7 +77,7 @@ def _cmd_bound_n(args: argparse.Namespace) -> int:
 def _cmd_bound_eps(args: argparse.Namespace) -> int:
     params = _params_from(args)
     ob = bounds.eps_of_n(args.r, args.n, params)
-    print(dump_json(outage_to_json(ob, {"beta_form": "proof"})))
+    print(dump_json(outage_to_json(ob)))
     return EXIT_OK
 
 
@@ -97,8 +94,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         base_seed=cfg.base_seed,
         diagnostics=cfg.diagnostics,
     )
-    row_args = (base, cfg.axis_name, cfg.axis_values, cfg.theorem, cfg.eps, cfg.beta_as_printed)
-    sweep_rows = list(_sweep_rows(*row_args))
+    sweep_rows = list(_sweep_rows(base, cfg.axis_name, cfg.axis_values, cfg.theorem, cfg.eps))
     for path in (cfg.csv_path, cfg.svg_path):  # now, not after every trial has run
         if path is not None:
             Path(path).parent.mkdir(parents=True, exist_ok=True)
@@ -124,11 +120,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
+    # Read here, inside main's try, so a malformed LSQBOUNDS_SEED exits 2.
+    seed = args.seed if args.seed is not None else default_seed()
     out = reproduce(
         args.figure,
         args.outdir,
         trials=args.trials,
-        base_seed=args.seed,
+        base_seed=seed if seed is not None else DEFAULT_SEED,
         workers=args.workers,
     )
     for path in out.csv_paths:
@@ -151,12 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     bn.add_argument("--model", choices=sorted(_MODEL_FLAGS), required=True)
     bn.add_argument("--r", type=float, required=True, help="target sup-norm radius")
     bn.add_argument("--eps", type=float, required=True, help="target outage probability")
-    bn.add_argument(
-        "--beta-as-printed",
-        action="store_true",
-        dest="beta_as_printed",
-        help="use the alternative published beta(s) variant (comparison mode)",
-    )
     _add_param_flags(bn)
     bn.set_defaults(func=_cmd_bound_n)
 
@@ -191,9 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None and args.command == "reproduce":
-        env_seed = default_seed()
-        args.seed = env_seed if env_seed is not None else DEFAULT_SEED
     try:
         return args.func(args)
     # Overflow, underflow to zero and an empty cross-term domain come from

@@ -114,8 +114,8 @@ def breakdown_to_json(bd: BoundBreakdown, meta: dict | None = None) -> dict:
     return {**asdict(bd), "meta": meta or {}}
 
 
-def outage_to_json(ob: OutageBreakdown, meta: dict | None = None) -> dict:
-    return {**asdict(ob), "meta": meta or {}}
+def outage_to_json(ob: OutageBreakdown) -> dict:
+    return {**asdict(ob), "meta": {}}
 
 
 def dump_json(doc: dict) -> str:
@@ -148,7 +148,6 @@ class RunConfig:
     trials: int = 50_000
     base_seed: int = 0
     diagnostics: bool = False
-    beta_as_printed: bool = False
 
 
 _TYPES = {name: _strip_none(hint)[0] for name, hint in get_type_hints(RunConfig).items()}

@@ -239,7 +239,9 @@ def _chunk_ranges(total: int, workers: int) -> list[tuple[int, int]]:
 def _run_chunks(chunk, spec: ExperimentSpec, workers: int, *args) -> list:
     """Results of chunk(spec, start, stop, *args) over all trials, in trial
     order: one serial chunk, or chunks spread over a process pool."""
-    if workers <= 1 or spec.trials < 256:
+    if workers < 1:
+        raise ParameterError(f"workers must be at least 1, got {workers}")
+    if workers == 1 or spec.trials < 256:
         return [chunk(spec, 0, spec.trials, *args)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
@@ -375,7 +377,6 @@ def _sweep_rows(
     axis_values,
     theorem: str,
     eps: float | None,
-    beta_as_printed: bool,
 ):
     """Yield (axis value, spec, params, bound) for each row of a sweep: the
     spec the row runs, the ProblemParams of the design it runs, and the bound
@@ -385,8 +386,6 @@ def _sweep_rows(
     is measured at the N its row runs: the axis value on the N axis, and
     fixed_design_bound's self-consistent N on the r and eps axes.  A
     FixedMatrix has only its own row count, so it runs on the N axis alone.
-    beta_as_printed selects main's beta form, so it is accepted only where a
-    row calls bound_for: r- and eps-axis rows of a random design.
     """
     values = list(axis_values)
     if not values:
@@ -404,10 +403,6 @@ def _sweep_rows(
         )
     if isinstance(base.design, FixedMatrix) and axis_name != "N":
         raise ParameterError(f"a fixed-matrix design runs only on the N axis, got {axis_name!r}")
-    if beta_as_printed and (axis_name == "N" or not random_design):
-        raise ParameterError(
-            "beta_as_printed applies only to r- and eps-axis rows of a random design"
-        )
     params = implied_problem_params(base.design, base.noise) if random_design else None
     for value in values:
         if axis_name == "N":
@@ -421,7 +416,7 @@ def _sweep_rows(
         else:
             acc = Accuracy(r=base.r, eps=float(value))
         if random_design:
-            bd = bounds.bound_for(theorem, acc, params, beta_as_printed)
+            bd = bounds.bound_for(theorem, acc, params)
             N = bd.n_ceil
         else:
             N, params, bd = fixed_design_bound(acc, base.design, base.noise)
@@ -434,7 +429,6 @@ def sweep(
     axis_values,
     theorem: str,
     eps: float | None = None,
-    beta_as_printed: bool = False,
     workers: int = 1,
 ) -> list[ResultRow]:
     """One tail estimate per axis value plus the matching bound evaluation.
@@ -447,7 +441,7 @@ def sweep(
     All rows share one Monte-Carlo pass whose trials are drawn at the largest
     row N; each row's counts equal those of run_tail at its own N.
     """
-    sweep_rows = list(_sweep_rows(base, axis_name, axis_values, theorem, eps, beta_as_printed))
+    sweep_rows = list(_sweep_rows(base, axis_name, axis_values, theorem, eps))
     return _result_rows(base, axis_name, sweep_rows, workers)
 
 

@@ -51,19 +51,6 @@ class TestBeta:
         with pytest.raises(DomainError):
             bounds.beta(s, UNIT)
 
-    def test_as_printed_value(self):
-        # alpha^2 R^2 p + (alpha^2 R^2 s)^2 / (1 - 2 R^2 s)
-        assert bounds.beta(0.25, UNIT, as_printed=True) == pytest.approx(
-            2.0 + 0.0625 / 0.5, rel=1e-15
-        )
-
-    def test_as_printed_pole_guard_small_alpha(self):
-        params = ProblemParams(p=2, alpha=0.5, sigma_min=0.2, sigma_max=0.25, R=1.0)
-        # domain allows s < 2 but the printed denominator's pole sits at 0.5
-        assert bounds.beta(0.4, params, as_printed=True) > 0
-        with pytest.raises(DomainError):
-            bounds.beta(0.6, params, as_printed=True)
-
     def test_strictly_increasing(self):
         s = np.linspace(1e-6, 0.499, 200)
         vals = [bounds.beta(float(x), UNIT) for x in s]
@@ -157,12 +144,7 @@ class TestN3:
         # domain (0, 1/(alpha^2 R^2)) = (0, 15.7).
         params = ProblemParams(p=24, alpha=0.0152, sigma_min=7.68e-6, sigma_max=7.74e-6, R=16.6)
         acc = Accuracy(r=6.5e-4, eps=1.6e-7)
-        for bd in (
-            bounds.n_main(acc, params),
-            bounds.n_main(acc, params, beta_as_printed=True),
-            bounds.n_main_tau(acc, params),
-            bounds.n_main_tau(acc, params, beta_as_printed=True),
-        ):
+        for bd in (bounds.n_main(acc, params), bounds.n_main_tau(acc, params)):
             assert math.isfinite(bd.n_final), bd
         ob = bounds.eps_of_n(acc.r, bounds.n_main(acc, params).n_final, params)
         assert ob.eps3_feasible and math.isfinite(ob.eps_final)
@@ -274,32 +256,6 @@ class TestInnerOptimaOnRandomSets:
             margin = sm**2 * r**2 * s * N - 8.0 * beta_proof(s, al, R)
             at_s = min(1.0, 3.0 * params.p * math.exp(-(margin**2) / (8.0 * s * sm**2 * r**2)))
             assert ob.eps2 == pytest.approx(at_s, rel=1e-12), (params, acc)
-
-    def test_as_printed_n2(self):
-        for params, acc in RANDOM_SETS:
-            a, R, sm, r = params.alpha**2 * params.R**2, params.R, params.sigma_min, acc.r
-            value, s_opt = bounds.n2_main(acc, params, as_printed=True)
-            log_term = math.log(3.0 * params.p / acc.eps)
-
-            def objective(s):
-                beta_printed = a * params.p + (a * s) ** 2 / (1.0 - 2.0 * R**2 * s)
-                return (8.0 * beta_printed + 2.0 * sm * r * np.sqrt(2.0 * s * log_term)) / (
-                    sm**2 * r**2 * s
-                )
-
-            s_hi = min(1.0 / (2.0 * a), 1.0 / (2.0 * R**2))
-            grid = np.geomspace(s_hi * 1e-9, s_hi * (1.0 - 1e-9), ORACLE_POINTS)
-            assert value <= float(np.min(objective(grid))) * (1 + 1e-12), (params, acc)
-            assert value == pytest.approx(objective(s_opt), rel=1e-12), (params, acc)
-
-    def test_as_printed_n2_boundary_optimum(self):
-        # alpha > 1: the as-printed objective still falls at the right end of
-        # its domain 1/(2*alpha^2*R^2) = 0.5, so the witness is the largest
-        # float inside it; the value is no worse than the scan-based search's
-        params = ProblemParams(p=2, alpha=2.0, sigma_min=1.0, sigma_max=1.0, R=0.5)
-        value, s = bounds.n2_main(Accuracy(r=1.0, eps=0.05), params, as_printed=True)
-        assert 0 < s < 1.0 / (2.0 * params.alpha**2 * params.R**2)
-        assert value <= 46.08546840980321
 
 
 class TestNRand:

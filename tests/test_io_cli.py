@@ -90,13 +90,14 @@ class TestJsonSchemas:
             )
             doc = breakdown_to_json(
                 bounds.bound_for(tag, acc, params),
-                {"beta_form": "proof", "log_numerator_n2_n3": "2" if tag == "main_tau" else "3p"},
+                {"log_numerator_n2_n3": "2" if tag == "main_tau" else "3p"},
             )
             jsonschema.validate(doc, schema)
 
     def test_outage_instances_validate(self):
         schema = load_schema("outage_breakdown.schema.json")
-        doc = outage_to_json(bounds.eps_of_n(1.0, 300, UNIT), {"beta_form": "proof"})
+        doc = outage_to_json(bounds.eps_of_n(1.0, 300, UNIT))
+        assert doc["meta"] == {}
         jsonschema.validate(doc, schema)
         infeasible = outage_to_json(bounds.eps_of_n(1.0, 6, UNIT))
         jsonschema.validate(infeasible, schema)
@@ -208,7 +209,7 @@ _TO_CONFIG = {"noise": noise_to_config, "design": design_to_config}
 
 VALID_DOCS = [
     _valid_doc(),
-    _valid_doc(trials=10.0, base_seed=3, diagnostics=False, beta_as_printed=True, r=0.5),
+    _valid_doc(trials=10.0, base_seed=3, diagnostics=False, r=0.5),
     _valid_doc(axis={"name": "N", "values": [3, 4.0]}, r=0.5, output={"csv": "a.csv", "svg": "a.svg"}),
     *(_valid_doc(**{slot: _TO_CONFIG[slot](model)}) for slot in MODEL_EXAMPLES
       for model in MODEL_EXAMPLES[slot]),
@@ -233,7 +234,7 @@ def _malformed_docs():
     every key, and an unknown and a missing key at every level."""
     base = _valid_doc(r=0.5)
     wrong_type = {
-        "schema_version": 1, "theorem": 1, "beta_as_printed": "no", "design": [], "noise": "x",
+        "schema_version": 1, "theorem": 1, "design": [], "noise": "x",
         "r": "1", "eps": None, "axis": [], "trials": "x", "base_seed": True, "diagnostics": "no",
         "output": "out.csv",
     }
@@ -252,6 +253,7 @@ def _malformed_docs():
     )
     yield "removed-theta0", _edit(base, ("theta0",), [0.0, 1.0])
     yield "removed-n_hint", _edit(base, ("n_hint",), 2)
+    yield "removed-beta_as_printed", _edit(base, ("beta_as_printed",), False)
     for level in ((), ("axis",), ("output",), ("noise",), ("design",)):
         yield "unknown-" + ".".join(level or ("top",)), _edit(base, (*level, "bogus"), 1)
     for path in (("schema_version",), ("theorem",), ("design",), ("noise",), ("axis",),
@@ -361,22 +363,16 @@ class TestCli:
     def test_bound_n_meta_only_where_it_applies(self, tag, capsys):
         argv = (f"bound-n --model {tag.replace('_', '-')} --r 1 --eps 0.05 --p 2 --alpha 1 "
                 "--R 1 --b 1 --sigma-min 1 --sigma-max 1").split()
-        has_beta = tag in ("main", "main_tau")
         assert cli.main(argv) == 0
         doc = json.loads(capsys.readouterr().out)
         jsonschema.validate(doc, load_schema("bound_breakdown.schema.json"))
         log_numerator = "2" if tag == "main_tau" else "3p"
         assert doc["meta"] == (
-            {"beta_form": "proof", "log_numerator_n2_n3": log_numerator} if has_beta else {}
+            {"log_numerator_n2_n3": log_numerator} if tag in ("main", "main_tau") else {}
         )
-        code = cli.main(argv + ["--beta-as-printed"])
-        captured = capsys.readouterr()
-        if has_beta:
-            assert code == 0
-            assert json.loads(captured.out)["meta"]["beta_form"] == "as-printed"
-        else:
-            assert code == 2
-            assert captured.err.startswith("error:") and "beta_as_printed" in captured.err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--beta-as-printed"])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("value", ["nan", "inf", "1e300", "1e160", "1e-160", "1e-300"])
     @pytest.mark.parametrize("flag", ["alpha", "R", "sigma-min", "sigma-max", "r"])
@@ -558,21 +554,31 @@ class TestCli:
         assert err.startswith("error:") and message in err
         assert not (tmp_path / "never.csv").exists()
 
-    def test_simulate_beta_as_printed_on_n_axis_exit_2(self, tmp_path, capsys):
-        cfg = {
-            "schema_version": "1",
-            "theorem": "main",
-            "beta_as_printed": True,
-            "design": {"kind": "iid-bounded-columns", "column_stddevs": [1.0, 1.0], "entry_law": "scaled-uniform"},
-            "noise": {"kind": "gaussian", "sigma": 1.0},
-            "r": 4.0,
-            "axis": {"name": "N", "values": [400]},
-            "trials": 10,
-            "output": {"csv": str(tmp_path / "never.csv")},
-        }
+    def test_simulate_beta_as_printed_is_an_unknown_key(self, tmp_path, capsys):
+        cfg = _valid_doc(beta_as_printed=True, output={"csv": str(tmp_path / "never.csv")})
         assert cli.main(["simulate", "--config", _write_config(tmp_path, cfg)]) == 2
-        assert "beta_as_printed" in capsys.readouterr().err
+        assert "unknown keys ['beta_as_printed']" in capsys.readouterr().err
         assert not (tmp_path / "never.csv").exists()
+
+    def test_reproduce_malformed_seed_env_exit_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("LSQBOUNDS_SEED", "abc")
+        assert cli.main(["reproduce", "fig2", "--outdir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "LSQBOUNDS_SEED" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_exit_2(self, workers, tmp_path, capsys):
+        cfg = _valid_doc(output={"csv": str(tmp_path / "sim.csv")})
+        argvs = (
+            ["simulate", "--config", _write_config(tmp_path, cfg)],
+            ["reproduce", "fig1", "--trials", "20", "--outdir", str(tmp_path)],
+        )
+        for argv in argvs:
+            assert cli.main(argv + ["--workers", workers]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "workers must be at least 1" in err
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_unknown_figure_rejected_by_argparse(self):
         with pytest.raises(SystemExit) as exc:
@@ -638,13 +644,6 @@ class TestSimulateFixedDesign:
         cfg["theorem"] = "main"
         assert cli.main(["simulate", "--config", _write_config(tmp_path, cfg)]) == 2
         assert "fixed_mds" in capsys.readouterr().err
-
-    def test_beta_as_printed_exit_2(self, tmp_path, capsys):
-        cfg = self.fig5_config(tmp_path, 3, 40)
-        cfg["beta_as_printed"] = True
-        assert cli.main(["simulate", "--config", _write_config(tmp_path, cfg)]) == 2
-        assert "beta_as_printed" in capsys.readouterr().err
-        assert not (tmp_path / "sim.csv").exists()
 
     def test_fixed_matrix_off_n_axis_exit_2(self, tmp_path, capsys):
         rows = np.random.default_rng(0).uniform(-1.0, 1.0, (400, 2))

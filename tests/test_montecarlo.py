@@ -244,6 +244,17 @@ class TestRunTail:
         with pytest.raises(ParameterError):
             ExperimentSpec(ALL_ONES_4x1, Rademacher(1.0), N=4, r=0.4, trials=0)
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_workers_below_one_before_any_trial(self, workers, monkeypatch):
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(montecarlo, "_trials", no_trials)
+        spec = ExperimentSpec(ALL_ONES_4x1, Rademacher(1.0), N=4, r=0.4, trials=10, diagnostics=True)
+        for run in (run_tail, run_event_diagnostics):
+            with pytest.raises(ParameterError, match="workers must be at least 1"):
+                run(spec, workers=workers)
+
 
 class TestEventDiagnostics:
     def test_fixed_design_gram_event_is_deterministic(self):
@@ -421,24 +432,6 @@ class TestSweep:
                 sweep(base, axis, values, "fixed_mds", eps=0.05)
         (row,) = sweep(base, "N", [400], "fixed_mds")
         assert row.axis_value == 400 and row.trials == 40
-
-    @pytest.mark.parametrize("route", ["n-axis", "fixed-design"])
-    def test_beta_as_printed_only_where_beta_is_evaluated(self, route):
-        if route == "n-axis":
-            args = (self.base(), "N", [400], "main")
-        else:
-            design, noise = fig5_models()
-            base = ExperimentSpec(design, noise, N=40, r=0.05, trials=40, base_seed=3)
-            args = (base, "r", [0.05], "fixed_mds", 0.01)
-        with pytest.raises(ParameterError, match="beta_as_printed"):
-            sweep(*args, beta_as_printed=True)
-        assert sweep(*args)
-
-    def test_beta_as_printed_on_random_r_axis(self):
-        (row,) = sweep(self.base(), "r", [0.5], "main", eps=0.01, beta_as_printed=True)
-        params = implied_problem_params(self.DESIGN, self.NOISE)
-        bd = bounds.n_main(Accuracy(r=0.5, eps=0.01), params, beta_as_printed=True)
-        assert (row.n_bound_real, row.n_bound_ceil) == (bd.n_final, bd.n_ceil)
 
 
 def own_n_err_max(spec: ExperimentSpec, N: int) -> list:
