@@ -56,6 +56,14 @@ class TestBeta:
         vals = [bounds.beta(float(x), UNIT) for x in s]
         assert np.all(np.diff(vals) > 0)
 
+    def test_domain_scales_with_alpha_and_R(self):
+        # the pole sits at 1/(2*alpha^2*R^2) = 2, not at the unit case's 0.5
+        params = ProblemParams(p=2, alpha=0.5, sigma_min=0.2, sigma_max=0.25, R=1.0)
+        assert bounds.beta(1.9, params) == pytest.approx(beta_proof(1.9, 0.5, 1.0), rel=1e-15)
+        assert bounds.beta(0.6, params) == pytest.approx(0.15 + 0.0225 / 0.7, rel=1e-15)
+        with pytest.raises(DomainError):
+            bounds.beta(2.0, params)
+
 
 class TestGamma:
     def test_vanishes_at_zero(self):
@@ -111,6 +119,16 @@ class TestN2:
         # with a vanishing log term the infimum tends to 8*alpha^2*R^2/sigma^2/r^2
         value, _ = _n2_infimum(1.0, 0.0, UNIT)
         assert value == pytest.approx(8.0, rel=1e-4)
+
+    def test_alpha_above_one_against_grid_oracle(self):
+        # alpha > 1 with alpha*R = 1: the witness stays inside (0, 1/(2*alpha^2*R^2))
+        params = ProblemParams(p=2, alpha=2.0, sigma_min=1.0, sigma_max=1.0, R=0.5)
+        value, s_opt = bounds.n2_main(ACC, params)
+        oracle_value, oracle_s = n2_grid_oracle(1.0, 0.05, 2, 2.0, 0.5, 1.0)
+        assert 0.0 < s_opt < 0.5
+        assert value <= oracle_value * (1 + 1e-12)
+        assert value == pytest.approx(oracle_value, rel=1e-6)
+        assert s_opt == pytest.approx(oracle_s, rel=1e-2)
 
     def test_decreasing_in_r(self):
         v1, _ = bounds.n2_main(Accuracy(r=1.0, eps=0.05), UNIT)
@@ -363,6 +381,17 @@ class TestNMainTau:
                 for w in np.arange(0.01, 1.0, 0.01)
             )
             assert tau <= grid_min * (1 + 1e-12), (params, acc)
+
+
+class TestBoundFor:
+    @pytest.mark.parametrize("tag", sorted(bounds.BOUND_FUNCTIONS))
+    def test_dispatches_to_the_tagged_function(self, tag):
+        params = replace(UNIT, b=1.0)
+        assert bounds.bound_for(tag, ACC, params) == bounds.BOUND_FUNCTIONS[tag](ACC, params)
+
+    def test_unknown_tag_names_the_choices(self):
+        with pytest.raises(DomainError, match=r"unknown bound tag 'printed'.*'main_tau'"):
+            bounds.bound_for("printed", ACC, UNIT)
 
 
 class TestCeiling:

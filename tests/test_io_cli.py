@@ -416,6 +416,7 @@ class TestCli:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["eps_rand"] == pytest.approx(12.0 * 2.718281828459045 ** (-0.75 * 256 / 35.0), rel=1e-9)
+        assert doc["meta"] == {}
         jsonschema.validate(doc, load_schema("outage_breakdown.schema.json"))
 
     def test_bound_n_ceil_at_least_p_plus_1(self, capsys):
