@@ -10,29 +10,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import bounds
-from .io import (
-    breakdown_to_json,
-    default_seed,
-    dump_json,
-    load_run_config,
-    outage_to_json,
-    write_result_csv,
-)
-from .montecarlo import (
-    ExperimentSpec,
-    RangeExhaustedError,
-    SimulationQualityError,
-    _result_rows,
-    _sweep_rows,
-    run_event_diagnostics,
-)
+from .io import breakdown_to_json, default_seed, dump_json, load_run_config, outage_to_json
+from .montecarlo import RangeExhaustedError, SimulationQualityError, run_event_diagnostics
 from .params import Accuracy, DomainError, NoFinitePointError, ParameterError, ProblemParams
-from .presets import DEFAULT_SEED, DEFAULT_TRIALS, FIGURE_IDS, reproduce
-from .svg import write_line_plot
+from .presets import DEFAULT_SEED, DEFAULT_TRIALS, FIGURE_IDS, Figure, Panel, reproduce, run_figure
 
 EXIT_OK = 0
 EXIT_PARAMETER = 2
@@ -83,38 +68,23 @@ def _cmd_bound_eps(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config)
-    trials = args.trials if args.trials is not None else cfg.trials
-    # Every row sets its own N, so the base only needs a valid one.
-    base = ExperimentSpec(
-        design=cfg.design,
-        noise=cfg.noise,
-        N=cfg.design.p + 1,
+    panel = Panel(
+        Path(cfg.csv_path).stem,
+        lambda seed: (cfg.design, cfg.noise),
         r=cfg.r if cfg.r is not None else float(cfg.axis_values[0]),
-        trials=trials,
-        base_seed=cfg.base_seed,
-        diagnostics=cfg.diagnostics,
+        axis=cfg.axis_name,
+        values=cfg.axis_values,
+        theorem=cfg.theorem,
+        eps=cfg.eps,
+        bound_label="bound",
+        p_hat_label="p_hat",
     )
-    sweep_rows = list(_sweep_rows(base, cfg.axis_name, cfg.axis_values, cfg.theorem, cfg.eps))
-    for path in (cfg.csv_path, cfg.svg_path):  # now, not after every trial has run
-        if path is not None:
-            Path(path).parent.mkdir(parents=True, exist_ok=True)
-    rows = _result_rows(base, cfg.axis_name, sweep_rows, args.workers)
-    write_result_csv(cfg.csv_path, rows)
-    if cfg.svg_path is not None:
-        xs = [row.axis_value for row in rows]
-        write_line_plot(
-            cfg.svg_path,
-            [
-                ("bound", xs, [row.n_bound_real for row in rows]),
-                ("p_hat", xs, [row.p_hat for row in rows]),
-            ],
-            title=f"{cfg.theorem} bound vs tail estimate",
-            x_label=cfg.axis_name,
-            y_label="bound / p_hat",
-        )
+    fig = Figure(f"{cfg.theorem} bound vs tail estimate", cfg.axis_name, "bound / p_hat", (panel,))
+    trials = args.trials if args.trials is not None else cfg.trials
+    (sweep_rows,) = run_figure(fig, (cfg.csv_path,), cfg.svg_path, trials, cfg.base_seed, args.workers)
     if cfg.diagnostics:
         for value, spec, params, _ in sweep_rows:
-            diag = run_event_diagnostics(spec, params=params, workers=args.workers)
+            diag = run_event_diagnostics(replace(spec, diagnostics=True), params=params, workers=args.workers)
             print(dump_json({"axis_value": float(value), **asdict(diag)}))
     return EXIT_OK
 

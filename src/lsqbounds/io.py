@@ -217,7 +217,8 @@ def parse_run_config(doc: dict) -> RunConfig:
         raise ParameterError(f"{got['axis_name']}-axis runs need a base r")
     if got["axis_name"] == "r" and "eps" not in got:
         raise ParameterError("r-axis runs need a target eps")
-    got.setdefault("base_seed", default_seed() or 0)
+    if "base_seed" not in got:  # read the variable only when the config has no seed
+        got["base_seed"] = default_seed() or 0
     return RunConfig(**got)
 
 

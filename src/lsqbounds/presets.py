@@ -2,9 +2,9 @@
 
 Each preset is one entry of the FIGURES table: a list of panels, each
 pinning a design model, a noise model, an accuracy target and an axis grid.
-reproduce runs every panel through montecarlo.sweep, so its rows pair the
-computed bound with a seeded tail estimate at the N that sweep chooses, and
-writes one CSV per panel plus one diagnostic SVG per figure.
+run_figure sweeps every panel, so its rows pair the computed bound with a
+seeded tail estimate at the N that the sweep chooses, and writes one CSV per
+panel plus one diagnostic SVG per figure; a simulate run is a one-panel figure.
 
 The mixture component variances and the FIR tap profile are preset choices;
 they are tuned so the declared noise parameters (R, b) hit their targets
@@ -31,7 +31,7 @@ from .models import (
     Uniform,
     random_pilots,
 )
-from .montecarlo import ExperimentSpec, fixed_design_bound, sweep  # noqa: F401  (re-exported)
+from .montecarlo import ExperimentSpec, _result_rows, _sweep_rows, fixed_design_bound  # noqa: F401  (re-exported)
 from .params import ParameterError
 from .svg import write_line_plot
 
@@ -161,6 +161,54 @@ class PresetOutput:
     svg_path: Path
 
 
+def run_figure(
+    fig: Figure,
+    csv_paths: tuple[str | Path, ...],
+    svg_path: str | Path | None,
+    trials: int,
+    base_seed: int,
+    workers: int,
+) -> list[list]:
+    """Run every panel of fig, write panel i's rows to csv_paths[i] and, when
+    svg_path is set, plot every panel's bound series, then every labelled
+    p_hat series, to svg_path.  Returns each panel's sweep rows.
+
+    Every panel is checked before any directory is made or any trial runs, so
+    a rejected run leaves nothing behind.
+    """
+    if workers < 1:
+        raise ParameterError(f"workers must be at least 1, got {workers}")
+    planned = []
+    for panel in fig.panels:
+        design, noise = panel.models(base_seed)
+        # Every row sets its own N; the base only needs a valid one.
+        base = ExperimentSpec(
+            design, noise, N=design.p + 1, r=panel.r, trials=trials, base_seed=base_seed
+        )
+        sweep_rows = list(_sweep_rows(base, panel.axis, panel.values, panel.theorem, panel.eps))
+        planned.append((panel, base, sweep_rows))
+    for path in (*csv_paths, svg_path):
+        if path is not None:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
+    bound_series, p_hat_series = [], []
+    for (panel, base, sweep_rows), csv_path in zip(planned, csv_paths, strict=True):
+        rows = _result_rows(base, panel.axis, sweep_rows, workers)
+        write_result_csv(csv_path, rows)
+        xs = [row.axis_value for row in rows]
+        bound_series.append((panel.bound_label, xs, [row.n_bound_real for row in rows]))
+        if panel.p_hat_label is not None:
+            p_hat_series.append((panel.p_hat_label, xs, [row.p_hat for row in rows]))
+    if svg_path is not None:
+        write_line_plot(
+            svg_path,
+            bound_series + p_hat_series,
+            title=fig.title,
+            x_label=fig.x_label,
+            y_label=fig.y_label,
+        )
+    return [sweep_rows for _, _, sweep_rows in planned]
+
+
 def reproduce(
     figure: str,
     outdir: str | Path,
@@ -168,37 +216,13 @@ def reproduce(
     base_seed: int = DEFAULT_SEED,
     workers: int = 1,
 ) -> PresetOutput:
-    """Run one figure preset and write its CSV/SVG outputs into outdir.
-
-    Each panel is one sweep and one CSV; the SVG plots every panel's bound
-    series, then every labelled p_hat series.
-    """
+    """Run one figure preset through run_figure: one <panel>.csv per panel
+    and one <figure>.svg, in outdir."""
     if figure not in FIGURES:
         raise ParameterError(f"unknown figure {figure!r}; expected one of {FIGURE_IDS}")
     fig = FIGURES[figure]
     out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_paths, bound_series, p_hat_series = [], [], []
-    for panel in fig.panels:
-        design, noise = panel.models(base_seed)
-        # Every row sets its own N; the base only needs a valid one.
-        base = ExperimentSpec(
-            design, noise, N=design.p + 1, r=panel.r, trials=trials, base_seed=base_seed
-        )
-        rows = sweep(base, panel.axis, panel.values, panel.theorem, eps=panel.eps, workers=workers)
-        csv_path = out / f"{panel.csv}.csv"
-        write_result_csv(csv_path, rows)
-        csv_paths.append(csv_path)
-        xs = [row.axis_value for row in rows]
-        bound_series.append((panel.bound_label, xs, [row.n_bound_real for row in rows]))
-        if panel.p_hat_label is not None:
-            p_hat_series.append((panel.p_hat_label, xs, [row.p_hat for row in rows]))
+    csv_paths = tuple(out / f"{panel.csv}.csv" for panel in fig.panels)
     svg_path = out / f"{figure}.svg"
-    write_line_plot(
-        svg_path,
-        bound_series + p_hat_series,
-        title=fig.title,
-        x_label=fig.x_label,
-        y_label=fig.y_label,
-    )
-    return PresetOutput(tuple(csv_paths), svg_path)
+    run_figure(fig, csv_paths, svg_path, trials, base_seed, workers)
+    return PresetOutput(csv_paths, svg_path)

@@ -2,7 +2,7 @@
 
 import copy
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from importlib import resources
 from typing import get_args
 
@@ -10,7 +10,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from lsqbounds import bounds, cli, montecarlo
+from lsqbounds import bounds, cli, montecarlo, presets
 from lsqbounds.io import (
     RESULT_COLUMNS,
     ResultRow,
@@ -41,7 +41,7 @@ from lsqbounds.models import (
 )
 from lsqbounds.montecarlo import ExperimentSpec, run_event_diagnostics
 from lsqbounds.params import Accuracy, ParameterError, ProblemParams
-from lsqbounds.presets import channel_pilot_design, fig5_models, fixed_design_bound, reproduce
+from lsqbounds.presets import Panel, channel_pilot_design, fig5_models, fixed_design_bound, reproduce
 
 UNIT = ProblemParams(p=2, alpha=1.0, sigma_min=1.0, sigma_max=1.0, R=1.0)
 
@@ -580,6 +580,44 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("error:") and "workers must be at least 1" in err
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_config_base_seed_skips_the_seed_env(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("LSQBOUNDS_SEED", "abc")
+        cfg = _valid_doc(base_seed=7, output={"csv": str(tmp_path / "sim.csv")})
+        assert cli.main(["simulate", "--config", _write_config(tmp_path, cfg)]) == 0
+        assert [row.seed for row in read_result_csv(tmp_path / "sim.csv")] == [7]
+        del cfg["base_seed"]
+        assert cli.main(["simulate", "--config", _write_config(tmp_path, cfg)]) == 2
+        assert "LSQBOUNDS_SEED" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reproduce", "fig2", "--workers", "0", "--outdir", "{out}"],
+            ["reproduce", "fig2", "--trials", "0", "--outdir", "{out}"],
+            ["simulate", "--config", "{cfg}", "--workers", "0"],
+        ],
+        ids=["reproduce-workers", "reproduce-trials", "simulate-workers"],
+    )
+    def test_rejected_run_makes_no_directory(self, argv, tmp_path, capsys):
+        out = tmp_path / "o"
+        cfg = _valid_doc(output={"csv": str(out / "csv" / "sim.csv"), "svg": str(out / "svg" / "sim.svg")})
+        cfg_path = _write_config(tmp_path, cfg)
+        assert cli.main([arg.format(out=out, cfg=cfg_path) for arg in argv]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    def test_reproduce_checks_every_panel_before_any_trial(self, tmp_path, monkeypatch, capsys):
+        # The second panel is invalid (a pilot design is covered only by
+        # fixed_mds), so the valid first panel must not run or write its CSV.
+        fig2 = presets.FIGURES["fig2"]
+        bad = Panel("bad", fig5_models, r=0.05, axis="r", values=(0.05,), theorem="main",
+                    eps=0.01, bound_label="bad")
+        monkeypatch.setitem(presets.FIGURES, "fig2", replace(fig2, panels=(*fig2.panels, bad)))
+        out = tmp_path / "o"
+        assert cli.main(["reproduce", "fig2", "--trials", "20", "--outdir", str(out)]) == 2
+        assert "fixed_mds" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_figure_rejected_by_argparse(self):
         with pytest.raises(SystemExit) as exc:
