@@ -76,10 +76,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         values=cfg.axis_values,
         theorem=cfg.theorem,
         eps=cfg.eps,
-        bound_label="bound",
-        p_hat_label="p_hat",
     )
-    fig = Figure(f"{cfg.theorem} bound vs tail estimate", cfg.axis_name, "bound / p_hat", (panel,))
+    fig = Figure(f"{cfg.theorem} bound vs {cfg.axis_name}", (panel,))
     trials = args.trials if args.trials is not None else cfg.trials
     (sweep_rows,) = run_figure(fig, (cfg.csv_path,), cfg.svg_path, trials, cfg.base_seed, args.workers)
     if cfg.diagnostics:

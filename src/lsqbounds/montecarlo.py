@@ -397,9 +397,10 @@ def _sweep_rows(
     if axis_name == "r" and eps is None:
         raise ParameterError("r-axis sweeps need a target eps")
     random_design = base.design.random
-    if not random_design and theorem != "fixed_mds":
+    if random_design == (theorem == "fixed_mds"):  # fixed_mds measures the matrix each row runs
         raise ParameterError(
-            f"a non-random design is covered only by the fixed_mds bound, got {theorem!r}"
+            f"fixed_mds covers only a non-random design, got {type(base.design).__name__}" if random_design
+            else f"a non-random design is covered only by the fixed_mds bound, got {theorem!r}"
         )
     if isinstance(base.design, FixedMatrix) and axis_name != "N":
         raise ParameterError(f"a fixed-matrix design runs only on the N axis, got {axis_name!r}")

@@ -31,7 +31,7 @@ from .models import (
     Uniform,
     random_pilots,
 )
-from .montecarlo import ExperimentSpec, _result_rows, _sweep_rows, fixed_design_bound  # noqa: F401  (re-exported)
+from .montecarlo import ExperimentSpec, _result_rows, _sweep_rows
 from .params import ParameterError
 from .svg import write_line_plot
 
@@ -99,57 +99,50 @@ class Panel:
     axis: str
     values: tuple[float, ...]
     theorem: str
-    bound_label: str
     eps: float | None = None
-    p_hat_label: str | None = None
 
 
 @dataclass(frozen=True)
 class Figure:
     title: str
-    x_label: str
-    y_label: str
     panels: tuple[Panel, ...]
 
 
 FIGURES = {
     "fig1": Figure(
-        "required N and tail estimate vs outage target", "eps", "N / p_hat",
-        (Panel("fig1", _fig1_models, r=0.01, axis="eps", values=(0.1, 0.05, 0.02, 0.01),
-               theorem="main", bound_label="bound", p_hat_label="p_hat"),),
+        "required N vs outage target",
+        (Panel("fig1", _fig1_models, r=0.01, axis="eps", values=(0.1, 0.05, 0.02, 0.01), theorem="main"),),
     ),
     "fig2": Figure(
-        "required N and tail estimate vs radius (uniform noise)", "r", "N / p_hat",
+        "required N vs radius (uniform noise)",
         (Panel("fig2", lambda seed: fig2_models(), r=1.0, axis="r", values=(0.2, 0.4, 0.8, 1.6),
-               theorem="main", eps=0.01, bound_label="bound", p_hat_label="p_hat"),),
+               theorem="main", eps=0.01),),
     ),
     "fig3": Figure(
-        "joint vs martingale bound (Gaussian noise, R=10)", "r", "N / p_hat",
+        "joint vs martingale bound (Gaussian noise, R=10)",
         (
             Panel("fig3_main", _fig3_models, r=1.0, axis="r", values=(1.0, 2.0, 4.0),
-                  theorem="main", eps=0.05, bound_label="main bound", p_hat_label="p_hat (main)"),
+                  theorem="main", eps=0.05),
             Panel("fig3_mds", _fig3_models, r=1.0, axis="r", values=(1.0, 2.0, 4.0),
-                  theorem="mds_subgaussian", eps=0.05, bound_label="mds bound",
-                  p_hat_label="p_hat (mds)"),
+                  theorem="mds_subgaussian", eps=0.05),
         ),
     ),
     "fig4": Figure(
-        "required N vs radius for several condition numbers", "r", "N",
+        "required N vs radius for several condition numbers",
         tuple(
             Panel(f"fig4_cond{cond}", _fig4_models(cond), r=1.0, axis="r", values=r_grid,
-                  theorem="main", eps=0.05, bound_label=f"bound cond={cond}")
+                  theorem="main", eps=0.05)
             for cond, r_grid in ((1, (1.0, 2.0, 4.0)), (5, (2.0, 4.0, 8.0)), (25, (8.0, 16.0, 32.0)))
         ),
     ),
     "fig5": Figure(
-        "channel estimation: required N vs radius", "r", "N / p_hat",
+        "channel estimation: required N vs radius",
         (Panel("fig5", fig5_models, r=0.05, axis="r", values=(0.05, 0.1, 0.2),
-               theorem="fixed_mds", eps=0.01, bound_label="bound", p_hat_label="p_hat"),),
+               theorem="fixed_mds", eps=0.01),),
     ),
     "fig6": Figure(
-        "channel estimation: outage vs sample count", "N", "eps / p_hat",
-        (Panel("fig6", fig5_models, r=0.01, axis="N", values=(3000, 4500, 6000, 7500),
-               theorem="fixed_mds", bound_label="eps bound", p_hat_label="p_hat"),),
+        "channel estimation: outage vs sample count",
+        (Panel("fig6", fig5_models, r=0.01, axis="N", values=(3000, 4500, 6000, 7500), theorem="fixed_mds"),),
     ),
 }
 FIGURE_IDS = tuple(FIGURES)
@@ -170,14 +163,16 @@ def run_figure(
     workers: int,
 ) -> list[list]:
     """Run every panel of fig, write panel i's rows to csv_paths[i] and, when
-    svg_path is set, plot every panel's bound series, then every labelled
-    p_hat series, to svg_path.  Returns each panel's sweep rows.
+    svg_path is set, plot each panel's "<csv> bound" series to svg_path, and
+    on the N axis, where the bound is an outage probability, its "<csv> p_hat"
+    too.  Returns each panel's sweep rows.
 
     Every panel is checked before any directory is made or any trial runs, so
     a rejected run leaves nothing behind.
     """
     if workers < 1:
         raise ParameterError(f"workers must be at least 1, got {workers}")
+    (axis,) = {panel.axis for panel in fig.panels}  # one shared axis labels the plot
     planned = []
     for panel in fig.panels:
         design, noise = panel.models(base_seed)
@@ -185,26 +180,26 @@ def run_figure(
         base = ExperimentSpec(
             design, noise, N=design.p + 1, r=panel.r, trials=trials, base_seed=base_seed
         )
-        sweep_rows = list(_sweep_rows(base, panel.axis, panel.values, panel.theorem, panel.eps))
+        sweep_rows = list(_sweep_rows(base, axis, panel.values, panel.theorem, panel.eps))
         planned.append((panel, base, sweep_rows))
     for path in (*csv_paths, svg_path):
         if path is not None:
             Path(path).parent.mkdir(parents=True, exist_ok=True)
     bound_series, p_hat_series = [], []
     for (panel, base, sweep_rows), csv_path in zip(planned, csv_paths, strict=True):
-        rows = _result_rows(base, panel.axis, sweep_rows, workers)
+        rows = _result_rows(base, axis, sweep_rows, workers)
         write_result_csv(csv_path, rows)
         xs = [row.axis_value for row in rows]
-        bound_series.append((panel.bound_label, xs, [row.n_bound_real for row in rows]))
-        if panel.p_hat_label is not None:
-            p_hat_series.append((panel.p_hat_label, xs, [row.p_hat for row in rows]))
+        bound_series.append((f"{panel.csv} bound", xs, [row.n_bound_real for row in rows]))
+        if axis == "N":
+            p_hat_series.append((f"{panel.csv} p_hat", xs, [row.p_hat for row in rows]))
     if svg_path is not None:
         write_line_plot(
             svg_path,
             bound_series + p_hat_series,
             title=fig.title,
-            x_label=fig.x_label,
-            y_label=fig.y_label,
+            x_label=axis,
+            y_label="eps / p_hat" if axis == "N" else "N",
         )
     return [sweep_rows for _, _, sweep_rows in planned]
 

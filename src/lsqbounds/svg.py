@@ -1,8 +1,8 @@
 """Minimal self-contained SVG line plots (no external plotting stack).
 
 These plots are diagnostics: they preserve curve ordering and rough shape,
-nothing more.  The y axis switches to log scale when the positive values
-span more than two decades.
+nothing more.  The y axis is on a log scale whenever every value is
+positive, and linear otherwise.
 """
 
 from __future__ import annotations
@@ -13,11 +13,10 @@ from pathlib import Path
 WIDTH, HEIGHT = 720, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 50
 COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})  # for labels, named after output files
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    if hi <= lo:
-        return [lo]
     step = (hi - lo) / (count - 1)
     return [lo + i * step for i in range(count)]
 
@@ -43,10 +42,7 @@ def write_line_plot(
         raise ValueError("nothing to plot")
     xs_all = [p[0] for p in pts]
     ys_all = [p[1] for p in pts]
-    positive = [y for y in ys_all if y > 0]
-    log_y = bool(positive) and min(positive) > 0 and max(positive) / min(positive) > 100 and all(
-        y > 0 for y in ys_all
-    )
+    log_y = all(y > 0 for y in ys_all)
 
     def ty(y: float) -> float:
         return math.log10(y) if log_y else y
@@ -104,7 +100,7 @@ def write_line_plot(
         parts.append(
             f'<line x1="{WIDTH - MARGIN_R - 150}" y1="{ly - 4}" x2="{WIDTH - MARGIN_R - 130}" '
             f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>'
-            f'<text x="{WIDTH - MARGIN_R - 124}" y="{ly}">{label}</text>'
+            f'<text x="{WIDTH - MARGIN_R - 124}" y="{ly}">{label.translate(XML_ESCAPES)}</text>'
         )
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts), encoding="utf-8")

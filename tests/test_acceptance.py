@@ -25,6 +25,7 @@ from lsqbounds.models import (
 )
 from lsqbounds.montecarlo import (
     ExperimentSpec,
+    fixed_design_bound,
     run_event_diagnostics,
     run_tail,
     wilson_interval,
@@ -34,7 +35,6 @@ from lsqbounds.presets import (
     fig2_models,
     fig5_models,
     fir_mds_with_param,
-    fixed_design_bound,
     reproduce,
 )
 

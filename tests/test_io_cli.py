@@ -2,9 +2,10 @@
 
 import copy
 import json
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from importlib import resources
 from typing import get_args
+from xml.etree import ElementTree
 
 import jsonschema
 import numpy as np
@@ -39,9 +40,17 @@ from lsqbounds.models import (
     design_to_config,
     noise_to_config,
 )
-from lsqbounds.montecarlo import ExperimentSpec, run_event_diagnostics
+from lsqbounds.montecarlo import ExperimentSpec, fixed_design_bound, run_event_diagnostics
 from lsqbounds.params import Accuracy, ParameterError, ProblemParams
-from lsqbounds.presets import Panel, channel_pilot_design, fig5_models, fixed_design_bound, reproduce
+from lsqbounds.presets import (
+    Figure,
+    Panel,
+    channel_pilot_design,
+    fig2_models,
+    fig5_models,
+    reproduce,
+    run_figure,
+)
 
 UNIT = ProblemParams(p=2, alpha=1.0, sigma_min=1.0, sigma_max=1.0, R=1.0)
 
@@ -611,8 +620,7 @@ class TestCli:
         # The second panel is invalid (a pilot design is covered only by
         # fixed_mds), so the valid first panel must not run or write its CSV.
         fig2 = presets.FIGURES["fig2"]
-        bad = Panel("bad", fig5_models, r=0.05, axis="r", values=(0.05,), theorem="main",
-                    eps=0.01, bound_label="bad")
+        bad = Panel("bad", fig5_models, r=0.05, axis="r", values=(0.05,), theorem="main", eps=0.01)
         monkeypatch.setitem(presets.FIGURES, "fig2", replace(fig2, panels=(*fig2.panels, bad)))
         out = tmp_path / "o"
         assert cli.main(["reproduce", "fig2", "--trials", "20", "--outdir", str(out)]) == 2
@@ -646,6 +654,43 @@ class TestPresetSmoke:
         vals = [row.n_bound_real for row in rows6]
         assert all(b <= a for a, b in zip(vals, vals[1:]))  # outage falls with N
         assert all(row.n_bound_ceil is None for row in rows6)
+
+
+class TestFigurePlot:
+    """run_figure takes every label and series of a figure's SVG from its panels."""
+
+    def test_panels_carry_no_plot_labels(self):
+        assert [f.name for f in fields(Figure)] == ["title", "panels"]
+        assert [f.name for f in fields(Panel)] == ["csv", "models", "r", "axis", "values", "theorem", "eps"]
+
+    def test_r_axis_plots_each_bound_on_a_log_axis(self, tmp_path):
+        panels = tuple(
+            Panel(csv, lambda seed: fig2_models(), r=1.0, axis="r", values=(0.8, 1.6), theorem=theorem, eps=0.01)
+            for csv, theorem in (("joint", "main"), ("weighted", "main_tau"))
+        )
+        svg = tmp_path / "fig.svg"
+        run_figure(Figure("t", panels), (tmp_path / "a.csv", tmp_path / "b.csv"), svg, 20, 1, 1)
+        text = svg.read_text(encoding="utf-8")
+        assert ">joint bound<" in text and ">weighted bound<" in text
+        assert "p_hat" not in text
+        assert ">N (log)<" in text and ">r<" in text
+
+    def test_n_axis_plots_p_hat_beside_the_outage_bound(self, tmp_path):
+        panel = Panel("outage", lambda seed: fig2_models(), r=1.0, axis="N", values=(64, 128), theorem="main")
+        svg = tmp_path / "fig.svg"
+        run_figure(Figure("t", (panel,)), (tmp_path / "n.csv",), svg, 20, 1, 1)
+        text = svg.read_text(encoding="utf-8")
+        assert ">outage bound<" in text and ">outage p_hat<" in text
+        assert ">N<" in text and "eps / p_hat" in text
+
+    def test_legend_from_a_config_path_is_escaped(self, tmp_path):
+        # A simulate legend is named after the config's CSV path, which may
+        # hold XML markup characters.
+        out = tmp_path / "o"
+        cfg = _valid_doc(output={"csv": str(out / "R&D <1>.csv"), "svg": str(out / "plot.svg")})
+        assert cli.main(["simulate", "--config", _write_config(tmp_path, cfg)]) == 0
+        root = ElementTree.parse(out / "plot.svg").getroot()
+        assert "R&D <1> bound" in [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
 
 
 def _write_config(tmp_path, doc) -> str:
@@ -683,6 +728,13 @@ class TestSimulateFixedDesign:
         cfg["theorem"] = "main"
         assert cli.main(["simulate", "--config", _write_config(tmp_path, cfg)]) == 2
         assert "fixed_mds" in capsys.readouterr().err
+
+    def test_fixed_mds_on_random_design_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        cfg = _valid_doc(theorem="fixed_mds", output={"csv": str(out / "sim.csv"), "svg": str(out / "sim.svg")})
+        assert cli.main(["simulate", "--config", _write_config(tmp_path, cfg)]) == 2
+        assert "covers only a non-random design" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_fixed_matrix_off_n_axis_exit_2(self, tmp_path, capsys):
         rows = np.random.default_rng(0).uniform(-1.0, 1.0, (400, 2))

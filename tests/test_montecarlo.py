@@ -433,6 +433,12 @@ class TestSweep:
         (row,) = sweep(base, "N", [400], "fixed_mds")
         assert row.axis_value == 400 and row.trials == 40
 
+    def test_fixed_mds_rejects_a_random_design(self):
+        # Its sigma_min would be the population one, not that of the Gram
+        # matrix each trial draws.
+        with pytest.raises(ParameterError, match="covers only a non-random design"):
+            sweep(self.base(), "r", [0.4], "fixed_mds", eps=0.01)
+
 
 def own_n_err_max(spec: ExperimentSpec, N: int) -> list:
     """Oracle: the max-coordinate error of each trial drawn at N itself, by
@@ -474,6 +480,30 @@ class TestFixedMdsCoversFirNoise:
         # sigma_min <= (G/N)_kk <= alpha^2, so the margin is at least 4.
         assert params.sigma_min <= np.min(np.diag(A.T @ A)) / N <= params.alpha**2
         assert margin >= 4.0
+
+
+class TestFixedDesignOvershoot:
+    """fixed_design_bound moves N up to the bound's ceiling at N, and a jump
+    can pass the smallest self-consistent N.  At fig5's matrix and
+    r = eps = 0.01, 6241 rows are self-consistent, yet the iteration runs past
+    the 8192-symbol pilot budget."""
+
+    ACC = Accuracy(0.01, 0.01)
+
+    def n_ceil_at(self, N):
+        design, noise = fig5_models()
+        return bounds.n_fixed_design(self.ACC, implied_problem_params(design, noise, N_hint=N)).n_ceil
+
+    def test_witness(self):
+        assert self.n_ceil_at(6241) == 6237
+        assert self.n_ceil_at(6240) == 6243
+        with pytest.raises(ParameterError, match="need at least N = 17826 pilot symbols, have 8192"):
+            fixed_design_bound(self.ACC, *fig5_models())
+
+    @pytest.mark.xfail(strict=True, raises=ParameterError, reason="the fixed-point iteration overshoots")
+    def test_returns_a_self_consistent_n_within_the_budget(self):
+        N, _, bd = fixed_design_bound(self.ACC, *fig5_models())
+        assert bd.n_ceil <= N <= 6241
 
 
 class TestOnePassSweep:
