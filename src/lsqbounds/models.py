@@ -137,14 +137,10 @@ def _seed_words(base_seed: int, role_id: int, subkeys: tuple[int, ...], block: i
     return words
 
 
-# Samplers fill one buffer and scale it in place.  2u - 1 on rng.random's u is
-# exactly rng.uniform(-1, 1), so the values equal scale * rng.uniform(...).
-
-
-def _to_pm1(x: np.ndarray) -> np.ndarray:
-    x *= 2.0
-    x -= 1.0
-    return x
+# Samplers fill one buffer and centre and scale it in place.  On a draw u of
+# rng.random (a multiple of 2^-53) or rng.integers(0, 2), u - 1/2 and every
+# doubling are exact, so (u - 1/2) (2c) equals c (2u - 1), which is
+# c * rng.uniform(-1, 1), bit for bit, with one pass fewer.
 
 
 def _scale(x: np.ndarray, c: float) -> np.ndarray:
@@ -152,8 +148,14 @@ def _scale(x: np.ndarray, c: float) -> np.ndarray:
     return x
 
 
-def _rademacher(rng: np.random.Generator, shape) -> np.ndarray:
-    return _to_pm1(rng.integers(0, 2, size=shape).astype(float))
+def _centre(x: np.ndarray, c: float) -> np.ndarray:
+    """c (2x - 1), computed in place as (x - 1/2) (2c)."""
+    x -= 0.5
+    return _scale(x, 2.0 * c)
+
+
+def _rademacher(rng: np.random.Generator, shape, c: float = 1.0) -> np.ndarray:
+    return _centre(rng.integers(0, 2, size=shape).astype(float), c)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +221,7 @@ class Uniform:
             raise ParameterError(f"half_width must be nonnegative, got {self.half_width}")
 
     def sample(self, n: int, seed: SeedSpec) -> np.ndarray:
-        return _scale(_to_pm1(seed.generator().random(n)), self.half_width)
+        return _centre(seed.generator().random(n), self.half_width)
 
     @property
     def subgaussian_param(self) -> float:
@@ -260,7 +262,7 @@ class Rademacher:
             raise ParameterError(f"scale must be nonnegative, got {self.scale}")
 
     def sample(self, n: int, seed: SeedSpec) -> np.ndarray:
-        return _scale(_rademacher(seed.generator(), n), self.scale)
+        return _rademacher(seed.generator(), n, self.scale)
 
     @property
     def subgaussian_param(self) -> float:
@@ -292,7 +294,7 @@ class FirMds:
             raise ParameterError(f"jammer_scale must be nonnegative, got {self.jammer_scale}")
 
     def sample(self, n: int, seed: SeedSpec) -> np.ndarray:
-        jam = _scale(_rademacher(seed.child(0).generator(), n), self.jammer_scale)
+        jam = _rademacher(seed.child(0).generator(), n, self.jammer_scale)
         v = np.convolve(jam, np.asarray(self.taps))[:n]
         v += self.receiver.sample(n, seed.child(1))
         return v
@@ -359,11 +361,12 @@ class IidBoundedColumns:
         _check_rows(N, self.p)
         rng = seed.generator()
         uniform = self.entry_law == "scaled-uniform"
-        A = _to_pm1(rng.random((N, self.p))) if uniform else _rademacher(rng, (N, self.p))
+        A = rng.random((N, self.p)) if uniform else rng.integers(0, 2, size=(N, self.p)).astype(float)
+        A -= 0.5
         # Column by column: numpy runs an (N, p) * (p,) broadcast with an inner
         # loop of length p, which costs as much as the draw itself.
         for k, sd in enumerate(self.column_stddevs):
-            A[:, k] *= ROOT3 * sd if uniform else sd
+            A[:, k] *= 2.0 * (ROOT3 * sd if uniform else sd)
         return A
 
 

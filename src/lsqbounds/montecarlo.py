@@ -34,6 +34,7 @@ LEMMA1_TOL = 1e-9
 IDENTITY_RTOL = 1e-10
 PIVOT_RTOL = 1e-12
 BLOCK_BYTES = 1 << 19  # draws held per block of trials
+SEGMENT_ELEMS = 1 << 19  # p^2 times the rows of one segment of a random design's Gram sums
 
 
 class RankDeficiencyError(ArithmeticError):
@@ -174,11 +175,17 @@ def _trials(spec: ExperimentSpec, start: int, stop: int, sizes=None):
     every block, with err = solve_map @ u per trial.  u, and a of a random
     design, are views of buffers that the next block refills.
 
+    A random design's G and a^T u add, in row order, the products of the
+    whole segments of S = max(1, SEGMENT_ELEMS // p^2) rows from row 0 below N,
+    then that of the rows past them.  Each product is one GEMM against a copy
+    of the design, and the factor and solve of every N of a block run as one
+    stacked call each.
+
     B is max(1, BLOCK_BYTES // (8 n_max (p + 1))) for a random design and
     max(1, BLOCK_BYTES // (8 n_max)) for a non-random one: the size of the
     preallocated draw buffers.  Each stacked call is bit-identical to the
-    per-trial call, since numpy runs SYRK (exactly symmetric G) and GEMV per
-    slice and LAPACK per matrix, so no count depends on B or block bounds.
+    per-trial call (numpy runs BLAS per slice and LAPACK per matrix) and the
+    segments depend on p alone, so no count depends on B, blocks or sizes.
     """
     sizes = (spec.N,) if sizes is None else sizes
     n_max = max(sizes)
@@ -187,7 +194,9 @@ def _trials(spec: ExperimentSpec, start: int, stop: int, sizes=None):
     block = max(1, BLOCK_BYTES // (8 * n_max * (p + 1 if random_design else 1)))
     v_buf = np.empty((block, n_max))
     if random_design:
-        a_buf = np.empty((block, n_max, p))
+        a_buf, c_buf = np.empty((2, block, n_max, p))
+        seg = max(1, SEGMENT_ELEMS // (p * p))
+        whole = n_max // seg * seg
     else:
         A = spec.design.sample(n_max, SeedSpec(spec.base_seed, 0, "design"))
         grams = [(A[:N], A[:N].T @ A[:N]) for N in sizes]
@@ -206,15 +215,27 @@ def _trials(spec: ExperimentSpec, start: int, stop: int, sizes=None):
                 yield a, G, u, (solve_map @ u[..., None])[..., 0], 0
             continue
         A = _stack(spec.design, n_max, spec.base_seed, trials, "design", a_buf)
-        for N in sizes:
-            a, u = A[:, :N], V[:, :N]
-            aT = a.swapaxes(-1, -2)
-            G, rhs = aT @ a, aT @ u[..., None]
-            ok = _full_rank(G)
-            invalid = len(ok) - np.count_nonzero(ok)
-            if invalid:
-                a, G, u, rhs = a[ok], G[ok], u[ok], rhs[ok]
-            yield a, G, u, np.linalg.solve(G, rhs)[..., 0], invalid
+        C = c_buf[: len(trials)]
+        np.copyto(C, A)  # a^T C runs as GEMM; a^T a, one buffer, as SYRK, slower at these shapes
+        if whole:
+            segs = (len(trials), whole // seg, seg)
+            aT = A[:, :whole].reshape(*segs, p).swapaxes(-1, -2)
+            G_cum = np.cumsum(aT @ C[:, :whole].reshape(*segs, p), axis=1)
+            rhs_cum = np.cumsum(aT @ V[:, :whole].reshape(*segs, 1), axis=1)
+        G, rhs = np.empty((len(sizes), len(trials), p, p)), np.empty((len(sizes), len(trials), p, 1))
+        for k, N in enumerate(sizes):
+            cut = N // seg * seg  # rows below cut are whole segments
+            aT = A[:, cut:N].swapaxes(-1, -2)
+            G[k], rhs[k] = aT @ C[:, cut:N], aT @ V[:, cut:N, None]
+            if cut:
+                G[k] += G_cum[:, cut // seg - 1]
+                rhs[k] += rhs_cum[:, cut // seg - 1]
+        ok = _full_rank(G.reshape(-1, p, p)).reshape(len(sizes), -1)
+        # One solve for every size; a rank-deficient G is solved as I, and its trial left out.
+        err = np.linalg.solve(np.where(ok[..., None, None], G, np.eye(p)), rhs)[..., 0]
+        for k, N in enumerate(sizes):
+            keep = slice(None) if ok[k].all() else ok[k]
+            yield A[keep, :N], G[k, keep], V[keep, :N], err[k, keep], len(ok[k]) - np.count_nonzero(ok[k])
 
 
 def _sweep_chunk(spec: ExperimentSpec, start: int, stop: int, rows) -> np.ndarray:

@@ -15,6 +15,7 @@ import pytest
 from lsqbounds.models import (
     CONFIG_FIELDS,
     ROLE_IDS,
+    ROOT3,
     DesignModel,
     FirMds,
     FixedMatrix,
@@ -36,6 +37,7 @@ from lsqbounds.models import (
     random_pilots,
 )
 from lsqbounds.params import ParameterError
+from lsqbounds.presets import FIGURES
 
 SEED = SeedSpec(base_seed=123, trial=0, role="noise")
 
@@ -471,6 +473,42 @@ class TestSamplersMatchOneLineExpressions:
             seed = SeedSpec(base, 17, "noise")
             for n in (2, 257, 10_000):
                 _assert_bit_identical(model.sample(n, seed), _plain_noise(model, n, seed))
+
+
+def _preset_factors() -> set:
+    """The factor c of every centred draw c (2u - 1) that the presets make:
+    the per-column factor of a design, the scale of a uniform or sign noise
+    and of a jammer, and 1 for a pilot sequence."""
+    factors = {1.0}
+    for panel in (panel for fig in FIGURES.values() for panel in fig.panels):
+        design, noise = panel.models(0)
+        if isinstance(design, IidBoundedColumns):
+            uniform = design.entry_law == "scaled-uniform"
+            factors.update(ROOT3 * sd if uniform else sd for sd in design.column_stddevs)
+        for model in (noise, getattr(noise, "receiver", None)):
+            factors.update(getattr(model, name) for name in ("half_width", "scale", "jammer_scale")
+                           if hasattr(model, name))
+    return factors
+
+
+class TestCentring:
+    """The samplers centre a draw u as (u - 1/2) (2c), one pass fewer than
+    c (2u - 1); the two agree bit for bit because u - 1/2, 2u - 1 and every
+    doubling are exact for u = k 2^-53."""
+
+    EDGES = (0.0, 2.0**-53, 0.25, 0.5 - 2.0**-54, 0.5, 1.0 - 2.0**-53)
+
+    def test_factors_cover_the_presets(self):
+        factors = _preset_factors()
+        assert {ROOT3 * math.sqrt(0.2), ROOT3, 1.0} <= factors
+        assert FIGURES["fig5"].panels[0].models(0)[1].jammer_scale in factors
+
+    @pytest.mark.parametrize("c", sorted(_preset_factors()))
+    def test_identity(self, c):
+        u = np.concatenate([self.EDGES, np.random.default_rng(5).random(10**5)])
+        signs = np.random.default_rng(5).integers(0, 2, size=10**5).astype(float)
+        for x in (u, signs):
+            assert ((x - 0.5) * (2.0 * c)).tobytes() == (c * (2.0 * x - 1.0)).tobytes()
 
 
 class TestPrefixConsistency:

@@ -149,6 +149,20 @@ class TestGramSolve:
             assert err <= lam_tilde * np.linalg.norm(proj) + 1e-9
 
 
+def segment_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A^T B as _trials forms a random design's sums: one product per whole
+    segment of SEGMENT_ELEMS // p^2 rows, added in row order, plus the product
+    of the rows past the last whole segment.  B must not share A's buffer, so
+    that numpy runs GEMM."""
+    seg = max(1, montecarlo.SEGMENT_ELEMS // A.shape[1] ** 2)
+    lo = len(A) // seg * seg
+    total = A[lo:].T @ B[lo:]
+    if lo:
+        whole = [A[j : j + seg].T @ B[j : j + seg] for j in range(0, lo, seg)]
+        total += np.cumsum(whole, axis=0)[-1]
+    return total
+
+
 class TestTrialGram:
     """_diag_chunk reads lambda_min off the G that _trials yields, once per
     new G: one stacked G per block of a random design, one (p, p) G for every
@@ -172,7 +186,7 @@ class TestTrialGram:
         for N in (p + 1, 97, 6000):
             for A, G in self.grams(design, N):
                 assert np.array_equal(G, G.T)
-                assert np.array_equal(G, A.T @ A)
+                assert np.array_equal(G, segment_product(A, A.copy()))
 
     @pytest.mark.parametrize(
         "design",
@@ -684,6 +698,8 @@ class TestTrialBlocks:
         ),
         "toeplitz": (channel_pilot_design(p=8), fir_mds_with_param(0.1), ((900, 0.003), (300, 0.005))),
         "rademacher": (SIGNS_2, Gaussian(1.0), ((3, 1.0), (3, 2.0))),
+        # One stacked factor for both sizes, with rank-deficient trials at N = 3 only.
+        "rademacher-two-sizes": (SIGNS_2, Gaussian(1.0), ((3, 1.0), (40, 0.5))),
     }
 
     @staticmethod
@@ -716,16 +732,21 @@ class TestTrialBlocks:
         rows = self.CASES[case][2]
         spec, ranges = self.split_spec(self.CASES[case])
         whole = _sweep_chunk(spec, 0, spec.trials, rows)
-        assert np.array_equal(whole, sum(_sweep_chunk(spec, a, b, rows) for a, b in ranges))
+        parts = [_sweep_chunk(spec, a, b, rows) for a, b in ranges]
+        assert np.array_equal(whole, sum(parts))
         assert all(0 < exceed < spec.trials for exceed, _ in whole.tolist())
-        if case == "rademacher":
-            invalid = sum(e is None for e in own_n_err_max(spec, 3))
-            assert invalid > 0 and whole[:, 1].tolist() == [invalid, invalid]
+        if spec.design is SIGNS_2:
+            own = {N: [e is None for e in own_n_err_max(spec, N)] for N, _ in rows}
+            assert [any(own[N]) for N, _ in rows] == [N == 3 for N, _ in rows]
+            for (a, b), counts in zip([(0, spec.trials), *ranges], [whole, *parts]):
+                assert counts[:, 1].tolist() == [sum(own[N][a:b]) for N, _ in rows]
             assert any(n > 1 for n in raised)  # a stack with a singular Gram fell back per matrix
         else:
             assert not whole[:, 1].any()
 
-    @pytest.mark.parametrize("case", CASES)
+    # Diagnostics run at the largest N alone, where the two-size case has no
+    # rank-deficient trial and, at r = 1, no diagonal event.
+    @pytest.mark.parametrize("case", [case for case in CASES if case != "rademacher-two-sizes"])
     def test_diag_counts_do_not_depend_on_blocks(self, case):
         spec, ranges = self.split_spec(self.CASES[case])
         sigma_min = implied_problem_params(spec.design, spec.noise, N_hint=spec.N).sigma_min
@@ -752,6 +773,61 @@ class TestTrialBlocks:
         got = run_event_diagnostics(spec)
         assert repr(got) == repr(oracle_diagnostics(spec))
         assert any(got.freq_e2) and any(got.freq_e3)
+
+
+class TestSegmentSums:
+    """A random design's G and a^T u are sums over row segments on a grid set
+    by p alone, so each row of a sweep equals a run at the row's own N bit for
+    bit.  SEGMENT_ELEMS = 64 gives 16-row segments at p = 2; the sizes lie
+    below the first boundary (9), on a boundary with an empty tail (48), and
+    across boundaries (37, 70, 100)."""
+
+    SIZES = (9, 48, 37, 100, 70)
+
+    @pytest.fixture
+    def spec(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "SEGMENT_ELEMS", 64)
+        B = montecarlo.BLOCK_BYTES // (8 * max(self.SIZES) * 3)
+        design = IidBoundedColumns((1.0, 0.5), "scaled-uniform")
+        return ExperimentSpec(design, Gaussian(1.0), N=max(self.SIZES), r=1.0, trials=B + 7, base_seed=23)
+
+    @staticmethod
+    def per_trial(spec, sizes):
+        """(N, a, G, err) of each trial and size that _trials yields, copied."""
+        return [
+            (u.shape[1], a[i].copy(), G[i].copy(), err[i].copy())
+            for a, G, u, err, _ in _trials(spec, 0, spec.trials, sizes)
+            for i in range(len(u))
+        ]
+
+    def test_rows_bit_identical_to_own_n_runs(self, spec):
+        swept = self.per_trial(spec, self.SIZES)
+        assert len(swept) == spec.trials * len(self.SIZES)
+        for N in self.SIZES:
+            own = self.per_trial(replace(spec, N=N), (N,))
+            rows = [row for row in swept if row[0] == N]
+            assert len(rows) == len(own) == spec.trials
+            for (_, a, G, err), (_, _, G_own, err_own) in zip(rows, own):
+                assert np.array_equal(G, G.T)
+                assert np.array_equal(G, segment_product(a, a.copy()))
+                assert G.tobytes() == G_own.tobytes() and err.tobytes() == err_own.tobytes()
+
+    def test_counts_do_not_depend_on_blocks(self, spec, monkeypatch):
+        B = spec.trials - 7
+        rows = tuple((N, 2.0 / math.sqrt(N)) for N in self.SIZES)
+        calls = []
+        for name in ("cholesky", "solve"):
+            def counted(*args, f=getattr(np.linalg, name), name=name):
+                calls.append(name)
+                return f(*args)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        whole = _sweep_chunk(spec, 0, spec.trials, rows)
+        assert calls == ["cholesky", "solve"] * 2  # one factor and one solve per block, for every size
+        cuts = [0, 1, B - 1, B + 1, spec.trials]
+        assert np.array_equal(whole, sum(_sweep_chunk(spec, a, b, rows) for a, b in zip(cuts, cuts[1:])))
+        assert all(0 < exceed < spec.trials for exceed, _ in whole.tolist())
+        assert not whole[:, 1].any()
 
 
 class TestFindEmpiricalN:
