@@ -390,6 +390,9 @@ class ToeplitzPilot:
             raise ParameterError(
                 f"need more than p = {self.p} pilot symbols, got {len(self.pilots)}"
             )
+        symbols = np.array(self.pilots)
+        symbols.flags.writeable = False
+        object.__setattr__(self, "symbols", symbols)
 
     def sample(self, N: int, seed: SeedSpec) -> np.ndarray:
         _check_rows(N, self.p)
@@ -397,10 +400,9 @@ class ToeplitzPilot:
             raise ParameterError(
                 f"need at least N = {N} pilot symbols, have {len(self.pilots)}"
             )
-        s = np.asarray(self.pilots)
         A = np.zeros((N, self.p))
         for k in range(self.p):
-            A[k:, k] = s[: N - k]
+            A[k:, k] = self.symbols[: N - k]
         return A
 
 

@@ -10,6 +10,7 @@ depend on the block size either.
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -367,29 +368,22 @@ def run_event_diagnostics(
 # Sweeps and empirical sample-count search
 
 
-FIXED_SEARCH_START = 4  # fixed_design_bound's search starts at 4p rows
-FIXED_SEARCH_ROUNDS = 50
-
-
 def fixed_design_bound(
     acc: Accuracy, design: DesignModel, noise: NoiseModel
 ) -> tuple[int, ProblemParams, bounds.BoundBreakdown]:
-    """Self-consistent sample count for a measured design.
+    """The smallest self-consistent sample count for a measured design.
 
     The fixed-design bound uses the smallest Gram eigenvalue of the matrix
-    actually used, which itself depends on N; iterate N upward from 4p until
-    the bound evaluated at the materialized matrix no longer exceeds N.
+    actually used, which itself depends on N: return the first of
+    N = p+1, p+2, ... whose bound at its own matrix is at most N.  That test
+    is not monotone in N, so the scan cannot bisect; a design that runs out
+    of rows first raises from its sampler.
     """
-    N = FIXED_SEARCH_START * design.p
-    for _ in range(FIXED_SEARCH_ROUNDS):
+    for N in itertools.count(design.p + 1):
         params = implied_problem_params(design, noise, N_hint=N)
         bd = bounds.n_fixed_design(acc, params)
         if bd.n_ceil <= N:
             return N, params, bd
-        N = bd.n_ceil
-    raise ParameterError(
-        f"fixed-design bound did not stabilize within {FIXED_SEARCH_ROUNDS} iterations"
-    )
 
 
 def _sweep_rows(

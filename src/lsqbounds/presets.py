@@ -43,17 +43,12 @@ FIR_RECEIVER_SHARE = 0.2
 PILOT_BUDGET = 8192
 
 
-def fir_mds_with_param(target_R: float, receiver_kind: str = "gaussian") -> FirMds:
+def fir_mds_with_param(target_R: float) -> FirMds:
     """FIR-interference noise on DEFAULT_FIR_TAPS whose declared sub-Gaussian
-    parameter equals target_R; FIR_RECEIVER_SHARE of it goes to receiver noise."""
-    receiver_param = FIR_RECEIVER_SHARE * target_R
+    parameter equals target_R; FIR_RECEIVER_SHARE of it goes to Gaussian
+    receiver noise."""
     jammer_scale = (1.0 - FIR_RECEIVER_SHARE) * target_R / sum(abs(t) for t in DEFAULT_FIR_TAPS)
-    if receiver_kind == "gaussian":
-        receiver: NoiseModel = Gaussian(receiver_param)
-    elif receiver_kind == "uniform":
-        receiver = Uniform(receiver_param)
-    else:
-        raise ParameterError(f"receiver_kind must be gaussian or uniform, got {receiver_kind!r}")
+    receiver = Gaussian(FIR_RECEIVER_SHARE * target_R)
     return FirMds(taps=DEFAULT_FIR_TAPS, jammer_scale=jammer_scale, receiver=receiver)
 
 

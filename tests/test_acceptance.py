@@ -32,6 +32,7 @@ from lsqbounds.montecarlo import (
 )
 from lsqbounds.params import Accuracy, ProblemParams
 from lsqbounds.presets import (
+    FIR_RECEIVER_SHARE,
     fig2_models,
     fig5_models,
     fir_mds_with_param,
@@ -160,7 +161,7 @@ def test_criterion_5_other_bounds_soundness():
 
     # FIR-interference martingale noise on a random design (conditionally
     # sub-Gaussian and bounded variants share R = b here)
-    fir = fir_mds_with_param(0.2, receiver_kind="uniform")
+    fir = replace(fir_mds_with_param(0.2), receiver=Uniform(FIR_RECEIVER_SHARE * 0.2))
     params_fir = implied_problem_params(design, fir)
     acc_fir = Accuracy(r=0.1, eps=0.05)
     for label, fn in (("mds_subgaussian", bounds.n_mds_subgaussian), ("mds_bounded", bounds.n_mds_bounded)):

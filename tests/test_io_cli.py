@@ -38,6 +38,7 @@ from lsqbounds.models import (
     Uniform,
     UniformPlusGaussian,
     design_to_config,
+    implied_problem_params,
     noise_to_config,
 )
 from lsqbounds.montecarlo import ExperimentSpec, fixed_design_bound, run_event_diagnostics
@@ -752,6 +753,24 @@ class TestSimulateFixedDesign:
         assert "only on the N axis" in capsys.readouterr().err
         assert not (tmp_path / "never.csv").exists()
 
+    def test_pilot_budget_too_short_exit_2(self, tmp_path, capsys):
+        # The self-consistent N search reaches the end of the 256 pilots
+        # before any output is written.
+        out = tmp_path / "o"
+        cfg = {
+            "schema_version": "1",
+            "theorem": "fixed_mds",
+            "design": design_to_config(channel_pilot_design(p=4, length=256, seed=5)),
+            "noise": noise_to_config(Gaussian(0.1)),
+            "eps": 0.05,
+            "axis": {"name": "r", "values": [0.01]},
+            "trials": 40,
+            "output": {"csv": str(out / "sim.csv"), "svg": str(out / "sim.svg")},
+        }
+        assert cli.main(["simulate", "--config", _write_config(tmp_path, cfg)]) == 2
+        assert "have 256" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_diagnostics_reuse_the_rows(self, tmp_path, capsys, monkeypatch):
         # The self-consistent N search runs once per row, not again for the
         # diagnostics runs.
@@ -794,7 +813,9 @@ class TestSimulateFixedDesign:
         for doc, row in zip(docs, rows):
             acc = Accuracy(r=row.axis_value, eps=0.05)
             N, params, bd = fixed_design_bound(acc, design, noise)
-            assert bd.n_ceil == row.n_bound_ceil < N
+            assert bd.n_ceil == row.n_bound_ceil <= N
+            short = implied_problem_params(design, noise, N_hint=N - 1)
+            assert bounds.n_fixed_design(acc, short).n_ceil > N - 1
             spec = ExperimentSpec(design, noise, N=N, r=acc.r, trials=300, base_seed=9, diagnostics=True)
             expected = run_event_diagnostics(spec, params=params)
             assert doc == json.loads(dump_json({"axis_value": row.axis_value, **asdict(expected)}))
@@ -850,9 +871,9 @@ PINNED_PRESET_ROWS = {
     },
     "fig5": {
         "fig5": [
-            (0.05, 299.1676513547246, 300, "n1", 0),
-            (0.1, 89.96001213472921, 90, "n1", 0),
-            (0.2, 26.096334146679055, 27, "n1", 0),
+            (0.05, 439.11423120640643, 440, "n1", 0),
+            (0.1, 105.43745857208964, 106, "n1", 0),
+            (0.2, 57.788534750100666, 58, "n1", 0),
         ],
     },
     "fig6": {

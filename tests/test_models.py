@@ -328,6 +328,18 @@ class TestSampleDesign:
         B = model.sample(32, SeedSpec(222, 9, "design"))
         np.testing.assert_array_equal(A, B)
 
+    def test_toeplitz_reads_a_read_only_copy_of_its_pilots(self):
+        model = ToeplitzPilot(pilots=tuple(random_pilots(64, SeedSpec(9, 0, "design"))), p=4)
+        s = np.asarray(model.pilots)
+        expected = np.zeros((40, 4))
+        for k in range(4):
+            expected[k:, k] = s[: 40 - k]
+        A = model.sample(40, SeedSpec(0, 0, "design"))
+        assert A.tobytes() == expected.tobytes()
+        assert not model.symbols.flags.writeable
+        with pytest.raises(ValueError):
+            model.symbols[0] = 1.0
+
     def test_iid_columns_gram_concentrates(self):
         model = IidBoundedColumns((1.0, 1.0), "scaled-rademacher")
         A = model.sample(100_000, SeedSpec(3, 0, "design"))

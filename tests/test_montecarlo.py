@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -496,28 +497,63 @@ class TestFixedMdsCoversFirNoise:
         assert margin >= 4.0
 
 
+def n_ceil_at(acc, design, noise, N):
+    """The fixed-design bound's ceiling at the N-row matrix of design."""
+    return bounds.n_fixed_design(acc, implied_problem_params(design, noise, N_hint=N)).n_ceil
+
+
 class TestFixedDesignOvershoot:
-    """fixed_design_bound moves N up to the bound's ceiling at N, and a jump
-    can pass the smallest self-consistent N.  At fig5's matrix and
-    r = eps = 0.01, 6241 rows are self-consistent, yet the iteration runs past
-    the 8192-symbol pilot budget."""
+    """fixed_design_bound returns the smallest self-consistent N.  The bound's
+    ceiling at N can jump past it: at fig5's matrix and r = eps = 0.01, the
+    ceiling at 6240 rows is 6243 > 6241, where a fixed-point iteration from
+    4p rows ran past the 8192-symbol pilot budget."""
 
     ACC = Accuracy(0.01, 0.01)
 
-    def n_ceil_at(self, N):
-        design, noise = fig5_models()
-        return bounds.n_fixed_design(self.ACC, implied_problem_params(design, noise, N_hint=N)).n_ceil
+    @pytest.fixture(scope="class")
+    def scan(self):
+        return fixed_design_bound(self.ACC, *fig5_models())
 
-    def test_witness(self):
-        assert self.n_ceil_at(6241) == 6237
-        assert self.n_ceil_at(6240) == 6243
-        with pytest.raises(ParameterError, match="need at least N = 17826 pilot symbols, have 8192"):
-            fixed_design_bound(self.ACC, *fig5_models())
+    def test_witness(self, scan):
+        assert n_ceil_at(self.ACC, *fig5_models(), 6241) == 6237
+        assert n_ceil_at(self.ACC, *fig5_models(), 6240) == 6243
+        assert scan[0] == 6241
 
-    @pytest.mark.xfail(strict=True, raises=ParameterError, reason="the fixed-point iteration overshoots")
-    def test_returns_a_self_consistent_n_within_the_budget(self):
-        N, _, bd = fixed_design_bound(self.ACC, *fig5_models())
-        assert bd.n_ceil <= N <= 6241
+    def test_returns_a_self_consistent_n_within_the_budget(self, scan):
+        N, params, bd = scan
+        assert bd.n_ceil <= N == 6241
+        assert params == implied_problem_params(*fig5_models(), N_hint=N)
+        assert bd == bounds.n_fixed_design(self.ACC, params)
+
+
+class TestFixedDesignScan:
+    """The scan tries N = p+1, p+2, ... and stops at the first N whose bound
+    at its own matrix is at most N."""
+
+    PANEL = FIGURES["fig5"].panels[0]
+
+    @pytest.mark.parametrize("r", PANEL.values)
+    def test_each_fig5_row_runs_at_the_smallest_self_consistent_n(self, r):
+        acc, (design, noise) = Accuracy(r, self.PANEL.eps), fig5_models()
+        N, _, bd = fixed_design_bound(acc, design, noise)
+        assert bd.n_ceil == n_ceil_at(acc, design, noise, N) <= N
+        # N - 1 fails, and so does every smaller N.
+        assert all(n_ceil_at(acc, design, noise, n) > n for n in range(design.p + 1, N))
+
+    def test_self_consistency_is_not_monotone_in_n(self):
+        # 362 and 363 pass and 364 fails, so a bisection over N could stop
+        # at a later change from fail to pass than the first.
+        acc, (design, noise) = Accuracy(0.05, 0.01), fig5_models()
+        passes = [n_ceil_at(acc, design, noise, N) <= N for N in (361, 362, 363, 364)]
+        assert passes == [False, True, True, False]
+        assert fixed_design_bound(acc, design, noise)[0] == 362
+
+    def test_pilot_budget_ends_the_scan(self):
+        design = channel_pilot_design(p=4, length=256, seed=5)
+        t0 = time.perf_counter()
+        with pytest.raises(ParameterError, match="need at least N = 257 pilot symbols, have 256"):
+            fixed_design_bound(Accuracy(0.01, 0.05), design, Gaussian(0.1))
+        assert time.perf_counter() - t0 < 0.1
 
 
 class TestOnePassSweep:
