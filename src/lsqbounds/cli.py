@@ -10,12 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 from . import bounds
 from .io import breakdown_to_json, default_seed, dump_json, load_run_config, outage_to_json
-from .montecarlo import RangeExhaustedError, SimulationQualityError, run_event_diagnostics
+from .montecarlo import RangeExhaustedError, SimulationQualityError
 from .params import Accuracy, DomainError, NoFinitePointError, ParameterError, ProblemParams
 from .presets import DEFAULT_SEED, DEFAULT_TRIALS, FIGURE_IDS, Figure, Panel, reproduce, run_figure
 
@@ -79,11 +79,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     )
     fig = Figure(f"{cfg.theorem} bound vs {cfg.axis_name}", (panel,))
     trials = args.trials if args.trials is not None else cfg.trials
-    (sweep_rows,) = run_figure(fig, (cfg.csv_path,), cfg.svg_path, trials, cfg.base_seed, args.workers)
+    (rows,) = run_figure(fig, (cfg.csv_path,), cfg.svg_path, trials, cfg.base_seed, args.workers, cfg.diagnostics)
     if cfg.diagnostics:
-        for value, spec, params, _ in sweep_rows:
-            diag = run_event_diagnostics(replace(spec, diagnostics=True), params=params, workers=args.workers)
-            print(dump_json({"axis_value": float(value), **asdict(diag)}))
+        for row, diag in rows:
+            print(dump_json({"axis_value": row.axis_value, **asdict(diag)}))
     return EXIT_OK
 
 

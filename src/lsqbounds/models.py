@@ -394,6 +394,11 @@ class ToeplitzPilot:
         symbols.flags.writeable = False
         object.__setattr__(self, "symbols", symbols)
 
+    def __reduce__(self):
+        # Rebuilt by the constructor: a pickle carries the pilots once, not
+        # again as symbols, and the copy's symbols are read-only too.
+        return ToeplitzPilot, (self.pilots, self.p)
+
     def sample(self, N: int, seed: SeedSpec) -> np.ndarray:
         _check_rows(N, self.p)
         if N > len(self.pilots):

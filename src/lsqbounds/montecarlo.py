@@ -90,14 +90,23 @@ class TailEstimate:
 
 @dataclass(frozen=True)
 class EventDiagnostics:
-    """Frequencies of the concentration events behind the bounds.
+    """Frequencies of the concentration events behind the bounds, as shares
+    of all trials; a rank-deficient trial counts toward freq_e_rand alone.
+
+    freq_e_rand: lambda_tilde(A), the inverse of the smallest eigenvalue of
+    (1/N) A^T A, exceeds 2 / sigma_min.  freq_e2[i] and freq_e3[i]: the
+    diagonal sum (1/N^2) sum_n A_ni^2 v_n^2 and the off-diagonal sum of
+    coordinate i exceed sigma_min^2 r^2 / 8.
 
     lemma1_violations counts trials where the max-coordinate error exceeds
     lambda_tilde(A) times the Euclidean norm of (1/N) A^T v (a per-trial
     theorem for symmetric Gram matrices; expected 0).  linf_decomp_violations
     counts the stronger per-coordinate variant with the sup norm on the right
     hand side, which does fail on a positive fraction of draws; it is
-    recorded for analysis, never asserted.
+    recorded for analysis, never asserted.  identity_violations counts trials
+    where the diagonal plus the off-diagonal sum misses ((1/N) A^T v)_i^2 by
+    more than IDENTITY_RTOL relative; as the off-diagonal sum is computed as
+    that square minus the diagonal sum, it measures rounding alone.
     """
 
     trials: int
@@ -240,109 +249,93 @@ def _trials(spec: ExperimentSpec, start: int, stop: int, sizes=None):
 
 
 def _sweep_chunk(spec: ExperimentSpec, start: int, stop: int, rows) -> np.ndarray:
-    """(exceed, invalid) counts of each (N, r) row; rows that share an N share its solve."""
-    radii = np.array([r for _, r in rows])
-    row_ids = {N: np.array([k for k, (n, _) in enumerate(rows) if n == N]) for N, _ in rows}
-    counts = np.zeros((len(rows), 2), dtype=np.int64)
-    for _, _, u, err, invalid in _trials(spec, start, stop, tuple(row_ids)):
-        ks = row_ids[u.shape[1]]
-        if invalid:
-            counts[ks, 1] += invalid
-        counts[ks, 0] += (np.abs(err).max(axis=1)[:, None] > radii[ks]).sum(axis=0)
-    return counts
-
-
-def _chunk_ranges(total: int, workers: int) -> list[tuple[int, int]]:
-    pieces = max(1, min(total, workers * 4))
-    step = math.ceil(total / pieces)
-    return [(i, min(i + step, total)) for i in range(0, total, step)]
-
-
-def _run_chunks(chunk, spec: ExperimentSpec, workers: int, *args) -> list:
-    """Results of chunk(spec, start, stop, *args) over all trials, in trial
-    order: one serial chunk, or chunks spread over a process pool."""
-    if workers < 1:
-        raise ParameterError(f"workers must be at least 1, got {workers}")
-    if workers == 1 or spec.trials < 256:
-        return [chunk(spec, 0, spec.trials, *args)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(chunk, spec, a, b, *args)
-            for a, b in _chunk_ranges(spec.trials, workers)
-        ]
-        return [fut.result() for fut in futures]
-
-
-def _tail_estimates(spec: ExperimentSpec, rows, workers: int) -> list[TailEstimate]:
-    """One TailEstimate per (N, r) row, from one pass over spec.trials trials
-    drawn at the largest N (spec.N is not used): one serial chunk or one pool."""
-    counts = sum(_run_chunks(_sweep_chunk, spec, workers, rows))
-    estimates = []
-    for exceed, invalid in counts.tolist():
-        if invalid > INVALID_TRIAL_LIMIT * spec.trials:
-            raise SimulationQualityError(
-                f"{invalid} of {spec.trials} trials were rank-deficient "
-                f"(limit {INVALID_TRIAL_LIMIT:.1%}); check the design model"
-            )
-        valid = spec.trials - invalid
-        lo, hi = wilson_interval(exceed, valid)
-        p_hat = exceed / valid if valid else 0.0
-        estimates.append(TailEstimate(valid, exceed, p_hat, lo, hi, spec.base_seed, invalid))
-    return estimates
-
-
-def run_tail(spec: ExperimentSpec, workers: int = 1) -> TailEstimate:
-    """Estimate P(max-coordinate error > r) over spec.trials trials."""
-    return _tail_estimates(spec, [(spec.N, spec.r)], workers)[0]
-
-
-def _diag_chunk(
-    spec: ExperimentSpec,
-    start: int,
-    stop: int,
-    sigma_min: float,
-) -> tuple[np.ndarray, np.ndarray, int, int, int, int]:
-    p = spec.design.p
-    threshold = sigma_min**2 * spec.r**2 / 8.0
-    tilde_limit = 2.0 / sigma_min
-    e2 = np.zeros(p, dtype=np.int64)
-    e3 = np.zeros(p, dtype=np.int64)
-    e_rand = 0
-    lemma1_bad = 0
-    identity_bad = 0
-    linf_bad = 0
-    G_seen = None
-    for a, G, u, err, invalid in _trials(spec, start, stop):
-        e_rand += invalid  # a singular Gram certainly exceeds the eigenvalue limit
-        if G is not G_seen:  # a fixed design yields one G object for every block
-            lam_min = np.linalg.eigvalsh(G / spec.N)[..., 0]
-            lam_tilde = np.divide(1.0, lam_min, out=np.full_like(lam_min, np.inf), where=lam_min > 0)
-            G_seen = G
-        lam = np.broadcast_to(lam_tilde, len(u))
-        s_vec = (a.swapaxes(-1, -2) @ u[..., None])[..., 0] / spec.N
-        total_sq = s_vec**2
-        diag_sum = ((a * a).swapaxes(-1, -2) @ (u * u)[..., None])[..., 0] / spec.N**2
-        off_sum = total_sq - diag_sum
-        e2 += np.count_nonzero(diag_sum > threshold, axis=0)
-        e3 += np.count_nonzero(off_sum > threshold, axis=0)
-        e_rand += np.count_nonzero(lam > tilde_limit)
+    """Counts of each (N, r, sigma_min) row over trials start..stop-1: its
+    exceedances of r and invalid trials, then, if any row sets sigma_min, its
+    e_rand, lemma-1, identity and sup-norm violation counts and its e2 and e3
+    counts per coordinate (zero for a row without one).  Rows that share an N
+    share its solve.
+    """
+    row_ids = {N: [k for k, row in enumerate(rows) if row[0] == N] for N, _, _ in rows}
+    diag_ids = {N: [k for k in ks if rows[k][2] is not None] for N, ks in row_ids.items()}
+    counts = np.zeros((len(rows), 6 + 2 * spec.design.p if any(diag_ids.values()) else 2), dtype=np.int64)
+    for a, G, u, err, invalid in _trials(spec, start, stop, tuple(row_ids)):
+        N = u.shape[1]
         err_max = np.max(np.abs(err), axis=1)
+        for k in row_ids[N]:
+            counts[k, 0] += np.count_nonzero(err_max > rows[k][1])
+            counts[k, 1] += invalid
+        if not diag_ids[N]:
+            continue
+        lam_min = np.linalg.eigvalsh(G / N)[..., 0]
+        lam_tilde = np.divide(1.0, lam_min, out=np.full_like(lam_min, np.inf), where=lam_min > 0)
+        lam = np.broadcast_to(lam_tilde, len(u))  # a fixed design has one G for the block
+        s_vec = (a.swapaxes(-1, -2) @ u[..., None])[..., 0] / N
+        total_sq = s_vec**2
+        diag_sum = ((a * a).swapaxes(-1, -2) @ (u * u)[..., None])[..., 0] / N**2
+        off_sum = total_sq - diag_sum
+        quad_sums = np.stack([diag_sum, off_sum])
         norm = np.sqrt((s_vec[:, None, :] @ s_vec[:, :, None])[:, 0, 0])  # a dot per row, as norm
         with np.errstate(invalid="ignore"):  # inf * 0 is nan; err_max > nan is no violation
-            lemma1_bad += np.count_nonzero(err_max > lam * norm + LEMMA1_TOL)
-            linf_bad += np.count_nonzero(err_max > lam * np.max(np.abs(s_vec), axis=1) + LEMMA1_TOL)
+            lemma1_bad = np.count_nonzero(err_max > lam * norm + LEMMA1_TOL)
+            linf_bad = np.count_nonzero(err_max > lam * np.max(np.abs(s_vec), axis=1) + LEMMA1_TOL)
         scale = np.maximum.reduce(
             [np.abs(total_sq), np.abs(diag_sum), np.abs(off_sum), np.full_like(total_sq, 1e-300)]
         )
         residual = np.abs(diag_sum + off_sum - total_sq)
-        identity_bad += np.count_nonzero(np.any(residual > IDENTITY_RTOL * scale, axis=1))
-    return e2, e3, int(e_rand), int(lemma1_bad), int(identity_bad), int(linf_bad)
+        identity_bad = np.count_nonzero(np.any(residual > IDENTITY_RTOL * scale, axis=1))
+        for k in diag_ids[N]:
+            _, r, sigma_min = rows[k]
+            # A singular Gram certainly exceeds the eigenvalue limit.
+            e_rand = invalid + np.count_nonzero(lam > 2.0 / sigma_min)
+            counts[k, 2:6] += (e_rand, lemma1_bad, identity_bad, linf_bad)
+            counts[k, 6:] += np.count_nonzero(quad_sums > sigma_min**2 * r**2 / 8.0, axis=1).ravel()
+    return counts
+
+
+def _run_chunks(spec: ExperimentSpec, rows, workers: int) -> np.ndarray:
+    """_sweep_chunk's counts of rows over all spec.trials trials (spec.N is
+    not used): one serial chunk, or the sum of four chunks per worker in one pool."""
+    if workers < 1:
+        raise ParameterError(f"workers must be at least 1, got {workers}")
+    if workers == 1 or spec.trials < 256:
+        return _sweep_chunk(spec, 0, spec.trials, rows)
+    step = math.ceil(spec.trials / min(spec.trials, workers * 4))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [
+            pool.submit(_sweep_chunk, spec, a, min(a + step, spec.trials), rows)
+            for a in range(0, spec.trials, step)
+        ]
+        return sum(fut.result() for fut in futures)
+
+
+def _tail_estimate(spec: ExperimentSpec, counts: np.ndarray) -> TailEstimate:
+    """The TailEstimate of one row of _run_chunks' counts."""
+    exceed, invalid = counts[:2].tolist()
+    if invalid > INVALID_TRIAL_LIMIT * spec.trials:
+        raise SimulationQualityError(
+            f"{invalid} of {spec.trials} trials were rank-deficient "
+            f"(limit {INVALID_TRIAL_LIMIT:.1%}); check the design model"
+        )
+    valid = spec.trials - invalid
+    lo, hi = wilson_interval(exceed, valid)
+    p_hat = exceed / valid if valid else 0.0
+    return TailEstimate(valid, exceed, p_hat, lo, hi, spec.base_seed, invalid)
+
+
+def _event_diagnostics(trials: int, counts: np.ndarray) -> EventDiagnostics:
+    """The EventDiagnostics of one row of _run_chunks' counts that set sigma_min."""
+    e_rand, lemma1_bad, identity_bad, linf_bad = counts[2:6].tolist()
+    e2, e3 = (tuple(freqs.tolist()) for freqs in np.split(counts[6:] / trials, 2))
+    return EventDiagnostics(trials, e_rand / trials, e2, e3, lemma1_bad, identity_bad, linf_bad)
+
+
+def run_tail(spec: ExperimentSpec, workers: int = 1) -> TailEstimate:
+    """Estimate P(max-coordinate error > r) over spec.trials trials."""
+    return _tail_estimate(spec, _run_chunks(spec, [(spec.N, spec.r, None)], workers)[0])
 
 
 def run_event_diagnostics(
-    spec: ExperimentSpec,
-    params: ProblemParams | None = None,
-    workers: int = 1,
+    spec: ExperimentSpec, params: ProblemParams | None = None, workers: int = 1
 ) -> EventDiagnostics:
     """Per-trial frequencies of the Gram-eigenvalue event and the diagonal /
     off-diagonal quadratic-sum events, plus per-trial inequality checks."""
@@ -350,18 +343,8 @@ def run_event_diagnostics(
         raise ParameterError("set diagnostics=True on the spec to run diagnostics")
     if params is None:
         params = implied_problem_params(spec.design, spec.noise, N_hint=spec.N)
-    parts = _run_chunks(_diag_chunk, spec, workers, params.sigma_min)
-    e2, e3, e_rand, lemma1_bad, identity_bad, linf_bad = (sum(col) for col in zip(*parts))
-    n = spec.trials
-    return EventDiagnostics(
-        trials=n,
-        freq_e_rand=e_rand / n,
-        freq_e2=tuple(float(x) for x in e2 / n),
-        freq_e3=tuple(float(x) for x in e3 / n),
-        lemma1_violations=lemma1_bad,
-        identity_violations=identity_bad,
-        linf_decomp_violations=linf_bad,
-    )
+    counts = _run_chunks(spec, [(spec.N, spec.r, params.sigma_min)], workers)
+    return _event_diagnostics(spec.trials, counts[0])
 
 
 # ---------------------------------------------------------------------------
@@ -458,23 +441,29 @@ def sweep(
     row N; each row's counts equal those of run_tail at its own N.
     """
     sweep_rows = list(_sweep_rows(base, axis_name, axis_values, theorem, eps))
-    return _result_rows(base, axis_name, sweep_rows, workers)
+    return [row for row, _ in _result_rows(base, axis_name, sweep_rows, workers)]
 
 
-def _result_rows(base: ExperimentSpec, axis_name: str, sweep_rows, workers: int) -> list[ResultRow]:
-    """The ResultRow of each of _sweep_rows' rows, with its tail estimate."""
-    estimates = _tail_estimates(base, [(spec.N, spec.r) for _, spec, _, _ in sweep_rows], workers)
+def _result_rows(base: ExperimentSpec, axis_name: str, sweep_rows, workers: int, diagnostics: bool = False):
+    """Each of _sweep_rows' rows as a ResultRow with its tail estimate, paired
+    with its EventDiagnostics at its params' sigma_min if diagnostics is set
+    (else None), all from one Monte-Carlo pass."""
+    counts = _run_chunks(
+        base,
+        [(spec.N, spec.r, params.sigma_min if diagnostics else None) for _, spec, params, _ in sweep_rows],
+        workers,
+    )
     rows = []
-    for (value, _, _, bound), est in zip(sweep_rows, estimates):
+    for (value, _, _, bound), row_counts in zip(sweep_rows, counts):
+        est = _tail_estimate(base, row_counts)
         if axis_name == "N":
             cells = (bound, None, None, None, None, None)
         else:
             cells = (bound.n_final, bound.n_ceil, bound.binding,
                      bound.s_opt_n2, bound.s_opt_n3, bound.tau_opt)
-        rows.append(
-            ResultRow(axis_name, float(value), *cells, est.p_hat, est.ci_low,
-                      est.ci_high, est.trials, base.base_seed)
-        )
+        row = ResultRow(axis_name, float(value), *cells, est.p_hat, est.ci_low,
+                        est.ci_high, est.trials, base.base_seed)
+        rows.append((row, _event_diagnostics(base.trials, row_counts) if diagnostics else None))
     return rows
 
 

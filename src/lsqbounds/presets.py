@@ -156,11 +156,13 @@ def run_figure(
     trials: int,
     base_seed: int,
     workers: int,
+    diagnostics: bool = False,
 ) -> list[list]:
     """Run every panel of fig, write panel i's rows to csv_paths[i] and, when
     svg_path is set, plot each panel's "<csv> bound" series to svg_path, and
     on the N axis, where the bound is an outage probability, its "<csv> p_hat"
-    too.  Returns each panel's sweep rows.
+    too.  Returns each panel's ResultRows, each paired with its
+    EventDiagnostics if diagnostics is set (else None).
 
     Every panel is checked before any directory is made or any trial runs, so
     a rejected run leaves nothing behind.
@@ -180,9 +182,10 @@ def run_figure(
     for path in (*csv_paths, svg_path):
         if path is not None:
             Path(path).parent.mkdir(parents=True, exist_ok=True)
-    bound_series, p_hat_series = [], []
+    bound_series, p_hat_series, results = [], [], []
     for (panel, base, sweep_rows), csv_path in zip(planned, csv_paths, strict=True):
-        rows = _result_rows(base, axis, sweep_rows, workers)
+        results.append(_result_rows(base, axis, sweep_rows, workers, diagnostics))
+        rows = [row for row, _ in results[-1]]
         write_result_csv(csv_path, rows)
         xs = [row.axis_value for row in rows]
         bound_series.append((f"{panel.csv} bound", xs, [row.n_bound_real for row in rows]))
@@ -196,7 +199,7 @@ def run_figure(
             x_label=axis,
             y_label="eps / p_hat" if axis == "N" else "N",
         )
-    return [sweep_rows for _, _, sweep_rows in planned]
+    return results
 
 
 def reproduce(

@@ -802,12 +802,7 @@ class TestSimulateFixedDesign:
             "output": {"csv": str(tmp_path / "diag.csv")},
         }
         assert cli.main(["simulate", "--config", _write_config(tmp_path, cfg)]) == 0
-        # One indented JSON document per row, in row order.
-        out, docs = capsys.readouterr().out.strip(), []
-        while out:
-            doc, end = json.JSONDecoder().raw_decode(out)
-            docs.append(doc)
-            out = out[end:].lstrip()
+        docs = _json_docs(capsys.readouterr().out)
         rows = read_result_csv(tmp_path / "diag.csv")
         assert len(docs) == len(rows) == 2
         for doc, row in zip(docs, rows):
@@ -819,6 +814,70 @@ class TestSimulateFixedDesign:
             spec = ExperimentSpec(design, noise, N=N, r=acc.r, trials=300, base_seed=9, diagnostics=True)
             expected = run_event_diagnostics(spec, params=params)
             assert doc == json.loads(dump_json({"axis_value": row.axis_value, **asdict(expected)}))
+
+
+
+def _json_docs(out: str) -> list:
+    """The indented JSON documents that simulate prints, one per row, in row order."""
+    out, docs = out.strip(), []
+    while out:
+        doc, end = json.JSONDecoder().raw_decode(out)
+        docs.append(doc)
+        out = out[end:].lstrip()
+    return docs
+
+
+class TestSimulateDiagnostics:
+    """simulate counts each row's events in the sweep's own Monte-Carlo pass:
+    it starts one process pool at most, and each row's diagnostics equal a
+    diagnostics run at that row's own spec and params."""
+
+    CASES = {
+        "random-N-axis": (
+            IidBoundedColumns((0.5, 1.0), "scaled-uniform"),
+            FirMds((1.0, 0.5), 0.2, Gaussian(0.1)),
+            {"theorem": "mds_subgaussian", "r": 0.2, "axis": {"name": "N", "values": [64, 128, 256]}},
+        ),
+        "toeplitz-r-axis": (
+            channel_pilot_design(p=4, length=2048, seed=5),
+            Gaussian(0.1),
+            {"theorem": "fixed_mds", "eps": 0.05, "axis": {"name": "r", "values": [0.05, 0.1, 0.2]}},
+        ),
+    }
+
+    @pytest.mark.parametrize("workers,pools", [(1, 0), (2, 1)])
+    @pytest.mark.parametrize("case", CASES)
+    def test_one_pass_and_one_pool(self, case, workers, pools, tmp_path, capsys, monkeypatch):
+        started = []
+
+        class CountedPool(montecarlo.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountedPool)
+        design, noise, top = self.CASES[case]
+        cfg = {
+            "schema_version": "1",
+            "design": design_to_config(design),
+            "noise": noise_to_config(noise),
+            "trials": 300,
+            "base_seed": 9,
+            "diagnostics": True,
+            "output": {"csv": str(tmp_path / "sim.csv")},
+            **top,
+        }
+        argv = ["simulate", "--config", _write_config(tmp_path, cfg), "--workers", str(workers)]
+        assert cli.main(argv) == 0
+        assert len(started) == pools
+        docs = _json_docs(capsys.readouterr().out)
+        axis = top["axis"]
+        base = ExperimentSpec(design, noise, N=design.p + 1, r=top.get("r", 1.0), trials=300, base_seed=9)
+        sweep_rows = list(montecarlo._sweep_rows(base, axis["name"], axis["values"], top["theorem"], top.get("eps")))
+        assert len(docs) == len(sweep_rows) == 3
+        for doc, (value, spec, params, _) in zip(docs, sweep_rows):
+            expected = run_event_diagnostics(replace(spec, diagnostics=True), params)
+            assert doc == json.loads(dump_json({"axis_value": float(value), **asdict(expected)}))
 
 
 # Preset rows recorded at 20 trials, seed 11: per CSV, (axis value,

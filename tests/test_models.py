@@ -2,6 +2,7 @@
 
 import math
 import os
+import pickle
 import subprocess
 import sys
 from dataclasses import fields
@@ -37,7 +38,7 @@ from lsqbounds.models import (
     random_pilots,
 )
 from lsqbounds.params import ParameterError
-from lsqbounds.presets import FIGURES
+from lsqbounds.presets import FIGURES, channel_pilot_design
 
 SEED = SeedSpec(base_seed=123, trial=0, role="noise")
 
@@ -339,6 +340,17 @@ class TestSampleDesign:
         assert not model.symbols.flags.writeable
         with pytest.raises(ValueError):
             model.symbols[0] = 1.0
+
+    def test_toeplitz_pickles_its_pilots_once(self):
+        # Every chunk of a pooled fixed-design run ships the design to a worker.
+        model = channel_pilot_design(p=8)
+        data = pickle.dumps(model)
+        assert len(data) <= 74_000
+        copy = pickle.loads(data)
+        assert copy == model
+        assert not copy.symbols.flags.writeable
+        seed = SeedSpec(0, 0, "design")
+        assert copy.sample(7500, seed).tobytes() == model.sample(7500, seed).tobytes()
 
     def test_iid_columns_gram_concentrates(self):
         model = IidBoundedColumns((1.0, 1.0), "scaled-rademacher")

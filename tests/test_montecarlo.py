@@ -29,8 +29,10 @@ from lsqbounds.montecarlo import (
     RangeExhaustedError,
     RankDeficiencyError,
     SimulationQualityError,
+    _event_diagnostics,
+    _run_chunks,
     _sweep_chunk,
-    _tail_estimates,
+    _tail_estimate,
     _trials,
     find_empirical_n,
     fixed_design_bound,
@@ -165,11 +167,12 @@ def segment_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 class TestTrialGram:
-    """_diag_chunk reads lambda_min off the G that _trials yields, once per
-    new G: one stacked G per block of a random design, one (p, p) G for every
-    block of a fixed one.  That equals the symmetrized (1/N) A^T A only if
-    each trial's G is exactly symmetric, and it is computed once per chunk
-    only if a fixed design yields one G object."""
+    """_sweep_chunk's diagnostics read lambda_min off the G that _trials
+    yields, once per block: one stacked G per block of a random design, one
+    (p, p) G for every block of a fixed one.  That equals the symmetrized
+    (1/N) A^T A only if each trial's G is exactly symmetric, and one
+    eigensolve serves a fixed design's whole block only if it yields one G
+    object."""
 
     @staticmethod
     def grams(design, N, trials=4):
@@ -596,7 +599,7 @@ class TestOnePassSweep:
             r = float(min(gaps, key=lambda m: abs(m - np.quantile(vals, q))))
             rows.append((N, r))
             expected.append([sum(e > r for e in valid), len(errs) - len(valid)])
-        counts = _sweep_chunk(spec, 0, spec.trials, tuple(rows)).tolist()
+        counts = _sweep_chunk(spec, 0, spec.trials, tuple((N, r, None) for N, r in rows)).tolist()
         assert counts == expected
         assert all(exceed > 0 for exceed, _ in counts)
         if design.p == 2 and design.entry_law == "scaled-rademacher":
@@ -620,17 +623,23 @@ class TestOnePassSweep:
         design, noise = fig2_models()
         spec = ExperimentSpec(design, noise, N=8, r=0.15, trials=300, base_seed=7)
         rows = [(400, 0.15), (150, 0.15), (400, 0.1), (150, 0.3)]
-        assert _tail_estimates(spec, rows, workers=1) == [
+        assert self.tail_estimates(spec, rows) == [
             run_tail(replace(spec, N=N, r=r)) for N, r in rows
         ]
 
     def test_invalid_limit_is_per_row(self):
         design, _ = self.DESIGNS["rademacher"]
         spec = ExperimentSpec(design, Gaussian(1.0), N=8, r=0.5, trials=400, base_seed=3)
-        (est,) = _tail_estimates(spec, [(40, 0.5)], workers=1)
+        (est,) = self.tail_estimates(spec, [(40, 0.5)])
         assert est.invalid_trials == 0
         with pytest.raises(SimulationQualityError):
-            _tail_estimates(spec, [(40, 0.5), (3, 0.5)], workers=1)
+            self.tail_estimates(spec, [(40, 0.5), (3, 0.5)])
+
+    @staticmethod
+    def tail_estimates(spec, rows):
+        """The TailEstimate of each (N, r) row, from one serial pass."""
+        counts = _run_chunks(spec, [(N, r, None) for N, r in rows], workers=1)
+        return [_tail_estimate(spec, row_counts) for row_counts in counts]
 
     def sweep_args(self, trials):
         design, noise = fig5_models()
@@ -767,8 +776,8 @@ class TestTrialBlocks:
         monkeypatch.setattr(np.linalg, "cholesky", counted)
         rows = self.CASES[case][2]
         spec, ranges = self.split_spec(self.CASES[case])
-        whole = _sweep_chunk(spec, 0, spec.trials, rows)
-        parts = [_sweep_chunk(spec, a, b, rows) for a, b in ranges]
+        whole = _sweep_chunk(spec, 0, spec.trials, [(N, r, None) for N, r in rows])
+        parts = [_sweep_chunk(spec, a, b, [(N, r, None) for N, r in rows]) for a, b in ranges]
         assert np.array_equal(whole, sum(parts))
         assert all(0 < exceed < spec.trials for exceed, _ in whole.tolist())
         if spec.design is SIGNS_2:
@@ -786,12 +795,30 @@ class TestTrialBlocks:
     def test_diag_counts_do_not_depend_on_blocks(self, case):
         spec, ranges = self.split_spec(self.CASES[case])
         sigma_min = implied_problem_params(spec.design, spec.noise, N_hint=spec.N).sigma_min
-        whole = montecarlo._diag_chunk(spec, 0, spec.trials, sigma_min)
-        parts = [montecarlo._diag_chunk(spec, a, b, sigma_min) for a, b in ranges]
-        for field, total in zip(whole, zip(*parts)):
-            assert np.array_equal(field, sum(total))
-        assert whole[0].any() and whole[1].any()
-        assert (whole[2] > 0) == (case == "rademacher")
+        rows = [(spec.N, spec.r, sigma_min)]
+        (whole,) = _sweep_chunk(spec, 0, spec.trials, rows)
+        parts = [_sweep_chunk(spec, a, b, rows)[0] for a, b in ranges]
+        assert np.array_equal(whole, sum(parts))
+        diag = _event_diagnostics(spec.trials, whole)
+        assert any(diag.freq_e2) and any(diag.freq_e3)
+        assert (diag.freq_e_rand > 0) == (case == "rademacher")
+
+    def test_rows_count_their_own_events(self):
+        # Rows at one N share its eigensolve and quadratic sums, yet each
+        # diagnosed row counts at its own r and sigma_min, as a lone run does.
+        params = implied_problem_params(FIG3_DESIGN, FIG3_NOISE)
+        spec = ExperimentSpec(FIG3_DESIGN, FIG3_NOISE, N=8, r=1.0, trials=300, base_seed=13, diagnostics=True)
+        rows = [(200, 2.0, params.sigma_min), (120, 3.0, None), (200, 2.0, 0.8 * params.sigma_min)]
+        counts = _sweep_chunk(spec, 0, spec.trials, rows)
+        assert counts[0, 2:].any() and counts[2, 2:].any() and not np.array_equal(counts[0], counts[2])
+        for (N, r, sigma_min), row_counts in zip(rows, counts):
+            own = replace(spec, N=N, r=r)
+            assert _tail_estimate(own, row_counts) == run_tail(own)
+            if sigma_min is None:
+                assert not row_counts[2:].any()
+            else:
+                diag = run_event_diagnostics(own, replace(params, sigma_min=sigma_min))
+                assert _event_diagnostics(spec.trials, row_counts) == diag
 
     @pytest.mark.parametrize(
         "design,noise,N,r",
@@ -850,7 +877,7 @@ class TestSegmentSums:
 
     def test_counts_do_not_depend_on_blocks(self, spec, monkeypatch):
         B = spec.trials - 7
-        rows = tuple((N, 2.0 / math.sqrt(N)) for N in self.SIZES)
+        rows = tuple((N, 2.0 / math.sqrt(N), None) for N in self.SIZES)
         calls = []
         for name in ("cholesky", "solve"):
             def counted(*args, f=getattr(np.linalg, name), name=name):
