@@ -42,7 +42,6 @@ from .montecarlo import (
     EventDiagnostics,
     ExperimentSpec,
     RangeExhaustedError,
-    RankDeficiencyError,
     SimulationQualityError,
     TailEstimate,
     find_empirical_n,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -38,10 +39,6 @@ BLOCK_BYTES = 1 << 19  # draws held per block of trials
 SEGMENT_ELEMS = 1 << 19  # p^2 times the rows of one segment of a random design's Gram sums
 
 
-class RankDeficiencyError(ArithmeticError):
-    """Normal-equations factorization hit a negligible pivot."""
-
-
 class SimulationQualityError(RuntimeError):
     """Too many invalid (rank-deficient) trials; the setup is suspect."""
 
@@ -52,8 +49,11 @@ class RangeExhaustedError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One tail-probability experiment.
+    """One tail-probability experiment: how often, over trials seeded
+    trials of N samples each, the max-coordinate error exceeds r.
 
+    N and trials must be integers (numpy integers become ints), with N > p
+    and trials >= 1, and 0 < r < inf; anything else raises ParameterError.
     Random designs are redrawn every trial; pilot and fixed designs are
     materialized once per chunk of trials.
     """
@@ -67,12 +67,17 @@ class ExperimentSpec:
     diagnostics: bool = False
 
     def __post_init__(self) -> None:
+        try:
+            object.__setattr__(self, "N", operator.index(self.N))
+            object.__setattr__(self, "trials", operator.index(self.trials))
+        except TypeError as exc:
+            raise ParameterError(f"N and trials must be integers, got {self.N!r} and {self.trials!r}") from exc
         if self.N <= self.design.p:
             raise ParameterError(f"need N > p, got N = {self.N}, p = {self.design.p}")
         if self.trials < 1:
             raise ParameterError(f"trials must be >= 1, got {self.trials}")
-        if not (self.r > 0):
-            raise ParameterError(f"r must be positive, got {self.r}")
+        if not (0 < self.r < math.inf):
+            raise ParameterError(f"r must be positive and finite, got {self.r}")
 
 
 @dataclass(frozen=True)
@@ -149,18 +154,6 @@ def _full_rank(G: np.ndarray) -> np.ndarray:
     return pivot > floor
 
 
-def gram_solve(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve G x = rhs for a Gram matrix G; rhs is a vector or a matrix.
-
-    Raises RankDeficiencyError unless _full_rank accepts G.
-    """
-    if not _full_rank(G[None])[0]:
-        raise RankDeficiencyError(
-            "Gram matrix has no Cholesky factor whose squared pivots exceed 1e-12 * trace"
-        )
-    return np.linalg.solve(G, rhs)
-
-
 def _stack(model, n: int, seed: int, trials: range, role: str, buf: np.ndarray) -> np.ndarray:
     """model's draws of size n for trials, stacked on a new first axis: a lone
     trial's own array, uncopied, or buf filled one trial at a time."""
@@ -171,25 +164,26 @@ def _stack(model, n: int, seed: int, trials: range, role: str, buf: np.ndarray) 
     return buf[: len(trials)]
 
 
-def _trials(spec: ExperimentSpec, start: int, stop: int, sizes=None):
-    """Yield (a, G, u, err, invalid) for each block of up to B consecutive
-    trials of start..stop-1 and, within a block, for each N of sizes (default
-    spec.N).  Each trial draws its noise (and a random design) from its own
-    (base_seed, trial, role) stream, once at the largest N; every sampler is
-    prefix-consistent, so u is the block's (m, N) noise prefix.  For a random
-    design, a is the (m, N, p) design prefix and G = a^T a per matrix; trials
-    whose G fails _full_rank are left out of a, G, u and err and counted in
-    invalid.  err holds each kept trial's error G^{-1} a^T u as a row.  A
-    non-random design is materialized once, with G and its solve map
-    G^{-1} A^T per N, and yielded as the same (N, p) and (p, p) arrays for
-    every block, with err = solve_map @ u per trial.  u, and a of a random
-    design, are views of buffers that the next block refills.
+def _trials(spec: ExperimentSpec, start: int, stop: int, sizes):
+    """Yield (a, G, u, rhs, err, invalid) for each block of up to B consecutive
+    trials of start..stop-1 and, within a block, for each N of sizes.  Each
+    trial draws its noise (and a random design) from its own (base_seed,
+    trial, role) stream, once at the largest N; every sampler is
+    prefix-consistent, so u is the block's (m, N) noise prefix.  a is the
+    design prefix and G = a^T a per matrix: (m, N, p) and (m, p, p) for a
+    random design, (1, N, p) and (1, p, p) for a non-random one, which is
+    materialized once and yields the same G for every block.  rhs holds each
+    trial's a^T u and err its error G^{-1} a^T u, as rows.  Trials whose G
+    fails _full_rank are left out of a, G, u, rhs and err and counted in
+    invalid; a non-random design whose G fails raises SimulationQualityError
+    before any trial runs.  u, and a of a random design, are views of buffers
+    that the next block refills.
 
     A random design's G and a^T u add, in row order, the products of the
     whole segments of S = max(1, SEGMENT_ELEMS // p^2) rows from row 0 below N,
     then that of the rows past them.  Each product is one GEMM against a copy
-    of the design, and the factor and solve of every N of a block run as one
-    stacked call each.
+    of the design.  For either kind of design, the rank check and the solve
+    of every N of a block run as one stacked call each.
 
     B is max(1, BLOCK_BYTES // (8 n_max (p + 1))) for a random design and
     max(1, BLOCK_BYTES // (8 n_max)) for a non-random one: the size of the
@@ -197,7 +191,6 @@ def _trials(spec: ExperimentSpec, start: int, stop: int, sizes=None):
     per-trial call (numpy runs BLAS per slice and LAPACK per matrix) and the
     segments depend on p alone, so no count depends on B, blocks or sizes.
     """
-    sizes = (spec.N,) if sizes is None else sizes
     n_max = max(sizes)
     p = spec.design.p
     random_design = spec.design.random
@@ -208,44 +201,39 @@ def _trials(spec: ExperimentSpec, start: int, stop: int, sizes=None):
         seg = max(1, SEGMENT_ELEMS // (p * p))
         whole = n_max // seg * seg
     else:
-        A = spec.design.sample(n_max, SeedSpec(spec.base_seed, 0, "design"))
-        grams = [(A[:N], A[:N].T @ A[:N]) for N in sizes]
-        try:
-            fixed = [(a, G, gram_solve(G, a.T)) for a, G in grams]
-        except RankDeficiencyError as exc:
-            raise SimulationQualityError(
-                f"fixed design is rank deficient; every trial would be invalid ({exc})"
-            ) from exc
+        A = spec.design.sample(n_max, SeedSpec(spec.base_seed, 0, "design"))[None]
+        G = np.stack([A[0, :N].T @ A[0, :N] for N in sizes])[:, None]
+        if not _full_rank(G[:, 0]).all():
+            raise SimulationQualityError("fixed design is rank deficient; every trial would be invalid")
     for lo in range(start, stop, block):
         trials = range(lo, min(lo + block, stop))
         V = _stack(spec.noise, n_max, spec.base_seed, trials, "noise", v_buf)
-        if not random_design:
-            for a, G, solve_map in fixed:
-                u = V[:, : len(a)]
-                yield a, G, u, (solve_map @ u[..., None])[..., 0], 0
-            continue
-        A = _stack(spec.design, n_max, spec.base_seed, trials, "design", a_buf)
-        C = c_buf[: len(trials)]
-        np.copyto(C, A)  # a^T C runs as GEMM; a^T a, one buffer, as SYRK, slower at these shapes
-        if whole:
-            segs = (len(trials), whole // seg, seg)
-            aT = A[:, :whole].reshape(*segs, p).swapaxes(-1, -2)
-            G_cum = np.cumsum(aT @ C[:, :whole].reshape(*segs, p), axis=1)
-            rhs_cum = np.cumsum(aT @ V[:, :whole].reshape(*segs, 1), axis=1)
-        G, rhs = np.empty((len(sizes), len(trials), p, p)), np.empty((len(sizes), len(trials), p, 1))
-        for k, N in enumerate(sizes):
-            cut = N // seg * seg  # rows below cut are whole segments
-            aT = A[:, cut:N].swapaxes(-1, -2)
-            G[k], rhs[k] = aT @ C[:, cut:N], aT @ V[:, cut:N, None]
-            if cut:
-                G[k] += G_cum[:, cut // seg - 1]
-                rhs[k] += rhs_cum[:, cut // seg - 1]
+        if random_design:
+            A = _stack(spec.design, n_max, spec.base_seed, trials, "design", a_buf)
+            C = c_buf[: len(trials)]
+            np.copyto(C, A)  # a^T C runs as GEMM; a^T a, one buffer, as SYRK, slower at these shapes
+            if whole:
+                segs = (len(trials), whole // seg, seg)
+                aT = A[:, :whole].reshape(*segs, p).swapaxes(-1, -2)
+                G_cum = np.cumsum(aT @ C[:, :whole].reshape(*segs, p), axis=1)
+                rhs_cum = np.cumsum(aT @ V[:, :whole].reshape(*segs, 1), axis=1)
+            G, rhs = np.empty((len(sizes), len(trials), p, p)), np.empty((len(sizes), len(trials), p, 1))
+            for k, N in enumerate(sizes):
+                cut = N // seg * seg  # rows below cut are whole segments
+                aT = A[:, cut:N].swapaxes(-1, -2)
+                G[k], rhs[k] = aT @ C[:, cut:N], aT @ V[:, cut:N, None]
+                if cut:
+                    G[k] += G_cum[:, cut // seg - 1]
+                    rhs[k] += rhs_cum[:, cut // seg - 1]
+        else:
+            rhs = np.stack([A[:, :N].swapaxes(-1, -2) @ V[:, :N, None] for N in sizes])
         ok = _full_rank(G.reshape(-1, p, p)).reshape(len(sizes), -1)
         # One solve for every size; a rank-deficient G is solved as I, and its trial left out.
         err = np.linalg.solve(np.where(ok[..., None, None], G, np.eye(p)), rhs)[..., 0]
         for k, N in enumerate(sizes):
             keep = slice(None) if ok[k].all() else ok[k]
-            yield A[keep, :N], G[k, keep], V[keep, :N], err[k, keep], len(ok[k]) - np.count_nonzero(ok[k])
+            yield (A[keep, :N], G[k, keep], V[keep, :N], rhs[k, keep, :, 0], err[k, keep],
+                   len(ok[k]) - np.count_nonzero(ok[k]))
 
 
 def _sweep_chunk(spec: ExperimentSpec, start: int, stop: int, rows) -> np.ndarray:
@@ -258,7 +246,7 @@ def _sweep_chunk(spec: ExperimentSpec, start: int, stop: int, rows) -> np.ndarra
     row_ids = {N: [k for k, row in enumerate(rows) if row[0] == N] for N, _, _ in rows}
     diag_ids = {N: [k for k in ks if rows[k][2] is not None] for N, ks in row_ids.items()}
     counts = np.zeros((len(rows), 6 + 2 * spec.design.p if any(diag_ids.values()) else 2), dtype=np.int64)
-    for a, G, u, err, invalid in _trials(spec, start, stop, tuple(row_ids)):
+    for a, G, u, rhs, err, invalid in _trials(spec, start, stop, tuple(row_ids)):
         N = u.shape[1]
         err_max = np.max(np.abs(err), axis=1)
         for k in row_ids[N]:
@@ -269,7 +257,7 @@ def _sweep_chunk(spec: ExperimentSpec, start: int, stop: int, rows) -> np.ndarra
         lam_min = np.linalg.eigvalsh(G / N)[..., 0]
         lam_tilde = np.divide(1.0, lam_min, out=np.full_like(lam_min, np.inf), where=lam_min > 0)
         lam = np.broadcast_to(lam_tilde, len(u))  # a fixed design has one G for the block
-        s_vec = (a.swapaxes(-1, -2) @ u[..., None])[..., 0] / N
+        s_vec = rhs / N
         total_sq = s_vec**2
         diag_sum = ((a * a).swapaxes(-1, -2) @ (u * u)[..., None])[..., 0] / N**2
         off_sum = total_sq - diag_sum

@@ -27,16 +27,15 @@ from lsqbounds.montecarlo import (
     EventDiagnostics,
     ExperimentSpec,
     RangeExhaustedError,
-    RankDeficiencyError,
     SimulationQualityError,
     _event_diagnostics,
+    _full_rank,
     _run_chunks,
     _sweep_chunk,
     _tail_estimate,
     _trials,
     find_empirical_n,
     fixed_design_bound,
-    gram_solve,
     run_event_diagnostics,
     run_tail,
     sweep,
@@ -89,11 +88,13 @@ class TestWilsonInterval:
 
 
 def ls_solve(A, x):
-    """Least-squares solution through the trial kernel's rank-checked solve."""
-    return gram_solve(A.T @ A, A.T @ x)
+    """Least-squares solution through the trial kernel's rank rule and solve;
+    None if _full_rank rejects A^T A."""
+    G = A.T @ A
+    return np.linalg.solve(G, A.T @ x) if _full_rank(G[None])[0] else None
 
 
-class TestGramSolve:
+class TestFullRankSolve:
     def test_consistent_system_exact(self):
         A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         theta = ls_solve(A, np.array([1.0, 2.0, 3.0]))
@@ -135,8 +136,30 @@ class TestGramSolve:
     )
     def test_rank_deficiency(self, A):
         A = np.array(A)
-        with pytest.raises(RankDeficiencyError):
-            ls_solve(A, np.array([1.0, 2.0, 3.0]))
+        assert ls_solve(A, np.array([1.0, 2.0, 3.0])) is None
+
+    def test_stack_with_one_deficient_matrix(self, monkeypatch):
+        # The collinear Gram has no Cholesky factor, so the stacked call raises
+        # and each matrix is factored again on its own.
+        raised = []
+        cholesky = np.linalg.cholesky
+
+        def counted(G):
+            try:
+                return cholesky(G)
+            except np.linalg.LinAlgError:
+                raised.append(len(G))
+                raise
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        rng = np.random.default_rng(9)
+        mats = [rng.uniform(-1.0, 1.0, (3, 2)), np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]),
+                rng.uniform(-1.0, 1.0, (3, 2)), rng.uniform(-1.0, 1.0, (5, 2))]
+        G = np.stack([A.T @ A for A in mats])
+        verdicts = _full_rank(G).tolist()
+        assert raised == [4, 1]  # the stack, then the deficient matrix alone
+        assert verdicts == [True, False, True, True]
+        assert verdicts == [_full_rank(g[None])[0] for g in G]
 
     def test_error_decomposition_euclidean(self):
         # max-coordinate error <= lambda_tilde(A) * ||A^T v / N||_2 per instance
@@ -169,17 +192,17 @@ def segment_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 class TestTrialGram:
     """_sweep_chunk's diagnostics read lambda_min off the G that _trials
     yields, once per block: one stacked G per block of a random design, one
-    (p, p) G for every block of a fixed one.  That equals the symmetrized
+    (1, p, p) G for every block of a fixed one.  That equals the symmetrized
     (1/N) A^T A only if each trial's G is exactly symmetric, and one
-    eigensolve serves a fixed design's whole block only if it yields one G
-    object."""
+    eigensolve serves a fixed design's whole block only if its G holds one
+    matrix."""
 
     @staticmethod
     def grams(design, N, trials=4):
         spec = ExperimentSpec(design, Gaussian(1.0), N=N, r=1.0, trials=trials, base_seed=N)
         return [
-            (a, G) if a.ndim == 2 else (a[i].copy(), G[i])  # the next block reuses a's buffer
-            for a, G, u, _, _ in _trials(spec, 0, trials)
+            (a[i].copy(), G[i])  # the next block reuses a's buffer
+            for a, G, u, _, _, _ in _trials(spec, 0, trials, (N,))
             for i in range(len(u))
         ]
 
@@ -202,11 +225,15 @@ class TestTrialGram:
     )
     def test_fixed_design_one_symmetric_gram(self, design):
         for N in ((40, 714, 3000) if isinstance(design, ToeplitzPilot) else (50,)):
-            grams = self.grams(design, N)
-            A, G = grams[0]
-            assert np.array_equal(G, G.T)
-            assert np.array_equal(G, A.T @ A)
-            assert all(a is A and g is G for a, g in grams)
+            B = montecarlo.BLOCK_BYTES // (8 * N)
+            spec = ExperimentSpec(design, Gaussian(1.0), N=N, r=1.0, trials=2 * B + 1, base_seed=N)
+            A = design.sample(N, SeedSpec(N, 0, "design"))
+            grams = [G for _, G, _, _, _, _ in _trials(spec, 0, spec.trials, (N,))]
+            assert len(grams) == 3
+            for G in grams:
+                assert G.shape == (1, design.p, design.p) and np.shares_memory(G, grams[0])
+                assert np.array_equal(G[0], G[0].T)
+                assert np.array_equal(G[0], A.T @ A)
 
 
 class TestRunTail:
@@ -261,6 +288,13 @@ class TestRunTail:
             ExperimentSpec(ALL_ONES_4x1, Rademacher(1.0), N=1, r=0.4)
         with pytest.raises(ParameterError):
             ExperimentSpec(ALL_ONES_4x1, Rademacher(1.0), N=4, r=0.4, trials=0)
+        # Counts that are not integers, and an infinite radius, which would
+        # never be exceeded.
+        for bad in ({"N": 100.5}, {"trials": 10.5}, {"N": "8"}, {"r": math.inf}, {"r": math.nan}):
+            with pytest.raises(ParameterError):
+                ExperimentSpec(ALL_ONES_4x1, Rademacher(1.0), **{"N": 4, "r": 0.4, **bad})
+        spec = ExperimentSpec(ALL_ONES_4x1, Rademacher(1.0), N=np.int64(4), r=0.4, trials=np.int64(10))
+        assert type(spec.N) is int and type(spec.trials) is int
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_rejects_workers_below_one_before_any_trial(self, workers, monkeypatch):
@@ -460,16 +494,14 @@ class TestSweep:
 
 def own_n_err_max(spec: ExperimentSpec, N: int) -> list:
     """Oracle: the max-coordinate error of each trial drawn at N itself, by
-    the models' own samplers and gram_solve; None for a rank-deficient draw."""
+    the models' own samplers and ls_solve; None for a rank-deficient draw."""
     out = []
     for t in range(spec.trials):
         trial = 0 if not spec.design.random else t
         A = spec.design.sample(N, SeedSpec(spec.base_seed, trial, "design"))
         v = spec.noise.sample(N, SeedSpec(spec.base_seed, t, "noise"))
-        try:
-            out.append(float(np.max(np.abs(gram_solve(A.T @ A, A.T @ v)))))
-        except RankDeficiencyError:
-            out.append(None)
+        err = ls_solve(A, v)
+        out.append(None if err is None else float(np.max(np.abs(err))))
     return out
 
 
@@ -610,10 +642,10 @@ class TestOnePassSweep:
         design, sizes = self.DESIGNS[design]
         spec = ExperimentSpec(design, Uniform(1.0), N=max(sizes), r=1.0, trials=20, base_seed=5)
         distinct = tuple(dict.fromkeys(sizes))
-        one_pass = [(u.shape[1], row) for _, _, u, err, _ in _trials(spec, 0, spec.trials, distinct)
+        one_pass = [(u.shape[1], row) for _, _, u, _, err, _ in _trials(spec, 0, spec.trials, distinct)
                     for row in err]
         for N in distinct:
-            own = [err for _, _, _, block, _ in _trials(replace(spec, N=N), 0, spec.trials)
+            own = [err for _, _, _, _, block, _ in _trials(replace(spec, N=N), 0, spec.trials, (N,))
                    for err in block]
             prefix = [err for n, err in one_pass if n == N]
             assert len(prefix) == len(own) == spec.trials
@@ -679,7 +711,7 @@ class TestOnePassSweep:
 
 def oracle_diagnostics(spec: ExperimentSpec) -> EventDiagnostics:
     """Oracle: run_event_diagnostics one trial at a time, by the models' own
-    samplers and gram_solve and the per-trial event formulas."""
+    samplers and ls_solve and the per-trial event formulas."""
     sigma_min = implied_problem_params(spec.design, spec.noise, N_hint=spec.N).sigma_min
     N, p = spec.N, spec.design.p
     threshold = sigma_min**2 * spec.r**2 / 8.0
@@ -690,13 +722,11 @@ def oracle_diagnostics(spec: ExperimentSpec) -> EventDiagnostics:
     for t in range(spec.trials):
         A = spec.design.sample(N, SeedSpec(spec.base_seed, t if spec.design.random else 0, "design"))
         v = spec.noise.sample(N, SeedSpec(spec.base_seed, t, "noise"))
-        G = A.T @ A
-        try:
-            # A fixed design solves through its solve map, as the harness does.
-            err = gram_solve(G, A.T @ v) if spec.design.random else gram_solve(G, A.T) @ v
-        except RankDeficiencyError:
+        err = ls_solve(A, v)
+        if err is None:
             e_rand += 1
             continue
+        G = A.T @ A
         lam_min = float(np.linalg.eigvalsh(G / N)[0])
         lam_tilde = 1.0 / lam_min if lam_min > 0 else math.inf
         s_vec = (A.T @ v) / N
@@ -803,6 +833,34 @@ class TestTrialBlocks:
         assert any(diag.freq_e2) and any(diag.freq_e3)
         assert (diag.freq_e_rand > 0) == (case == "rademacher")
 
+    @pytest.mark.parametrize(
+        "design,sizes",
+        [
+            (channel_pilot_design(p=8), (900, 37, 362)),
+            (FixedMatrix(np.random.default_rng(2).uniform(-1.0, 1.0, (60, 3))), (60,)),
+        ],
+        ids=["toeplitz", "fixed-matrix"],
+    )
+    def test_fixed_design_errors_equal_one_trial_solve(self, design, sizes):
+        # A fixed design runs through the random designs' stacked rank check
+        # and solve, so each error is its trial's own solve(A^T A, A^T v).
+        B = montecarlo.BLOCK_BYTES // (8 * max(sizes))
+        spec = ExperimentSpec(design, Gaussian(1.0), N=max(sizes), r=1.0, trials=B + 7, base_seed=11)
+        own = {}
+        for N in sizes:
+            A = design.sample(N, SeedSpec(11, 0, "design"))
+            noise = (spec.noise.sample(N, SeedSpec(11, t, "noise")) for t in range(spec.trials))
+            own[N] = [np.linalg.solve(A.T @ A, A.T @ v) for v in noise]
+        cuts = [0, 1, B - 1, B + 1, spec.trials]
+        for a, b in [(0, spec.trials), *zip(cuts, cuts[1:])]:
+            got = {N: [] for N in sizes}
+            for _, _, u, _, err, invalid in _trials(spec, a, b, sizes):
+                assert invalid == 0
+                got[u.shape[1]].extend(err)
+            for N in sizes:
+                assert len(got[N]) == b - a
+                assert all(x.tobytes() == y.tobytes() for x, y in zip(got[N], own[N][a:b]))
+
     def test_rows_count_their_own_events(self):
         # Rows at one N share its eigensolve and quadratic sums, yet each
         # diagnosed row counts at its own r and sigma_min, as a lone run does.
@@ -859,7 +917,7 @@ class TestSegmentSums:
         """(N, a, G, err) of each trial and size that _trials yields, copied."""
         return [
             (u.shape[1], a[i].copy(), G[i].copy(), err[i].copy())
-            for a, G, u, err, _ in _trials(spec, 0, spec.trials, sizes)
+            for a, G, u, _, err, _ in _trials(spec, 0, spec.trials, sizes)
             for i in range(len(u))
         ]
 
