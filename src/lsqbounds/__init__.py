@@ -42,7 +42,6 @@ from .montecarlo import (
     EventDiagnostics,
     ExperimentSpec,
     RangeExhaustedError,
-    SimulationQualityError,
     TailEstimate,
     find_empirical_n,
     run_event_diagnostics,
@@ -58,6 +57,7 @@ from .params import (
     OutageBreakdown,
     ParameterError,
     ProblemParams,
+    SimulationQualityError,
 )
 
 __version__ = "0.1.0"

@@ -15,8 +15,8 @@ from pathlib import Path
 
 from . import bounds
 from .io import breakdown_to_json, default_seed, dump_json, load_run_config, outage_to_json
-from .montecarlo import RangeExhaustedError, SimulationQualityError
-from .params import Accuracy, DomainError, NoFinitePointError, ParameterError, ProblemParams
+from .montecarlo import RangeExhaustedError
+from .params import Accuracy, DomainError, NoFinitePointError, ParameterError, ProblemParams, SimulationQualityError
 from .presets import DEFAULT_SEED, DEFAULT_TRIALS, FIGURE_IDS, Figure, Panel, reproduce, run_figure
 
 EXIT_OK = 0

@@ -20,11 +20,12 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .params import ParameterError, ProblemParams
+from .params import ParameterError, ProblemParams, SimulationQualityError
 
 ROLE_IDS = {"design": 0, "noise": 1}
 
 ROOT3 = float(np.sqrt(3.0))
+PIVOT_RTOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -449,13 +450,32 @@ def random_pilots(length: int, seed: SeedSpec) -> tuple[float, ...]:
     return tuple(_rademacher(seed.generator(), length))
 
 
+def _full_rank(G: np.ndarray) -> np.ndarray:
+    """For each Gram matrix of the stack G, whether it has a Cholesky factor L
+    whose every squared pivot L_jj^2 exceeds 1e-12 times its trace.  LAPACK
+    factors each matrix on its own; if one is not positive definite, the
+    stack is factored again one matrix at a time."""
+    try:
+        L = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        if len(G) == 1:
+            return np.zeros(1, dtype=bool)
+        return np.concatenate([_full_rank(g) for g in G[:, None]])
+    floor = PIVOT_RTOL * G.trace(axis1=1, axis2=2)
+    # libm pow, as Python's float ** 2; np.square can differ by an ulp.
+    pivot = np.float_power(L.diagonal(axis1=1, axis2=2).min(axis=1), 2.0)
+    return pivot > floor
+
+
 def implied_problem_params(
     design: DesignModel, noise: NoiseModel, N_hint: int | None = None
 ) -> ProblemParams:
     """ProblemParams implied by a design/noise pair.
 
     Random-column designs have a known diagonal second-moment matrix; pilot
-    and fixed designs are materialized (N_hint rows) and measured.
+    and fixed designs are materialized (N_hint rows) and measured.  A
+    measured G = A^T A that fails _full_rank, the rank rule of every trial,
+    raises SimulationQualityError: no trial at N_hint rows could be solved.
     """
     if isinstance(design, IidBoundedColumns):
         variances = [sd * sd for sd in design.column_stddevs]
@@ -464,10 +484,11 @@ def implied_problem_params(
         if N_hint is None:
             raise ParameterError("N_hint is required to materialize a non-random design")
         A = design.sample(N_hint, SeedSpec(0, 0, "design"))
-        eigs = np.linalg.eigvalsh(A.T @ A / N_hint)
+        G = A.T @ A
+        if not _full_rank(G[None])[0]:
+            raise SimulationQualityError(f"design Gram matrix is rank deficient at N = {N_hint}")
+        eigs = np.linalg.eigvalsh(G / N_hint)
         lam_min, lam_max = float(eigs[0]), float(eigs[-1])
-        if not (lam_min > 0):
-            raise ParameterError(f"design Gram matrix is singular (lambda_min = {lam_min})")
         alpha = float(np.max(np.abs(A)))
     R = noise.subgaussian_param
     return ProblemParams(

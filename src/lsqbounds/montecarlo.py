@@ -20,27 +20,16 @@ import numpy as np
 
 from . import bounds
 from .io import ResultRow
-from .models import (
-    DesignModel,
-    FixedMatrix,
-    NoiseModel,
-    SeedSpec,
-    implied_problem_params,
-)
-from .params import Accuracy, ParameterError, ProblemParams
+from .models import DesignModel, FixedMatrix, NoiseModel, SeedSpec, _full_rank, implied_problem_params
+from .params import Accuracy, ParameterError, ProblemParams, SimulationQualityError
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 
 INVALID_TRIAL_LIMIT = 1e-3
 LEMMA1_TOL = 1e-9
 IDENTITY_RTOL = 1e-10
-PIVOT_RTOL = 1e-12
 BLOCK_BYTES = 1 << 19  # draws held per block of trials
 SEGMENT_ELEMS = 1 << 19  # p^2 times the rows of one segment of a random design's Gram sums
-
-
-class SimulationQualityError(RuntimeError):
-    """Too many invalid (rank-deficient) trials; the setup is suspect."""
 
 
 class RangeExhaustedError(RuntimeError):
@@ -137,23 +126,6 @@ def wilson_interval(successes: int, n: int) -> tuple[float, float]:
     return (lo, hi)
 
 
-def _full_rank(G: np.ndarray) -> np.ndarray:
-    """For each Gram matrix of the stack G, whether it has a Cholesky factor L
-    whose every squared pivot L_jj^2 exceeds 1e-12 times its trace.  LAPACK
-    factors each matrix on its own; if one is not positive definite, the
-    stack is factored again one matrix at a time."""
-    try:
-        L = np.linalg.cholesky(G)
-    except np.linalg.LinAlgError:
-        if len(G) == 1:
-            return np.zeros(1, dtype=bool)
-        return np.concatenate([_full_rank(g) for g in G[:, None]])
-    floor = PIVOT_RTOL * G.trace(axis1=1, axis2=2)
-    # libm pow, as Python's float ** 2; np.square can differ by an ulp.
-    pivot = np.float_power(L.diagonal(axis1=1, axis2=2).min(axis=1), 2.0)
-    return pivot > floor
-
-
 def _stack(model, n: int, seed: int, trials: range, role: str, buf: np.ndarray) -> np.ndarray:
     """model's draws of size n for trials, stacked on a new first axis: a lone
     trial's own array, uncopied, or buf filled one trial at a time."""
@@ -176,8 +148,9 @@ def _trials(spec: ExperimentSpec, start: int, stop: int, sizes):
     trial's a^T u and err its error G^{-1} a^T u, as rows.  Trials whose G
     fails _full_rank are left out of a, G, u, rhs and err and counted in
     invalid; a non-random design whose G fails raises SimulationQualityError
-    before any trial runs.  u, and a of a random design, are views of buffers
-    that the next block refills.
+    before any trial runs, as implied_problem_params does when a sweep is
+    planned.  u, and a of a random design, are views of buffers that the
+    next block refills.
 
     A random design's G and a^T u add, in row order, the products of the
     whole segments of S = max(1, SEGMENT_ELEMS // p^2) rows from row 0 below N,
@@ -347,11 +320,15 @@ def fixed_design_bound(
     The fixed-design bound uses the smallest Gram eigenvalue of the matrix
     actually used, which itself depends on N: return the first of
     N = p+1, p+2, ... whose bound at its own matrix is at most N.  That test
-    is not monotone in N, so the scan cannot bisect; a design that runs out
-    of rows first raises from its sampler.
+    is not monotone in N, so the scan cannot bisect.  An N whose matrix is
+    rank deficient is not self-consistent, so the scan moves past it; a
+    design that runs out of rows first raises from its sampler.
     """
     for N in itertools.count(design.p + 1):
-        params = implied_problem_params(design, noise, N_hint=N)
+        try:
+            params = implied_problem_params(design, noise, N_hint=N)
+        except SimulationQualityError:
+            continue
         bd = bounds.n_fixed_design(acc, params)
         if bd.n_ceil <= N:
             return N, params, bd

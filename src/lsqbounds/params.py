@@ -18,6 +18,10 @@ class NoFinitePointError(RuntimeError):
     """An inner Chernoff problem has no feasible point: its slack is empty."""
 
 
+class SimulationQualityError(RuntimeError):
+    """A rank-deficient design, or too many rank-deficient trials; the setup is suspect."""
+
+
 def require_square_in_range(scales) -> None:
     """Reject a (name, value) whose square overflows or underflows to 0."""
     for name, x in scales:

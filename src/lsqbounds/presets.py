@@ -164,11 +164,10 @@ def run_figure(
     too.  Returns each panel's ResultRows, each paired with its
     EventDiagnostics if diagnostics is set (else None).
 
-    Every panel is checked before any directory is made or any trial runs, so
-    a rejected run leaves nothing behind.
+    Every panel is checked before any trial runs, and nothing is written
+    until every panel has run, so a run that is rejected or fails in its
+    trials leaves nothing behind.
     """
-    if workers < 1:
-        raise ParameterError(f"workers must be at least 1, got {workers}")
     (axis,) = {panel.axis for panel in fig.panels}  # one shared axis labels the plot
     planned = []
     for panel in fig.panels:
@@ -177,15 +176,14 @@ def run_figure(
         base = ExperimentSpec(
             design, noise, N=design.p + 1, r=panel.r, trials=trials, base_seed=base_seed
         )
-        sweep_rows = list(_sweep_rows(base, axis, panel.values, panel.theorem, panel.eps))
-        planned.append((panel, base, sweep_rows))
+        planned.append((base, list(_sweep_rows(base, axis, panel.values, panel.theorem, panel.eps))))
+    results = [_result_rows(base, axis, sweep_rows, workers, diagnostics) for base, sweep_rows in planned]
     for path in (*csv_paths, svg_path):
         if path is not None:
             Path(path).parent.mkdir(parents=True, exist_ok=True)
-    bound_series, p_hat_series, results = [], [], []
-    for (panel, base, sweep_rows), csv_path in zip(planned, csv_paths, strict=True):
-        results.append(_result_rows(base, axis, sweep_rows, workers, diagnostics))
-        rows = [row for row, _ in results[-1]]
+    bound_series, p_hat_series = [], []
+    for panel, panel_rows, csv_path in zip(fig.panels, results, csv_paths, strict=True):
+        rows = [row for row, _ in panel_rows]
         write_result_csv(csv_path, rows)
         xs = [row.axis_value for row in rows]
         bound_series.append((f"{panel.csv} bound", xs, [row.n_bound_real for row in rows]))

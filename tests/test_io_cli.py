@@ -42,7 +42,7 @@ from lsqbounds.models import (
     noise_to_config,
 )
 from lsqbounds.montecarlo import ExperimentSpec, fixed_design_bound, run_event_diagnostics
-from lsqbounds.params import Accuracy, ParameterError, ProblemParams
+from lsqbounds.params import Accuracy, ParameterError, ProblemParams, SimulationQualityError
 from lsqbounds.presets import (
     Figure,
     Panel,
@@ -536,6 +536,22 @@ class TestCli:
         cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
         assert cli.main(["simulate", "--config", str(cfg_path)]) == 4
 
+    def test_quality_failure_in_the_trials_makes_no_directory(self, tmp_path, capsys):
+        # The three-row sign design passes planning and fails in its trials,
+        # so nothing may be written before every panel has run.
+        out = tmp_path / "q"
+        cfg = _valid_doc(
+            design={"kind": "iid-bounded-columns", "column_stddevs": [1.0, 1.0], "entry_law": "scaled-rademacher"},
+            noise={"kind": "gaussian", "sigma": 1.0},
+            r=4.0,
+            axis={"name": "N", "values": [3]},
+            trials=400,
+            output={"csv": str(out / "sub" / "sim.csv"), "svg": str(out / "sub" / "sim.svg")},
+        )
+        assert cli.main(["simulate", "--config", _write_config(tmp_path, cfg)]) == 4
+        assert capsys.readouterr().err.startswith("simulation-quality error:")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "values,sigma,message",
         [
@@ -736,6 +752,35 @@ class TestSimulateFixedDesign:
         assert cli.main(["simulate", "--config", _write_config(tmp_path, cfg)]) == 2
         assert "covers only a non-random design" in capsys.readouterr().err
         assert not out.exists()
+
+    @staticmethod
+    def collinear(seed):
+        """Columns [a, b, a + b], so its Gram matrix is singular.  With numpy's
+        OpenBLAS 0.3.31 on x86-64, eigvalsh reads its smallest eigenvalue as
+        +1.1e-16 at seed 0 and -1.9e-16 at seed 5: no sign decides its rank."""
+        ab = np.random.default_rng(seed).standard_normal((40, 2))
+        return FixedMatrix(np.column_stack([ab, ab.sum(axis=1)]))
+
+    def test_rank_deficient_design_fails_one_way_on_either_rounding(self, tmp_path, capsys):
+        errors = []
+        for seed in (0, 5):
+            design = self.collinear(seed)
+            with pytest.raises(SimulationQualityError, match="rank deficient at N = 40"):
+                implied_problem_params(design, Gaussian(1.0), N_hint=40)
+            out = tmp_path / f"o{seed}"
+            cfg = _valid_doc(
+                theorem="fixed_mds",
+                design=design_to_config(design),
+                noise={"kind": "gaussian", "sigma": 1.0},
+                r=0.5,
+                axis={"name": "N", "values": [40]},
+                output={"csv": str(out / "sub" / "rank.csv"), "svg": str(out / "sub" / "rank.svg")},
+            )
+            assert cli.main(["simulate", "--config", _write_config(tmp_path, cfg)]) == 4
+            errors.append(capsys.readouterr().err)
+            assert not out.exists()
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("simulation-quality error:")
 
     def test_fixed_matrix_off_n_axis_exit_2(self, tmp_path, capsys):
         rows = np.random.default_rng(0).uniform(-1.0, 1.0, (400, 2))

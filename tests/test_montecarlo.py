@@ -583,6 +583,19 @@ class TestFixedDesignScan:
         assert passes == [False, True, True, False]
         assert fixed_design_bound(acc, design, noise)[0] == 362
 
+    def test_moves_past_a_rank_deficient_prefix(self):
+        # At p = 48 the 49-row prefix of this pilot matrix fails the trials'
+        # rank rule; such an N is not self-consistent, so the scan goes on.
+        acc, noise = Accuracy(0.2, 0.01), fir_mds_with_param(0.1)
+        design = channel_pilot_design(p=48, length=4096, seed=20)
+        A = design.sample(49, SeedSpec(0, 0, "design"))
+        assert not _full_rank((A.T @ A)[None])[0]
+        with pytest.raises(SimulationQualityError, match="rank deficient at N = 49"):
+            implied_problem_params(design, noise, N_hint=49)
+        N, params, bd = fixed_design_bound(acc, design, noise)
+        assert bd.n_ceil == n_ceil_at(acc, design, noise, N) <= N
+        assert params == implied_problem_params(design, noise, N_hint=N)
+
     def test_pilot_budget_ends_the_scan(self):
         design = channel_pilot_design(p=4, length=256, seed=5)
         t0 = time.perf_counter()
