@@ -9,7 +9,7 @@ harness.
 from .bounds import (
     beta,
     bound_for,
-    eps_fixed_design,
+    eps_for,
     eps_of_n,
     gamma,
     l2_radius,

@@ -332,6 +332,8 @@ _CLOSED_FORMS = {
     "mds_bounded": (8.0, ProblemParams.require_b, 2.0),
     "fixed_mds": (8.0, ProblemParams.require_R, 2.0),
 }
+# Closed forms for a known design, which have no Gram-concentration term n_rand.
+KNOWN_DESIGN = frozenset({"fixed_mds"})
 
 
 def _closed_form(theorem: str, r: float, params: ProblemParams) -> tuple[float, float]:
@@ -343,7 +345,7 @@ def _closed_form(theorem: str, r: float, params: ProblemParams) -> tuple[float, 
 def _closed_form_bound(theorem: str, acc: Accuracy, params: ProblemParams) -> BoundBreakdown:
     c1, factor = _closed_form(theorem, acc.r, params)
     terms = {"n1": c1 * max(math.log(factor / acc.eps), 0.0)}
-    if theorem != "fixed_mds":
+    if theorem not in KNOWN_DESIGN:
         terms["n_rand"] = n_rand(acc.eps, factor, params)
     return make_breakdown(theorem, terms, params.p)
 
@@ -370,15 +372,6 @@ def n_fixed_design(acc: Accuracy, params: ProblemParams) -> BoundBreakdown:
     matrix; there is no Gram-concentration term.
     """
     return _closed_form_bound("fixed_mds", acc, params)
-
-
-def eps_fixed_design(r: float, N: float, params: ProblemParams) -> float:
-    """Outage level implied by the fixed-design bound at sample count N
-    (exact inversion of n_fixed_design in eps), clipped to 1."""
-    if not (r > 0 and N > 0):
-        raise DomainError("r and N must be positive")
-    c1, factor = _closed_form("fixed_mds", r, params)
-    return min(1.0, factor * math.exp(-N / c1))
 
 
 # ---------------------------------------------------------------------------
@@ -473,15 +466,17 @@ def bound_for(theorem: str, acc: Accuracy, params: ProblemParams) -> BoundBreakd
 
 
 def eps_for(theorem: str, r: float, N: int, params: ProblemParams) -> float:
-    """Outage bound at (r, N) for the given bound family, clipped to 1."""
+    """Outage bound at positive (r, N) for the given bound family, clipped to 1."""
+    if not (r > 0 and N > 0):
+        raise DomainError("r and N must be positive")
     if theorem == "main":
         if N <= _scaled_floor(4.0, params.require_R(), r, params):
             return 1.0
         return eps_of_n(r, N, params).eps_final
-    if theorem == "fixed_mds":
-        return eps_fixed_design(r, N, params)
     if theorem in _CLOSED_FORMS:
-        # Exact inversion of max(C1, C_rand) * log(f/eps).
+        # Exact inversion of lead * log(f/eps): lead is C1 on a known design
+        # and max(C1, C_rand) otherwise.
         c1, factor = _closed_form(theorem, r, params)
-        return min(1.0, factor * math.exp(-N / max(c1, _n_rand_lead(params))))
+        lead = c1 if theorem in KNOWN_DESIGN else max(c1, _n_rand_lead(params))
+        return min(1.0, factor * math.exp(-N / lead))
     raise ParameterError(f"no outage expression for bound tag {theorem!r}")

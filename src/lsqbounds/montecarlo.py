@@ -148,9 +148,9 @@ def _trials(spec: ExperimentSpec, start: int, stop: int, sizes):
     trial's a^T u and err its error G^{-1} a^T u, as rows.  Trials whose G
     fails _full_rank are left out of a, G, u, rhs and err and counted in
     invalid; a non-random design whose G fails raises SimulationQualityError
-    before any trial runs, as implied_problem_params does when a sweep is
-    planned.  u, and a of a random design, are views of buffers that the
-    next block refills.
+    naming the first such N of sizes before any trial runs, as
+    implied_problem_params does when a sweep is planned.  u, and a of a
+    random design, are views of buffers that the next block refills.
 
     A random design's G and a^T u add, in row order, the products of the
     whole segments of S = max(1, SEGMENT_ELEMS // p^2) rows from row 0 below N,
@@ -176,8 +176,9 @@ def _trials(spec: ExperimentSpec, start: int, stop: int, sizes):
     else:
         A = spec.design.sample(n_max, SeedSpec(spec.base_seed, 0, "design"))[None]
         G = np.stack([A[0, :N].T @ A[0, :N] for N in sizes])[:, None]
-        if not _full_rank(G[:, 0]).all():
-            raise SimulationQualityError("fixed design is rank deficient; every trial would be invalid")
+        for N, ok in zip(sizes, _full_rank(G[:, 0])):
+            if not ok:
+                raise SimulationQualityError(f"design Gram matrix is rank deficient at N = {N}")
     for lo in range(start, stop, block):
         trials = range(lo, min(lo + block, stop))
         V = _stack(spec.noise, n_max, spec.base_seed, trials, "noise", v_buf)
@@ -360,7 +361,7 @@ def _sweep_rows(
     if axis_name == "r" and eps is None:
         raise ParameterError("r-axis sweeps need a target eps")
     random_design = base.design.random
-    if random_design == (theorem == "fixed_mds"):  # fixed_mds measures the matrix each row runs
+    if random_design == (theorem in bounds.KNOWN_DESIGN):  # such a bound measures the matrix each row runs
         raise ParameterError(
             f"fixed_mds covers only a non-random design, got {type(base.design).__name__}" if random_design
             else f"a non-random design is covered only by the fixed_mds bound, got {theorem!r}"

@@ -164,11 +164,13 @@ def run_figure(
     too.  Returns each panel's ResultRows, each paired with its
     EventDiagnostics if diagnostics is set (else None).
 
-    Every panel is checked before any trial runs, and nothing is written
-    until every panel has run, so a run that is rejected or fails in its
-    trials leaves nothing behind.
+    Every panel and the count of csv_paths are checked before any trial
+    runs, and nothing is written until every panel has run, so a run that is
+    rejected or fails in its trials leaves nothing behind.
     """
     (axis,) = {panel.axis for panel in fig.panels}  # one shared axis labels the plot
+    if len(csv_paths) != len(fig.panels):
+        raise ParameterError(f"{len(fig.panels)} panels need as many CSV paths, got {len(csv_paths)}")
     planned = []
     for panel in fig.panels:
         design, noise = panel.models(base_seed)

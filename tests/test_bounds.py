@@ -393,6 +393,14 @@ class TestBoundFor:
         with pytest.raises(DomainError, match=r"unknown bound tag 'printed'.*'main_tau'"):
             bounds.bound_for("printed", ACC, UNIT)
 
+    @pytest.mark.parametrize("tag", sorted(bounds.BOUND_FUNCTIONS))
+    @pytest.mark.parametrize("r, N", [(-0.5, 100), (0.0, 100), (0.5, 0), (0.5, -100)])
+    def test_eps_for_rejects_a_non_positive_radius_or_count(self, tag, r, N):
+        # Every family checks its inputs before its own formula, which for
+        # some families would return an outage at a negative radius or count.
+        with pytest.raises(DomainError, match="r and N must be positive"):
+            bounds.eps_for(tag, r, N, replace(UNIT, b=1.0))
+
 
 class TestCeiling:
     def test_n_ceil_is_above_n_final_and_at_least_p_plus_1(self):
@@ -526,7 +534,7 @@ class TestClosedFormBounds:
         params = ProblemParams(p=8, alpha=1.0, sigma_min=0.9, sigma_max=1.1, R=0.1)
         acc = Accuracy(r=0.01, eps=0.01)
         n = bounds.n_fixed_design(acc, params).n_final
-        assert bounds.eps_fixed_design(acc.r, n, params) == pytest.approx(acc.eps, rel=1e-10)
+        assert bounds.eps_for("fixed_mds", acc.r, n, params) == pytest.approx(acc.eps, rel=1e-10)
 
     def test_eps_for_has_no_main_tau_outage(self):
         with pytest.raises(ParameterError, match="main_tau"):

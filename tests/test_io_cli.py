@@ -44,6 +44,7 @@ from lsqbounds.models import (
 from lsqbounds.montecarlo import ExperimentSpec, fixed_design_bound, run_event_diagnostics
 from lsqbounds.params import Accuracy, ParameterError, ProblemParams, SimulationQualityError
 from lsqbounds.presets import (
+    FIGURES,
     Figure,
     Panel,
     channel_pilot_design,
@@ -671,6 +672,18 @@ class TestPresetSmoke:
         vals = [row.n_bound_real for row in rows6]
         assert all(b <= a for a, b in zip(vals, vals[1:]))  # outage falls with N
         assert all(row.n_bound_ceil is None for row in rows6)
+
+
+class TestRunFigurePaths:
+    def test_a_path_count_unlike_the_panel_count_is_rejected_before_any_trial(self, tmp_path, monkeypatch):
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(presets, "_result_rows", no_trials)
+        csv = tmp_path / "only_one.csv"
+        with pytest.raises(ParameterError, match="2 panels need as many CSV paths, got 1"):
+            run_figure(FIGURES["fig3"], (csv,), None, 20, 1, 1)
+        assert not csv.exists()
 
 
 class TestFigurePlot:

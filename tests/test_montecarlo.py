@@ -283,6 +283,20 @@ class TestRunTail:
         with pytest.raises(SimulationQualityError):
             run_tail(spec)
 
+    def test_fixed_rank_deficient_names_the_first_failing_n_before_any_trial(self, monkeypatch):
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(montecarlo, "_stack", no_trials)
+        rows = [[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]
+        spec = ExperimentSpec(FixedMatrix(np.array(rows)), Gaussian(1.0), N=3, r=0.5, trials=10, base_seed=3)
+        with pytest.raises(SimulationQualityError, match="rank deficient at N = 3"):
+            run_tail(spec)
+        # A fourth row makes N = 4 full rank; the sweep's sizes run 4, 3, 5.
+        spec = replace(spec, design=FixedMatrix(np.array(rows + [[1.0, 0.0], [0.0, 0.0]])), N=5)
+        with pytest.raises(SimulationQualityError, match="rank deficient at N = 3"):
+            _sweep_chunk(spec, 0, 10, [(4, 0.5, None), (3, 0.5, None), (5, 0.5, None)])
+
     def test_spec_validation(self):
         with pytest.raises(ParameterError):
             ExperimentSpec(ALL_ONES_4x1, Rademacher(1.0), N=1, r=0.4)
