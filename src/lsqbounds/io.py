@@ -169,7 +169,7 @@ _RANGES = {
     "r": (lambda v: v > 0, "positive"),
     "eps": (lambda v: 0 < v < 1, "in (0, 1)"),
     "trials": (lambda v: v >= 1, "at least 1"),
-    "base_seed": (lambda v: v >= 0, "nonnegative"),
+    "base_seed": (lambda v: 0 <= v < 2**64, "a 64-bit unsigned int"),
 }
 
 

@@ -359,15 +359,19 @@ class IidBoundedColumns:
         return ROOT3 * peak if self.entry_law == "scaled-uniform" else peak
 
     def sample(self, N: int, seed: SeedSpec) -> np.ndarray:
+        """An (N, p) draw, centred and scaled in place: in one multiply if every column has
+        the same factor, else column by column (an (N, p) * (p,) broadcast is as slow as the draw)."""
         _check_rows(N, self.p)
         rng = seed.generator()
         uniform = self.entry_law == "scaled-uniform"
         A = rng.random((N, self.p)) if uniform else rng.integers(0, 2, size=(N, self.p)).astype(float)
         A -= 0.5
-        # Column by column: numpy runs an (N, p) * (p,) broadcast with an inner
-        # loop of length p, which costs as much as the draw itself.
-        for k, sd in enumerate(self.column_stddevs):
-            A[:, k] *= 2.0 * (ROOT3 * sd if uniform else sd)
+        factors = [2.0 * (ROOT3 * sd if uniform else sd) for sd in self.column_stddevs]
+        if len(set(factors)) == 1:
+            A *= factors[0]
+        else:
+            for k, factor in enumerate(factors):
+                A[:, k] *= factor
         return A
 
 

@@ -3,9 +3,9 @@
 Trials are independent tasks keyed by trial index; every random draw comes
 from a stream derived from (base_seed, trial, role), and aggregation is a
 commutative count-merge, so results do not depend on the worker count or
-execution order.  Trials run in blocks: stacked numpy calls solve and count
-a block at once, bit-identical to one call per trial, so results do not
-depend on the block size either.
+execution order.  Trials run in blocks: stacked numpy calls solve a block,
+and count a chunk's held statistics, at once, bit-identical to one call per
+trial, so results do not depend on the block size either.
 """
 
 from __future__ import annotations
@@ -215,43 +215,63 @@ def _sweep_chunk(spec: ExperimentSpec, start: int, stop: int, rows) -> np.ndarra
     exceedances of r and invalid trials, then, if any row sets sigma_min, its
     e_rand, lemma-1, identity and sup-norm violation counts and its e2 and e3
     counts per coordinate (zero for a row without one).  Rows that share an N
-    share its solve.
+    share its solve.  The block loop only holds, per N, each block's invalid
+    count and errors and, if a row at N sets sigma_min, its (1/N) a^T u, G/N
+    and diagonal sums (per block, as the next block refills a and u), which
+    _count_held counts before they would pass BLOCK_BYTES, and at the end.
     """
-    row_ids = {N: [k for k, row in enumerate(rows) if row[0] == N] for N, _, _ in rows}
-    diag_ids = {N: [k for k in ks if rows[k][2] is not None] for N, ks in row_ids.items()}
-    counts = np.zeros((len(rows), 6 + 2 * spec.design.p if any(diag_ids.values()) else 2), dtype=np.int64)
-    for a, G, u, rhs, err, invalid in _trials(spec, start, stop, tuple(row_ids)):
+    sizes = tuple(dict.fromkeys(N for N, _, _ in rows))
+    diagnosed = {N for N, _, sigma_min in rows if sigma_min is not None}
+    counts = np.zeros((len(rows), 6 + 2 * spec.design.p if diagnosed else 2), dtype=np.int64)
+    held, held_bytes = {}, 0
+    for a, G, u, rhs, err, invalid in _trials(spec, start, stop, sizes):
         N = u.shape[1]
-        err_max = np.max(np.abs(err), axis=1)
-        for k in row_ids[N]:
-            counts[k, 0] += np.count_nonzero(err_max > rows[k][1])
-            counts[k, 1] += invalid
-        if not diag_ids[N]:
-            continue
-        lam_min = np.linalg.eigvalsh(G / N)[..., 0]
-        lam_tilde = np.divide(1.0, lam_min, out=np.full_like(lam_min, np.inf), where=lam_min > 0)
-        lam = np.broadcast_to(lam_tilde, len(u))  # a fixed design has one G for the block
-        s_vec = rhs / N
-        total_sq = s_vec**2
-        diag_sum = ((a * a).swapaxes(-1, -2) @ (u * u)[..., None])[..., 0] / N**2
-        off_sum = total_sq - diag_sum
-        quad_sums = np.stack([diag_sum, off_sum])
-        norm = np.sqrt((s_vec[:, None, :] @ s_vec[:, :, None])[:, 0, 0])  # a dot per row, as norm
-        with np.errstate(invalid="ignore"):  # inf * 0 is nan; err_max > nan is no violation
-            lemma1_bad = np.count_nonzero(err_max > lam * norm + LEMMA1_TOL)
-            linf_bad = np.count_nonzero(err_max > lam * np.max(np.abs(s_vec), axis=1) + LEMMA1_TOL)
-        scale = np.maximum.reduce(
-            [np.abs(total_sq), np.abs(diag_sum), np.abs(off_sum), np.full_like(total_sq, 1e-300)]
-        )
-        residual = np.abs(diag_sum + off_sum - total_sq)
-        identity_bad = np.count_nonzero(np.any(residual > IDENTITY_RTOL * scale, axis=1))
-        for k in diag_ids[N]:
-            _, r, sigma_min = rows[k]
-            # A singular Gram certainly exceeds the eigenvalue limit.
-            e_rand = invalid + np.count_nonzero(lam > 2.0 / sigma_min)
-            counts[k, 2:6] += (e_rand, lemma1_bad, identity_bad, linf_bad)
-            counts[k, 6:] += np.count_nonzero(quad_sums > sigma_min**2 * r**2 / 8.0, axis=1).ravel()
+        stats = (err,)
+        if N in diagnosed:
+            stats += (rhs / N, G / N, ((a * a).swapaxes(-1, -2) @ (u * u)[..., None])[..., 0] / N**2)
+        nbytes = sum(x.nbytes for x in stats)
+        if held_bytes + nbytes > BLOCK_BYTES:
+            _count_held(rows, held, spec.design.random, counts)
+            held_bytes = 0
+        held.setdefault(N, []).append((invalid, *stats))
+        held_bytes += nbytes
+    _count_held(rows, held, spec.design.random, counts)
     return counts
+
+
+def _count_held(rows, held, random_design: bool, counts: np.ndarray) -> None:
+    """Add each row's counts over the blocks held for its N, in one pass per N,
+    then empty held; a non-random design's G/N, the same in every block, is factored once."""
+    for N, blocks in held.items():
+        invalid, *stats = zip(*blocks)
+        err, *stats = map(np.concatenate, stats)
+        err_max = np.max(np.abs(err), axis=1)
+        if stats:
+            s_vec, gram, diag_sum = stats
+            lam_min = np.linalg.eigvalsh(gram if random_design else gram[:1])[..., 0]
+            lam_tilde = np.divide(1.0, lam_min, out=np.full_like(lam_min, np.inf), where=lam_min > 0)
+            lam = np.broadcast_to(lam_tilde, len(err))
+            total_sq = s_vec**2
+            off_sum = total_sq - diag_sum
+            quad_sums = np.stack([diag_sum, off_sum])
+            norm = np.sqrt((s_vec[:, None, :] @ s_vec[:, :, None])[:, 0, 0])  # a dot per row, as norm
+            with np.errstate(invalid="ignore"):  # inf * 0 is nan; err_max > nan is no violation
+                lemma1_bad = np.count_nonzero(err_max > lam * norm + LEMMA1_TOL)
+                linf_bad = np.count_nonzero(err_max > lam * np.max(np.abs(s_vec), axis=1) + LEMMA1_TOL)
+            scale = np.maximum.reduce([np.abs(total_sq), np.abs(diag_sum), np.abs(off_sum),
+                                       np.full_like(total_sq, 1e-300)])
+            residual = np.abs(diag_sum + off_sum - total_sq)
+            identity_bad = np.count_nonzero(np.any(residual > IDENTITY_RTOL * scale, axis=1))
+        for k, (row_n, r, sigma_min) in enumerate(rows):
+            if row_n != N:
+                continue
+            counts[k, :2] += (np.count_nonzero(err_max > r), sum(invalid))
+            if sigma_min is not None:
+                # A singular Gram certainly exceeds the eigenvalue limit.
+                e_rand = sum(invalid) + np.count_nonzero(lam > 2.0 / sigma_min)
+                counts[k, 2:6] += (e_rand, lemma1_bad, identity_bad, linf_bad)
+                counts[k, 6:] += np.count_nonzero(quad_sums > sigma_min**2 * r**2 / 8.0, axis=1).ravel()
+    held.clear()
 
 
 def _run_chunks(spec: ExperimentSpec, rows, workers: int) -> np.ndarray:

@@ -258,6 +258,8 @@ def _malformed_docs():
     yield "range-theorem", _edit(base, ("theorem",), "bogus")
     yield "range-trials", _edit(base, ("trials",), 0)
     yield "range-eps", _edit(base, ("eps",), 1.5)
+    yield "range-base_seed-high", _edit(base, ("base_seed",), 2**64)
+    yield "range-base_seed-negative", _edit(base, ("base_seed",), -1)
     yield "range-axis.values-empty", _edit(base, ("axis", "values"), [])
     yield "range-design.pilots", _edit(
         base, ("design",), {"kind": "toeplitz-pilot", "pilots": [1.0], "p": 1}

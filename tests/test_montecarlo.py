@@ -191,7 +191,7 @@ def segment_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 class TestTrialGram:
     """_sweep_chunk's diagnostics read lambda_min off the G that _trials
-    yields, once per block: one stacked G per block of a random design, one
+    yields for each block: one stacked G per block of a random design, one
     (1, p, p) G for every block of a fixed one.  That equals the symmetrized
     (1/N) A^T A only if each trial's G is exactly symmetric, and one
     eigensolve serves a fixed design's whole block only if its G holds one
@@ -859,6 +859,50 @@ class TestTrialBlocks:
         diag = _event_diagnostics(spec.trials, whole)
         assert any(diag.freq_e2) and any(diag.freq_e3)
         assert (diag.freq_e_rand > 0) == (case == "rademacher")
+
+    @staticmethod
+    def spy_held(monkeypatch):
+        """Wrap _count_held to record, per call, the blocks and bytes of
+        statistics it is handed (each block's invalid count aside)."""
+        calls, count_held = [], montecarlo._count_held
+
+        def spy(rows, held, random_design, counts):
+            blocks = [block for blocks in held.values() for block in blocks]
+            calls.append((len(blocks), sum(x.nbytes for block in blocks for x in block[1:])))
+            count_held(rows, held, random_design, counts)
+
+        monkeypatch.setattr(montecarlo, "_count_held", spy)
+        return calls
+
+    # Every row of a case diagnosed, beside an undiagnosed row at its largest
+    # N; the Rademacher case's rank-deficient trials at N = 3 must be added
+    # once for each row, however often its statistics are counted.
+    @pytest.mark.parametrize("case", [case for case in CASES if case != "rademacher-two-sizes"])
+    def test_counts_do_not_depend_on_where_held_statistics_are_counted(self, case, monkeypatch):
+        spec, _ = self.split_spec(self.CASES[case])
+        sigma_min = implied_problem_params(spec.design, spec.noise, N_hint=spec.N).sigma_min
+        rows = [(N, r, sigma_min) for N, r in self.CASES[case][2]] + [(spec.N, spec.r, None)]
+        calls = self.spy_held(monkeypatch)
+        once = _sweep_chunk(spec, 0, spec.trials, rows), repr(run_event_diagnostics(spec))
+        assert len(calls) == 2  # one count for each run
+        monkeypatch.setattr(montecarlo, "BLOCK_BYTES", 1)  # one trial a block, counted before the next
+        calls.clear()
+        every = _sweep_chunk(spec, 0, spec.trials, rows), repr(run_event_diagnostics(spec))
+        assert len(calls) > spec.trials
+        assert np.array_equal(once[0], every[0]) and once[1] == every[1]
+        assert (once[0][:, 1] > 0).tolist() == [case == "rademacher"] * len(rows)
+
+    def test_a_chunk_holds_at_most_block_bytes_of_statistics(self, monkeypatch):
+        params = implied_problem_params(FIG3_DESIGN, FIG3_NOISE)
+        spec = ExperimentSpec(FIG3_DESIGN, FIG3_NOISE, N=200, r=2.0, trials=2000, base_seed=13, diagnostics=True)
+        rows = [(N, 2.0, params.sigma_min) for N in (200, 120, 60)]
+        calls = self.spy_held(monkeypatch)
+        counts = _sweep_chunk(spec, 0, spec.trials, rows)
+        assert len(calls) > 2 and all(nbytes <= montecarlo.BLOCK_BYTES for _, nbytes in calls)
+        assert max(nbytes for _, nbytes in calls) > montecarlo.BLOCK_BYTES // 2
+        blocks = math.ceil(spec.trials / (montecarlo.BLOCK_BYTES // (8 * spec.N * 5)))
+        assert sum(held for held, _ in calls) == 3 * blocks  # each block's statistics at each N, counted once
+        assert counts[:, 2:].any()
 
     @pytest.mark.parametrize(
         "design,sizes",
