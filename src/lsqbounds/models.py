@@ -386,22 +386,22 @@ class ToeplitzPilot:
     random = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pilots", tuple(float(x) for x in self.pilots))
-        if any(abs(x) != 1.0 for x in self.pilots):
-            raise ParameterError("pilot symbols must be +-1")
+        symbols = np.array(self.pilots, dtype=float)
+        if symbols.ndim != 1 or np.any(np.abs(symbols) != 1.0):
+            raise ParameterError("pilot symbols must be a sequence of +-1")
+        object.__setattr__(self, "pilots", tuple(symbols.tolist()))
         if self.p < 1:
             raise ParameterError(f"p must be a positive integer, got {self.p}")
         if len(self.pilots) <= self.p:
             raise ParameterError(
                 f"need more than p = {self.p} pilot symbols, got {len(self.pilots)}"
             )
-        symbols = np.array(self.pilots)
         symbols.flags.writeable = False
         object.__setattr__(self, "symbols", symbols)
 
     def __reduce__(self):
-        # Rebuilt by the constructor: a pickle carries the pilots once, not
-        # again as symbols, and the copy's symbols are read-only too.
+        # Rebuilt by the constructor: a pickle, such as a spawned pool worker's,
+        # carries the pilots once, not again as symbols, and keeps them read-only.
         return ToeplitzPilot, (self.pilots, self.p)
 
     def sample(self, N: int, seed: SeedSpec) -> np.ndarray:

@@ -44,7 +44,7 @@ class ExperimentSpec:
     N and trials must be integers (numpy integers become ints), with N > p
     and trials >= 1, and 0 < r < inf; anything else raises ParameterError.
     Random designs are redrawn every trial; pilot and fixed designs are
-    materialized once per chunk of trials.
+    materialized once per Monte-Carlo pass.
     """
 
     design: DesignModel
@@ -136,21 +136,31 @@ def _stack(model, n: int, seed: int, trials: range, role: str, buf: np.ndarray) 
     return buf[: len(trials)]
 
 
-def _trials(spec: ExperimentSpec, start: int, stop: int, sizes):
+def _plan(spec: ExperimentSpec, sizes):
+    """A non-random design's matrix and prefix Grams, (1, n_max, p) and (len(sizes), 1, p, p),
+    once each G passes _full_rank, else SimulationQualityError names the first N that
+    fails, as implied_problem_params does when a sweep is planned."""
+    A = spec.design.sample(max(sizes), SeedSpec(spec.base_seed, 0, "design"))[None]
+    G = np.stack([A[0, :N].T @ A[0, :N] for N in sizes])[:, None]
+    for N, ok in zip(sizes, _full_rank(G[:, 0])):
+        if not ok:
+            raise SimulationQualityError(f"design Gram matrix is rank deficient at N = {N}")
+    return A, G
+
+
+def _trials(spec: ExperimentSpec, start: int, stop: int, sizes, plan=None):
     """Yield (a, G, u, rhs, err, invalid) for each block of up to B consecutive
     trials of start..stop-1 and, within a block, for each N of sizes.  Each
     trial draws its noise (and a random design) from its own (base_seed,
     trial, role) stream, once at the largest N; every sampler is
     prefix-consistent, so u is the block's (m, N) noise prefix.  a is the
     design prefix and G = a^T a per matrix: (m, N, p) and (m, p, p) for a
-    random design, (1, N, p) and (1, p, p) for a non-random one, which is
-    materialized once and yields the same G for every block.  rhs holds each
-    trial's a^T u and err its error G^{-1} a^T u, as rows.  Trials whose G
-    fails _full_rank are left out of a, G, u, rhs and err and counted in
-    invalid; a non-random design whose G fails raises SimulationQualityError
-    naming the first such N of sizes before any trial runs, as
-    implied_problem_params does when a sweep is planned.  u, and a of a
-    random design, are views of buffers that the next block refills.
+    random design, (1, N, p) and (1, p, p) for a non-random one, whose plan
+    (made by _plan before any trial runs, if None) holds the G of every block.
+    rhs holds each trial's a^T u and err its error G^{-1} a^T u, as rows.
+    Trials whose G fails _full_rank are left out of a, G, u, rhs and err and
+    counted in invalid.  u, and a of a random design, are views of buffers
+    that the next block refills.
 
     A random design's G and a^T u add, in row order, the products of the
     whole segments of S = max(1, SEGMENT_ELEMS // p^2) rows from row 0 below N,
@@ -174,11 +184,7 @@ def _trials(spec: ExperimentSpec, start: int, stop: int, sizes):
         seg = max(1, SEGMENT_ELEMS // (p * p))
         whole = n_max // seg * seg
     else:
-        A = spec.design.sample(n_max, SeedSpec(spec.base_seed, 0, "design"))[None]
-        G = np.stack([A[0, :N].T @ A[0, :N] for N in sizes])[:, None]
-        for N, ok in zip(sizes, _full_rank(G[:, 0])):
-            if not ok:
-                raise SimulationQualityError(f"design Gram matrix is rank deficient at N = {N}")
+        A, G = plan or _plan(spec, sizes)
     for lo in range(start, stop, block):
         trials = range(lo, min(lo + block, stop))
         V = _stack(spec.noise, n_max, spec.base_seed, trials, "noise", v_buf)
@@ -210,7 +216,7 @@ def _trials(spec: ExperimentSpec, start: int, stop: int, sizes):
                    len(ok[k]) - np.count_nonzero(ok[k]))
 
 
-def _sweep_chunk(spec: ExperimentSpec, start: int, stop: int, rows) -> np.ndarray:
+def _sweep_chunk(spec: ExperimentSpec, start: int, stop: int, rows, plan=None) -> np.ndarray:
     """Counts of each (N, r, sigma_min) row over trials start..stop-1: its
     exceedances of r and invalid trials, then, if any row sets sigma_min, its
     e_rand, lemma-1, identity and sup-norm violation counts and its e2 and e3
@@ -224,7 +230,7 @@ def _sweep_chunk(spec: ExperimentSpec, start: int, stop: int, rows) -> np.ndarra
     diagnosed = {N for N, _, sigma_min in rows if sigma_min is not None}
     counts = np.zeros((len(rows), 6 + 2 * spec.design.p if diagnosed else 2), dtype=np.int64)
     held, held_bytes = {}, 0
-    for a, G, u, rhs, err, invalid in _trials(spec, start, stop, sizes):
+    for a, G, u, rhs, err, invalid in _trials(spec, start, stop, sizes, plan):
         N = u.shape[1]
         stats = (err,)
         if N in diagnosed:
@@ -274,20 +280,34 @@ def _count_held(rows, held, random_design: bool, counts: np.ndarray) -> None:
     held.clear()
 
 
+def _pool_init(spec: ExperimentSpec, rows, plan) -> None:
+    global _POOLED  # the pass a pool worker runs, sent to it once
+    _POOLED = spec, rows, plan
+
+
+def _pooled_chunk(start: int, stop: int) -> np.ndarray:
+    spec, rows, plan = _POOLED
+    return _sweep_chunk(spec, start, stop, rows, plan)
+
+
 def _run_chunks(spec: ExperimentSpec, rows, workers: int) -> np.ndarray:
     """_sweep_chunk's counts of rows over all spec.trials trials (spec.N is
-    not used): one serial chunk, or the sum of four chunks per worker in one pool."""
+    not used): one serial chunk, or four chunks per worker, planned before
+    the pool starts.  The caller runs a worker's share; the pool's workers - 1
+    processes, each sent the pass once by its initializer, run the rest as
+    (start, stop) tasks."""
     if workers < 1:
         raise ParameterError(f"workers must be at least 1, got {workers}")
     if workers == 1 or spec.trials < 256:
         return _sweep_chunk(spec, 0, spec.trials, rows)
+    plan = None if spec.design.random else _plan(spec, tuple(dict.fromkeys(N for N, _, _ in rows)))
     step = math.ceil(spec.trials / min(spec.trials, workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_sweep_chunk, spec, a, min(a + step, spec.trials), rows)
-            for a in range(0, spec.trials, step)
-        ]
-        return sum(fut.result() for fut in futures)
+    chunks = [(a, min(a + step, spec.trials)) for a in range(0, spec.trials, step)]
+    own = len(chunks) // workers
+    with ProcessPoolExecutor(max_workers=workers - 1, initializer=_pool_init, initargs=(spec, rows, plan)) as pool:
+        futures = [pool.submit(_pooled_chunk, a, b) for a, b in chunks[own:]]
+        counts = sum(_sweep_chunk(spec, a, b, rows, plan) for a, b in chunks[:own])
+        return counts + sum(fut.result() for fut in futures)
 
 
 def _tail_estimate(spec: ExperimentSpec, counts: np.ndarray) -> TailEstimate:

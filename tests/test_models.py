@@ -342,7 +342,7 @@ class TestSampleDesign:
             model.symbols[0] = 1.0
 
     def test_toeplitz_pickles_its_pilots_once(self):
-        # Every chunk of a pooled fixed-design run ships the design to a worker.
+        # A pool whose start method pickles sends each worker the design once.
         model = channel_pilot_design(p=8)
         data = pickle.dumps(model)
         assert len(data) <= 74_000

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import os
 import time
 from dataclasses import replace
 
@@ -296,6 +297,21 @@ class TestRunTail:
         spec = replace(spec, design=FixedMatrix(np.array(rows + [[1.0, 0.0], [0.0, 0.0]])), N=5)
         with pytest.raises(SimulationQualityError, match="rank deficient at N = 3"):
             _sweep_chunk(spec, 0, 10, [(4, 0.5, None), (3, 0.5, None), (5, 0.5, None)])
+
+    def test_fixed_rank_deficient_fails_before_any_pool(self, monkeypatch):
+        started = []
+
+        class CountedPool(montecarlo.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountedPool)
+        design = FixedMatrix(np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]))
+        spec = ExperimentSpec(design, Gaussian(1.0), N=3, r=0.5, trials=300, base_seed=3)
+        with pytest.raises(SimulationQualityError, match="rank deficient at N = 3"):
+            run_tail(spec, workers=2)
+        assert started == []
 
     def test_spec_validation(self):
         with pytest.raises(ParameterError):
@@ -734,6 +750,51 @@ class TestOnePassSweep:
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountedPool)
         sweep(*self.sweep_args(trials=300), workers=2)
         assert len(started) == 1
+
+
+class TestPooledPass:
+    """A pooled pass goes to each of its pool's workers - 1 processes once,
+    by the pool's initializer; its tasks carry only (start, stop), and the
+    calling process runs a share of the chunks itself."""
+
+    CASES = {
+        "fig3-random": (*FIGURES["fig3"].panels[0].models(0), ((600, 1.0, None), (300, 2.0, 1.0))),
+        "toeplitz": (
+            channel_pilot_design(p=4, length=2048, seed=5),
+            Gaussian(0.1),
+            ((2000, 0.05, None), (1000, 0.1, 1.0)),
+        ),
+    }
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("case", CASES)
+    def test_pass_is_sent_once_and_the_caller_runs_a_share(self, case, workers, monkeypatch):
+        design, noise, rows = self.CASES[case]
+        spec = ExperimentSpec(design, noise, N=design.p + 1, r=1.0, trials=300, base_seed=4)
+        pools, tasks, pids = [], [], []
+
+        class RecordedPool(montecarlo.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                pools.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+            def submit(self, fn, /, *args, **kwargs):
+                tasks.append(args + tuple(kwargs.values()))
+                return super().submit(fn, *args, **kwargs)
+
+        sweep_chunk = montecarlo._sweep_chunk
+
+        def recorded(*args):
+            pids.append(os.getpid())  # a pool process appends to its own copy
+            return sweep_chunk(*args)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordedPool)
+        monkeypatch.setattr(montecarlo, "_sweep_chunk", recorded)
+        counts = _run_chunks(spec, rows, workers)
+        assert pools == [workers - 1]
+        assert tasks and all(len(args) == 2 and all(type(a) is int for a in args) for args in tasks)
+        assert os.getpid() in pids
+        assert np.array_equal(counts, sweep_chunk(spec, 0, spec.trials, rows))
 
 
 def oracle_diagnostics(spec: ExperimentSpec) -> EventDiagnostics:
