@@ -471,6 +471,18 @@ def _full_rank(G: np.ndarray) -> np.ndarray:
     return pivot > floor
 
 
+def _measure_design(design: DesignModel, sizes) -> tuple[np.ndarray, np.ndarray]:
+    """A non-random design's A at max(sizes) rows and A[:N]^T A[:N] for each N of sizes,
+    stacked, once each passes _full_rank, the rank rule of every trial, else
+    SimulationQualityError names the first N that fails.  Such a design draws nothing."""
+    A = design.sample(max(sizes), SeedSpec(0, 0, "design"))
+    G = np.stack([A[:N].T @ A[:N] for N in sizes])
+    for N, ok in zip(sizes, _full_rank(G)):
+        if not ok:
+            raise SimulationQualityError(f"design Gram matrix is rank deficient at N = {N}")
+    return A, G
+
+
 def implied_problem_params(
     design: DesignModel, noise: NoiseModel, N_hint: int | None = None
 ) -> ProblemParams:
@@ -487,10 +499,7 @@ def implied_problem_params(
     else:
         if N_hint is None:
             raise ParameterError("N_hint is required to materialize a non-random design")
-        A = design.sample(N_hint, SeedSpec(0, 0, "design"))
-        G = A.T @ A
-        if not _full_rank(G[None])[0]:
-            raise SimulationQualityError(f"design Gram matrix is rank deficient at N = {N_hint}")
+        A, (G,) = _measure_design(design, (N_hint,))
         eigs = np.linalg.eigvalsh(G / N_hint)
         lam_min, lam_max = float(eigs[0]), float(eigs[-1])
         alpha = float(np.max(np.abs(A)))

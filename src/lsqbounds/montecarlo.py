@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bounds
 from .io import ResultRow
-from .models import DesignModel, FixedMatrix, NoiseModel, SeedSpec, _full_rank, implied_problem_params
+from .models import DesignModel, FixedMatrix, NoiseModel, SeedSpec, _full_rank, _measure_design, implied_problem_params
 from .params import Accuracy, ParameterError, ProblemParams, SimulationQualityError
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -41,8 +41,8 @@ class ExperimentSpec:
     """One tail-probability experiment: how often, over trials seeded
     trials of N samples each, the max-coordinate error exceeds r.
 
-    N and trials must be integers (numpy integers become ints), with N > p
-    and trials >= 1, and 0 < r < inf; anything else raises ParameterError.
+    N, trials and base_seed must be integers (numpy integers become ints), with
+    N > p, trials >= 1, 0 <= base_seed < 2**64 and 0 < r < inf; else ParameterError.
     Random designs are redrawn every trial; pilot and fixed designs are
     materialized once per Monte-Carlo pass.
     """
@@ -61,6 +61,7 @@ class ExperimentSpec:
             object.__setattr__(self, "trials", operator.index(self.trials))
         except TypeError as exc:
             raise ParameterError(f"N and trials must be integers, got {self.N!r} and {self.trials!r}") from exc
+        object.__setattr__(self, "base_seed", SeedSpec(self.base_seed).base_seed)
         if self.N <= self.design.p:
             raise ParameterError(f"need N > p, got N = {self.N}, p = {self.design.p}")
         if self.trials < 1:
@@ -94,13 +95,13 @@ class EventDiagnostics:
 
     lemma1_violations counts trials where the max-coordinate error exceeds
     lambda_tilde(A) times the Euclidean norm of (1/N) A^T v (a per-trial
-    theorem for symmetric Gram matrices; expected 0).  linf_decomp_violations
-    counts the stronger per-coordinate variant with the sup norm on the right
-    hand side, which does fail on a positive fraction of draws; it is
-    recorded for analysis, never asserted.  identity_violations counts trials
-    where the diagonal plus the off-diagonal sum misses ((1/N) A^T v)_i^2 by
-    more than IDENTITY_RTOL relative; as the off-diagonal sum is computed as
-    that square minus the diagonal sum, it measures rounding alone.
+    theorem for symmetric Gram matrices; expected 0).  identity_violations
+    counts trials where the diagonal plus the off-diagonal sum misses
+    ((1/N) A^T v)_i^2 by more than IDENTITY_RTOL relative; as the off-diagonal
+    sum is computed as that square minus the diagonal sum, it measures rounding
+    alone.  uncovered counts the trials whose max-coordinate error exceeds r
+    while none of these events fires: exceedances that the main bound's chain,
+    whose step to the sup norm is unproved, leaves uncovered.  None is known.
     """
 
     trials: int
@@ -109,7 +110,7 @@ class EventDiagnostics:
     freq_e3: tuple[float, ...]
     lemma1_violations: int
     identity_violations: int
-    linf_decomp_violations: int = 0
+    uncovered: int
 
 
 def wilson_interval(successes: int, n: int) -> tuple[float, float]:
@@ -136,18 +137,6 @@ def _stack(model, n: int, seed: int, trials: range, role: str, buf: np.ndarray) 
     return buf[: len(trials)]
 
 
-def _plan(spec: ExperimentSpec, sizes):
-    """A non-random design's matrix and prefix Grams, (1, n_max, p) and (len(sizes), 1, p, p),
-    once each G passes _full_rank, else SimulationQualityError names the first N that
-    fails, as implied_problem_params does when a sweep is planned."""
-    A = spec.design.sample(max(sizes), SeedSpec(spec.base_seed, 0, "design"))[None]
-    G = np.stack([A[0, :N].T @ A[0, :N] for N in sizes])[:, None]
-    for N, ok in zip(sizes, _full_rank(G[:, 0])):
-        if not ok:
-            raise SimulationQualityError(f"design Gram matrix is rank deficient at N = {N}")
-    return A, G
-
-
 def _trials(spec: ExperimentSpec, start: int, stop: int, sizes, plan=None):
     """Yield (a, G, u, rhs, err, invalid) for each block of up to B consecutive
     trials of start..stop-1 and, within a block, for each N of sizes.  Each
@@ -156,7 +145,7 @@ def _trials(spec: ExperimentSpec, start: int, stop: int, sizes, plan=None):
     prefix-consistent, so u is the block's (m, N) noise prefix.  a is the
     design prefix and G = a^T a per matrix: (m, N, p) and (m, p, p) for a
     random design, (1, N, p) and (1, p, p) for a non-random one, whose plan
-    (made by _plan before any trial runs, if None) holds the G of every block.
+    (_measure_design's A and G, made here if None) holds the G of every block.
     rhs holds each trial's a^T u and err its error G^{-1} a^T u, as rows.
     Trials whose G fails _full_rank are left out of a, G, u, rhs and err and
     counted in invalid.  u, and a of a random design, are views of buffers
@@ -184,7 +173,8 @@ def _trials(spec: ExperimentSpec, start: int, stop: int, sizes, plan=None):
         seg = max(1, SEGMENT_ELEMS // (p * p))
         whole = n_max // seg * seg
     else:
-        A, G = plan or _plan(spec, sizes)
+        A, G = plan or _measure_design(spec.design, sizes)
+        A, G = A[None], G[:, None]
     for lo in range(start, stop, block):
         trials = range(lo, min(lo + block, stop))
         V = _stack(spec.noise, n_max, spec.base_seed, trials, "noise", v_buf)
@@ -219,11 +209,11 @@ def _trials(spec: ExperimentSpec, start: int, stop: int, sizes, plan=None):
 def _sweep_chunk(spec: ExperimentSpec, start: int, stop: int, rows, plan=None) -> np.ndarray:
     """Counts of each (N, r, sigma_min) row over trials start..stop-1: its
     exceedances of r and invalid trials, then, if any row sets sigma_min, its
-    e_rand, lemma-1, identity and sup-norm violation counts and its e2 and e3
-    counts per coordinate (zero for a row without one).  Rows that share an N
-    share its solve.  The block loop only holds, per N, each block's invalid
-    count and errors and, if a row at N sets sigma_min, its (1/N) a^T u, G/N
-    and diagonal sums (per block, as the next block refills a and u), which
+    e_rand, lemma-1 violation, identity violation and uncovered counts and its
+    e2 and e3 counts per coordinate (zero for a row without one).  Rows that
+    share an N share its solve.  The block loop only holds, per N, each block's
+    invalid count and errors and, if a row at N sets sigma_min, its (1/N) a^T u,
+    G/N and diagonal sums (per block, as the next block refills a and u), which
     _count_held counts before they would pass BLOCK_BYTES, and at the end.
     """
     sizes = tuple(dict.fromkeys(N for N, _, _ in rows))
@@ -263,7 +253,6 @@ def _count_held(rows, held, random_design: bool, counts: np.ndarray) -> None:
             norm = np.sqrt((s_vec[:, None, :] @ s_vec[:, :, None])[:, 0, 0])  # a dot per row, as norm
             with np.errstate(invalid="ignore"):  # inf * 0 is nan; err_max > nan is no violation
                 lemma1_bad = np.count_nonzero(err_max > lam * norm + LEMMA1_TOL)
-                linf_bad = np.count_nonzero(err_max > lam * np.max(np.abs(s_vec), axis=1) + LEMMA1_TOL)
             scale = np.maximum.reduce([np.abs(total_sq), np.abs(diag_sum), np.abs(off_sum),
                                        np.full_like(total_sq, 1e-300)])
             residual = np.abs(diag_sum + off_sum - total_sq)
@@ -271,12 +260,14 @@ def _count_held(rows, held, random_design: bool, counts: np.ndarray) -> None:
         for k, (row_n, r, sigma_min) in enumerate(rows):
             if row_n != N:
                 continue
-            counts[k, :2] += (np.count_nonzero(err_max > r), sum(invalid))
+            exceed = err_max > r
+            counts[k, :2] += (np.count_nonzero(exceed), sum(invalid))
             if sigma_min is not None:
+                e_rand, fired = lam > 2.0 / sigma_min, quad_sums > sigma_min**2 * r**2 / 8.0
+                uncovered = np.count_nonzero(exceed & ~e_rand & ~fired.any(axis=(0, 2)))
                 # A singular Gram certainly exceeds the eigenvalue limit.
-                e_rand = sum(invalid) + np.count_nonzero(lam > 2.0 / sigma_min)
-                counts[k, 2:6] += (e_rand, lemma1_bad, identity_bad, linf_bad)
-                counts[k, 6:] += np.count_nonzero(quad_sums > sigma_min**2 * r**2 / 8.0, axis=1).ravel()
+                counts[k, 2:6] += (sum(invalid) + np.count_nonzero(e_rand), lemma1_bad, identity_bad, uncovered)
+                counts[k, 6:] += np.count_nonzero(fired, axis=1).ravel()
     held.clear()
 
 
@@ -294,17 +285,18 @@ def _run_chunks(spec: ExperimentSpec, rows, workers: int) -> np.ndarray:
     """_sweep_chunk's counts of rows over all spec.trials trials (spec.N is
     not used): one serial chunk, or four chunks per worker, planned before
     the pool starts.  The caller runs a worker's share; the pool's workers - 1
-    processes, each sent the pass once by its initializer, run the rest as
-    (start, stop) tasks."""
+    processes, or one per task if fewer, each sent the pass once by its
+    initializer, run the rest as (start, stop) tasks."""
     if workers < 1:
         raise ParameterError(f"workers must be at least 1, got {workers}")
     if workers == 1 or spec.trials < 256:
         return _sweep_chunk(spec, 0, spec.trials, rows)
-    plan = None if spec.design.random else _plan(spec, tuple(dict.fromkeys(N for N, _, _ in rows)))
+    plan = None if spec.design.random else _measure_design(spec.design, tuple(dict.fromkeys(N for N, _, _ in rows)))
     step = math.ceil(spec.trials / min(spec.trials, workers * 4))
     chunks = [(a, min(a + step, spec.trials)) for a in range(0, spec.trials, step)]
     own = len(chunks) // workers
-    with ProcessPoolExecutor(max_workers=workers - 1, initializer=_pool_init, initargs=(spec, rows, plan)) as pool:
+    processes = min(workers - 1, len(chunks) - own)  # no more than its tasks
+    with ProcessPoolExecutor(max_workers=processes, initializer=_pool_init, initargs=(spec, rows, plan)) as pool:
         futures = [pool.submit(_pooled_chunk, a, b) for a, b in chunks[own:]]
         counts = sum(_sweep_chunk(spec, a, b, rows, plan) for a, b in chunks[:own])
         return counts + sum(fut.result() for fut in futures)
@@ -326,9 +318,9 @@ def _tail_estimate(spec: ExperimentSpec, counts: np.ndarray) -> TailEstimate:
 
 def _event_diagnostics(trials: int, counts: np.ndarray) -> EventDiagnostics:
     """The EventDiagnostics of one row of _run_chunks' counts that set sigma_min."""
-    e_rand, lemma1_bad, identity_bad, linf_bad = counts[2:6].tolist()
+    e_rand, lemma1_bad, identity_bad, uncovered = counts[2:6].tolist()
     e2, e3 = (tuple(freqs.tolist()) for freqs in np.split(counts[6:] / trials, 2))
-    return EventDiagnostics(trials, e_rand / trials, e2, e3, lemma1_bad, identity_bad, linf_bad)
+    return EventDiagnostics(trials, e_rand / trials, e2, e3, lemma1_bad, identity_bad, uncovered)
 
 
 def run_tail(spec: ExperimentSpec, workers: int = 1) -> TailEstimate:
@@ -336,16 +328,13 @@ def run_tail(spec: ExperimentSpec, workers: int = 1) -> TailEstimate:
     return _tail_estimate(spec, _run_chunks(spec, [(spec.N, spec.r, None)], workers)[0])
 
 
-def run_event_diagnostics(
-    spec: ExperimentSpec, params: ProblemParams | None = None, workers: int = 1
-) -> EventDiagnostics:
-    """Per-trial frequencies of the Gram-eigenvalue event and the diagonal /
-    off-diagonal quadratic-sum events, plus per-trial inequality checks."""
+def run_event_diagnostics(spec: ExperimentSpec, workers: int = 1) -> EventDiagnostics:
+    """spec's EventDiagnostics, counted at the sigma_min of the design that runs:
+    implied_problem_params's at spec.N rows."""
     if not spec.diagnostics:
         raise ParameterError("set diagnostics=True on the spec to run diagnostics")
-    if params is None:
-        params = implied_problem_params(spec.design, spec.noise, N_hint=spec.N)
-    counts = _run_chunks(spec, [(spec.N, spec.r, params.sigma_min)], workers)
+    sigma_min = implied_problem_params(spec.design, spec.noise, N_hint=spec.N).sigma_min
+    counts = _run_chunks(spec, [(spec.N, spec.r, sigma_min)], workers)
     return _event_diagnostics(spec.trials, counts[0])
 
 

@@ -597,6 +597,21 @@ class TestCli:
         assert err.startswith("error:") and "LSQBOUNDS_SEED" in err
         assert not (tmp_path / "o").exists()
 
+    def test_reproduce_seed_outside_64_bits_exits_2_before_any_pool(self, tmp_path, monkeypatch, capsys):
+        started = []
+
+        class CountedPool(montecarlo.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountedPool)
+        out = tmp_path / "o"
+        argv = ["reproduce", "fig2", "--seed", "-1", "--trials", "300", "--workers", "2", "--outdir", str(out)]
+        assert cli.main(argv) == 2
+        assert "base_seed must be a 64-bit unsigned int, got -1" in capsys.readouterr().err
+        assert started == [] and not out.exists()
+
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_workers_below_one_exit_2(self, workers, tmp_path, capsys):
         cfg = _valid_doc(output={"csv": str(tmp_path / "sim.csv")})
@@ -867,12 +882,12 @@ class TestSimulateFixedDesign:
         assert len(docs) == len(rows) == 2
         for doc, row in zip(docs, rows):
             acc = Accuracy(r=row.axis_value, eps=0.05)
-            N, params, bd = fixed_design_bound(acc, design, noise)
+            N, _, bd = fixed_design_bound(acc, design, noise)
             assert bd.n_ceil == row.n_bound_ceil <= N
             short = implied_problem_params(design, noise, N_hint=N - 1)
             assert bounds.n_fixed_design(acc, short).n_ceil > N - 1
             spec = ExperimentSpec(design, noise, N=N, r=acc.r, trials=300, base_seed=9, diagnostics=True)
-            expected = run_event_diagnostics(spec, params=params)
+            expected = run_event_diagnostics(spec)
             assert doc == json.loads(dump_json({"axis_value": row.axis_value, **asdict(expected)}))
 
 
@@ -935,8 +950,8 @@ class TestSimulateDiagnostics:
         base = ExperimentSpec(design, noise, N=design.p + 1, r=top.get("r", 1.0), trials=300, base_seed=9)
         sweep_rows = list(montecarlo._sweep_rows(base, axis["name"], axis["values"], top["theorem"], top.get("eps")))
         assert len(docs) == len(sweep_rows) == 3
-        for doc, (value, spec, params, _) in zip(docs, sweep_rows):
-            expected = run_event_diagnostics(replace(spec, diagnostics=True), params)
+        for doc, (value, spec, _, _) in zip(docs, sweep_rows):
+            expected = run_event_diagnostics(replace(spec, diagnostics=True))
             assert doc == json.loads(dump_json({"axis_value": float(value), **asdict(expected)}))
 
 

@@ -4,6 +4,7 @@ import itertools
 import math
 import os
 import time
+from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
@@ -326,6 +327,14 @@ class TestRunTail:
         spec = ExperimentSpec(ALL_ONES_4x1, Rademacher(1.0), N=np.int64(4), r=0.4, trials=np.int64(10))
         assert type(spec.N) is int and type(spec.trials) is int
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_a_seed_outside_64_bits_when_made(self, seed):
+        # With SeedSpec's message, before a pass could start a pool and fail in its trials.
+        with pytest.raises(ParameterError, match=f"base_seed must be a 64-bit unsigned int, got {seed}"):
+            ExperimentSpec(ALL_ONES_4x1, Rademacher(1.0), N=4, r=0.4, base_seed=seed)
+        spec = ExperimentSpec(ALL_ONES_4x1, Rademacher(1.0), N=4, r=0.4, base_seed=np.uint64(2**64 - 1))
+        assert spec.base_seed == 2**64 - 1 and type(spec.base_seed) is int
+
     @pytest.mark.parametrize("workers", [0, -1])
     def test_rejects_workers_below_one_before_any_trial(self, workers, monkeypatch):
         def no_trials(*args):
@@ -386,7 +395,7 @@ class TestEventDiagnostics:
         eps_prime = 0.05
         n = math.floor(bounds.n_rand(eps_prime, float(params.p), params)) + 1
         spec = ExperimentSpec(design, Uniform(1.0), N=n, r=0.5, trials=3000, base_seed=7, diagnostics=True)
-        diag = run_event_diagnostics(spec, params=params)
+        diag = run_event_diagnostics(spec)
         lo, hi = wilson_interval(round(diag.freq_e_rand * spec.trials), spec.trials)
         assert diag.freq_e_rand <= eps_prime + 3.0 * (hi - lo) / 2.0
 
@@ -399,6 +408,48 @@ class TestEventDiagnostics:
         design = IidBoundedColumns((1.0, 1.0), "scaled-uniform")
         spec = ExperimentSpec(design, Uniform(1.0), N=64, r=0.25, trials=600, base_seed=8, diagnostics=True)
         assert run_event_diagnostics(spec, workers=1) == run_event_diagnostics(spec, workers=2)
+
+
+class TestUncovered:
+    """uncovered counts the exceedances of r in which no event of the main
+    bound fires: E_rand, and E2 and E3 at every coordinate.  The chain from
+    those events to the sup norm is not proved, and no such trial is known."""
+
+    def test_the_sup_norm_witness_is_counted_once_with_no_event(self):
+        # p = 4, sigma_min = r = 1: (G/N)^-1 = 2uu^T + 0.1(I - uu^T), with
+        # u = (cos t, sin t / sqrt 3 three times) at t = atan2(sqrt 3, 1) / 2,
+        # and s_k = +-1/2 with the signs of its first row.  lambda_min(G/N) = 1/2
+        # exactly would round to 0.4999999999999996 and fire E_rand, so the 2
+        # gets a 1e-9 margin.  Each s_k^2 = 1/4 splits into a diagonal and an
+        # off-diagonal sum of 1/8, the threshold sigma_min^2 r^2 / 8, which
+        # neither exceeds; yet the error's first coordinate is 1.475.
+        t = 0.5 * math.atan2(math.sqrt(3.0), 1.0)
+        u = np.array([math.cos(t), *[math.sin(t) / math.sqrt(3.0)] * 3])
+        P, I = np.outer(u, u), np.eye(4)
+        s_vec = 0.5 * np.sign((2.0 - 1e-9) * P + 0.1 * (I - P))[0]
+        gram = P / (2.0 - 1e-9) + (I - P) / 0.1
+        err = np.linalg.solve(gram, s_vec)
+        assert np.max(np.abs(err)) == pytest.approx(1.475, abs=1e-8)
+        held = {100: [(0, err[None], s_vec[None], gram[None], np.full((1, 4), 0.125))]}
+        counts = np.zeros((1, 6 + 2 * 4), dtype=np.int64)
+        montecarlo._count_held([(100, 1.0, 1.0)], held, True, counts)
+        # exceedances, invalid, e_rand, lemma 1, identity, uncovered, then e2 and e3
+        assert counts[0].tolist() == [1, 0, 0, 0, 0, 1] + [0] * 8
+
+    @pytest.mark.parametrize(
+        "figure,panel,N,r,exceedances",
+        [("fig3", 0, 100, 2.0, 374), ("fig3", 0, 300, 2.0, 8), ("fig2", 0, 400, 0.15, 61),
+         ("fig4", 2, 200, 8.0, 46)],
+        ids=["fig3-N100", "fig3-N300", "fig2-N400", "fig4-cond25-N200"],
+    )
+    def test_no_uncovered_exceedance_at_preset_settings(self, figure, panel, N, r, exceedances):
+        # E2 fires on nearly every trial at the three smaller N; at fig3 N = 300
+        # it fires on none, so E3 alone must cover its exceedances.
+        design, noise = FIGURES[figure].panels[panel].models(71)
+        sigma_min = implied_problem_params(design, noise).sigma_min
+        spec = ExperimentSpec(design, noise, N=N, r=r, trials=2000, base_seed=71)
+        counts = _sweep_chunk(spec, 0, spec.trials, [(N, r, sigma_min)])[0]
+        assert (counts[0], counts[5]) == (exceedances, 0)
 
 
 class TestPinnedSeededCounts:
@@ -427,7 +478,7 @@ class TestPinnedSeededCounts:
             freq_e3=(0.263, 0.243, 0.244, 0.23),
             lemma1_violations=0,
             identity_violations=0,
-            linf_decomp_violations=8,
+            uncovered=0,
         )
 
     def test_fixed_design_event_diagnostics_two_workers(self):
@@ -442,7 +493,7 @@ class TestPinnedSeededCounts:
             freq_e3=(0.058, 0.04, 0.048, 0.046, 0.072, 0.078, 0.036, 0.054),
             lemma1_violations=0,
             identity_violations=0,
-            linf_decomp_violations=1,
+            uncovered=0,
         )
 
 
@@ -796,6 +847,37 @@ class TestPooledPass:
         assert os.getpid() in pids
         assert np.array_equal(counts, sweep_chunk(spec, 0, spec.trials, rows))
 
+    def test_a_pool_starts_no_more_processes_than_tasks(self, monkeypatch):
+        # 256 trials at 300 workers make 256 one-trial tasks, and none for the caller.
+        design, noise, rows = self.CASES["fig3-random"]
+        spec = ExperimentSpec(design, noise, N=design.p + 1, r=1.0, trials=256, base_seed=4)
+        pools, tasks = [], []
+
+        class InlinePool:
+            """Runs each task when it is submitted, in this process; starts none."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                pools.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def submit(self, fn, /, *args):
+                tasks.append(args)
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(montecarlo, "_POOLED", None, raising=False)  # the initializer's global, undone after
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
+        counts = _run_chunks(spec, rows, 300)
+        assert pools == [256] and len(tasks) == 256
+        assert np.array_equal(counts, _sweep_chunk(spec, 0, spec.trials, rows))
+
 
 def oracle_diagnostics(spec: ExperimentSpec) -> EventDiagnostics:
     """Oracle: run_event_diagnostics one trial at a time, by the models' own
@@ -806,7 +888,7 @@ def oracle_diagnostics(spec: ExperimentSpec) -> EventDiagnostics:
     tilde_limit = 2.0 / sigma_min
     e2 = np.zeros(p, dtype=np.int64)
     e3 = np.zeros(p, dtype=np.int64)
-    e_rand = lemma1_bad = identity_bad = linf_bad = 0
+    e_rand = lemma1_bad = identity_bad = uncovered = 0
     for t in range(spec.trials):
         A = spec.design.sample(N, SeedSpec(spec.base_seed, t if spec.design.random else 0, "design"))
         v = spec.noise.sample(N, SeedSpec(spec.base_seed, t, "noise"))
@@ -826,7 +908,8 @@ def oracle_diagnostics(spec: ExperimentSpec) -> EventDiagnostics:
         e_rand += lam_tilde > tilde_limit
         err_max = float(np.max(np.abs(err)))
         lemma1_bad += err_max > lam_tilde * float(np.linalg.norm(s_vec)) + montecarlo.LEMMA1_TOL
-        linf_bad += err_max > lam_tilde * float(np.max(np.abs(s_vec))) + montecarlo.LEMMA1_TOL
+        fired = lam_tilde > tilde_limit or np.any(diag_sum > threshold) or np.any(off_sum > threshold)
+        uncovered += err_max > spec.r and not fired
         scale = np.maximum.reduce(
             [np.abs(total_sq), np.abs(diag_sum), np.abs(off_sum), np.full_like(total_sq, 1e-300)]
         )
@@ -841,7 +924,7 @@ def oracle_diagnostics(spec: ExperimentSpec) -> EventDiagnostics:
         freq_e3=tuple(float(x) for x in e3 / n),
         lemma1_violations=lemma1_bad,
         identity_violations=identity_bad,
-        linf_decomp_violations=linf_bad,
+        uncovered=uncovered,
     )
 
 
@@ -1007,8 +1090,9 @@ class TestTrialBlocks:
             if sigma_min is None:
                 assert not row_counts[2:].any()
             else:
-                diag = run_event_diagnostics(own, replace(params, sigma_min=sigma_min))
-                assert _event_diagnostics(spec.trials, row_counts) == diag
+                assert np.array_equal(row_counts, _sweep_chunk(own, 0, spec.trials, [(N, r, sigma_min)])[0])
+                if sigma_min == params.sigma_min:
+                    assert _event_diagnostics(spec.trials, row_counts) == run_event_diagnostics(own)
 
     @pytest.mark.parametrize(
         "design,noise,N,r",
