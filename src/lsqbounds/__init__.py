@@ -16,12 +16,8 @@ from .bounds import (
     n1_main,
     n2_main,
     n3_main,
-    n_bounded,
-    n_fixed_design,
     n_main,
     n_main_tau,
-    n_mds_bounded,
-    n_mds_subgaussian,
     n_rand,
 )
 from .models import (

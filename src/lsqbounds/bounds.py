@@ -41,6 +41,7 @@ that by 4*alpha^2/sigma_min >= 4, as sigma_min <= (G/N)_kk <= alpha^2.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -332,7 +333,8 @@ _CLOSED_FORMS = {
     "mds_bounded": (8.0, ProblemParams.require_b, 2.0),
     "fixed_mds": (8.0, ProblemParams.require_R, 2.0),
 }
-# Closed forms for a known design, which have no Gram-concentration term n_rand.
+# Closed forms for a known design, which have no Gram-concentration term n_rand:
+# sigma_min and alpha must be measured on the matrix that runs.
 KNOWN_DESIGN = frozenset({"fixed_mds"})
 
 
@@ -348,30 +350,6 @@ def _closed_form_bound(theorem: str, acc: Accuracy, params: ProblemParams) -> Bo
     if theorem not in KNOWN_DESIGN:
         terms["n_rand"] = n_rand(acc.eps, factor, params)
     return make_breakdown(theorem, terms, params.p)
-
-
-def n_bounded(acc: Accuracy, params: ProblemParams) -> BoundBreakdown:
-    """Sample-count bound for i.i.d. almost-surely bounded noise."""
-    return _closed_form_bound("bounded", acc, params)
-
-
-def n_mds_subgaussian(acc: Accuracy, params: ProblemParams) -> BoundBreakdown:
-    """Sample-count bound for conditionally sub-Gaussian martingale noise."""
-    return _closed_form_bound("mds_subgaussian", acc, params)
-
-
-def n_mds_bounded(acc: Accuracy, params: ProblemParams) -> BoundBreakdown:
-    """Sample-count bound for bounded martingale-difference noise."""
-    return _closed_form_bound("mds_bounded", acc, params)
-
-
-def n_fixed_design(acc: Accuracy, params: ProblemParams) -> BoundBreakdown:
-    """Sample-count bound for a known (non-random) design matrix.
-
-    ``params.sigma_min`` and ``params.alpha`` must be measured from the actual
-    matrix; there is no Gram-concentration term.
-    """
-    return _closed_form_bound("fixed_mds", acc, params)
 
 
 # ---------------------------------------------------------------------------
@@ -447,26 +425,25 @@ def l2_radius(r2: float, p: int) -> float:
 BOUND_FUNCTIONS = {
     "main": n_main,
     "main_tau": n_main_tau,
-    "bounded": n_bounded,
-    "mds_subgaussian": n_mds_subgaussian,
-    "mds_bounded": n_mds_bounded,
-    "fixed_mds": n_fixed_design,
+    **{tag: functools.partial(_closed_form_bound, tag) for tag in _CLOSED_FORMS},
 }
+
+
+def _check_tag(theorem: str) -> None:
+    if theorem not in BOUND_FUNCTIONS:
+        raise DomainError(f"unknown bound tag {theorem!r}; expected one of {sorted(BOUND_FUNCTIONS)}")
 
 
 def bound_for(theorem: str, acc: Accuracy, params: ProblemParams) -> BoundBreakdown:
     """Dispatch a bound computation by tag."""
-    try:
-        fn = BOUND_FUNCTIONS[theorem]
-    except KeyError:
-        raise DomainError(
-            f"unknown bound tag {theorem!r}; expected one of {sorted(BOUND_FUNCTIONS)}"
-        ) from None
-    return fn(acc, params)
+    _check_tag(theorem)
+    return BOUND_FUNCTIONS[theorem](acc, params)
 
 
 def eps_for(theorem: str, r: float, N: int, params: ProblemParams) -> float:
-    """Outage bound at positive (r, N) for the given bound family, clipped to 1."""
+    """Outage bound at positive (r, N) for the given bound family, clipped to 1.
+    main_tau has no outage expression (ParameterError)."""
+    _check_tag(theorem)
     if not (r > 0 and N > 0):
         raise DomainError("r and N must be positive")
     if theorem == "main":

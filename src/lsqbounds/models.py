@@ -390,6 +390,10 @@ class ToeplitzPilot:
         if symbols.ndim != 1 or np.any(np.abs(symbols) != 1.0):
             raise ParameterError("pilot symbols must be a sequence of +-1")
         object.__setattr__(self, "pilots", tuple(symbols.tolist()))
+        try:
+            object.__setattr__(self, "p", operator.index(self.p))
+        except TypeError as exc:
+            raise ParameterError(f"p must be a positive integer, got {self.p!r}") from exc
         if self.p < 1:
             raise ParameterError(f"p must be a positive integer, got {self.p}")
         if len(self.pilots) <= self.p:

@@ -287,6 +287,10 @@ def _run_chunks(spec: ExperimentSpec, rows, workers: int) -> np.ndarray:
     the pool starts.  The caller runs a worker's share; the pool's workers - 1
     processes, or one per task if fewer, each sent the pass once by its
     initializer, run the rest as (start, stop) tasks."""
+    try:
+        workers = operator.index(workers)
+    except TypeError as exc:
+        raise ParameterError(f"workers must be an integer, got {workers!r}") from exc
     if workers < 1:
         raise ParameterError(f"workers must be at least 1, got {workers}")
     if workers == 1 or spec.trials < 256:
@@ -359,7 +363,7 @@ def fixed_design_bound(
             params = implied_problem_params(design, noise, N_hint=N)
         except SimulationQualityError:
             continue
-        bd = bounds.n_fixed_design(acc, params)
+        bd = bounds.bound_for("fixed_mds", acc, params)
         if bd.n_ceil <= N:
             return N, params, bd
 
@@ -471,7 +475,10 @@ def find_empirical_n(
 
     Each N runs once.  The returned N passes and N - 1 fails unless
     N = n_lo; under a tail that falls with N, that N is the smallest.
+    eps must be positive; an eps >= 1 returns n_lo without a pass.
     """
+    if not (eps > 0):
+        raise ParameterError(f"eps must be positive, got {eps}")
     n_lo = max(n_lo, spec.design.p + 1)
     if n_hi < n_lo:
         raise RangeExhaustedError(f"empty range [{n_lo}, {n_hi}]")

@@ -153,7 +153,7 @@ def test_criterion_5_other_bounds_soundness():
     noise = Rademacher(1.0)
     params = implied_problem_params(design, noise)
     acc = Accuracy(r=0.3, eps=0.05)
-    bd = bounds.n_bounded(acc, params)
+    bd = bounds.bound_for("bounded", acc, params)
     est = run_tail(
         ExperimentSpec(design, noise, N=bd.n_ceil, r=acc.r, trials=20_000, base_seed=51),
         workers=WORKERS,
@@ -165,8 +165,8 @@ def test_criterion_5_other_bounds_soundness():
     fir = replace(fir_mds_with_param(0.2), receiver=Uniform(FIR_RECEIVER_SHARE * 0.2))
     params_fir = implied_problem_params(design, fir)
     acc_fir = Accuracy(r=0.1, eps=0.05)
-    for label, fn in (("mds_subgaussian", bounds.n_mds_subgaussian), ("mds_bounded", bounds.n_mds_bounded)):
-        bd = fn(acc_fir, params_fir)
+    for label in ("mds_subgaussian", "mds_bounded"):
+        bd = bounds.bound_for(label, acc_fir, params_fir)
         est = run_tail(
             ExperimentSpec(design, fir, N=bd.n_ceil, r=acc_fir.r, trials=20_000, base_seed=52),
             workers=WORKERS,

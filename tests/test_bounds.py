@@ -390,8 +390,11 @@ class TestBoundFor:
         assert bounds.bound_for(tag, ACC, params) == bounds.BOUND_FUNCTIONS[tag](ACC, params)
 
     def test_unknown_tag_names_the_choices(self):
+        # One check for both dispatchers; main_tau is known but has no outage.
         with pytest.raises(DomainError, match=r"unknown bound tag 'printed'.*'main_tau'"):
             bounds.bound_for("printed", ACC, UNIT)
+        with pytest.raises(DomainError, match=r"unknown bound tag 'nonsense'.*'main_tau'"):
+            bounds.eps_for("nonsense", 1.0, 500, UNIT)
 
     @pytest.mark.parametrize("tag", sorted(bounds.BOUND_FUNCTIONS))
     @pytest.mark.parametrize("r, N", [(-0.5, 100), (0.0, 100), (0.5, 0), (0.5, -100)])
@@ -476,7 +479,7 @@ class TestEpsOfN:
 class TestClosedFormBounds:
     def test_bounded_noise_value(self):
         params = ProblemParams(p=2, alpha=1.0, sigma_min=1.0, sigma_max=1.0, b=1.0)
-        bd = bounds.n_bounded(Accuracy(r=0.1, eps=0.01), params)
+        bd = bounds.bound_for("bounded", Accuracy(r=0.1, eps=0.01), params)
         assert bd.n1 == pytest.approx(200.0 * math.log(600.0), rel=1e-12)
         assert bd.n2 is None and bd.n3 is None
         assert bd.n_rand == pytest.approx((4.0 / 3.0) * 21.0 * math.log(600.0), rel=1e-12)
@@ -485,38 +488,38 @@ class TestClosedFormBounds:
         p1 = ProblemParams(p=2, alpha=1.0, sigma_min=1.0, sigma_max=1.0, b=1.0)
         p2 = ProblemParams(p=2, alpha=1.0, sigma_min=1.0, sigma_max=1.0, b=2.0)
         acc = Accuracy(r=0.1, eps=0.01)
-        assert bounds.n_bounded(acc, p2).n1 == pytest.approx(
-            4.0 * bounds.n_bounded(acc, p1).n1, rel=1e-12
+        assert bounds.bound_for("bounded", acc, p2).n1 == pytest.approx(
+            4.0 * bounds.bound_for("bounded", acc, p1).n1, rel=1e-12
         )
 
     def test_bounded_missing_b(self):
         with pytest.raises(ParameterError):
-            bounds.n_bounded(ACC, UNIT)
+            bounds.bound_for("bounded", ACC, UNIT)
 
     def test_mds_subgaussian_value(self):
         params = ProblemParams(p=4, alpha=1.0, sigma_min=1.0, sigma_max=1.0, R=10.0)
-        bd = bounds.n_mds_subgaussian(Accuracy(r=1.0, eps=0.05), params)
+        bd = bounds.bound_for("mds_subgaussian", Accuracy(r=1.0, eps=0.05), params)
         assert bd.n1 == pytest.approx(800.0 * math.log(160.0), rel=1e-12)
         assert bd.n_rand == pytest.approx((4.0 / 3.0) * 35.0 * math.log(160.0), rel=1e-12)
 
     def test_mds_inverse_square_radius_scaling(self):
         params = ProblemParams(p=4, alpha=1.0, sigma_min=1.0, sigma_max=1.0, R=10.0)
-        a = bounds.n_mds_subgaussian(Accuracy(r=1.0, eps=0.05), params)
-        b = bounds.n_mds_subgaussian(Accuracy(r=2.0, eps=0.05), params)
+        a = bounds.bound_for("mds_subgaussian", Accuracy(r=1.0, eps=0.05), params)
+        b = bounds.bound_for("mds_subgaussian", Accuracy(r=2.0, eps=0.05), params)
         assert a.n1 == pytest.approx(4.0 * b.n1, rel=1e-12)
 
     def test_mds_bounded_value_and_equivalence(self):
         params_b = ProblemParams(p=2, alpha=1.0, sigma_min=1.0, sigma_max=1.0, b=1.0)
         params_r = ProblemParams(p=2, alpha=1.0, sigma_min=1.0, sigma_max=1.0, R=1.0)
         acc = Accuracy(r=0.1, eps=0.01)
-        bd = bounds.n_mds_bounded(acc, params_b)
+        bd = bounds.bound_for("mds_bounded", acc, params_b)
         assert bd.n1 == pytest.approx(800.0 * math.log(400.0), rel=1e-12)
-        assert bd.n1 == pytest.approx(bounds.n_mds_subgaussian(acc, params_r).n1, rel=1e-12)
+        assert bd.n1 == pytest.approx(bounds.bound_for("mds_subgaussian", acc, params_r).n1, rel=1e-12)
 
     def test_fixed_design_single_term(self):
         params = ProblemParams(p=8, alpha=1.0, sigma_min=0.9, sigma_max=1.1, R=0.1)
         acc = Accuracy(r=0.01, eps=0.01)
-        bd = bounds.n_fixed_design(acc, params)
+        bd = bounds.bound_for("fixed_mds", acc, params)
         expected = 8.0 * 0.01 / (1e-4 * 0.81) * math.log(1600.0)
         assert bd.n1 == pytest.approx(expected, rel=1e-12)
         assert bd.n_rand is None
@@ -526,14 +529,14 @@ class TestClosedFormBounds:
         acc = Accuracy(r=0.01, eps=0.01)
         p1 = ProblemParams(p=8, alpha=1.0, sigma_min=1.0, sigma_max=1.0, R=0.1)
         p2 = ProblemParams(p=8, alpha=1.0, sigma_min=0.5, sigma_max=1.0, R=0.1)
-        assert bounds.n_fixed_design(acc, p2).n1 == pytest.approx(
-            4.0 * bounds.n_fixed_design(acc, p1).n1, rel=1e-12
+        assert bounds.bound_for("fixed_mds", acc, p2).n1 == pytest.approx(
+            4.0 * bounds.bound_for("fixed_mds", acc, p1).n1, rel=1e-12
         )
 
     def test_eps_fixed_design_inverts_bound(self):
         params = ProblemParams(p=8, alpha=1.0, sigma_min=0.9, sigma_max=1.1, R=0.1)
         acc = Accuracy(r=0.01, eps=0.01)
-        n = bounds.n_fixed_design(acc, params).n_final
+        n = bounds.bound_for("fixed_mds", acc, params).n_final
         assert bounds.eps_for("fixed_mds", acc.r, n, params) == pytest.approx(acc.eps, rel=1e-10)
 
     def test_eps_for_has_no_main_tau_outage(self):

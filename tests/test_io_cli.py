@@ -885,7 +885,7 @@ class TestSimulateFixedDesign:
             N, _, bd = fixed_design_bound(acc, design, noise)
             assert bd.n_ceil == row.n_bound_ceil <= N
             short = implied_problem_params(design, noise, N_hint=N - 1)
-            assert bounds.n_fixed_design(acc, short).n_ceil > N - 1
+            assert bounds.bound_for("fixed_mds", acc, short).n_ceil > N - 1
             spec = ExperimentSpec(design, noise, N=N, r=acc.r, trials=300, base_seed=9, diagnostics=True)
             expected = run_event_diagnostics(spec)
             assert doc == json.loads(dump_json({"axis_value": row.axis_value, **asdict(expected)}))

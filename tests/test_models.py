@@ -409,6 +409,14 @@ class TestFixedMatrix:
         with pytest.raises(ParameterError):
             ToeplitzPilot(pilots=(1.0, 0.5), p=1)
 
+    @pytest.mark.parametrize("p", [2.5, 2.0, "2"])
+    def test_pilot_width_must_be_an_integer_when_made(self, p):
+        # Not later, in sample, where a float width raised TypeError.
+        with pytest.raises(ParameterError, match="p must be a positive integer"):
+            ToeplitzPilot((1.0, -1.0, 1.0, 1.0), p)
+        model = ToeplitzPilot((1.0, -1.0, 1.0, 1.0), np.int64(2))
+        assert type(model.p) is int and model.sample(3, SeedSpec(0, 0, "design")).shape == (3, 2)
+
 
 @pytest.mark.parametrize(
     "build",

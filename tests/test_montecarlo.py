@@ -346,6 +346,27 @@ class TestRunTail:
             with pytest.raises(ParameterError, match="workers must be at least 1"):
                 run(spec, workers=workers)
 
+    @pytest.mark.parametrize("trials", [10, 300])
+    @pytest.mark.parametrize("workers", [1.5, 2.0, "2"])
+    def test_rejects_a_worker_count_that_is_not_an_integer(self, trials, workers, monkeypatch):
+        # At 300 trials such a count once reached the pool's set-up and raised
+        # TypeError there; below 256 trials, 1.5 ran serially without a word.
+        started = []
+
+        class RecordedPool:
+            """Records that it was made and starts no process."""
+
+            def __init__(self, *args, **kwargs):
+                started.append((args, kwargs))
+                raise AssertionError("a pool was made")
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordedPool)
+        spec = ExperimentSpec(ALL_ONES_4x1, Rademacher(1.0), N=4, r=0.4, trials=trials, diagnostics=True)
+        for run in (run_tail, run_event_diagnostics):
+            with pytest.raises(ParameterError, match="workers must be an integer"):
+                run(spec, workers=workers)
+        assert started == []
+
 
 class TestEventDiagnostics:
     def test_fixed_design_gram_event_is_deterministic(self):
@@ -615,7 +636,7 @@ class TestFixedMdsCoversFirNoise:
 
 def n_ceil_at(acc, design, noise, N):
     """The fixed-design bound's ceiling at the N-row matrix of design."""
-    return bounds.n_fixed_design(acc, implied_problem_params(design, noise, N_hint=N)).n_ceil
+    return bounds.bound_for("fixed_mds", acc, implied_problem_params(design, noise, N_hint=N)).n_ceil
 
 
 class TestFixedDesignOvershoot:
@@ -639,7 +660,7 @@ class TestFixedDesignOvershoot:
         N, params, bd = scan
         assert bd.n_ceil <= N == 6241
         assert params == implied_problem_params(*fig5_models(), N_hint=N)
-        assert bd == bounds.n_fixed_design(self.ACC, params)
+        assert bd == bounds.bound_for("fixed_mds", self.ACC, params)
 
 
 class TestFixedDesignScan:
@@ -1176,6 +1197,19 @@ class TestFindEmpiricalN:
         found = find_empirical_n(spec, eps=0.1, n_lo=4, n_hi=512)
         # z with 2*(1-Phi(z)) = 0.1 is 1.6449, so the crossing sits at 67.7
         assert 60 <= found <= 80
+
+    @pytest.mark.parametrize("eps", [0.0, -0.1, math.nan])
+    def test_rejects_a_non_positive_eps_before_any_pass(self, eps, monkeypatch):
+        # Such an eps once ran every doubling probe up to n_hi, then raised
+        # RangeExhaustedError, which exits 4 as if the simulation had failed.
+        calls = []
+        monkeypatch.setattr(montecarlo, "run_tail", lambda *args, **kwargs: calls.append(args))
+        design = IidBoundedColumns((1.0, 1.0), "scaled-uniform")
+        spec = ExperimentSpec(design, Gaussian(1.0), N=8, r=0.2, trials=200, base_seed=12)
+        with pytest.raises(ParameterError, match="eps must be positive"):
+            find_empirical_n(spec, eps=eps, n_lo=3, n_hi=4096)
+        assert find_empirical_n(spec, eps=1.0, n_lo=3, n_hi=4096) == 3
+        assert calls == []
 
     def test_trivial_eps_returns_range_minimum(self):
         spec = ExperimentSpec(self.ALL_ONES, Gaussian(1.0), N=8, r=0.2, trials=100, base_seed=12)
