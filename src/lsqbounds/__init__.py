@@ -37,7 +37,6 @@ from .models import (
 from .montecarlo import (
     EventDiagnostics,
     ExperimentSpec,
-    RangeExhaustedError,
     TailEstimate,
     find_empirical_n,
     run_event_diagnostics,
@@ -48,8 +47,6 @@ from .montecarlo import (
 from .params import (
     Accuracy,
     BoundBreakdown,
-    DomainError,
-    NoFinitePointError,
     OutageBreakdown,
     ParameterError,
     ProblemParams,

@@ -49,8 +49,6 @@ import numpy as np
 from .params import (
     Accuracy,
     BoundBreakdown,
-    DomainError,
-    NoFinitePointError,
     OutageBreakdown,
     ParameterError,
     ProblemParams,
@@ -97,7 +95,7 @@ def beta(s: float, params: ProblemParams) -> float:
     R = params.require_R()
     a2r2 = params.alpha**2 * R**2
     if not (0 < s < 1.0 / (2.0 * a2r2)):
-        raise DomainError(f"beta requires 0 < s < 1/(2*alpha^2*R^2) = {1.0 / (2.0 * a2r2)}")
+        raise ParameterError(f"beta requires 0 < s < 1/(2*alpha^2*R^2) = {1.0 / (2.0 * a2r2)}")
     x = a2r2 * s
     return x + x * x / (1.0 - 2.0 * x)
 
@@ -111,7 +109,7 @@ def gamma(s: float, params: ProblemParams) -> float:
     R = params.require_R()
     a2r2 = params.alpha**2 * R**2
     if not (0 < s < 1.0 / a2r2):
-        raise DomainError(f"gamma requires 0 < s < 1/(alpha^2*R^2) = {1.0 / a2r2}")
+        raise ParameterError(f"gamma requires 0 < s < 1/(alpha^2*R^2) = {1.0 / a2r2}")
     return _gamma(s, a2r2)
 
 
@@ -186,10 +184,8 @@ def _n3_infimum(
     r: float, log_term: float, params: ProblemParams, weight: float = 1.0
 ) -> tuple[float, float]:
     slack, s = _n3_denominator_max(r, params, weight)
-    if slack <= 0:
-        raise NoFinitePointError(
-            "cross-term exponent has no positive slack on its domain"
-        )
+    if slack <= 0:  # only finite inputs at the edge of the float range get here
+        raise ParameterError("cross-term exponent has no positive slack on its domain")
     return math.sqrt(max(log_term, 0.0) / slack), s
 
 
@@ -212,9 +208,9 @@ def n_rand(eps_arg: float, p_factor: float, params: ProblemParams) -> float:
     is consumed inside a three- or two-way union bound, p when used raw.
     """
     if not (eps_arg > 0):
-        raise DomainError(f"eps_arg must be positive, got {eps_arg}")
+        raise ParameterError(f"eps_arg must be positive, got {eps_arg}")
     if not (p_factor > 0):
-        raise DomainError(f"p_factor must be positive, got {p_factor}")
+        raise ParameterError(f"p_factor must be positive, got {p_factor}")
     return _n_rand_lead(params) * max(math.log(p_factor / eps_arg), 0.0)
 
 
@@ -365,10 +361,10 @@ def eps_of_n(r: float, N: float, params: ProblemParams) -> OutageBreakdown:
     """
     R = params.require_R()
     if not (r > 0):
-        raise DomainError(f"r must be positive, got {r}")
+        raise ParameterError(f"r must be positive, got {r}")
     n1_floor = _scaled_floor(4.0, R, r, params)
     if not (N > n1_floor):
-        raise DomainError(
+        raise ParameterError(
             f"N must exceed 4*alpha^2*R^2/(sigma_min^2*r^2) = {n1_floor}, got {N}"
         )
     three_p = 3.0 * params.p
@@ -416,9 +412,9 @@ def l2_radius(r2: float, p: int) -> float:
     """Sup-norm radius whose guarantee implies the Euclidean-norm guarantee
     at radius r2 in dimension p."""
     if not (r2 > 0):
-        raise DomainError(f"r2 must be positive, got {r2}")
+        raise ParameterError(f"r2 must be positive, got {r2}")
     if p < 1:
-        raise DomainError(f"p must be a positive integer, got {p}")
+        raise ParameterError(f"p must be a positive integer, got {p}")
     return r2 / math.sqrt(p)
 
 
@@ -431,7 +427,7 @@ BOUND_FUNCTIONS = {
 
 def _check_tag(theorem: str) -> None:
     if theorem not in BOUND_FUNCTIONS:
-        raise DomainError(f"unknown bound tag {theorem!r}; expected one of {sorted(BOUND_FUNCTIONS)}")
+        raise ParameterError(f"unknown bound tag {theorem!r}; expected one of {sorted(BOUND_FUNCTIONS)}")
 
 
 def bound_for(theorem: str, acc: Accuracy, params: ProblemParams) -> BoundBreakdown:
@@ -445,7 +441,7 @@ def eps_for(theorem: str, r: float, N: int, params: ProblemParams) -> float:
     main_tau has no outage expression (ParameterError)."""
     _check_tag(theorem)
     if not (r > 0 and N > 0):
-        raise DomainError("r and N must be positive")
+        raise ParameterError("r and N must be positive")
     if theorem == "main":
         if N <= _scaled_floor(4.0, params.require_R(), r, params):
             return 1.0

@@ -1,22 +1,21 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 parameter error, 3 I/O error, 4 simulation-quality
-error.  Bound commands print JSON to stdout; simulate/reproduce write CSV
-(and optional SVG) to explicitly given paths.
+Exit codes: 0 success, 2 bad input (ParameterError), 3 I/O error (OSError),
+4 the simulation cannot answer (SimulationQualityError).  Bound commands
+print JSON to stdout; simulate/reproduce write CSV (and optional SVG) to
+explicitly given paths.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
 from . import bounds
 from .io import breakdown_to_json, default_seed, dump_json, load_run_config, outage_to_json
-from .montecarlo import RangeExhaustedError
-from .params import Accuracy, DomainError, NoFinitePointError, ParameterError, ProblemParams, SimulationQualityError
+from .params import Accuracy, ParameterError, ProblemParams, SimulationQualityError
 from .presets import DEFAULT_SEED, DEFAULT_TRIALS, FIGURE_IDS, Figure, Panel, reproduce, run_figure
 
 EXIT_OK = 0
@@ -152,16 +151,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    # Overflow, underflow to zero and an empty cross-term domain come from
-    # finite inputs at the edge of the float range, so they are parameter errors.
-    except (ParameterError, DomainError, json.JSONDecodeError, OverflowError,
-            ZeroDivisionError, NoFinitePointError) as exc:
+    # Overflow and underflow to zero come from finite inputs at the edge of
+    # the float range, so they are parameter errors.
+    except (ParameterError, OverflowError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMETER
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (SimulationQualityError, RangeExhaustedError) as exc:
+    except SimulationQualityError as exc:
         print(f"simulation-quality error: {exc}", file=sys.stderr)
         return EXIT_QUALITY
 

@@ -64,8 +64,6 @@ def format_float(x: float) -> str:
 def _cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
@@ -224,4 +222,8 @@ def parse_run_config(doc: dict) -> RunConfig:
 
 def load_run_config(path: str | Path) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_run_config(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ParameterError(f"{path}: not a JSON run config: {exc}") from exc
+    return parse_run_config(doc)

@@ -32,10 +32,6 @@ BLOCK_BYTES = 1 << 19  # draws held per block of trials
 SEGMENT_ELEMS = 1 << 19  # p^2 times the rows of one segment of a random design's Gram sums
 
 
-class RangeExhaustedError(RuntimeError):
-    """The search range contains no sample count meeting the target."""
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One tail-probability experiment: how often, over trials seeded
@@ -481,7 +477,7 @@ def find_empirical_n(
         raise ParameterError(f"eps must be positive, got {eps}")
     n_lo = max(n_lo, spec.design.p + 1)
     if n_hi < n_lo:
-        raise RangeExhaustedError(f"empty range [{n_lo}, {n_hi}]")
+        raise ParameterError(f"empty range [{n_lo}, {n_hi}]")
     if eps >= 1.0:
         return n_lo
 
@@ -491,7 +487,7 @@ def find_empirical_n(
     lo, hi = n_lo - 1, n_lo  # lo failed (or lies below the range); hi is next
     while not passes(hi):
         if hi == n_hi:
-            raise RangeExhaustedError(f"upper CI stays above {eps} up to N = {n_hi}")
+            raise SimulationQualityError(f"upper CI stays above {eps} up to N = {n_hi}")
         lo, hi = hi, min(2 * hi, n_hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2

@@ -3,23 +3,20 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 
 class ParameterError(ValueError):
-    """Invalid or missing problem parameters."""
-
-
-class DomainError(ValueError):
-    """Argument outside the open domain of a formula."""
-
-
-class NoFinitePointError(RuntimeError):
-    """An inner Chernoff problem has no feasible point: its slack is empty."""
+    """An input no bound or run accepts: invalid or missing parameters, an
+    argument outside a formula's domain, a bad range or config file.  The CLI
+    exits 2."""
 
 
 class SimulationQualityError(RuntimeError):
-    """A rank-deficient design, or too many rank-deficient trials; the setup is suspect."""
+    """The simulation cannot answer: a rank-deficient design, too many
+    rank-deficient trials, or no sample count in the search range meets the
+    target.  The CLI exits 4."""
 
 
 def require_square_in_range(scales) -> None:
@@ -51,7 +48,11 @@ class ProblemParams:
     b: float | None = None
 
     def __post_init__(self) -> None:
-        if self.p < 1 or self.p != int(self.p):
+        try:
+            object.__setattr__(self, "p", operator.index(self.p))
+        except TypeError as exc:
+            raise ParameterError(f"p must be a positive integer, got {self.p!r}") from exc
+        if self.p < 1:
             raise ParameterError(f"p must be a positive integer, got {self.p}")
         for name in ("alpha", "sigma_min", "sigma_max", "R", "b"):
             value = getattr(self, name)
@@ -130,15 +131,6 @@ class BoundBreakdown:
     s_opt_n3: float | None = None
     tau_opt: float | None = None
 
-    def terms(self) -> dict[str, float]:
-        """Applicable terms by name."""
-        out = {}
-        for name in ("n1", "n2", "n3", "n_rand"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        return out
-
 
 @dataclass(frozen=True)
 class OutageBreakdown:
@@ -162,21 +154,18 @@ def ceil_strict(x: float) -> int:
 
 def make_breakdown(
     theorem: str,
-    terms: dict[str, float | None],
+    terms: dict[str, float],
     p: int,
     s_opt_n2: float | None = None,
     s_opt_n3: float | None = None,
     tau_opt: float | None = None,
 ) -> BoundBreakdown:
-    """Assemble a BoundBreakdown from named term values (None = not applicable)."""
-    applicable = {k: v for k, v in terms.items() if v is not None}
-    if not applicable:
-        raise ParameterError("a bound needs at least one applicable term")
-    for name, value in applicable.items():
+    """Assemble a BoundBreakdown from the named terms its family has."""
+    for name, value in terms.items():
         if not (math.isfinite(value) and value >= 0):
             raise ParameterError(f"term {name} is not a finite nonnegative real: {value}")
-    binding = max(applicable, key=lambda k: applicable[k])
-    n_final = applicable[binding]
+    binding = max(terms, key=lambda k: terms[k])
+    n_final = terms[binding]
     return BoundBreakdown(
         theorem=theorem,
         n1=terms.get("n1"),

@@ -344,6 +344,13 @@ class TestSchemaParity:
 
 
 class TestCli:
+    def test_one_error_class_per_exit_code(self):
+        # ParameterError exits 2 and SimulationQualityError exits 4.
+        import lsqbounds
+
+        assert sorted(n for n in dir(lsqbounds) if n.endswith("Error")) == [
+            "ParameterError", "SimulationQualityError"]
+
     def test_bound_n_json(self, capsys):
         code = cli.main(
             "bound-n --model main --r 1 --eps 0.05 --p 2 --alpha 1 --R 1 "
@@ -520,6 +527,14 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text('{"schema_version": "1", "surprise": true}', encoding="utf-8")
         assert cli.main(["simulate", "--config", str(cfg_path)]) == 2
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b'{"schema_version": "1", "theo'],
+                             ids=["not-utf8", "truncated"])
+    def test_simulate_unreadable_config_exit_2_names_the_file(self, content, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_bytes(content)
+        assert cli.main(["simulate", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg_path}: not a JSON run config")
 
     def test_simulate_missing_file_exit_3(self, capsys):
         assert cli.main(["simulate", "--config", "/nonexistent/cfg.json"]) == 3

@@ -28,7 +28,6 @@ from lsqbounds.models import (
 from lsqbounds.montecarlo import (
     EventDiagnostics,
     ExperimentSpec,
-    RangeExhaustedError,
     SimulationQualityError,
     _event_diagnostics,
     _full_rank,
@@ -1201,7 +1200,7 @@ class TestFindEmpiricalN:
     @pytest.mark.parametrize("eps", [0.0, -0.1, math.nan])
     def test_rejects_a_non_positive_eps_before_any_pass(self, eps, monkeypatch):
         # Such an eps once ran every doubling probe up to n_hi, then raised
-        # RangeExhaustedError, which exits 4 as if the simulation had failed.
+        # SimulationQualityError, which exits 4 as if the simulation had failed.
         calls = []
         monkeypatch.setattr(montecarlo, "run_tail", lambda *args, **kwargs: calls.append(args))
         design = IidBoundedColumns((1.0, 1.0), "scaled-uniform")
@@ -1211,13 +1210,21 @@ class TestFindEmpiricalN:
         assert find_empirical_n(spec, eps=1.0, n_lo=3, n_hi=4096) == 3
         assert calls == []
 
+    def test_empty_range_is_a_parameter_error_before_any_pass(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(montecarlo, "run_tail", lambda *args, **kwargs: calls.append(args))
+        spec = ExperimentSpec(self.ALL_ONES, Gaussian(1.0), N=8, r=0.2, trials=200, base_seed=12)
+        with pytest.raises(ParameterError, match=r"empty range \[10, 5\]"):
+            find_empirical_n(spec, 0.1, n_lo=10, n_hi=5)
+        assert calls == []
+
     def test_trivial_eps_returns_range_minimum(self):
         spec = ExperimentSpec(self.ALL_ONES, Gaussian(1.0), N=8, r=0.2, trials=100, base_seed=12)
         assert find_empirical_n(spec, eps=1.0, n_lo=4, n_hi=512) == 4
 
     def test_range_exhausted(self):
         spec = ExperimentSpec(self.ALL_ONES, Gaussian(5.0), N=8, r=0.05, trials=2000, base_seed=12)
-        with pytest.raises(RangeExhaustedError):
+        with pytest.raises(SimulationQualityError, match="upper CI stays above 0.01 up to N = 64"):
             find_empirical_n(spec, eps=0.01, n_lo=4, n_hi=64)
 
     def test_nonincreasing_in_radius(self):

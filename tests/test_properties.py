@@ -10,7 +10,7 @@ from lsqbounds import bounds
 from lsqbounds.io import ResultRow, write_result_csv
 from lsqbounds.models import IidBoundedColumns, Uniform
 from lsqbounds.montecarlo import ExperimentSpec, run_tail
-from lsqbounds.params import Accuracy, NoFinitePointError, ProblemParams
+from lsqbounds.params import Accuracy, ParameterError, ProblemParams
 
 from helpers import broad_problem_sets, random_problem_sets, run_property_sweep
 
@@ -26,7 +26,7 @@ class TestFeasibility:
         for params, acc in random_problem_sets(200, seed=777):
             try:
                 value, s_opt = bounds.n3_main(acc, params)
-            except NoFinitePointError as exc:
+            except ParameterError as exc:
                 pytest.fail(f"cross-term optimizer found no feasible point: {exc}")
             assert math.isfinite(value) and value >= 0
             assert 0 < s_opt < 1.0 / (params.alpha**2 * params.R**2)
