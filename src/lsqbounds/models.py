@@ -2,11 +2,13 @@
 
 Every model is a frozen dataclass whose sample(count, seed) is a pure
 function of (model, count, SeedSpec), so trials can run concurrently and in
-any order without sharing RNG state.  A noise law also declares
-subgaussian_param, a valid (not necessarily minimal) sub-Gaussian parameter,
-and bound, an almost-sure bound on |v| or None when the law is unbounded.  A
-design family declares p and random, whether a trial draws its own matrix.
-Members that are not dataclass fields never become config keys.
+any order without sharing RNG state; a random model's sample(count, seed,
+out) fills and returns out, a C-contiguous float array, with the same values.
+A noise law also declares subgaussian_param, a valid (not necessarily
+minimal) sub-Gaussian parameter, and bound, an almost-sure bound on |v| or
+None when the law is unbounded.  A design family declares p and random,
+whether a trial draws its own matrix.  Members that are not dataclass fields
+never become config keys.
 """
 
 from __future__ import annotations
@@ -155,8 +157,11 @@ def _centre(x: np.ndarray, c: float) -> np.ndarray:
     return _scale(x, 2.0 * c)
 
 
-def _rademacher(rng: np.random.Generator, shape, c: float = 1.0) -> np.ndarray:
-    return _centre(rng.integers(0, 2, size=shape).astype(float), c)
+def _signs(rng: np.random.Generator, shape, out: np.ndarray | None = None) -> np.ndarray:
+    """rng.integers(0, 2, size=shape) as floats, copied into out if given: integers has no out."""
+    out = np.empty(shape) if out is None else out
+    out[...] = rng.integers(0, 2, size=shape)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +178,8 @@ class Gaussian:
         if not (self.sigma >= 0):
             raise ParameterError(f"sigma must be nonnegative, got {self.sigma}")
 
-    def sample(self, n: int, seed: SeedSpec) -> np.ndarray:
-        return _scale(seed.generator().standard_normal(n), self.sigma)
+    def sample(self, n: int, seed: SeedSpec, out: np.ndarray | None = None) -> np.ndarray:
+        return _scale(seed.generator().standard_normal(n, out=out), self.sigma)
 
     @property
     def subgaussian_param(self) -> float:
@@ -200,10 +205,10 @@ class GaussianMixture:
         if not (0 < self.weight_large < 1):
             raise ParameterError(f"weight_large must lie in (0,1), got {self.weight_large}")
 
-    def sample(self, n: int, seed: SeedSpec) -> np.ndarray:
+    def sample(self, n: int, seed: SeedSpec, out: np.ndarray | None = None) -> np.ndarray:
         large = seed.child(0).generator().random(n) < self.weight_large
-        z = seed.child(1).generator().standard_normal(n)
-        return z * np.where(large, self.sigma_large, self.sigma_small)
+        z = seed.child(1).generator().standard_normal(n, out=out)
+        return np.multiply(z, np.where(large, self.sigma_large, self.sigma_small), out=z)
 
     @property
     def subgaussian_param(self) -> float:
@@ -221,8 +226,8 @@ class Uniform:
         if not (self.half_width >= 0):
             raise ParameterError(f"half_width must be nonnegative, got {self.half_width}")
 
-    def sample(self, n: int, seed: SeedSpec) -> np.ndarray:
-        return _centre(seed.generator().random(n), self.half_width)
+    def sample(self, n: int, seed: SeedSpec, out: np.ndarray | None = None) -> np.ndarray:
+        return _centre(seed.generator().random(n, out=out), self.half_width)
 
     @property
     def subgaussian_param(self) -> float:
@@ -244,8 +249,8 @@ class UniformPlusGaussian:
         if not (self.half_width >= 0 and self.sigma >= 0):
             raise ParameterError("half_width and sigma must be nonnegative")
 
-    def sample(self, n: int, seed: SeedSpec) -> np.ndarray:
-        v = Uniform(self.half_width).sample(n, seed.child(0))
+    def sample(self, n: int, seed: SeedSpec, out: np.ndarray | None = None) -> np.ndarray:
+        v = Uniform(self.half_width).sample(n, seed.child(0), out)
         v += Gaussian(self.sigma).sample(n, seed.child(1))
         return v
 
@@ -262,8 +267,8 @@ class Rademacher:
         if not (self.scale >= 0):
             raise ParameterError(f"scale must be nonnegative, got {self.scale}")
 
-    def sample(self, n: int, seed: SeedSpec) -> np.ndarray:
-        return _rademacher(seed.generator(), n, self.scale)
+    def sample(self, n: int, seed: SeedSpec, out: np.ndarray | None = None) -> np.ndarray:
+        return _centre(_signs(seed.generator(), n, out), self.scale)
 
     @property
     def subgaussian_param(self) -> float:
@@ -294,10 +299,10 @@ class FirMds:
         if not (self.jammer_scale >= 0):
             raise ParameterError(f"jammer_scale must be nonnegative, got {self.jammer_scale}")
 
-    def sample(self, n: int, seed: SeedSpec) -> np.ndarray:
-        jam = _rademacher(seed.child(0).generator(), n, self.jammer_scale)
-        v = np.convolve(jam, np.asarray(self.taps))[:n]
-        v += self.receiver.sample(n, seed.child(1))
+    def sample(self, n: int, seed: SeedSpec, out: np.ndarray | None = None) -> np.ndarray:
+        jam = _centre(_signs(seed.child(0).generator(), n), self.jammer_scale)
+        v = self.receiver.sample(n, seed.child(1), out)
+        v += np.convolve(jam, np.asarray(self.taps))[:n]  # w + conv: IEEE addition commutes
         return v
 
     @property
@@ -358,13 +363,13 @@ class IidBoundedColumns:
         peak = max(self.column_stddevs)
         return ROOT3 * peak if self.entry_law == "scaled-uniform" else peak
 
-    def sample(self, N: int, seed: SeedSpec) -> np.ndarray:
+    def sample(self, N: int, seed: SeedSpec, out: np.ndarray | None = None) -> np.ndarray:
         """An (N, p) draw, centred and scaled in place: in one multiply if every column has
         the same factor, else column by column (an (N, p) * (p,) broadcast is as slow as the draw)."""
         _check_rows(N, self.p)
         rng = seed.generator()
         uniform = self.entry_law == "scaled-uniform"
-        A = rng.random((N, self.p)) if uniform else rng.integers(0, 2, size=(N, self.p)).astype(float)
+        A = rng.random((N, self.p), out=out) if uniform else _signs(rng, (N, self.p), out)
         A -= 0.5
         factors = [2.0 * (ROOT3 * sd if uniform else sd) for sd in self.column_stddevs]
         if len(set(factors)) == 1:
@@ -455,20 +460,20 @@ def random_pilots(length: int, seed: SeedSpec) -> tuple[float, ...]:
     """Seeded +-1 training sequence of the given length."""
     if length < 1:
         raise ParameterError(f"length must be positive, got {length}")
-    return tuple(_rademacher(seed.generator(), length))
+    return tuple(_centre(_signs(seed.generator(), length), 1.0))
 
 
 def _full_rank(G: np.ndarray) -> np.ndarray:
     """For each Gram matrix of the stack G, whether it has a Cholesky factor L
-    whose every squared pivot L_jj^2 exceeds 1e-12 times its trace.  LAPACK
-    factors each matrix on its own; if one is not positive definite, the
-    stack is factored again one matrix at a time."""
+    whose every squared pivot L_jj^2 exceeds 1e-12 times its trace.  LAPACK factors
+    each matrix on its own; if one is not positive definite, the call raises and
+    each half of the stack is checked again: O(log len(G)) calls per such matrix."""
     try:
         L = np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
         if len(G) == 1:
             return np.zeros(1, dtype=bool)
-        return np.concatenate([_full_rank(g) for g in G[:, None]])
+        return np.concatenate([_full_rank(G[: len(G) // 2]), _full_rank(G[len(G) // 2 :])])
     floor = PIVOT_RTOL * G.trace(axis1=1, axis2=2)
     # libm pow, as Python's float ** 2; np.square can differ by an ulp.
     pivot = np.float_power(L.diagonal(axis1=1, axis2=2).min(axis=1), 2.0)

@@ -3,9 +3,9 @@
 Trials are independent tasks keyed by trial index; every random draw comes
 from a stream derived from (base_seed, trial, role), and aggregation is a
 commutative count-merge, so results do not depend on the worker count or
-execution order.  Trials run in blocks: stacked numpy calls solve a block,
-and count a chunk's held statistics, at once, bit-identical to one call per
-trial, so results do not depend on the block size either.
+execution order.  Trials run in blocks: stacked numpy calls form a block's
+sums, and solve and count a chunk's held statistics, at once, bit-identical to
+one call per trial, so results do not depend on the block size either.
 """
 
 from __future__ import annotations
@@ -124,44 +124,37 @@ def wilson_interval(successes: int, n: int) -> tuple[float, float]:
 
 
 def _stack(model, n: int, seed: int, trials: range, role: str, buf: np.ndarray) -> np.ndarray:
-    """model's draws of size n for trials, stacked on a new first axis: a lone
-    trial's own array, uncopied, or buf filled one trial at a time."""
-    if len(trials) == 1:
-        return model.sample(n, SeedSpec(seed, trials[0], role))[None]
+    """model's draws of size n for trials, each drawn in place into its row of buf."""
     for i, t in enumerate(trials):
-        buf[i] = model.sample(n, SeedSpec(seed, t, role))
+        model.sample(n, SeedSpec(seed, t, role), out=buf[i])
     return buf[: len(trials)]
 
 
 def _trials(spec: ExperimentSpec, start: int, stop: int, sizes, plan=None):
-    """Yield (a, G, u, rhs, err, invalid) for each block of up to B consecutive
-    trials of start..stop-1 and, within a block, for each N of sizes.  Each
-    trial draws its noise (and a random design) from its own (base_seed,
-    trial, role) stream, once at the largest N; every sampler is
-    prefix-consistent, so u is the block's (m, N) noise prefix.  a is the
-    design prefix and G = a^T a per matrix: (m, N, p) and (m, p, p) for a
-    random design, (1, N, p) and (1, p, p) for a non-random one, whose plan
+    """Yield (a, G, u, rhs) for each block of up to B consecutive trials of
+    start..stop-1 and, within a block, for each N of sizes.  Each trial draws
+    its noise (and a random design) from its own (base_seed, trial, role)
+    stream, once at the largest N, in place into the block's buffers; every
+    sampler is prefix-consistent, so u is the block's (m, N) noise prefix.  a
+    is the design prefix and G = a^T a per matrix: (m, N, p) and (m, p, p) for
+    a random design, (1, N, p) and (1, p, p) for a non-random one, whose plan
     (_measure_design's A and G, made here if None) holds the G of every block.
-    rhs holds each trial's a^T u and err its error G^{-1} a^T u, as rows.
-    Trials whose G fails _full_rank are left out of a, G, u, rhs and err and
-    counted in invalid.  u, and a of a random design, are views of buffers
-    that the next block refills.
+    rhs holds each trial's a^T u as rows; _solve checks and solves them.  u,
+    and a of a random design, are views of buffers the next block refills.
 
     A random design's G and a^T u add, in row order, the products of the
     whole segments of S = max(1, SEGMENT_ELEMS // p^2) rows from row 0 below N,
     then that of the rows past them.  Each product is one GEMM against a copy
-    of the design.  For either kind of design, the rank check and the solve
-    of every N of a block run as one stacked call each.
+    of the design.
 
     B is max(1, BLOCK_BYTES // (8 n_max (p + 1))) for a random design and
     max(1, BLOCK_BYTES // (8 n_max)) for a non-random one: the size of the
     preallocated draw buffers.  Each stacked call is bit-identical to the
-    per-trial call (numpy runs BLAS per slice and LAPACK per matrix) and the
-    segments depend on p alone, so no count depends on B, blocks or sizes.
+    per-trial call (numpy runs BLAS per slice) and the segments depend on p
+    alone, so no G or rhs depends on B, blocks or sizes.
     """
     n_max = max(sizes)
-    p = spec.design.p
-    random_design = spec.design.random
+    p, random_design = spec.design.p, spec.design.random
     block = max(1, BLOCK_BYTES // (8 * n_max * (p + 1 if random_design else 1)))
     v_buf = np.empty((block, n_max))
     if random_design:
@@ -193,13 +186,17 @@ def _trials(spec: ExperimentSpec, start: int, stop: int, sizes, plan=None):
                     rhs[k] += rhs_cum[:, cut // seg - 1]
         else:
             rhs = np.stack([A[:, :N].swapaxes(-1, -2) @ V[:, :N, None] for N in sizes])
-        ok = _full_rank(G.reshape(-1, p, p)).reshape(len(sizes), -1)
-        # One solve for every size; a rank-deficient G is solved as I, and its trial left out.
-        err = np.linalg.solve(np.where(ok[..., None, None], G, np.eye(p)), rhs)[..., 0]
         for k, N in enumerate(sizes):
-            keep = slice(None) if ok[k].all() else ok[k]
-            yield (A[keep, :N], G[k, keep], V[keep, :N], rhs[k, keep, :, 0], err[k, keep],
-                   len(ok[k]) - np.count_nonzero(ok[k]))
+            yield A[:, :N], G[k], V[:, :N], rhs[k, ..., 0]
+
+
+def _solve(G: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(err, ok) for stacked Gram matrices G and rows rhs, broadcast together:
+    each row's G^{-1} rhs, a G that fails _full_rank solved as I, and each G's
+    verdict.  numpy runs LAPACK per matrix, so no row depends on the stacking."""
+    p = G.shape[-1]
+    ok = _full_rank(G.reshape(-1, p, p)).reshape(G.shape[:-2])
+    return np.linalg.solve(np.where(ok[..., None, None], G, np.eye(p)), rhs[..., None])[..., 0], ok
 
 
 def _sweep_chunk(spec: ExperimentSpec, start: int, stop: int, rows, plan=None) -> np.ndarray:
@@ -207,42 +204,50 @@ def _sweep_chunk(spec: ExperimentSpec, start: int, stop: int, rows, plan=None) -
     exceedances of r and invalid trials, then, if any row sets sigma_min, its
     e_rand, lemma-1 violation, identity violation and uncovered counts and its
     e2 and e3 counts per coordinate (zero for a row without one).  Rows that
-    share an N share its solve.  The block loop only holds, per N, each block's
-    invalid count and errors and, if a row at N sets sigma_min, its (1/N) a^T u,
-    G/N and diagonal sums (per block, as the next block refills a and u), which
-    _count_held counts before they would pass BLOCK_BYTES, and at the end.
+    share an N share its solve, left to _count_held: the block loop holds, per
+    N, each block's G (a non-random design's is its plan's, not counted in
+    BLOCK_BYTES), a^T u and, if a row at N sets sigma_min, its diagonal sums,
+    which need the a and u that the next block refills.  _count_held counts
+    them before a block would pass BLOCK_BYTES, and at the end.
     """
     sizes = tuple(dict.fromkeys(N for N, _, _ in rows))
     diagnosed = {N for N, _, sigma_min in rows if sigma_min is not None}
-    counts = np.zeros((len(rows), 6 + 2 * spec.design.p if diagnosed else 2), dtype=np.int64)
-    held, held_bytes = {}, 0
-    for a, G, u, rhs, err, invalid in _trials(spec, start, stop, sizes, plan):
+    p, random_design = spec.design.p, spec.design.random
+    counts = np.zeros((len(rows), 6 + 2 * p if diagnosed else 2), dtype=np.int64)
+    trial_bytes = 8 * p * sum(1 + p * random_design + (N in diagnosed) for N in sizes)  # held per trial
+    held, held_trials = {}, 0
+    for a, G, u, rhs in _trials(spec, start, stop, sizes, plan):
         N = u.shape[1]
-        stats = (err,)
+        if N == sizes[0]:  # a block starts
+            if held_trials and (held_trials + len(u)) * trial_bytes > BLOCK_BYTES:
+                _count_held(rows, held, random_design, counts)
+                held_trials = 0
+            held_trials += len(u)
+        stats = (G, rhs)
         if N in diagnosed:
-            stats += (rhs / N, G / N, ((a * a).swapaxes(-1, -2) @ (u * u)[..., None])[..., 0] / N**2)
-        nbytes = sum(x.nbytes for x in stats)
-        if held_bytes + nbytes > BLOCK_BYTES:
-            _count_held(rows, held, spec.design.random, counts)
-            held_bytes = 0
-        held.setdefault(N, []).append((invalid, *stats))
-        held_bytes += nbytes
-    _count_held(rows, held, spec.design.random, counts)
+            stats += (((a * a).swapaxes(-1, -2) @ (u * u)[..., None])[..., 0] / N**2,)
+        held.setdefault(N, []).append(stats)
+    _count_held(rows, held, random_design, counts)
     return counts
 
 
 def _count_held(rows, held, random_design: bool, counts: np.ndarray) -> None:
-    """Add each row's counts over the blocks held for its N, in one pass per N,
-    then empty held; a non-random design's G/N, the same in every block, is factored once."""
-    for N, blocks in held.items():
-        invalid, *stats = zip(*blocks)
-        err, *stats = map(np.concatenate, stats)
-        err_max = np.max(np.abs(err), axis=1)
-        if stats:
-            s_vec, gram, diag_sum = stats
-            lam_min = np.linalg.eigvalsh(gram if random_design else gram[:1])[..., 0]
+    """Add each row's counts over the blocks held for its N, then empty held.  Every N
+    holds the same trials, so one _solve serves all: on a (sizes, trials, p, p) stack
+    of G, or (sizes, 1, p, p) for a non-random design, whose G passed _full_rank."""
+    parts = [tuple(zip(*blocks)) for blocks in held.values()]  # per N: its blocks' G, rhs[, diagonal sums]
+    G = np.stack([np.concatenate(Gs if random_design else Gs[:1]) for Gs, *_ in parts])
+    rhs = np.stack([np.concatenate(rhs_blocks) for _, rhs_blocks, *_ in parts])
+    err, ok = _solve(G, rhs)
+    for N, (_, _, *diag), G_N, rhs_N, err_N, ok_N in zip(held, parts, G, rhs, err, ok):
+        invalid = len(ok_N) - np.count_nonzero(ok_N)
+        keep = ok_N if invalid else slice(None)
+        err_max = np.max(np.abs(err_N[keep]), axis=1)
+        if diag:
+            s_vec, gram, diag_sum = rhs_N[keep] / N, G_N[keep] / N, np.concatenate(diag[0])[keep]
+            lam_min = np.linalg.eigvalsh(gram)[..., 0]
             lam_tilde = np.divide(1.0, lam_min, out=np.full_like(lam_min, np.inf), where=lam_min > 0)
-            lam = np.broadcast_to(lam_tilde, len(err))
+            lam = np.broadcast_to(lam_tilde, len(err_max))
             total_sq = s_vec**2
             off_sum = total_sq - diag_sum
             quad_sums = np.stack([diag_sum, off_sum])
@@ -257,12 +262,12 @@ def _count_held(rows, held, random_design: bool, counts: np.ndarray) -> None:
             if row_n != N:
                 continue
             exceed = err_max > r
-            counts[k, :2] += (np.count_nonzero(exceed), sum(invalid))
+            counts[k, :2] += (np.count_nonzero(exceed), invalid)
             if sigma_min is not None:
                 e_rand, fired = lam > 2.0 / sigma_min, quad_sums > sigma_min**2 * r**2 / 8.0
                 uncovered = np.count_nonzero(exceed & ~e_rand & ~fired.any(axis=(0, 2)))
                 # A singular Gram certainly exceeds the eigenvalue limit.
-                counts[k, 2:6] += (sum(invalid) + np.count_nonzero(e_rand), lemma1_bad, identity_bad, uncovered)
+                counts[k, 2:6] += (invalid + np.count_nonzero(e_rand), lemma1_bad, identity_bad, uncovered)
                 counts[k, 6:] += np.count_nonzero(fired, axis=1).ravel()
     held.clear()
 

@@ -458,6 +458,12 @@ def _plain_noise(model, n, seed):
         return model.half_width * seed.generator().uniform(-1.0, 1.0, n)
     if isinstance(model, Rademacher):
         return model.scale * _plain_rademacher(seed.generator(), n)
+    if isinstance(model, GaussianMixture):
+        large = seed.child(0).generator().uniform(0.0, 1.0, n) < model.weight_large
+        return np.where(large, model.sigma_large, model.sigma_small) * seed.child(1).generator().standard_normal(n)
+    if isinstance(model, UniformPlusGaussian):
+        return (model.half_width * seed.child(0).generator().uniform(-1.0, 1.0, n)
+                + model.sigma * seed.child(1).generator().standard_normal(n))
     jam = model.jammer_scale * _plain_rademacher(seed.child(0).generator(), n)
     v = np.convolve(jam, np.asarray(model.taps))[:n]
     return v + _plain_noise(model.receiver, n, seed.child(1))
@@ -474,37 +480,55 @@ def _assert_bit_identical(got, want):
 BASE_SEEDS = (0, 20240601, 2**64 - 1)
 
 
+def _sampled(model, n, seed, shape, into):
+    """model.sample(n, seed) or, if into, the draw made into a row of a buffer
+    of NaNs, as the trial blocks make it: it must return that row, bit-identical
+    to the allocating call."""
+    if not into:
+        return model.sample(n, seed)
+    out = np.full((2, *shape), np.nan)[1]
+    got = model.sample(n, seed, out=out)
+    assert got is out
+    _assert_bit_identical(got, model.sample(n, seed))
+    return got
+
+
 class TestSamplersMatchOneLineExpressions:
     """The in-place samplers reproduce rng.uniform(-1, 1, shape) * scale and
-    the other one-line expressions bit for bit, so seeded streams and counts
-    do not move.  This guards the random()-for-uniform() identity too."""
+    the other one-line expressions bit for bit, whether they allocate or draw
+    into a given buffer, so seeded streams and counts do not move.  This
+    guards the random()-for-uniform() identity too."""
 
+    @pytest.mark.parametrize("into", [False, True], ids=["alloc", "out"])
     @pytest.mark.parametrize("law", ["scaled-uniform", "scaled-rademacher"])
     @pytest.mark.parametrize("p", [1, 2, 4, 8])
     @pytest.mark.parametrize("mixed", [False, True])
-    def test_design(self, law, p, mixed):
+    def test_design(self, law, p, mixed, into):
         sds = tuple(0.3 + 0.45 * k for k in range(p)) if mixed else (0.7,) * p
         model = IidBoundedColumns(sds, law)
         for base in BASE_SEEDS:
             seed = SeedSpec(base, 17, "design")
             for N in (p + 1, 257, 10_000):
-                _assert_bit_identical(model.sample(N, seed), _plain_design(model, N, seed))
+                _assert_bit_identical(_sampled(model, N, seed, (N, p), into), _plain_design(model, N, seed))
 
+    @pytest.mark.parametrize("into", [False, True], ids=["alloc", "out"])
     @pytest.mark.parametrize(
         "model",
         [
             Gaussian(0.7),
+            GaussianMixture(0.3, 2.5, 0.2),
             Uniform(1.3),
+            UniformPlusGaussian(0.8, 0.25),
             Rademacher(0.4),
             FirMds(taps=(1.0, 0.8, 0.64), jammer_scale=0.2, receiver=Gaussian(0.05)),
             FirMds(taps=(1.0, -0.5), jammer_scale=0.3, receiver=Uniform(0.1)),
         ],
     )
-    def test_noise(self, model):
+    def test_noise(self, model, into):
         for base in BASE_SEEDS:
             seed = SeedSpec(base, 17, "noise")
             for n in (2, 257, 10_000):
-                _assert_bit_identical(model.sample(n, seed), _plain_noise(model, n, seed))
+                _assert_bit_identical(_sampled(model, n, seed, (n,), into), _plain_noise(model, n, seed))
 
 
 def _preset_factors() -> set:

@@ -32,6 +32,7 @@ from lsqbounds.montecarlo import (
     _event_diagnostics,
     _full_rank,
     _run_chunks,
+    _solve,
     _sweep_chunk,
     _tail_estimate,
     _trials,
@@ -139,28 +140,49 @@ class TestFullRankSolve:
         A = np.array(A)
         assert ls_solve(A, np.array([1.0, 2.0, 3.0])) is None
 
-    def test_stack_with_one_deficient_matrix(self, monkeypatch):
-        # The collinear Gram has no Cholesky factor, so the stacked call raises
-        # and each matrix is factored again on its own.
-        raised = []
+    @staticmethod
+    def count_cholesky(monkeypatch):
+        """Wrap np.linalg.cholesky to record the stack size of each call and
+        whether it raised."""
+        calls = []
         cholesky = np.linalg.cholesky
 
         def counted(G):
             try:
-                return cholesky(G)
+                L = cholesky(G)
             except np.linalg.LinAlgError:
-                raised.append(len(G))
+                calls.append((len(G), True))
                 raise
+            calls.append((len(G), False))
+            return L
 
         monkeypatch.setattr(np.linalg, "cholesky", counted)
+        return calls
+
+    def test_stack_with_one_deficient_matrix(self, monkeypatch):
+        # The collinear Gram has no Cholesky factor, so the stacked call raises
+        # and each half of the stack is checked again, down to the deficient matrix.
+        calls = self.count_cholesky(monkeypatch)
         rng = np.random.default_rng(9)
         mats = [rng.uniform(-1.0, 1.0, (3, 2)), np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]),
                 rng.uniform(-1.0, 1.0, (3, 2)), rng.uniform(-1.0, 1.0, (5, 2))]
         G = np.stack([A.T @ A for A in mats])
         verdicts = _full_rank(G).tolist()
-        assert raised == [4, 1]  # the stack, then the deficient matrix alone
+        assert [n for n, raised in calls if raised] == [4, 2, 1]  # the stack, its first half, the matrix
         assert verdicts == [True, False, True, True]
         assert verdicts == [_full_rank(g[None])[0] for g in G]
+
+    def test_one_deficient_matrix_in_a_large_stack_costs_log_calls(self, monkeypatch):
+        # Each level of halving costs two calls, one of which raises: 1 + 2 log2(1024) = 21.
+        rng = np.random.default_rng(10)
+        mats = [rng.uniform(-1.0, 1.0, (6, 3)) for _ in range(1024)]
+        mats[700] = np.column_stack([mats[700][:, :2], mats[700][:, :2].sum(axis=1)])
+        G = np.stack([A.T @ A for A in mats])
+        oracle = [_full_rank(g[None])[0] for g in G]
+        calls = self.count_cholesky(monkeypatch)
+        verdicts = _full_rank(G).tolist()
+        assert len(calls) <= 21
+        assert verdicts == oracle and verdicts.count(False) == 1 and not verdicts[700]
 
     def test_error_decomposition_euclidean(self):
         # max-coordinate error <= lambda_tilde(A) * ||A^T v / N||_2 per instance
@@ -203,7 +225,7 @@ class TestTrialGram:
         spec = ExperimentSpec(design, Gaussian(1.0), N=N, r=1.0, trials=trials, base_seed=N)
         return [
             (a[i].copy(), G[i])  # the next block reuses a's buffer
-            for a, G, u, _, _, _ in _trials(spec, 0, trials, (N,))
+            for a, G, u, _ in _trials(spec, 0, trials, (N,))
             for i in range(len(u))
         ]
 
@@ -229,7 +251,7 @@ class TestTrialGram:
             B = montecarlo.BLOCK_BYTES // (8 * N)
             spec = ExperimentSpec(design, Gaussian(1.0), N=N, r=1.0, trials=2 * B + 1, base_seed=N)
             A = design.sample(N, SeedSpec(N, 0, "design"))
-            grams = [G for _, G, _, _, _, _ in _trials(spec, 0, spec.trials, (N,))]
+            grams = [G for _, G, _, _ in _trials(spec, 0, spec.trials, (N,))]
             assert len(grams) == 3
             for G in grams:
                 assert G.shape == (1, design.p, design.p) and np.shares_memory(G, grams[0])
@@ -450,9 +472,12 @@ class TestUncovered:
         gram = P / (2.0 - 1e-9) + (I - P) / 0.1
         err = np.linalg.solve(gram, s_vec)
         assert np.max(np.abs(err)) == pytest.approx(1.475, abs=1e-8)
-        held = {100: [(0, err[None], s_vec[None], gram[None], np.full((1, 4), 0.125))]}
+        # Held at N = 128, a power of two, so G = N gram and a^T v = N s_vec
+        # divide back exactly and solve to err bit for bit.
+        assert _solve(128 * gram[None], 128 * s_vec[None])[0].tobytes() == err[None].tobytes()
+        held = {128: [(128 * gram[None], 128 * s_vec[None], np.full((1, 4), 0.125))]}
         counts = np.zeros((1, 6 + 2 * 4), dtype=np.int64)
-        montecarlo._count_held([(100, 1.0, 1.0)], held, True, counts)
+        montecarlo._count_held([(128, 1.0, 1.0)], held, True, counts)
         # exceedances, invalid, e_rand, lemma 1, identity, uncovered, then e2 and e3
         assert counts[0].tolist() == [1, 0, 0, 0, 0, 1] + [0] * 8
 
@@ -756,11 +781,11 @@ class TestOnePassSweep:
         design, sizes = self.DESIGNS[design]
         spec = ExperimentSpec(design, Uniform(1.0), N=max(sizes), r=1.0, trials=20, base_seed=5)
         distinct = tuple(dict.fromkeys(sizes))
-        one_pass = [(u.shape[1], row) for _, _, u, _, err, _ in _trials(spec, 0, spec.trials, distinct)
-                    for row in err]
+        one_pass = [(u.shape[1], row) for _, G, u, rhs in _trials(spec, 0, spec.trials, distinct)
+                    for row in _solve(G, rhs)[0]]
         for N in distinct:
-            own = [err for _, _, _, _, block, _ in _trials(replace(spec, N=N), 0, spec.trials, (N,))
-                   for err in block]
+            own = [err for _, G, _, rhs in _trials(replace(spec, N=N), 0, spec.trials, (N,))
+                   for err in _solve(G, rhs)[0]]
             prefix = [err for n, err in one_pass if n == N]
             assert len(prefix) == len(own) == spec.trials
             assert all(np.array_equal(a, b) for a, b in zip(prefix, own))
@@ -802,9 +827,9 @@ class TestOnePassSweep:
         law = type(args[0].noise)
         sample = law.sample
 
-        def counted(model, n, seed):
+        def counted(model, n, seed, out=None):
             calls.append(n)
-            return sample(model, n, seed)
+            return sample(model, n, seed, out)
 
         monkeypatch.setattr(law, "sample", counted)
         sweep(*args)
@@ -1027,12 +1052,12 @@ class TestTrialBlocks:
     @staticmethod
     def spy_held(monkeypatch):
         """Wrap _count_held to record, per call, the blocks and bytes of
-        statistics it is handed (each block's invalid count aside)."""
+        statistics it is handed (a non-random design's G, its plan's, aside)."""
         calls, count_held = [], montecarlo._count_held
 
         def spy(rows, held, random_design, counts):
             blocks = [block for blocks in held.values() for block in blocks]
-            calls.append((len(blocks), sum(x.nbytes for block in blocks for x in block[1:])))
+            calls.append((len(blocks), sum(x.nbytes for block in blocks for x in block[not random_design :])))
             count_held(rows, held, random_design, counts)
 
         monkeypatch.setattr(montecarlo, "_count_held", spy)
@@ -1068,6 +1093,20 @@ class TestTrialBlocks:
         assert sum(held for held, _ in calls) == 3 * blocks  # each block's statistics at each N, counted once
         assert counts[:, 2:].any()
 
+    def test_a_rank_deficient_trial_costs_log_factors(self, monkeypatch):
+        # 3 of 4,000 trials draw colliding sign columns at N = 12.  The chunk's
+        # one stacked factor raises, and halving finds each of them in at most
+        # 2 log2(4000) more calls; each still counts as invalid.
+        spec = ExperimentSpec(SIGNS_2, Gaussian(1.0), N=12, r=1.0, trials=4000, base_seed=5)
+        own = own_n_err_max(spec, 12)
+        invalid = sum(e is None for e in own)
+        calls = TestFullRankSolve.count_cholesky(monkeypatch)
+        counts = _sweep_chunk(spec, 0, spec.trials, [(12, 1.0, None)])
+        assert invalid == 3
+        assert counts[0].tolist() == [sum(e is not None and e > 1.0 for e in own), invalid]
+        assert calls[0] == (spec.trials, True)
+        assert len(calls) <= 1 + 2 * invalid * math.ceil(math.log2(spec.trials))
+
     @pytest.mark.parametrize(
         "design,sizes",
         [
@@ -1089,8 +1128,9 @@ class TestTrialBlocks:
         cuts = [0, 1, B - 1, B + 1, spec.trials]
         for a, b in [(0, spec.trials), *zip(cuts, cuts[1:])]:
             got = {N: [] for N in sizes}
-            for _, _, u, _, err, invalid in _trials(spec, a, b, sizes):
-                assert invalid == 0
+            for _, G, u, rhs in _trials(spec, a, b, sizes):
+                err, ok = _solve(G, rhs)
+                assert ok.all()
                 got[u.shape[1]].extend(err)
             for N in sizes:
                 assert len(got[N]) == b - a
@@ -1150,10 +1190,12 @@ class TestSegmentSums:
 
     @staticmethod
     def per_trial(spec, sizes):
-        """(N, a, G, err) of each trial and size that _trials yields, copied."""
+        """(N, a, G, err) of each trial and size that _trials yields, copied,
+        with err from _solve."""
         return [
             (u.shape[1], a[i].copy(), G[i].copy(), err[i].copy())
-            for a, G, u, _, err, _ in _trials(spec, 0, spec.trials, sizes)
+            for a, G, u, rhs in _trials(spec, 0, spec.trials, sizes)
+            for err in [_solve(G, rhs)[0]]
             for i in range(len(u))
         ]
 
@@ -1180,7 +1222,7 @@ class TestSegmentSums:
 
             monkeypatch.setattr(np.linalg, name, counted)
         whole = _sweep_chunk(spec, 0, spec.trials, rows)
-        assert calls == ["cholesky", "solve"] * 2  # one factor and one solve per block, for every size
+        assert calls == ["cholesky", "solve"]  # one factor and one solve for the chunk's two blocks and every size
         cuts = [0, 1, B - 1, B + 1, spec.trials]
         assert np.array_equal(whole, sum(_sweep_chunk(spec, a, b, rows) for a, b in zip(cuts, cuts[1:])))
         assert all(0 < exceed < spec.trials for exceed, _ in whole.tolist())
