@@ -4,8 +4,8 @@ Trials are independent tasks keyed by trial index; every random draw comes
 from a stream derived from (base_seed, trial, role), and aggregation is a
 commutative count-merge, so results do not depend on the worker count or
 execution order.  Trials run in blocks: stacked numpy calls form a block's
-sums, and solve and count a chunk's held statistics, at once, bit-identical to
-one call per trial, so results do not depend on the block size either.
+sums, and solve and count a chunk's statistics at once, bit-identical to one
+call per trial, so results do not depend on the block or chunk size either.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 INVALID_TRIAL_LIMIT = 1e-3
 LEMMA1_TOL = 1e-9
 IDENTITY_RTOL = 1e-10
-BLOCK_BYTES = 1 << 19  # draws held per block of trials
+BLOCK_BYTES = 1 << 19  # draws held per block of trials, and statistics per chunk
 SEGMENT_ELEMS = 1 << 19  # p^2 times the rows of one segment of a random design's Gram sums
 
 
@@ -130,17 +130,16 @@ def _stack(model, n: int, seed: int, trials: range, role: str, buf: np.ndarray) 
     return buf[: len(trials)]
 
 
-def _trials(spec: ExperimentSpec, start: int, stop: int, sizes, plan=None):
-    """Yield (a, G, u, rhs) for each block of up to B consecutive trials of
-    start..stop-1 and, within a block, for each N of sizes.  Each trial draws
-    its noise (and a random design) from its own (base_seed, trial, role)
-    stream, once at the largest N, in place into the block's buffers; every
-    sampler is prefix-consistent, so u is the block's (m, N) noise prefix.  a
-    is the design prefix and G = a^T a per matrix: (m, N, p) and (m, p, p) for
-    a random design, (1, N, p) and (1, p, p) for a non-random one, whose plan
-    (_measure_design's A and G, made here if None) holds the G of every block.
-    rhs holds each trial's a^T u as rows; _solve checks and solves them.  u,
-    and a of a random design, are views of buffers the next block refills.
+def _trials(spec: ExperimentSpec, start: int, stop: int, sizes, plan, diagnosed):
+    """Yield (G, rhs, diag) for each block of up to B consecutive trials of
+    start..stop-1.  Each trial draws its noise (and a random design) from its
+    own (base_seed, trial, role) stream, once at the largest N, in place into
+    the block's buffers; every sampler is prefix-consistent, so at each N of
+    sizes, a and u are the block's N-row design and noise prefixes.  G holds
+    a^T a per N and matrix, (sizes, m, p, p), or a non-random design's plan's
+    (sizes, 1, p, p); rhs, each trial's a^T u, (sizes, m, p), for _solve;
+    diag, the (m, p) diagonal sums ((a*a)^T (u*u))/N^2 of each N in diagnosed,
+    in sizes order.  No record is a view of a buffer that a block refills.
 
     A random design's G and a^T u add, in row order, the products of the
     whole segments of S = max(1, SEGMENT_ELEMS // p^2) rows from row 0 below N,
@@ -162,7 +161,7 @@ def _trials(spec: ExperimentSpec, start: int, stop: int, sizes, plan=None):
         seg = max(1, SEGMENT_ELEMS // (p * p))
         whole = n_max // seg * seg
     else:
-        A, G = plan or _measure_design(spec.design, sizes)
+        A, G = plan
         A, G = A[None], G[:, None]
     for lo in range(start, stop, block):
         trials = range(lo, min(lo + block, stop))
@@ -186,8 +185,9 @@ def _trials(spec: ExperimentSpec, start: int, stop: int, sizes, plan=None):
                     rhs[k] += rhs_cum[:, cut // seg - 1]
         else:
             rhs = np.stack([A[:, :N].swapaxes(-1, -2) @ V[:, :N, None] for N in sizes])
-        for k, N in enumerate(sizes):
-            yield A[:, :N], G[k], V[:, :N], rhs[k, ..., 0]
+        diag = [((A[:, :N] * A[:, :N]).swapaxes(-1, -2) @ (V[:, :N] * V[:, :N])[..., None])[..., 0] / N**2
+                for N in sizes if N in diagnosed]
+        yield G, rhs[..., 0], diag
 
 
 def _solve(G: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -199,52 +199,37 @@ def _solve(G: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.solve(np.where(ok[..., None, None], G, np.eye(p)), rhs[..., None])[..., 0], ok
 
 
-def _sweep_chunk(spec: ExperimentSpec, start: int, stop: int, rows, plan=None) -> np.ndarray:
-    """Counts of each (N, r, sigma_min) row over trials start..stop-1: its
-    exceedances of r and invalid trials, then, if any row sets sigma_min, its
-    e_rand, lemma-1 violation, identity violation and uncovered counts and its
-    e2 and e3 counts per coordinate (zero for a row without one).  Rows that
-    share an N share its solve, left to _count_held: the block loop holds, per
-    N, each block's G (a non-random design's is its plan's, not counted in
-    BLOCK_BYTES), a^T u and, if a row at N sets sigma_min, its diagonal sums,
-    which need the a and u that the next block refills.  _count_held counts
-    them before a block would pass BLOCK_BYTES, and at the end.
-    """
+def _sweep_chunk(spec: ExperimentSpec, start: int, stop: int, rows, plan) -> np.ndarray:
+    """_count's counts of rows over trials start..stop-1: _trials' records of
+    its blocks, each array joined on the trial axis, where a non-random
+    design keeps its plan's one G."""
     sizes = tuple(dict.fromkeys(N for N, _, _ in rows))
     diagnosed = {N for N, _, sigma_min in rows if sigma_min is not None}
-    p, random_design = spec.design.p, spec.design.random
-    counts = np.zeros((len(rows), 6 + 2 * p if diagnosed else 2), dtype=np.int64)
-    trial_bytes = 8 * p * sum(1 + p * random_design + (N in diagnosed) for N in sizes)  # held per trial
-    held, held_trials = {}, 0
-    for a, G, u, rhs in _trials(spec, start, stop, sizes, plan):
-        N = u.shape[1]
-        if N == sizes[0]:  # a block starts
-            if held_trials and (held_trials + len(u)) * trial_bytes > BLOCK_BYTES:
-                _count_held(rows, held, random_design, counts)
-                held_trials = 0
-            held_trials += len(u)
-        stats = (G, rhs)
-        if N in diagnosed:
-            stats += (((a * a).swapaxes(-1, -2) @ (u * u)[..., None])[..., 0] / N**2,)
-        held.setdefault(N, []).append(stats)
-    _count_held(rows, held, random_design, counts)
-    return counts
+    Gs, rhs, diag = zip(*_trials(spec, start, stop, sizes, plan, diagnosed))
+    G = np.concatenate(Gs, axis=1) if spec.design.random else Gs[0]
+    return _count(rows, G, np.concatenate(rhs, axis=1), [np.concatenate(sums) for sums in zip(*diag)])
 
 
-def _count_held(rows, held, random_design: bool, counts: np.ndarray) -> None:
-    """Add each row's counts over the blocks held for its N, then empty held.  Every N
-    holds the same trials, so one _solve serves all: on a (sizes, trials, p, p) stack
-    of G, or (sizes, 1, p, p) for a non-random design, whose G passed _full_rank."""
-    parts = [tuple(zip(*blocks)) for blocks in held.values()]  # per N: its blocks' G, rhs[, diagonal sums]
-    G = np.stack([np.concatenate(Gs if random_design else Gs[:1]) for Gs, *_ in parts])
-    rhs = np.stack([np.concatenate(rhs_blocks) for _, rhs_blocks, *_ in parts])
+def _count(rows, G: np.ndarray, rhs: np.ndarray, diag_sums) -> np.ndarray:
+    """Counts of each (N, r, sigma_min) row over the trials of G, (sizes, trials,
+    p, p), or (sizes, 1, p, p) for a non-random design, whose G passed
+    _full_rank; rhs, (sizes, trials, p); and diag_sums, the (trials, p)
+    diagonal sums of each diagnosed N in sizes order.  Each row's exceedances
+    of r (a non-finite error exceeds) and invalid trials, then, if any row
+    sets sigma_min, its e_rand, lemma-1 violation, identity violation and
+    uncovered counts and its e2 and e3 counts per coordinate (zero for a row
+    without one).  Every N holds the same trials, so one _solve serves all."""
+    sizes = tuple(dict.fromkeys(N for N, _, _ in rows))
+    diagnosed = {N for N, _, sigma_min in rows if sigma_min is not None}
+    counts = np.zeros((len(rows), 6 + 2 * G.shape[-1] if diagnosed else 2), dtype=np.int64)
     err, ok = _solve(G, rhs)
-    for N, (_, _, *diag), G_N, rhs_N, err_N, ok_N in zip(held, parts, G, rhs, err, ok):
+    diag_sums = iter(diag_sums)
+    for N, G_N, rhs_N, err_N, ok_N in zip(sizes, G, rhs, err, ok):
         invalid = len(ok_N) - np.count_nonzero(ok_N)
         keep = ok_N if invalid else slice(None)
         err_max = np.max(np.abs(err_N[keep]), axis=1)
-        if diag:
-            s_vec, gram, diag_sum = rhs_N[keep] / N, G_N[keep] / N, np.concatenate(diag[0])[keep]
+        if N in diagnosed:
+            s_vec, gram, diag_sum = rhs_N[keep] / N, G_N[keep] / N, next(diag_sums)[keep]
             lam_min = np.linalg.eigvalsh(gram)[..., 0]
             lam_tilde = np.divide(1.0, lam_min, out=np.full_like(lam_min, np.inf), where=lam_min > 0)
             lam = np.broadcast_to(lam_tilde, len(err_max))
@@ -261,15 +246,15 @@ def _count_held(rows, held, random_design: bool, counts: np.ndarray) -> None:
         for k, (row_n, r, sigma_min) in enumerate(rows):
             if row_n != N:
                 continue
-            exceed = err_max > r
-            counts[k, :2] += (np.count_nonzero(exceed), invalid)
+            exceed = ~(err_max <= r)
+            counts[k, :2] = (np.count_nonzero(exceed), invalid)
             if sigma_min is not None:
                 e_rand, fired = lam > 2.0 / sigma_min, quad_sums > sigma_min**2 * r**2 / 8.0
                 uncovered = np.count_nonzero(exceed & ~e_rand & ~fired.any(axis=(0, 2)))
                 # A singular Gram certainly exceeds the eigenvalue limit.
-                counts[k, 2:6] += (invalid + np.count_nonzero(e_rand), lemma1_bad, identity_bad, uncovered)
-                counts[k, 6:] += np.count_nonzero(fired, axis=1).ravel()
-    held.clear()
+                counts[k, 2:6] = (invalid + np.count_nonzero(e_rand), lemma1_bad, identity_bad, uncovered)
+                counts[k, 6:] = np.count_nonzero(fired, axis=1).ravel()
+    return counts
 
 
 def _pool_init(spec: ExperimentSpec, rows, plan) -> None:
@@ -284,21 +269,28 @@ def _pooled_chunk(start: int, stop: int) -> np.ndarray:
 
 def _run_chunks(spec: ExperimentSpec, rows, workers: int) -> np.ndarray:
     """_sweep_chunk's counts of rows over all spec.trials trials (spec.N is
-    not used): one serial chunk, or four chunks per worker, planned before
-    the pool starts.  The caller runs a worker's share; the pool's workers - 1
-    processes, or one per task if fewer, each sent the pass once by its
-    initializer, run the rest as (start, stop) tasks."""
+    not used), planned once before any trial: a non-random design measured,
+    and chunks of at most BLOCK_BYTES of held statistics, or one trial, and at
+    most ceil(trials / (4 workers)) trials if pooled.  The caller runs a
+    worker's share; the pool's workers - 1 processes, or one per task if
+    fewer, each sent the pass once by its initializer, run the rest as
+    (start, stop) tasks."""
     try:
         workers = operator.index(workers)
     except TypeError as exc:
         raise ParameterError(f"workers must be an integer, got {workers!r}") from exc
     if workers < 1:
         raise ParameterError(f"workers must be at least 1, got {workers}")
-    if workers == 1 or spec.trials < 256:
-        return _sweep_chunk(spec, 0, spec.trials, rows)
-    plan = None if spec.design.random else _measure_design(spec.design, tuple(dict.fromkeys(N for N, _, _ in rows)))
-    step = math.ceil(spec.trials / min(spec.trials, workers * 4))
+    sizes = tuple(dict.fromkeys(N for N, _, _ in rows))
+    diagnosed = {N for N, _, sigma_min in rows if sigma_min is not None}
+    p, random_design = spec.design.p, spec.design.random
+    plan = None if random_design else _measure_design(spec.design, sizes)
+    held = 8 * p * sum(1 + p * random_design + (N in diagnosed) for N in sizes)  # a trial's rhs, G, diagonal sums
+    serial = workers == 1 or spec.trials < 256
+    step = min(math.ceil(spec.trials / (1 if serial else min(spec.trials, 4 * workers))), max(1, BLOCK_BYTES // held))
     chunks = [(a, min(a + step, spec.trials)) for a in range(0, spec.trials, step)]
+    if serial:
+        return sum(_sweep_chunk(spec, a, b, rows, plan) for a, b in chunks)
     own = len(chunks) // workers
     processes = min(workers - 1, len(chunks) - own)  # no more than its tasks
     with ProcessPoolExecutor(max_workers=processes, initializer=_pool_init, initargs=(spec, rows, plan)) as pool:

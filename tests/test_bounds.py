@@ -291,6 +291,14 @@ class TestNRand:
     def test_clamped_beyond_factor(self):
         assert bounds.n_rand(20.0, 12.0, UNIT) == 0.0
 
+    @pytest.mark.parametrize(
+        "eps_arg,p_factor,name", [(0.0, 12.0, "eps_arg"), (-0.1, 12.0, "eps_arg"), (0.05, 0.0, "p_factor"),
+                                  (0.05, -3.0, "p_factor")]
+    )
+    def test_rejects_a_non_positive_argument(self, eps_arg, p_factor, name):
+        with pytest.raises(ParameterError, match=f"{name} must be positive"):
+            bounds.n_rand(eps_arg, p_factor, UNIT)
+
 
 class TestNMain:
     def test_term_composition(self):
@@ -388,6 +396,13 @@ class TestBoundFor:
     def test_dispatches_to_the_tagged_function(self, tag):
         params = replace(UNIT, b=1.0)
         assert bounds.bound_for(tag, ACC, params) == bounds.BOUND_FUNCTIONS[tag](ACC, params)
+
+    def test_no_positive_cross_term_slack_is_a_parameter_error(self):
+        # Finite inputs at the edge of the float range leave the cross term's
+        # exponent no positive slack on its domain.
+        params = ProblemParams(p=2, alpha=1e-50, R=1e-20, sigma_min=1e-150, sigma_max=1e-150)
+        with pytest.raises(ParameterError, match="no positive slack"):
+            bounds.bound_for("main", Accuracy(1e-5, 0.05), params)
 
     def test_unknown_tag_names_the_choices(self):
         # One check for both dispatchers; main_tau is known but has no outage.
@@ -591,6 +606,13 @@ class TestParamValidation:
         params = ProblemParams(p=np.int64(2), alpha=1.0, sigma_min=1.0, sigma_max=1.0, R=1.0)
         assert type(params.p) is int and params == replace(params, p=2)
         assert type(bounds.bound_for("fixed_mds", Accuracy(1000, 0.9), params).n_ceil) is int
+
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    @pytest.mark.parametrize("name", ["alpha", "sigma_min", "R", "b"])
+    def test_non_positive_rejected(self, name, value):
+        fields = dict(p=2, alpha=1.0, sigma_min=1.0, sigma_max=1.0, R=1.0, b=1.0)
+        with pytest.raises(ParameterError, match=f"{name} must be positive"):
+            ProblemParams(**{**fields, name: value})
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("name", ["alpha", "sigma_min", "sigma_max", "R", "b"])

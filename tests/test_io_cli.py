@@ -707,6 +707,11 @@ class TestPresetSmoke:
 
 
 class TestRunFigurePaths:
+    def test_an_unknown_figure_is_rejected_before_any_output(self, tmp_path):
+        with pytest.raises(ParameterError, match="unknown figure 'fig9'"):
+            reproduce("fig9", tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_a_path_count_unlike_the_panel_count_is_rejected_before_any_trial(self, tmp_path, monkeypatch):
         def no_trials(*args):
             raise AssertionError("a trial ran")

@@ -409,7 +409,7 @@ class TestFixedMatrix:
         with pytest.raises(ParameterError):
             ToeplitzPilot(pilots=(1.0, 0.5), p=1)
 
-    @pytest.mark.parametrize("p", [2.5, 2.0, "2"])
+    @pytest.mark.parametrize("p", [2.5, 2.0, "2", 0])
     def test_pilot_width_must_be_an_integer_when_made(self, p):
         # Not later, in sample, where a float width raised TypeError.
         with pytest.raises(ParameterError, match="p must be a positive integer"):
@@ -435,6 +435,24 @@ class TestFixedMatrix:
 def test_nan_fails_the_sign_checks(build):
     with pytest.raises(ParameterError):
         build(math.nan)
+
+
+@pytest.mark.parametrize(
+    "build,match",
+    [
+        (lambda: GaussianMixture(2.0, 1.0, 0.5), "sigma_small <= sigma_large"),
+        (lambda: GaussianMixture(0.5, 1.0, 0.0), r"weight_large must lie in \(0,1\)"),
+        (lambda: GaussianMixture(0.5, 1.0, 1.0), r"weight_large must lie in \(0,1\)"),
+        (lambda: FirMds(taps=(), jammer_scale=0.1, receiver=Gaussian(0.1)), "at least one tap"),
+        (lambda: IidBoundedColumns((1.0,), "gaussian"), "entry_law must be one of"),
+        (lambda: random_pilots(0, SeedSpec(0, 0, "design")), "length must be positive"),
+    ],
+    ids=["mixture-sigma-order", "mixture-weight-0", "mixture-weight-1", "fir-no-taps", "iid-entry-law",
+         "pilots-length-0"],
+)
+def test_rejects_arguments_outside_the_domain(build, match):
+    with pytest.raises(ParameterError, match=match):
+        build()
 
 
 def _plain_rademacher(rng, shape):

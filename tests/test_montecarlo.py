@@ -23,12 +23,14 @@ from lsqbounds.models import (
     ToeplitzPilot,
     Uniform,
     UniformPlusGaussian,
+    _measure_design,
     implied_problem_params,
 )
 from lsqbounds.montecarlo import (
     EventDiagnostics,
     ExperimentSpec,
     SimulationQualityError,
+    _count,
     _event_diagnostics,
     _full_rank,
     _run_chunks,
@@ -49,6 +51,18 @@ from lsqbounds.presets import FIGURES, channel_pilot_design, fig2_models, fig5_m
 from helpers import gaussian_cdf
 
 ALL_ONES_4x1 = FixedMatrix(np.ones((4, 1)))
+
+
+def plan_of(spec: ExperimentSpec, sizes):
+    """The plan _run_chunks makes for a pass at sizes: None for a random
+    design, else _measure_design's."""
+    return None if spec.design.random else _measure_design(spec.design, tuple(dict.fromkeys(sizes)))
+
+
+def chunk_counts(spec: ExperimentSpec, start: int, stop: int, rows) -> np.ndarray:
+    """_sweep_chunk's counts of rows over trials start..stop-1, with the plan
+    that _run_chunks makes for them."""
+    return _sweep_chunk(spec, start, stop, rows, plan_of(spec, [N for N, _, _ in rows]))
 
 
 def exact_sign_tail(N: int, r: float) -> float:
@@ -221,20 +235,20 @@ class TestTrialGram:
     matrix."""
 
     @staticmethod
-    def grams(design, N, trials=4):
-        spec = ExperimentSpec(design, Gaussian(1.0), N=N, r=1.0, trials=trials, base_seed=N)
-        return [
-            (a[i].copy(), G[i])  # the next block reuses a's buffer
-            for a, G, u, _ in _trials(spec, 0, trials, (N,))
-            for i in range(len(u))
-        ]
+    def grams(spec):
+        """The G of each block that _trials yields for spec at spec.N alone."""
+        return [G[0] for G, _, _ in _trials(spec, 0, spec.trials, (spec.N,), plan_of(spec, (spec.N,)), set())]
 
     @pytest.mark.parametrize("law", ["scaled-uniform", "scaled-rademacher"])
     @pytest.mark.parametrize("p", range(1, 9))
     def test_random_design(self, law, p):
         design = IidBoundedColumns(tuple(0.3 + 0.2 * k for k in range(p)), law)
         for N in (p + 1, 97, 6000):
-            for A, G in self.grams(design, N):
+            spec = ExperimentSpec(design, Gaussian(1.0), N=N, r=1.0, trials=4, base_seed=N)
+            grams = np.concatenate(self.grams(spec))
+            assert len(grams) == spec.trials
+            for t, G in enumerate(grams):
+                A = design.sample(N, SeedSpec(N, t, "design"))  # trial t's own draw
                 assert np.array_equal(G, G.T)
                 assert np.array_equal(G, segment_product(A, A.copy()))
 
@@ -251,7 +265,7 @@ class TestTrialGram:
             B = montecarlo.BLOCK_BYTES // (8 * N)
             spec = ExperimentSpec(design, Gaussian(1.0), N=N, r=1.0, trials=2 * B + 1, base_seed=N)
             A = design.sample(N, SeedSpec(N, 0, "design"))
-            grams = [G for _, G, _, _ in _trials(spec, 0, spec.trials, (N,))]
+            grams = self.grams(spec)
             assert len(grams) == 3
             for G in grams:
                 assert G.shape == (1, design.p, design.p) and np.shares_memory(G, grams[0])
@@ -318,7 +332,19 @@ class TestRunTail:
         # A fourth row makes N = 4 full rank; the sweep's sizes run 4, 3, 5.
         spec = replace(spec, design=FixedMatrix(np.array(rows + [[1.0, 0.0], [0.0, 0.0]])), N=5)
         with pytest.raises(SimulationQualityError, match="rank deficient at N = 3"):
-            _sweep_chunk(spec, 0, 10, [(4, 0.5, None), (3, 0.5, None), (5, 0.5, None)])
+            _run_chunks(spec, [(4, 0.5, None), (3, 0.5, None), (5, 0.5, None)], 1)
+
+    # Each draw overflows or is infinite, so every error is inf or nan; such an
+    # error counts as an exceedance, and numpy warns of it.
+    @pytest.mark.parametrize(
+        "noise", [Uniform(1e308), Gaussian(math.inf), GaussianMixture(1.0, 1e308, 0.5)],
+        ids=["uniform-1e308", "gaussian-inf", "mixture-1e308"],
+    )
+    def test_a_non_finite_error_counts_as_an_exceedance(self, noise):
+        spec = ExperimentSpec(IidBoundedColumns((1.0, 1.0)), noise, N=10, r=0.5, trials=50, base_seed=1)
+        with pytest.warns(RuntimeWarning):
+            est = run_tail(spec)
+        assert (est.exceed_count, est.invalid_trials) == (50, 0)
 
     def test_fixed_rank_deficient_fails_before_any_pool(self, monkeypatch):
         started = []
@@ -475,9 +501,7 @@ class TestUncovered:
         # Held at N = 128, a power of two, so G = N gram and a^T v = N s_vec
         # divide back exactly and solve to err bit for bit.
         assert _solve(128 * gram[None], 128 * s_vec[None])[0].tobytes() == err[None].tobytes()
-        held = {128: [(128 * gram[None], 128 * s_vec[None], np.full((1, 4), 0.125))]}
-        counts = np.zeros((1, 6 + 2 * 4), dtype=np.int64)
-        montecarlo._count_held([(128, 1.0, 1.0)], held, True, counts)
+        counts = _count([(128, 1.0, 1.0)], 128 * gram[None, None], 128 * s_vec[None, None], [np.full((1, 4), 0.125)])
         # exceedances, invalid, e_rand, lemma 1, identity, uncovered, then e2 and e3
         assert counts[0].tolist() == [1, 0, 0, 0, 0, 1] + [0] * 8
 
@@ -493,7 +517,7 @@ class TestUncovered:
         design, noise = FIGURES[figure].panels[panel].models(71)
         sigma_min = implied_problem_params(design, noise).sigma_min
         spec = ExperimentSpec(design, noise, N=N, r=r, trials=2000, base_seed=71)
-        counts = _sweep_chunk(spec, 0, spec.trials, [(N, r, sigma_min)])[0]
+        counts = chunk_counts(spec, 0, spec.trials, [(N, r, sigma_min)])[0]
         assert (counts[0], counts[5]) == (exceedances, 0)
 
 
@@ -770,7 +794,7 @@ class TestOnePassSweep:
             r = float(min(gaps, key=lambda m: abs(m - np.quantile(vals, q))))
             rows.append((N, r))
             expected.append([sum(e > r for e in valid), len(errs) - len(valid)])
-        counts = _sweep_chunk(spec, 0, spec.trials, tuple((N, r, None) for N, r in rows)).tolist()
+        counts = chunk_counts(spec, 0, spec.trials, tuple((N, r, None) for N, r in rows)).tolist()
         assert counts == expected
         assert all(exceed > 0 for exceed, _ in counts)
         if design.p == 2 and design.entry_law == "scaled-rademacher":
@@ -781,11 +805,11 @@ class TestOnePassSweep:
         design, sizes = self.DESIGNS[design]
         spec = ExperimentSpec(design, Uniform(1.0), N=max(sizes), r=1.0, trials=20, base_seed=5)
         distinct = tuple(dict.fromkeys(sizes))
-        one_pass = [(u.shape[1], row) for _, G, u, rhs in _trials(spec, 0, spec.trials, distinct)
-                    for row in _solve(G, rhs)[0]]
+        one_pass = [(N, row) for G, rhs, _ in _trials(spec, 0, spec.trials, distinct, plan_of(spec, distinct), set())
+                    for N, errs in zip(distinct, _solve(G, rhs)[0]) for row in errs]
         for N in distinct:
-            own = [err for _, G, _, rhs in _trials(replace(spec, N=N), 0, spec.trials, (N,))
-                   for err in _solve(G, rhs)[0]]
+            own = [err for G, rhs, _ in _trials(replace(spec, N=N), 0, spec.trials, (N,), plan_of(spec, (N,)), set())
+                   for err in _solve(G, rhs)[0][0]]
             prefix = [err for n, err in one_pass if n == N]
             assert len(prefix) == len(own) == spec.trials
             assert all(np.array_equal(a, b) for a, b in zip(prefix, own))
@@ -890,7 +914,7 @@ class TestPooledPass:
         assert pools == [workers - 1]
         assert tasks and all(len(args) == 2 and all(type(a) is int for a in args) for args in tasks)
         assert os.getpid() in pids
-        assert np.array_equal(counts, sweep_chunk(spec, 0, spec.trials, rows))
+        assert np.array_equal(counts, chunk_counts(spec, 0, spec.trials, rows))
 
     def test_a_pool_starts_no_more_processes_than_tasks(self, monkeypatch):
         # 256 trials at 300 workers make 256 one-trial tasks, and none for the caller.
@@ -921,7 +945,7 @@ class TestPooledPass:
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
         counts = _run_chunks(spec, rows, 300)
         assert pools == [256] and len(tasks) == 256
-        assert np.array_equal(counts, _sweep_chunk(spec, 0, spec.trials, rows))
+        assert np.array_equal(counts, chunk_counts(spec, 0, spec.trials, rows))
 
 
 def oracle_diagnostics(spec: ExperimentSpec) -> EventDiagnostics:
@@ -1022,8 +1046,8 @@ class TestTrialBlocks:
         monkeypatch.setattr(np.linalg, "cholesky", counted)
         rows = self.CASES[case][2]
         spec, ranges = self.split_spec(self.CASES[case])
-        whole = _sweep_chunk(spec, 0, spec.trials, [(N, r, None) for N, r in rows])
-        parts = [_sweep_chunk(spec, a, b, [(N, r, None) for N, r in rows]) for a, b in ranges]
+        whole = chunk_counts(spec, 0, spec.trials, [(N, r, None) for N, r in rows])
+        parts = [chunk_counts(spec, a, b, [(N, r, None) for N, r in rows]) for a, b in ranges]
         assert np.array_equal(whole, sum(parts))
         assert all(0 < exceed < spec.trials for exceed, _ in whole.tolist())
         if spec.design is SIGNS_2:
@@ -1042,25 +1066,25 @@ class TestTrialBlocks:
         spec, ranges = self.split_spec(self.CASES[case])
         sigma_min = implied_problem_params(spec.design, spec.noise, N_hint=spec.N).sigma_min
         rows = [(spec.N, spec.r, sigma_min)]
-        (whole,) = _sweep_chunk(spec, 0, spec.trials, rows)
-        parts = [_sweep_chunk(spec, a, b, rows)[0] for a, b in ranges]
+        (whole,) = chunk_counts(spec, 0, spec.trials, rows)
+        parts = [chunk_counts(spec, a, b, rows)[0] for a, b in ranges]
         assert np.array_equal(whole, sum(parts))
         diag = _event_diagnostics(spec.trials, whole)
         assert any(diag.freq_e2) and any(diag.freq_e3)
         assert (diag.freq_e_rand > 0) == (case == "rademacher")
 
     @staticmethod
-    def spy_held(monkeypatch):
-        """Wrap _count_held to record, per call, the blocks and bytes of
+    def spy_chunks(monkeypatch, random_design):
+        """Wrap _count to record, per chunk, its trials and the bytes of
         statistics it is handed (a non-random design's G, its plan's, aside)."""
-        calls, count_held = [], montecarlo._count_held
+        calls, count = [], montecarlo._count
 
-        def spy(rows, held, random_design, counts):
-            blocks = [block for blocks in held.values() for block in blocks]
-            calls.append((len(blocks), sum(x.nbytes for block in blocks for x in block[not random_design :])))
-            count_held(rows, held, random_design, counts)
+        def spy(rows, G, rhs, diag_sums):
+            held = [rhs, *diag_sums, *[G][: bool(random_design)]]
+            calls.append((rhs.shape[1], sum(x.nbytes for x in held)))
+            return count(rows, G, rhs, diag_sums)
 
-        monkeypatch.setattr(montecarlo, "_count_held", spy)
+        monkeypatch.setattr(montecarlo, "_count", spy)
         return calls
 
     # Every row of a case diagnosed, beside an undiagnosed row at its largest
@@ -1071,13 +1095,13 @@ class TestTrialBlocks:
         spec, _ = self.split_spec(self.CASES[case])
         sigma_min = implied_problem_params(spec.design, spec.noise, N_hint=spec.N).sigma_min
         rows = [(N, r, sigma_min) for N, r in self.CASES[case][2]] + [(spec.N, spec.r, None)]
-        calls = self.spy_held(monkeypatch)
-        once = _sweep_chunk(spec, 0, spec.trials, rows), repr(run_event_diagnostics(spec))
-        assert len(calls) == 2  # one count for each run
-        monkeypatch.setattr(montecarlo, "BLOCK_BYTES", 1)  # one trial a block, counted before the next
+        calls = self.spy_chunks(monkeypatch, spec.design.random)
+        once = _run_chunks(spec, rows, 1), repr(run_event_diagnostics(spec))
+        assert len(calls) == 2  # one chunk for each run
+        monkeypatch.setattr(montecarlo, "BLOCK_BYTES", 1)  # one trial a block and a chunk
         calls.clear()
-        every = _sweep_chunk(spec, 0, spec.trials, rows), repr(run_event_diagnostics(spec))
-        assert len(calls) > spec.trials
+        every = _run_chunks(spec, rows, 1), repr(run_event_diagnostics(spec))
+        assert len(calls) == 2 * spec.trials
         assert np.array_equal(once[0], every[0]) and once[1] == every[1]
         assert (once[0][:, 1] > 0).tolist() == [case == "rademacher"] * len(rows)
 
@@ -1085,13 +1109,13 @@ class TestTrialBlocks:
         params = implied_problem_params(FIG3_DESIGN, FIG3_NOISE)
         spec = ExperimentSpec(FIG3_DESIGN, FIG3_NOISE, N=200, r=2.0, trials=2000, base_seed=13, diagnostics=True)
         rows = [(N, 2.0, params.sigma_min) for N in (200, 120, 60)]
-        calls = self.spy_held(monkeypatch)
-        counts = _sweep_chunk(spec, 0, spec.trials, rows)
-        assert len(calls) > 2 and all(nbytes <= montecarlo.BLOCK_BYTES for _, nbytes in calls)
+        calls = self.spy_chunks(monkeypatch, spec.design.random)
+        counts = _run_chunks(spec, rows, 1)
+        assert len(calls) > 2 and all(nbytes <= montecarlo.BLOCK_BYTES or trials == 1 for trials, nbytes in calls)
         assert max(nbytes for _, nbytes in calls) > montecarlo.BLOCK_BYTES // 2
-        blocks = math.ceil(spec.trials / (montecarlo.BLOCK_BYTES // (8 * spec.N * 5)))
-        assert sum(held for held, _ in calls) == 3 * blocks  # each block's statistics at each N, counted once
+        assert sum(trials for trials, _ in calls) == spec.trials  # each trial counted once
         assert counts[:, 2:].any()
+        assert np.array_equal(counts, chunk_counts(spec, 0, spec.trials, rows))  # as one chunk counts them
 
     def test_a_rank_deficient_trial_costs_log_factors(self, monkeypatch):
         # 3 of 4,000 trials draw colliding sign columns at N = 12.  The chunk's
@@ -1101,7 +1125,7 @@ class TestTrialBlocks:
         own = own_n_err_max(spec, 12)
         invalid = sum(e is None for e in own)
         calls = TestFullRankSolve.count_cholesky(monkeypatch)
-        counts = _sweep_chunk(spec, 0, spec.trials, [(12, 1.0, None)])
+        counts = chunk_counts(spec, 0, spec.trials, [(12, 1.0, None)])
         assert invalid == 3
         assert counts[0].tolist() == [sum(e is not None and e > 1.0 for e in own), invalid]
         assert calls[0] == (spec.trials, True)
@@ -1126,12 +1150,14 @@ class TestTrialBlocks:
             noise = (spec.noise.sample(N, SeedSpec(11, t, "noise")) for t in range(spec.trials))
             own[N] = [np.linalg.solve(A.T @ A, A.T @ v) for v in noise]
         cuts = [0, 1, B - 1, B + 1, spec.trials]
+        plan = _measure_design(design, sizes)
         for a, b in [(0, spec.trials), *zip(cuts, cuts[1:])]:
             got = {N: [] for N in sizes}
-            for _, G, u, rhs in _trials(spec, a, b, sizes):
+            for G, rhs, _ in _trials(spec, a, b, sizes, plan, set()):
                 err, ok = _solve(G, rhs)
                 assert ok.all()
-                got[u.shape[1]].extend(err)
+                for N, err_N in zip(sizes, err):
+                    got[N].extend(err_N)
             for N in sizes:
                 assert len(got[N]) == b - a
                 assert all(x.tobytes() == y.tobytes() for x, y in zip(got[N], own[N][a:b]))
@@ -1142,7 +1168,7 @@ class TestTrialBlocks:
         params = implied_problem_params(FIG3_DESIGN, FIG3_NOISE)
         spec = ExperimentSpec(FIG3_DESIGN, FIG3_NOISE, N=8, r=1.0, trials=300, base_seed=13, diagnostics=True)
         rows = [(200, 2.0, params.sigma_min), (120, 3.0, None), (200, 2.0, 0.8 * params.sigma_min)]
-        counts = _sweep_chunk(spec, 0, spec.trials, rows)
+        counts = chunk_counts(spec, 0, spec.trials, rows)
         assert counts[0, 2:].any() and counts[2, 2:].any() and not np.array_equal(counts[0], counts[2])
         for (N, r, sigma_min), row_counts in zip(rows, counts):
             own = replace(spec, N=N, r=r)
@@ -1150,7 +1176,7 @@ class TestTrialBlocks:
             if sigma_min is None:
                 assert not row_counts[2:].any()
             else:
-                assert np.array_equal(row_counts, _sweep_chunk(own, 0, spec.trials, [(N, r, sigma_min)])[0])
+                assert np.array_equal(row_counts, chunk_counts(own, 0, spec.trials, [(N, r, sigma_min)])[0])
                 if sigma_min == params.sigma_min:
                     assert _event_diagnostics(spec.trials, row_counts) == run_event_diagnostics(own)
 
@@ -1190,13 +1216,13 @@ class TestSegmentSums:
 
     @staticmethod
     def per_trial(spec, sizes):
-        """(N, a, G, err) of each trial and size that _trials yields, copied,
-        with err from _solve."""
+        """(N, G, err) of each trial and size that _trials yields, with err
+        from _solve."""
         return [
-            (u.shape[1], a[i].copy(), G[i].copy(), err[i].copy())
-            for a, G, u, rhs in _trials(spec, 0, spec.trials, sizes)
-            for err in [_solve(G, rhs)[0]]
-            for i in range(len(u))
+            (N, G_N[i], err_N[i])
+            for G, rhs, _ in _trials(spec, 0, spec.trials, sizes, None, set())
+            for N, G_N, err_N in zip(sizes, G, _solve(G, rhs)[0])
+            for i in range(len(G_N))
         ]
 
     def test_rows_bit_identical_to_own_n_runs(self, spec):
@@ -1206,7 +1232,8 @@ class TestSegmentSums:
             own = self.per_trial(replace(spec, N=N), (N,))
             rows = [row for row in swept if row[0] == N]
             assert len(rows) == len(own) == spec.trials
-            for (_, a, G, err), (_, _, G_own, err_own) in zip(rows, own):
+            for t, ((_, G, err), (_, G_own, err_own)) in enumerate(zip(rows, own)):
+                a = spec.design.sample(spec.N, SeedSpec(spec.base_seed, t, "design"))[:N]  # the sweep's draw
                 assert np.array_equal(G, G.T)
                 assert np.array_equal(G, segment_product(a, a.copy()))
                 assert G.tobytes() == G_own.tobytes() and err.tobytes() == err_own.tobytes()
@@ -1221,10 +1248,10 @@ class TestSegmentSums:
                 return f(*args)
 
             monkeypatch.setattr(np.linalg, name, counted)
-        whole = _sweep_chunk(spec, 0, spec.trials, rows)
+        whole = chunk_counts(spec, 0, spec.trials, rows)
         assert calls == ["cholesky", "solve"]  # one factor and one solve for the chunk's two blocks and every size
         cuts = [0, 1, B - 1, B + 1, spec.trials]
-        assert np.array_equal(whole, sum(_sweep_chunk(spec, a, b, rows) for a, b in zip(cuts, cuts[1:])))
+        assert np.array_equal(whole, sum(chunk_counts(spec, a, b, rows) for a, b in zip(cuts, cuts[1:])))
         assert all(0 < exceed < spec.trials for exceed, _ in whole.tolist())
         assert not whole[:, 1].any()
 
