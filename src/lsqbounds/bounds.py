@@ -52,6 +52,7 @@ from .params import (
     OutageBreakdown,
     ParameterError,
     ProblemParams,
+    as_count,
     make_breakdown,
     require_square_in_range,
 )
@@ -413,9 +414,7 @@ def l2_radius(r2: float, p: int) -> float:
     at radius r2 in dimension p."""
     if not (r2 > 0):
         raise ParameterError(f"r2 must be positive, got {r2}")
-    if p < 1:
-        raise ParameterError(f"p must be a positive integer, got {p}")
-    return r2 / math.sqrt(p)
+    return r2 / math.sqrt(as_count("p", p))
 
 
 BOUND_FUNCTIONS = {

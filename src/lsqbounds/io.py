@@ -77,7 +77,10 @@ def _parse_cell(name: str, text: str):
         if optional:
             return None
         raise ParameterError(f"column {name} must not be empty")
-    return kind(text)
+    try:
+        return kind(text)
+    except ValueError:
+        raise ParameterError(f"column {name} must be of type {kind.__name__}, got {text!r}") from None
 
 
 def write_result_csv(path: str | Path, rows: list[ResultRow]) -> None:

@@ -16,13 +16,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .params import ParameterError, ProblemParams, SimulationQualityError
+from .params import ParameterError, ProblemParams, SimulationQualityError, as_count, as_scale
 
 ROLE_IDS = {"design": 0, "noise": 1}
 
@@ -52,22 +51,17 @@ class SeedSpec:
     subkeys: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        # operator.index turns numpy integers into ints; a plain (int, int, ()) label skips it.
-        if type(self.base_seed) is not int or type(self.trial) is not int or self.subkeys != ():
-            try:
-                object.__setattr__(self, "base_seed", operator.index(self.base_seed))
-                object.__setattr__(self, "trial", operator.index(self.trial))
-                object.__setattr__(self, "subkeys", tuple(map(operator.index, self.subkeys)))
-            except TypeError as exc:
-                raise ParameterError(f"stream labels must be integers, got {self!r}") from exc
-            if self.subkeys and min(self.subkeys) < 0:
-                raise ParameterError(f"subkeys must be nonnegative, got {self.subkeys}")
+        # as_count turns numpy integers into ints; a plain (int, int >= 0, ()) label skips it.
+        if type(self.base_seed) is not int or type(self.trial) is not int or self.trial < 0 or self.subkeys != ():
+            if not isinstance(self.subkeys, (tuple, list)):
+                raise ParameterError(f"subkeys must be a sequence of integers, got {self.subkeys!r}")
+            object.__setattr__(self, "base_seed", as_count("base_seed", self.base_seed, 0))
+            object.__setattr__(self, "trial", as_count("trial", self.trial, 0))
+            object.__setattr__(self, "subkeys", tuple(as_count("subkey", k, 0) for k in self.subkeys))
         if not (0 <= self.base_seed < 2**64):
             raise ParameterError(f"base_seed must be a 64-bit unsigned int, got {self.base_seed}")
         if self.role not in ROLE_IDS:
             raise ParameterError(f"role must be one of {sorted(ROLE_IDS)}, got {self.role!r}")
-        if self.trial < 0:
-            raise ParameterError(f"trial index must be nonnegative, got {self.trial}")
 
     def generator(self) -> np.random.Generator:
         block, row = divmod(self.trial, _SEED_BLOCK)
@@ -175,8 +169,7 @@ class Gaussian:
     bound = None
 
     def __post_init__(self) -> None:
-        if not (self.sigma >= 0):
-            raise ParameterError(f"sigma must be nonnegative, got {self.sigma}")
+        as_scale("sigma", self.sigma)
 
     def sample(self, n: int, seed: SeedSpec, out: np.ndarray | None = None) -> np.ndarray:
         return _scale(seed.generator().standard_normal(n, out=out), self.sigma)
@@ -198,10 +191,10 @@ class GaussianMixture:
     bound = None
 
     def __post_init__(self) -> None:
-        if not (0 <= self.sigma_small <= self.sigma_large):
-            raise ParameterError(
-                f"need 0 <= sigma_small <= sigma_large, got {self.sigma_small}, {self.sigma_large}"
-            )
+        as_scale("sigma_small", self.sigma_small)
+        as_scale("sigma_large", self.sigma_large)
+        if not (self.sigma_small <= self.sigma_large):
+            raise ParameterError(f"need sigma_small <= sigma_large, got {self.sigma_small}, {self.sigma_large}")
         if not (0 < self.weight_large < 1):
             raise ParameterError(f"weight_large must lie in (0,1), got {self.weight_large}")
 
@@ -223,8 +216,7 @@ class Uniform:
     half_width: float
 
     def __post_init__(self) -> None:
-        if not (self.half_width >= 0):
-            raise ParameterError(f"half_width must be nonnegative, got {self.half_width}")
+        as_scale("half_width", self.half_width)
 
     def sample(self, n: int, seed: SeedSpec, out: np.ndarray | None = None) -> np.ndarray:
         return _centre(seed.generator().random(n, out=out), self.half_width)
@@ -246,12 +238,12 @@ class UniformPlusGaussian:
     bound = None
 
     def __post_init__(self) -> None:
-        if not (self.half_width >= 0 and self.sigma >= 0):
-            raise ParameterError("half_width and sigma must be nonnegative")
+        as_scale("half_width", self.half_width)
+        as_scale("sigma", self.sigma)
 
     def sample(self, n: int, seed: SeedSpec, out: np.ndarray | None = None) -> np.ndarray:
-        v = Uniform(self.half_width).sample(n, seed.child(0), out)
-        v += Gaussian(self.sigma).sample(n, seed.child(1))
+        v = _centre(seed.child(0).generator().random(n, out=out), self.half_width)  # Uniform's draw
+        v += _scale(seed.child(1).generator().standard_normal(n), self.sigma)  # Gaussian's draw
         return v
 
     @property
@@ -264,8 +256,7 @@ class Rademacher:
     scale: float
 
     def __post_init__(self) -> None:
-        if not (self.scale >= 0):
-            raise ParameterError(f"scale must be nonnegative, got {self.scale}")
+        as_scale("scale", self.scale)
 
     def sample(self, n: int, seed: SeedSpec, out: np.ndarray | None = None) -> np.ndarray:
         return _centre(_signs(seed.generator(), n, out), self.scale)
@@ -293,11 +284,10 @@ class FirMds:
     receiver: NoiseModel
 
     def __post_init__(self) -> None:
-        if len(self.taps) < 1:
-            raise ParameterError("FirMds needs at least one tap")
         object.__setattr__(self, "taps", tuple(float(t) for t in self.taps))
-        if not (self.jammer_scale >= 0):
-            raise ParameterError(f"jammer_scale must be nonnegative, got {self.jammer_scale}")
+        if not self.taps or not all(map(math.isfinite, self.taps)):
+            raise ParameterError(f"FirMds needs at least one tap, each finite, got {self.taps}")
+        as_scale("jammer_scale", self.jammer_scale)
 
     def sample(self, n: int, seed: SeedSpec, out: np.ndarray | None = None) -> np.ndarray:
         jam = _centre(_signs(seed.child(0).generator(), n), self.jammer_scale)
@@ -328,11 +318,6 @@ NoiseModel = Gaussian | GaussianMixture | Uniform | UniformPlusGaussian | Radema
 ENTRY_LAWS = ("scaled-rademacher", "scaled-uniform")
 
 
-def _check_rows(N: int, p: int) -> None:
-    if N <= p:
-        raise ParameterError(f"need N > p, got N = {N}, p = {p}")
-
-
 @dataclass(frozen=True)
 class IidBoundedColumns:
     """Independent zero-mean entries; column i has variance column_stddevs[i]^2.
@@ -348,9 +333,10 @@ class IidBoundedColumns:
     random = True
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "column_stddevs", tuple(float(x) for x in self.column_stddevs))
-        if len(self.column_stddevs) < 1 or any(not (sd > 0) for sd in self.column_stddevs):
-            raise ParameterError("column_stddevs must be a nonempty tuple of positive reals")
+        stddevs = tuple(as_scale("column_stddevs", sd) for sd in self.column_stddevs)
+        if not stddevs or 0 in stddevs:
+            raise ParameterError(f"column_stddevs must be a nonempty tuple of positive reals, got {stddevs}")
+        object.__setattr__(self, "column_stddevs", stddevs)
         if self.entry_law not in ENTRY_LAWS:
             raise ParameterError(f"entry_law must be one of {ENTRY_LAWS}, got {self.entry_law!r}")
 
@@ -366,7 +352,7 @@ class IidBoundedColumns:
     def sample(self, N: int, seed: SeedSpec, out: np.ndarray | None = None) -> np.ndarray:
         """An (N, p) draw, centred and scaled in place: in one multiply if every column has
         the same factor, else column by column (an (N, p) * (p,) broadcast is as slow as the draw)."""
-        _check_rows(N, self.p)
+        N = as_count("N", N, self.p + 1)
         rng = seed.generator()
         uniform = self.entry_law == "scaled-uniform"
         A = rng.random((N, self.p), out=out) if uniform else _signs(rng, (N, self.p), out)
@@ -395,16 +381,8 @@ class ToeplitzPilot:
         if symbols.ndim != 1 or np.any(np.abs(symbols) != 1.0):
             raise ParameterError("pilot symbols must be a sequence of +-1")
         object.__setattr__(self, "pilots", tuple(symbols.tolist()))
-        try:
-            object.__setattr__(self, "p", operator.index(self.p))
-        except TypeError as exc:
-            raise ParameterError(f"p must be a positive integer, got {self.p!r}") from exc
-        if self.p < 1:
-            raise ParameterError(f"p must be a positive integer, got {self.p}")
-        if len(self.pilots) <= self.p:
-            raise ParameterError(
-                f"need more than p = {self.p} pilot symbols, got {len(self.pilots)}"
-            )
+        object.__setattr__(self, "p", as_count("p", self.p))
+        as_count("the number of pilots", len(self.pilots), self.p + 1)
         symbols.flags.writeable = False
         object.__setattr__(self, "symbols", symbols)
 
@@ -414,7 +392,7 @@ class ToeplitzPilot:
         return ToeplitzPilot, (self.pilots, self.p)
 
     def sample(self, N: int, seed: SeedSpec) -> np.ndarray:
-        _check_rows(N, self.p)
+        N = as_count("N", N, self.p + 1)
         if N > len(self.pilots):
             raise ParameterError(
                 f"need at least N = {N} pilot symbols, have {len(self.pilots)}"
@@ -440,12 +418,19 @@ class FixedMatrix:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
+    # By value: equal shapes and entries; -0.0 + 0.0 is 0.0, so -0.0 hashes as 0.0 does.
+    def __eq__(self, other):
+        return np.array_equal(self.matrix, other.matrix) if type(other) is FixedMatrix else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.matrix.shape, (self.matrix + 0.0).tobytes()))
+
     @property
     def p(self) -> int:
         return self.matrix.shape[1]
 
     def sample(self, N: int, seed: SeedSpec) -> np.ndarray:
-        _check_rows(N, self.p)
+        N = as_count("N", N, self.p + 1)
         if N != self.matrix.shape[0]:
             raise ParameterError(
                 f"fixed matrix has {self.matrix.shape[0]} rows, requested N = {N}"
@@ -458,8 +443,7 @@ DesignModel = IidBoundedColumns | ToeplitzPilot | FixedMatrix
 
 def random_pilots(length: int, seed: SeedSpec) -> tuple[float, ...]:
     """Seeded +-1 training sequence of the given length."""
-    if length < 1:
-        raise ParameterError(f"length must be positive, got {length}")
+    length = as_count("length", length)
     return tuple(_centre(_signs(seed.generator(), length), 1.0))
 
 
@@ -506,9 +490,7 @@ def implied_problem_params(
         variances = [sd * sd for sd in design.column_stddevs]
         alpha, lam_min, lam_max = design.alpha, min(variances), max(variances)
     else:
-        if N_hint is None:
-            raise ParameterError("N_hint is required to materialize a non-random design")
-        A, (G,) = _measure_design(design, (N_hint,))
+        A, (G,) = _measure_design(design, (as_count("N_hint", N_hint),))
         eigs = np.linalg.eigvalsh(G / N_hint)
         lam_min, lam_max = float(eigs[0]), float(eigs[-1])
         alpha = float(np.max(np.abs(A)))

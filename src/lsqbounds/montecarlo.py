@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -21,7 +20,7 @@ import numpy as np
 from . import bounds
 from .io import ResultRow
 from .models import DesignModel, FixedMatrix, NoiseModel, SeedSpec, _full_rank, _measure_design, implied_problem_params
-from .params import Accuracy, ParameterError, ProblemParams, SimulationQualityError
+from .params import Accuracy, ParameterError, ProblemParams, SimulationQualityError, as_count
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -52,16 +51,9 @@ class ExperimentSpec:
     diagnostics: bool = False
 
     def __post_init__(self) -> None:
-        try:
-            object.__setattr__(self, "N", operator.index(self.N))
-            object.__setattr__(self, "trials", operator.index(self.trials))
-        except TypeError as exc:
-            raise ParameterError(f"N and trials must be integers, got {self.N!r} and {self.trials!r}") from exc
+        object.__setattr__(self, "N", as_count("N", self.N, self.design.p + 1))
+        object.__setattr__(self, "trials", as_count("trials", self.trials))
         object.__setattr__(self, "base_seed", SeedSpec(self.base_seed).base_seed)
-        if self.N <= self.design.p:
-            raise ParameterError(f"need N > p, got N = {self.N}, p = {self.design.p}")
-        if self.trials < 1:
-            raise ParameterError(f"trials must be >= 1, got {self.trials}")
         if not (0 < self.r < math.inf):
             raise ParameterError(f"r must be positive and finite, got {self.r}")
 
@@ -275,12 +267,7 @@ def _run_chunks(spec: ExperimentSpec, rows, workers: int) -> np.ndarray:
     worker's share; the pool's workers - 1 processes, or one per task if
     fewer, each sent the pass once by its initializer, run the rest as
     (start, stop) tasks."""
-    try:
-        workers = operator.index(workers)
-    except TypeError as exc:
-        raise ParameterError(f"workers must be an integer, got {workers!r}") from exc
-    if workers < 1:
-        raise ParameterError(f"workers must be at least 1, got {workers}")
+    workers = as_count("workers", workers)
     sizes = tuple(dict.fromkeys(N for N, _, _ in rows))
     diagnosed = {N for N, _, sigma_min in rows if sigma_min is not None}
     p, random_design = spec.design.p, spec.design.random
@@ -472,7 +459,7 @@ def find_empirical_n(
     """
     if not (eps > 0):
         raise ParameterError(f"eps must be positive, got {eps}")
-    n_lo = max(n_lo, spec.design.p + 1)
+    n_lo, n_hi = max(as_count("n_lo", n_lo), spec.design.p + 1), as_count("n_hi", n_hi)
     if n_hi < n_lo:
         raise ParameterError(f"empty range [{n_lo}, {n_hi}]")
     if eps >= 1.0:

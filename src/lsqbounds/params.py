@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import numbers
 import operator
+import sys
 from dataclasses import dataclass
 
 
@@ -17,6 +19,24 @@ class SimulationQualityError(RuntimeError):
     """The simulation cannot answer: a rank-deficient design, too many
     rank-deficient trials, or no sample count in the search range meets the
     target.  The CLI exits 4."""
+
+
+def as_count(name: str, value, minimum: int = 1) -> int:
+    """value as an int, if it is a Python or numpy integer of at least minimum."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+    if count < minimum:
+        raise ParameterError(f"{name} must be at least {minimum}, got {count}")
+    return count
+
+
+def as_scale(name: str, value) -> float:
+    """value as a float, if it is a finite nonnegative real."""
+    if not (isinstance(value, numbers.Real) and 0 <= value <= sys.float_info.max):
+        raise ParameterError(f"{name} must be finite and nonnegative, got {value!r}")
+    return float(value)
 
 
 def require_square_in_range(scales) -> None:
@@ -48,12 +68,7 @@ class ProblemParams:
     b: float | None = None
 
     def __post_init__(self) -> None:
-        try:
-            object.__setattr__(self, "p", operator.index(self.p))
-        except TypeError as exc:
-            raise ParameterError(f"p must be a positive integer, got {self.p!r}") from exc
-        if self.p < 1:
-            raise ParameterError(f"p must be a positive integer, got {self.p}")
+        object.__setattr__(self, "p", as_count("p", self.p))
         for name in ("alpha", "sigma_min", "sigma_max", "R", "b"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):

@@ -569,7 +569,7 @@ class TestL2Radius:
     def test_rejects_bad_input(self):
         with pytest.raises(ParameterError, match="r2 must be positive"):
             bounds.l2_radius(0.0, 4)
-        with pytest.raises(ParameterError, match="p must be a positive integer"):
+        with pytest.raises(ParameterError, match="p must be at least 1, got 0"):
             bounds.l2_radius(1.0, 0)
 
 
@@ -599,7 +599,7 @@ class TestParamValidation:
     @pytest.mark.parametrize("p", [2.0, "2", 0])
     def test_p_must_be_a_positive_integer(self, p):
         # A float p would make n_ceil, an int field, a float.
-        with pytest.raises(ParameterError, match="p must be a positive integer"):
+        with pytest.raises(ParameterError, match="^p must be (an integer|at least 1), got "):
             ProblemParams(p=p, alpha=1.0, sigma_min=1.0, sigma_max=1.0, R=1.0)
 
     def test_numpy_integer_p_becomes_an_int(self):

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import re
 from dataclasses import asdict, fields, replace
 from importlib import resources
 from typing import get_args
@@ -53,6 +54,7 @@ from lsqbounds.presets import (
     reproduce,
     run_figure,
 )
+from lsqbounds.svg import write_line_plot
 
 UNIT = ProblemParams(p=2, alpha=1.0, sigma_min=1.0, sigma_max=1.0, R=1.0)
 
@@ -88,6 +90,32 @@ class TestCsvRoundTrip:
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n", encoding="utf-8")
         with pytest.raises(ParameterError):
+            read_result_csv(path)
+
+    @pytest.mark.parametrize(
+        "column,text,message",
+        [
+            ("n_bound_real", "abc", "column n_bound_real must be of type float, got 'abc'"),
+            ("trials", "1.5", "column trials must be of type int, got '1.5'"),
+            ("p_hat", "", "column p_hat must not be empty"),
+        ],
+    )
+    def test_rejects_a_malformed_cell_naming_its_column(self, column, text, message, tmp_path):
+        path = tmp_path / "rows.csv"
+        write_result_csv(path, SAMPLE_ROWS[:1])
+        header, row = path.read_text(encoding="utf-8").splitlines()
+        cells = row.split(",")
+        cells[RESULT_COLUMNS.index(column)] = text
+        path.write_text(f"{header}\n{','.join(cells)}\n", encoding="utf-8")
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            read_result_csv(path)
+
+    def test_rejects_a_row_of_the_wrong_length(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        write_result_csv(path, SAMPLE_ROWS[:1])
+        path.write_text(path.read_text(encoding="utf-8").rstrip("\n") + ",7\n", encoding="utf-8")
+        n = len(RESULT_COLUMNS)
+        with pytest.raises(ParameterError, match=f"row has {n + 1} cells, expected {n}"):
             read_result_csv(path)
 
 
@@ -183,6 +211,17 @@ class TestRunConfigParsing:
         monkeypatch.setenv("LSQBOUNDS_SEED", "nope")
         with pytest.raises(ParameterError):
             default_seed()
+        for outside in (str(2**64), "-1"):
+            monkeypatch.setenv("LSQBOUNDS_SEED", outside)
+            with pytest.raises(ParameterError, match="LSQBOUNDS_SEED must be a 64-bit unsigned int"):
+                default_seed()
+
+    @pytest.mark.parametrize("axis", ["eps", "N"])
+    def test_eps_and_n_axes_require_r(self, axis):
+        doc = self.base_doc()
+        doc["axis"] = {"name": axis, "values": [0.05 if axis == "eps" else 64]}
+        with pytest.raises(ParameterError, match=f"^{axis}-axis runs need a base r$"):
+            parse_run_config(doc)
 
 
 def _valid_doc(design=None, noise=None, **top):
@@ -749,6 +788,11 @@ class TestFigurePlot:
         text = svg.read_text(encoding="utf-8")
         assert ">outage bound<" in text and ">outage p_hat<" in text
         assert ">N<" in text and "eps / p_hat" in text
+
+    def test_a_plot_with_no_points_is_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="nothing to plot"):
+            write_line_plot(tmp_path / "empty.svg", [("empty", [], [])])
+        assert not (tmp_path / "empty.svg").exists()
 
     def test_legend_from_a_config_path_is_escaped(self, tmp_path):
         # A simulate legend is named after the config's CSV path, which may

@@ -396,6 +396,13 @@ class TestFixedMatrix:
         M[0, 0] = 5.0
         assert m[0, 0] == 1.0
 
+    def test_compares_and_hashes_by_value(self):
+        m = np.array([[1.0, -0.0], [3.0, 4.0]])
+        a, b = FixedMatrix(m), FixedMatrix(m + 0.0)  # m + 0.0 holds 0.0 where m holds -0.0
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != FixedMatrix(m.T) and a != FixedMatrix(2 * m) and a != m.tolist()
+        assert FixedMatrix(np.ones((2, 2))) != FixedMatrix(np.ones((1, 4)))
+
     def test_rejects_nonfinite(self):
         with pytest.raises(ParameterError, match="finite"):
             FixedMatrix([[1.0, math.nan]])
@@ -412,29 +419,34 @@ class TestFixedMatrix:
     @pytest.mark.parametrize("p", [2.5, 2.0, "2", 0])
     def test_pilot_width_must_be_an_integer_when_made(self, p):
         # Not later, in sample, where a float width raised TypeError.
-        with pytest.raises(ParameterError, match="p must be a positive integer"):
+        with pytest.raises(ParameterError, match="^p must be (an integer|at least 1), got "):
             ToeplitzPilot((1.0, -1.0, 1.0, 1.0), p)
         model = ToeplitzPilot((1.0, -1.0, 1.0, 1.0), np.int64(2))
         assert type(model.p) is int and model.sample(3, SeedSpec(0, 0, "design")).shape == (3, 2)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
 @pytest.mark.parametrize(
-    "build",
+    "build,name",
     [
-        Gaussian,
-        Uniform,
-        Rademacher,
-        lambda x: UniformPlusGaussian(x, 1.0),
-        lambda x: UniformPlusGaussian(1.0, x),
-        lambda x: FirMds(taps=(1.0,), jammer_scale=x, receiver=Gaussian(0.1)),
-        lambda x: IidBoundedColumns((x, 1.0)),
+        (Gaussian, "sigma"),
+        (Uniform, "half_width"),
+        (Rademacher, "scale"),
+        (lambda x: UniformPlusGaussian(x, 0.0), "half_width"),
+        (lambda x: UniformPlusGaussian(1.0, x), "sigma"),
+        (lambda x: GaussianMixture(x, 1.0, 0.5), "sigma_small"),
+        (lambda x: GaussianMixture(0.1, x, 0.5), "sigma_large"),
+        (lambda x: FirMds(taps=(1.0,), jammer_scale=x, receiver=Gaussian(0.1)), "jammer_scale"),
+        (lambda x: IidBoundedColumns((x, 1.0)), "column_stddevs"),
     ],
-    ids=["gaussian", "uniform", "rademacher", "upg-half_width", "upg-sigma", "fir-jammer_scale",
-         "iid-column_stddevs"],
+    ids=["gaussian", "uniform", "rademacher", "upg-half_width", "upg-sigma", "mixture-sigma_small",
+         "mixture-sigma_large", "fir-jammer_scale", "iid-column_stddevs"],
 )
-def test_nan_fails_the_sign_checks(build):
-    with pytest.raises(ParameterError):
-        build(math.nan)
+def test_a_scale_must_be_finite_and_nonnegative(build, name, value):
+    # An infinite scale once passed the check not (x >= 0), and a run then
+    # counted every trial, drawn on inf or nan noise, as an exceedance.
+    with pytest.raises(ParameterError, match=f"^{name} must be finite and nonnegative, got {value}"):
+        build(value)
 
 
 @pytest.mark.parametrize(
@@ -444,11 +456,18 @@ def test_nan_fails_the_sign_checks(build):
         (lambda: GaussianMixture(0.5, 1.0, 0.0), r"weight_large must lie in \(0,1\)"),
         (lambda: GaussianMixture(0.5, 1.0, 1.0), r"weight_large must lie in \(0,1\)"),
         (lambda: FirMds(taps=(), jammer_scale=0.1, receiver=Gaussian(0.1)), "at least one tap"),
+        (lambda: FirMds(taps=(1.0, math.nan), jammer_scale=0.1, receiver=Gaussian(0.1)), "each finite"),
+        (lambda: FirMds(taps=(-math.inf,), jammer_scale=0.1, receiver=Gaussian(0.1)), "each finite"),
         (lambda: IidBoundedColumns((1.0,), "gaussian"), "entry_law must be one of"),
-        (lambda: random_pilots(0, SeedSpec(0, 0, "design")), "length must be positive"),
+        (lambda: IidBoundedColumns((1.0, 0.0)), "nonempty tuple of positive reals"),
+        (lambda: IidBoundedColumns(()), "nonempty tuple of positive reals"),
+        (lambda: random_pilots(0, SeedSpec(0, 0, "design")), "length must be at least 1, got 0"),
+        (lambda: random_pilots(2.5, SeedSpec(0, 0, "design")), "length must be an integer, got 2.5"),
+        (lambda: ToeplitzPilot((1.0, -1.0), 2), "the number of pilots must be at least 3, got 2"),
     ],
-    ids=["mixture-sigma-order", "mixture-weight-0", "mixture-weight-1", "fir-no-taps", "iid-entry-law",
-         "pilots-length-0"],
+    ids=["mixture-sigma-order", "mixture-weight-0", "mixture-weight-1", "fir-no-taps", "fir-nan-tap",
+         "fir-infinite-tap", "iid-entry-law", "iid-zero-stddev", "iid-no-stddevs", "pilots-length-0",
+         "pilots-length-2.5", "toeplitz-too-few-pilots"],
 )
 def test_rejects_arguments_outside_the_domain(build, match):
     with pytest.raises(ParameterError, match=match):
@@ -717,8 +736,7 @@ class TestConfigRoundTrip:
 
     def test_fixed_matrix_round_trip(self):
         model = FixedMatrix(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
-        again = design_from_config(design_to_config(model))
-        np.testing.assert_array_equal(again.matrix, model.matrix)
+        assert design_from_config(design_to_config(model)) == model
 
     def test_kinds_stay_in_their_union(self):
         with pytest.raises(ParameterError):

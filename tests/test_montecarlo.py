@@ -25,6 +25,7 @@ from lsqbounds.models import (
     UniformPlusGaussian,
     _measure_design,
     implied_problem_params,
+    random_pilots,
 )
 from lsqbounds.montecarlo import (
     EventDiagnostics,
@@ -45,7 +46,7 @@ from lsqbounds.montecarlo import (
     sweep,
     wilson_interval,
 )
-from lsqbounds.params import Accuracy, ParameterError
+from lsqbounds.params import Accuracy, ParameterError, ProblemParams
 from lsqbounds.presets import FIGURES, channel_pilot_design, fig2_models, fig5_models, fir_mds_with_param
 
 from helpers import gaussian_cdf
@@ -334,11 +335,11 @@ class TestRunTail:
         with pytest.raises(SimulationQualityError, match="rank deficient at N = 3"):
             _run_chunks(spec, [(4, 0.5, None), (3, 0.5, None), (5, 0.5, None)], 1)
 
-    # Each draw overflows or is infinite, so every error is inf or nan; such an
-    # error counts as an exceedance, and numpy warns of it.
+    # Each trial's draws or sums overflow, so every error is inf or nan; such
+    # an error counts as an exceedance, and numpy warns of it.
     @pytest.mark.parametrize(
-        "noise", [Uniform(1e308), Gaussian(math.inf), GaussianMixture(1.0, 1e308, 0.5)],
-        ids=["uniform-1e308", "gaussian-inf", "mixture-1e308"],
+        "noise", [Uniform(1e308), Gaussian(1e308), GaussianMixture(1.0, 1e308, 0.5)],
+        ids=["uniform-1e308", "gaussian-1e308", "mixture-1e308"],
     )
     def test_a_non_finite_error_counts_as_an_exceedance(self, noise):
         spec = ExperimentSpec(IidBoundedColumns((1.0, 1.0)), noise, N=10, r=0.5, trials=50, base_seed=1)
@@ -373,6 +374,12 @@ class TestRunTail:
                 ExperimentSpec(ALL_ONES_4x1, Rademacher(1.0), **{"N": 4, "r": 0.4, **bad})
         spec = ExperimentSpec(ALL_ONES_4x1, Rademacher(1.0), N=np.int64(4), r=0.4, trials=np.int64(10))
         assert type(spec.N) is int and type(spec.trials) is int
+
+    def test_specs_on_equal_fixed_matrices_are_equal(self):
+        spec = ExperimentSpec(FixedMatrix(np.eye(4, 3)), Rademacher(1.0), N=4, r=0.4)
+        same = replace(spec, design=FixedMatrix(np.eye(4, 3).copy()))
+        assert spec == same and hash(spec) == hash(same)
+        assert spec != replace(spec, design=FixedMatrix(2 * np.eye(4, 3)))
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_rejects_a_seed_outside_64_bits_when_made(self, seed):
@@ -1279,6 +1286,16 @@ class TestFindEmpiricalN:
         assert find_empirical_n(spec, eps=1.0, n_lo=3, n_hi=4096) == 3
         assert calls == []
 
+    def test_a_range_bound_that_is_not_an_integer_is_rejected_before_any_pass(self, monkeypatch):
+        # Such an n_hi once ran 7 passes, N = 10 ... 640, before ExperimentSpec
+        # rejected N = 1000.5.
+        calls = []
+        monkeypatch.setattr(montecarlo, "run_tail", lambda *args, **kw: calls.append(args) or run_tail(*args, **kw))
+        spec = ExperimentSpec(self.ALL_ONES, Gaussian(1.0), N=8, r=0.01, trials=20, base_seed=12)
+        with pytest.raises(ParameterError, match="n_hi must be an integer, got 1000.5"):
+            find_empirical_n(spec, 0.05, 10, 1000.5)
+        assert calls == []
+
     def test_empty_range_is_a_parameter_error_before_any_pass(self, monkeypatch):
         calls = []
         monkeypatch.setattr(montecarlo, "run_tail", lambda *args, **kwargs: calls.append(args))
@@ -1308,3 +1325,38 @@ class TestFindEmpiricalN:
         found = find_empirical_n(spec, eps=0.1, n_lo=4, n_hi=512)
         assert run_tail(replace(spec, N=found)).ci_high <= 0.1
         assert run_tail(replace(spec, N=found - 1)).ci_high > 0.1
+
+
+SMALL_SPEC = ExperimentSpec(ALL_ONES_4x1, Rademacher(1.0), N=4, r=0.4, trials=10)
+
+
+@pytest.mark.parametrize(
+    "build,name,minimum",
+    [
+        (lambda x: ProblemParams(p=x, alpha=1.0, sigma_min=1.0, sigma_max=1.0, R=1.0), "p", 1),
+        (lambda x: ToeplitzPilot((1.0, -1.0, 1.0, 1.0), x), "p", 1),
+        (lambda x: replace(SMALL_SPEC, N=x), "N", 2),
+        (lambda x: replace(SMALL_SPEC, trials=x), "trials", 1),
+        (lambda x: run_tail(SMALL_SPEC, workers=x), "workers", 1),
+        (lambda x: random_pilots(x, SeedSpec(0, 0, "design")), "length", 1),
+        (lambda x: bounds.l2_radius(1.0, x), "p", 1),
+        (lambda x: find_empirical_n(SMALL_SPEC, 1.0, x, 10), "n_lo", 1),
+        (lambda x: find_empirical_n(SMALL_SPEC, 1.0, 2, x), "n_hi", 1),
+        (lambda x: IidBoundedColumns((1.0,)).sample(x, SeedSpec(0, 0, "design")), "N", 2),
+        (lambda x: implied_problem_params(ToeplitzPilot((1.0, -1.0, 1.0), 1), Gaussian(1.0), x), "N_hint", 1),
+        (lambda x: SeedSpec(0, x), "trial", 0),
+        (lambda x: SeedSpec(0, 0, "noise", (1, x)), "subkey", 0),
+    ],
+    ids=["ProblemParams.p", "ToeplitzPilot.p", "ExperimentSpec.N", "ExperimentSpec.trials", "workers",
+         "random_pilots.length", "l2_radius.p", "find_empirical_n.n_lo", "find_empirical_n.n_hi",
+         "IidBoundedColumns.sample.N", "implied_problem_params.N_hint",
+         "SeedSpec.trial", "SeedSpec.subkey"],
+)
+def test_a_count_must_be_an_integer_of_at_least_its_minimum(build, name, minimum):
+    # Each count argument is read by params.as_count; each design here has
+    # p = 1, so its N must be at least 2.
+    for bad, rule in ((minimum + 1.5, "an integer"), (float(minimum + 1), "an integer"),
+                      (str(minimum + 1), "an integer"), (minimum - 1, f"at least {minimum}")):
+        with pytest.raises(ParameterError, match=f"^{name} must be {rule}, got "):
+            build(bad)
+    build(np.int64(minimum + 1))
