@@ -53,6 +53,7 @@ from .params import (
     ParameterError,
     ProblemParams,
     as_count,
+    as_positive,
     make_breakdown,
     require_square_in_range,
 )
@@ -208,10 +209,8 @@ def n_rand(eps_arg: float, p_factor: float, params: ProblemParams) -> float:
     ``p_factor`` is the numerator of the log argument: 3p or 2p when this term
     is consumed inside a three- or two-way union bound, p when used raw.
     """
-    if not (eps_arg > 0):
-        raise ParameterError(f"eps_arg must be positive, got {eps_arg}")
-    if not (p_factor > 0):
-        raise ParameterError(f"p_factor must be positive, got {p_factor}")
+    as_positive("eps_arg", eps_arg)
+    as_positive("p_factor", p_factor)
     return _n_rand_lead(params) * max(math.log(p_factor / eps_arg), 0.0)
 
 
@@ -361,8 +360,7 @@ def eps_of_n(r: float, N: float, params: ProblemParams) -> OutageBreakdown:
     is reported as 1 with its feasible flag cleared.
     """
     R = params.require_R()
-    if not (r > 0):
-        raise ParameterError(f"r must be positive, got {r}")
+    as_positive("r", r)
     n1_floor = _scaled_floor(4.0, R, r, params)
     if not (N > n1_floor):
         raise ParameterError(
@@ -412,9 +410,7 @@ def eps_of_n(r: float, N: float, params: ProblemParams) -> OutageBreakdown:
 def l2_radius(r2: float, p: int) -> float:
     """Sup-norm radius whose guarantee implies the Euclidean-norm guarantee
     at radius r2 in dimension p."""
-    if not (r2 > 0):
-        raise ParameterError(f"r2 must be positive, got {r2}")
-    return r2 / math.sqrt(as_count("p", p))
+    return as_positive("r2", r2) / math.sqrt(as_count("p", p))
 
 
 BOUND_FUNCTIONS = {
@@ -424,23 +420,24 @@ BOUND_FUNCTIONS = {
 }
 
 
-def _check_tag(theorem: str) -> None:
+def check_tag(theorem: str) -> str:
+    """theorem, if it is a bound tag of BOUND_FUNCTIONS."""
     if theorem not in BOUND_FUNCTIONS:
         raise ParameterError(f"unknown bound tag {theorem!r}; expected one of {sorted(BOUND_FUNCTIONS)}")
+    return theorem
 
 
 def bound_for(theorem: str, acc: Accuracy, params: ProblemParams) -> BoundBreakdown:
     """Dispatch a bound computation by tag."""
-    _check_tag(theorem)
-    return BOUND_FUNCTIONS[theorem](acc, params)
+    return BOUND_FUNCTIONS[check_tag(theorem)](acc, params)
 
 
 def eps_for(theorem: str, r: float, N: int, params: ProblemParams) -> float:
-    """Outage bound at positive (r, N) for the given bound family, clipped to 1.
-    main_tau has no outage expression (ParameterError)."""
-    _check_tag(theorem)
-    if not (r > 0 and N > 0):
-        raise ParameterError("r and N must be positive")
+    """Outage bound at a positive r and an integer N >= 1 for the given bound
+    family, clipped to 1.  main_tau has no outage expression (ParameterError)."""
+    check_tag(theorem)
+    as_positive("r", r)
+    N = as_count("N", N)
     if theorem == "main":
         if N <= _scaled_floor(4.0, params.require_R(), r, params):
             return 1.0

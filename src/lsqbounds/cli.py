@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import bounds
@@ -36,14 +36,7 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _params_from(args: argparse.Namespace) -> ProblemParams:
-    return ProblemParams(
-        p=args.p,
-        alpha=args.alpha,
-        sigma_min=args.sigma_min,
-        sigma_max=args.sigma_max,
-        R=args.R,
-        b=args.b,
-    )
+    return ProblemParams(**{f.name: getattr(args, f.name) for f in fields(ProblemParams)})
 
 
 def _cmd_bound_n(args: argparse.Namespace) -> int:

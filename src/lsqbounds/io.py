@@ -8,6 +8,7 @@ are read from its fields.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
@@ -15,9 +16,10 @@ from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-from .bounds import BOUND_FUNCTIONS
+from .bounds import check_tag
 from .models import DesignModel, NoiseModel, check_keys, json_value
-from .params import BoundBreakdown, OutageBreakdown, ParameterError
+from .params import (BoundBreakdown, OutageBreakdown, ParameterError, as_axis_values, as_count, as_fraction,
+                     as_positive, as_seed)
 
 SCHEMA_VERSION = "1"
 SEED_ENV_VAR = "LSQBOUNDS_SEED"
@@ -162,15 +164,13 @@ _LAYOUT = {
     **{name: name for name in _TYPES if all(name not in o.values() for o in _NESTED.values())},
     **_NESTED,
 }
-# The values run_config.schema.json allows beyond a key's JSON type.
+# Field -> the reader of the range run_config.schema.json gives it; the axis is read by as_axis_values.
 _RANGES = {
-    "theorem": (lambda v: v in BOUND_FUNCTIONS, f"one of {sorted(BOUND_FUNCTIONS)}"),
-    "axis_name": (lambda v: v in ("r", "eps", "N"), "r, eps, or N"),
-    "axis_values": (len, "a nonempty array"),
-    "r": (lambda v: v > 0, "positive"),
-    "eps": (lambda v: 0 < v < 1, "in (0, 1)"),
-    "trials": (lambda v: v >= 1, "at least 1"),
-    "base_seed": (lambda v: 0 <= v < 2**64, "a 64-bit unsigned int"),
+    "theorem": lambda name, tag: check_tag(tag),
+    "r": as_positive,
+    "eps": as_fraction,
+    "trials": as_count,
+    "base_seed": as_seed,
 }
 
 
@@ -179,13 +179,9 @@ def default_seed() -> int | None:
     raw = os.environ.get(SEED_ENV_VAR)
     if raw is None:
         return None
-    try:
-        seed = int(raw)
-    except ValueError:
-        raise ParameterError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
-    if not (0 <= seed < 2**64):
-        raise ParameterError(f"{SEED_ENV_VAR} must be a 64-bit unsigned int")
-    return seed
+    with contextlib.suppress(ValueError):  # as_seed rejects what is left a string
+        raw = int(raw)
+    return as_seed(SEED_ENV_VAR, raw)
 
 
 def _read(doc, layout: dict, prefix: str = "") -> dict:
@@ -198,10 +194,8 @@ def _read(doc, layout: dict, prefix: str = "") -> dict:
         if isinstance(name, dict):
             out.update(_read(doc[key], name, f"{prefix}{key}."))
         elif key in doc:
-            value = out[name] = json_value(doc[key], _TYPES[name], prefix + key)
-            allowed, text = _RANGES.get(name, (None, ""))
-            if allowed and not allowed(value):
-                raise ParameterError(f"{prefix}{key} must be {text}, got {value!r:.60}")
+            value = json_value(doc[key], _TYPES[name], prefix + key)
+            out[name] = _RANGES[name](prefix + key, value) if name in _RANGES else value
     return out
 
 
@@ -214,10 +208,9 @@ def parse_run_config(doc: dict) -> RunConfig:
             f"unsupported schema_version {version!r}; this build reads {SCHEMA_VERSION!r}"
         )
     got = _read({k: v for k, v in doc.items() if k != "schema_version"}, _LAYOUT)
-    if got["axis_name"] in ("eps", "N") and "r" not in got:
+    as_axis_values(got["axis_name"], got["axis_values"], got.get("eps"))
+    if got["axis_name"] != "r" and "r" not in got:
         raise ParameterError(f"{got['axis_name']}-axis runs need a base r")
-    if got["axis_name"] == "r" and "eps" not in got:
-        raise ParameterError("r-axis runs need a target eps")
     if "base_seed" not in got:  # read the variable only when the config has no seed
         got["base_seed"] = default_seed() or 0
     return RunConfig(**got)

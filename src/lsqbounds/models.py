@@ -21,7 +21,8 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .params import ParameterError, ProblemParams, SimulationQualityError, as_count, as_scale
+from .params import (ParameterError, ProblemParams, SimulationQualityError, as_count, as_fraction, as_positive,
+                     as_scale, as_seed)
 
 ROLE_IDS = {"design": 0, "noise": 1}
 
@@ -51,15 +52,14 @@ class SeedSpec:
     subkeys: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        # as_count turns numpy integers into ints; a plain (int, int >= 0, ()) label skips it.
-        if type(self.base_seed) is not int or type(self.trial) is not int or self.trial < 0 or self.subkeys != ():
+        # The readers turn numpy integers into ints; a plain (int seed, int >= 0, ()) label skips them.
+        if (type(self.base_seed) is not int or not 0 <= self.base_seed < 2**64
+                or type(self.trial) is not int or self.trial < 0 or self.subkeys != ()):
             if not isinstance(self.subkeys, (tuple, list)):
                 raise ParameterError(f"subkeys must be a sequence of integers, got {self.subkeys!r}")
-            object.__setattr__(self, "base_seed", as_count("base_seed", self.base_seed, 0))
+            object.__setattr__(self, "base_seed", as_seed("base_seed", self.base_seed))
             object.__setattr__(self, "trial", as_count("trial", self.trial, 0))
             object.__setattr__(self, "subkeys", tuple(as_count("subkey", k, 0) for k in self.subkeys))
-        if not (0 <= self.base_seed < 2**64):
-            raise ParameterError(f"base_seed must be a 64-bit unsigned int, got {self.base_seed}")
         if self.role not in ROLE_IDS:
             raise ParameterError(f"role must be one of {sorted(ROLE_IDS)}, got {self.role!r}")
 
@@ -195,8 +195,7 @@ class GaussianMixture:
         as_scale("sigma_large", self.sigma_large)
         if not (self.sigma_small <= self.sigma_large):
             raise ParameterError(f"need sigma_small <= sigma_large, got {self.sigma_small}, {self.sigma_large}")
-        if not (0 < self.weight_large < 1):
-            raise ParameterError(f"weight_large must lie in (0,1), got {self.weight_large}")
+        as_fraction("weight_large", self.weight_large)
 
     def sample(self, n: int, seed: SeedSpec, out: np.ndarray | None = None) -> np.ndarray:
         large = seed.child(0).generator().random(n) < self.weight_large
@@ -333,10 +332,9 @@ class IidBoundedColumns:
     random = True
 
     def __post_init__(self) -> None:
-        stddevs = tuple(as_scale("column_stddevs", sd) for sd in self.column_stddevs)
-        if not stddevs or 0 in stddevs:
-            raise ParameterError(f"column_stddevs must be a nonempty tuple of positive reals, got {stddevs}")
+        stddevs = tuple(as_positive("column_stddevs", sd) for sd in self.column_stddevs)
         object.__setattr__(self, "column_stddevs", stddevs)
+        as_count("the number of column_stddevs", len(stddevs))
         if self.entry_law not in ENTRY_LAWS:
             raise ParameterError(f"entry_law must be one of {ENTRY_LAWS}, got {self.entry_law!r}")
 

@@ -20,7 +20,8 @@ import numpy as np
 from . import bounds
 from .io import ResultRow
 from .models import DesignModel, FixedMatrix, NoiseModel, SeedSpec, _full_rank, _measure_design, implied_problem_params
-from .params import Accuracy, ParameterError, ProblemParams, SimulationQualityError, as_count
+from .params import (Accuracy, ParameterError, ProblemParams, SimulationQualityError, as_axis_values, as_count,
+                     as_positive, as_seed)
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -53,9 +54,8 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "N", as_count("N", self.N, self.design.p + 1))
         object.__setattr__(self, "trials", as_count("trials", self.trials))
-        object.__setattr__(self, "base_seed", SeedSpec(self.base_seed).base_seed)
-        if not (0 < self.r < math.inf):
-            raise ParameterError(f"r must be positive and finite, got {self.r}")
+        object.__setattr__(self, "base_seed", as_seed("base_seed", self.base_seed))
+        as_positive("r", self.r)
 
 
 @dataclass(frozen=True)
@@ -364,15 +364,8 @@ def _sweep_rows(
     fixed_design_bound's self-consistent N on the r and eps axes.  A
     FixedMatrix has only its own row count, so it runs on the N axis alone.
     """
-    values = list(axis_values)
-    if not values:
-        raise ParameterError("axis must be nonempty")
-    if axis_name not in ("r", "eps", "N"):
-        raise ParameterError(f"axis_name must be r, eps, or N, got {axis_name!r}")
-    if axis_name == "N" and not all(float(v).is_integer() for v in values):
-        raise ParameterError(f"N-axis values must be integers, got {values}")
-    if axis_name == "r" and eps is None:
-        raise ParameterError("r-axis sweeps need a target eps")
+    values = as_axis_values(axis_name, axis_values, eps)
+    bounds.check_tag(theorem)
     random_design = base.design.random
     if random_design == (theorem in bounds.KNOWN_DESIGN):  # such a bound measures the matrix each row runs
         raise ParameterError(
@@ -455,10 +448,9 @@ def find_empirical_n(
 
     Each N runs once.  The returned N passes and N - 1 fails unless
     N = n_lo; under a tail that falls with N, that N is the smallest.
-    eps must be positive; an eps >= 1 returns n_lo without a pass.
+    eps is read by as_positive; an eps >= 1 returns n_lo without a pass.
     """
-    if not (eps > 0):
-        raise ParameterError(f"eps must be positive, got {eps}")
+    as_positive("eps", eps)
     n_lo, n_hi = max(as_count("n_lo", n_lo), spec.design.p + 1), as_count("n_hi", n_hi)
     if n_hi < n_lo:
         raise ParameterError(f"empty range [{n_lo}, {n_hi}]")

@@ -22,9 +22,9 @@ class SimulationQualityError(RuntimeError):
 
 
 def as_count(name: str, value, minimum: int = 1) -> int:
-    """value as an int, if it is a Python or numpy integer of at least minimum."""
+    """value as an int, if it is a Python or numpy integer, not a bool, of at least minimum."""
     try:
-        count = operator.index(value)
+        count = operator.index(None if isinstance(value, bool) else value)
     except TypeError:
         raise ParameterError(f"{name} must be an integer, got {value!r}") from None
     if count < minimum:
@@ -32,11 +32,49 @@ def as_count(name: str, value, minimum: int = 1) -> int:
     return count
 
 
+def as_seed(name: str, value) -> int:
+    """value as an int, if it is a Python or numpy integer in [0, 2**64)."""
+    seed = as_count(name, value, 0)
+    if seed >= 2**64:
+        raise ParameterError(f"{name} must be a 64-bit unsigned int, got {seed}")
+    return seed
+
+
+def _real(name: str, value, inside, rule: str) -> float:
+    """value as a float, if it is a real, not a bool, and inside(value); float and int skip the slow ABC check."""
+    if isinstance(value, bool) or not (isinstance(value, (float, int, numbers.Real)) and inside(value)):
+        raise ParameterError(f"{name} must {rule}, got {value!r}")
+    return float(value)
+
+
 def as_scale(name: str, value) -> float:
     """value as a float, if it is a finite nonnegative real."""
-    if not (isinstance(value, numbers.Real) and 0 <= value <= sys.float_info.max):
-        raise ParameterError(f"{name} must be finite and nonnegative, got {value!r}")
-    return float(value)
+    return _real(name, value, lambda x: 0 <= x <= sys.float_info.max, "be finite and nonnegative")
+
+
+def as_positive(name: str, value) -> float:
+    """value as a float, if it is a finite real above 0."""
+    return _real(name, value, lambda x: 0 < x <= sys.float_info.max, "be positive and finite")
+
+
+def as_fraction(name: str, value) -> float:
+    """value as a float, if it is a real in the open interval (0, 1)."""
+    return _real(name, value, lambda x: 0 < x < 1, "lie in (0,1)")
+
+
+def as_axis_values(axis_name: str, values, eps: float | None) -> list:
+    """values as a list, if they make a sweep along axis_name (r, eps or N):
+    nonempty, integers on the N axis, and with a target eps on the r axis."""
+    values = list(values)
+    if axis_name not in ("r", "eps", "N"):
+        raise ParameterError(f"axis_name must be r, eps, or N, got {axis_name!r}")
+    if not values:
+        raise ParameterError("axis must be nonempty")
+    if axis_name == "N" and not all(float(v).is_integer() for v in values):
+        raise ParameterError(f"N-axis values must be integers, got {values}")
+    if axis_name == "r" and eps is None:
+        raise ParameterError("r-axis sweeps need a target eps")
+    return values
 
 
 def require_square_in_range(scales) -> None:
@@ -70,23 +108,14 @@ class ProblemParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "p", as_count("p", self.p))
         for name in ("alpha", "sigma_min", "sigma_max", "R", "b"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ParameterError(f"{name} must be finite, got {value}")
-        if not (self.alpha > 0):
-            raise ParameterError(f"alpha must be positive, got {self.alpha}")
-        if not (self.sigma_min > 0):
-            raise ParameterError(f"sigma_min must be positive, got {self.sigma_min}")
+            if getattr(self, name) is not None:
+                as_positive(name, getattr(self, name))
         if self.sigma_min > self.sigma_max:
             raise ParameterError(
                 f"sigma_min ({self.sigma_min}) exceeds sigma_max ({self.sigma_max})"
             )
         if self.R is None and self.b is None:
             raise ParameterError("at least one of R, b must be present")
-        if self.R is not None and not (self.R > 0):
-            raise ParameterError(f"R must be positive when present, got {self.R}")
-        if self.b is not None and not (self.b > 0):
-            raise ParameterError(f"b must be positive when present, got {self.b}")
         # The bounds square alpha, sigma_min, each noise scale and alpha times it.
         noise = [(name, x) for name, x in (("R", self.R), ("b", self.b)) if x is not None]
         require_square_in_range([("alpha", self.alpha), ("sigma_min", self.sigma_min), *noise,
@@ -118,10 +147,8 @@ class Accuracy:
     eps: float
 
     def __post_init__(self) -> None:
-        if not (0 < self.r < math.inf):
-            raise ParameterError(f"r must be positive and finite, got {self.r}")
-        if not (0 < self.eps < 1):
-            raise ParameterError(f"eps must lie in (0,1), got {self.eps}")
+        as_positive("r", self.r)
+        as_fraction("eps", self.eps)
 
 
 @dataclass(frozen=True)
@@ -177,8 +204,7 @@ def make_breakdown(
 ) -> BoundBreakdown:
     """Assemble a BoundBreakdown from the named terms its family has."""
     for name, value in terms.items():
-        if not (math.isfinite(value) and value >= 0):
-            raise ParameterError(f"term {name} is not a finite nonnegative real: {value}")
+        as_scale(f"term {name}", value)
     binding = max(terms, key=lambda k: terms[k])
     n_final = terms[binding]
     return BoundBreakdown(

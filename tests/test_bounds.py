@@ -416,7 +416,7 @@ class TestBoundFor:
     def test_eps_for_rejects_a_non_positive_radius_or_count(self, tag, r, N):
         # Every family checks its inputs before its own formula, which for
         # some families would return an outage at a negative radius or count.
-        with pytest.raises(ParameterError, match="r and N must be positive"):
+        with pytest.raises(ParameterError, match="^(r must be positive and finite|N must be at least 1), got "):
             bounds.eps_for(tag, r, N, replace(UNIT, b=1.0))
 
 
@@ -549,10 +549,18 @@ class TestClosedFormBounds:
         )
 
     def test_eps_fixed_design_inverts_bound(self):
+        # eps_for reads an integer N, so the round trip starts from one: 7287
+        # is the ceiling of the bound at r = eps = 0.01.
         params = ProblemParams(p=8, alpha=1.0, sigma_min=0.9, sigma_max=1.1, R=0.1)
-        acc = Accuracy(r=0.01, eps=0.01)
-        n = bounds.bound_for("fixed_mds", acc, params).n_final
-        assert bounds.eps_for("fixed_mds", acc.r, n, params) == pytest.approx(acc.eps, rel=1e-10)
+        eps = bounds.eps_for("fixed_mds", 0.01, 7287, params)
+        assert bounds.bound_for("fixed_mds", Accuracy(0.01, eps), params).n_final == pytest.approx(7287, rel=1e-10)
+
+    def test_eps_for_reads_an_integer_count_and_eps_of_n_a_real_one(self):
+        # eps_for once returned 5.6e-31 at N = 2000.5.
+        with pytest.raises(ParameterError, match="^N must be an integer, got 2000.5$"):
+            bounds.eps_for("main", 1.0, 2000.5, UNIT)
+        eps = [bounds.eps_of_n(1.0, N, UNIT).eps_final for N in (2000, 2000.5, 2001)]
+        assert eps[0] > eps[1] > eps[2] > 0
 
     def test_eps_for_has_no_main_tau_outage(self):
         with pytest.raises(ParameterError, match="main_tau"):
@@ -591,6 +599,8 @@ class TestParamValidation:
             Accuracy(r=1.0, eps=1.5)
         with pytest.raises(ParameterError):
             Accuracy(r=-1.0, eps=0.5)
+        with pytest.raises(ParameterError, match="^r must be positive and finite, got True$"):
+            Accuracy(r=True, eps=0.5)
 
     def test_accuracy_rejects_infinite_r(self):
         with pytest.raises(ParameterError, match="finite"):
@@ -607,7 +617,7 @@ class TestParamValidation:
         assert type(params.p) is int and params == replace(params, p=2)
         assert type(bounds.bound_for("fixed_mds", Accuracy(1000, 0.9), params).n_ceil) is int
 
-    @pytest.mark.parametrize("value", [0.0, -1.0])
+    @pytest.mark.parametrize("value", [0.0, -1.0, True, False])
     @pytest.mark.parametrize("name", ["alpha", "sigma_min", "R", "b"])
     def test_non_positive_rejected(self, name, value):
         fields = dict(p=2, alpha=1.0, sigma_min=1.0, sigma_max=1.0, R=1.0, b=1.0)
@@ -618,5 +628,5 @@ class TestParamValidation:
     @pytest.mark.parametrize("name", ["alpha", "sigma_min", "sigma_max", "R", "b"])
     def test_non_finite_rejected(self, name, value):
         fields = dict(p=2, alpha=1.0, sigma_min=1.0, sigma_max=1.0, R=1.0, b=1.0)
-        with pytest.raises(ParameterError, match=f"{name} must be finite"):
+        with pytest.raises(ParameterError, match=f"{name} must be positive and finite"):
             ProblemParams(**{**fields, name: value})

@@ -42,7 +42,7 @@ from lsqbounds.models import (
     implied_problem_params,
     noise_to_config,
 )
-from lsqbounds.montecarlo import ExperimentSpec, fixed_design_bound, run_event_diagnostics
+from lsqbounds.montecarlo import ExperimentSpec, fixed_design_bound, run_event_diagnostics, sweep
 from lsqbounds.params import Accuracy, ParameterError, ProblemParams, SimulationQualityError
 from lsqbounds.presets import (
     FIGURES,
@@ -211,9 +211,9 @@ class TestRunConfigParsing:
         monkeypatch.setenv("LSQBOUNDS_SEED", "nope")
         with pytest.raises(ParameterError):
             default_seed()
-        for outside in (str(2**64), "-1"):
+        for outside, rule in ((str(2**64), "a 64-bit unsigned int"), ("-1", "at least 0")):
             monkeypatch.setenv("LSQBOUNDS_SEED", outside)
-            with pytest.raises(ParameterError, match="LSQBOUNDS_SEED must be a 64-bit unsigned int"):
+            with pytest.raises(ParameterError, match=f"LSQBOUNDS_SEED must be {rule}, got {outside}"):
                 default_seed()
 
     @pytest.mark.parametrize("axis", ["eps", "N"])
@@ -376,6 +376,31 @@ class TestSchemaParity:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert not (tmp_path / "out.csv").exists()
+
+    # One value per rule that a run config shares with the library, and the
+    # library call that the same value reaches.
+    _SPEC = ExperimentSpec(IidBoundedColumns((1.0, 1.0)), Uniform(1.0), N=8, r=0.5, trials=10)
+
+    @pytest.mark.parametrize(
+        "path,value,library",
+        [
+            (("r",), 0.0, lambda: Accuracy(r=0.0, eps=0.05)),
+            (("eps",), 1.0, lambda: Accuracy(r=0.5, eps=1.0)),
+            (("trials",), 0, lambda: replace(TestSchemaParity._SPEC, trials=0)),
+            (("base_seed",), 2**64, lambda: replace(TestSchemaParity._SPEC, base_seed=2**64)),
+            (("theorem",), "bogus", lambda: sweep(TestSchemaParity._SPEC, "r", [0.5], "bogus", eps=0.05)),
+            (("axis", "values"), [], lambda: sweep(TestSchemaParity._SPEC, "r", [], "main", eps=0.05)),
+            (("eps",), None, lambda: sweep(TestSchemaParity._SPEC, "r", [0.5], "main")),
+        ],
+        ids=["r-0", "eps-1", "trials-0", "base_seed-2**64", "theorem-bogus", "axis-empty", "r-axis-no-eps"],
+    )
+    def test_parser_and_library_reject_a_value_with_one_message(self, path, value, library):
+        doc = _edit(_valid_doc(r=0.5), path, value, delete=value is None)
+        with pytest.raises(ParameterError) as parsed:
+            parse_run_config(doc)
+        with pytest.raises(ParameterError) as called:
+            library()
+        assert str(parsed.value) == str(called.value)
 
     def test_diagnostics_string_is_not_true(self):
         with pytest.raises(ParameterError, match="diagnostics"):
@@ -663,7 +688,7 @@ class TestCli:
         out = tmp_path / "o"
         argv = ["reproduce", "fig2", "--seed", "-1", "--trials", "300", "--workers", "2", "--outdir", str(out)]
         assert cli.main(argv) == 2
-        assert "base_seed must be a 64-bit unsigned int, got -1" in capsys.readouterr().err
+        assert "base_seed must be at least 0, got -1" in capsys.readouterr().err
         assert started == [] and not out.exists()
 
     @pytest.mark.parametrize("workers", ["0", "-1"])

@@ -65,6 +65,8 @@ class TestSeedSpec:
             SeedSpec(2**64)
         for bad in (
             lambda: SeedSpec(1.0),
+            lambda: SeedSpec(True),
+            lambda: SeedSpec(0, False),
             lambda: SeedSpec(0, 2.0),
             lambda: SeedSpec(0, -1),
             lambda: SeedSpec(0, 0, "noise", (1.0,)),
@@ -425,7 +427,7 @@ class TestFixedMatrix:
         assert type(model.p) is int and model.sample(3, SeedSpec(0, 0, "design")).shape == (3, 2)
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, True, False])
 @pytest.mark.parametrize(
     "build,name",
     [
@@ -445,7 +447,8 @@ class TestFixedMatrix:
 def test_a_scale_must_be_finite_and_nonnegative(build, name, value):
     # An infinite scale once passed the check not (x >= 0), and a run then
     # counted every trial, drawn on inf or nan noise, as an exceedance.
-    with pytest.raises(ParameterError, match=f"^{name} must be finite and nonnegative, got {value}"):
+    rule = "positive and finite" if name == "column_stddevs" else "finite and nonnegative"
+    with pytest.raises(ParameterError, match=f"^{name} must be {rule}, got {value}"):
         build(value)
 
 
@@ -459,8 +462,8 @@ def test_a_scale_must_be_finite_and_nonnegative(build, name, value):
         (lambda: FirMds(taps=(1.0, math.nan), jammer_scale=0.1, receiver=Gaussian(0.1)), "each finite"),
         (lambda: FirMds(taps=(-math.inf,), jammer_scale=0.1, receiver=Gaussian(0.1)), "each finite"),
         (lambda: IidBoundedColumns((1.0,), "gaussian"), "entry_law must be one of"),
-        (lambda: IidBoundedColumns((1.0, 0.0)), "nonempty tuple of positive reals"),
-        (lambda: IidBoundedColumns(()), "nonempty tuple of positive reals"),
+        (lambda: IidBoundedColumns((1.0, 0.0)), "column_stddevs must be positive and finite, got 0.0"),
+        (lambda: IidBoundedColumns(()), "the number of column_stddevs must be at least 1, got 0"),
         (lambda: random_pilots(0, SeedSpec(0, 0, "design")), "length must be at least 1, got 0"),
         (lambda: random_pilots(2.5, SeedSpec(0, 0, "design")), "length must be an integer, got 2.5"),
         (lambda: ToeplitzPilot((1.0, -1.0), 2), "the number of pilots must be at least 3, got 2"),

@@ -383,8 +383,9 @@ class TestRunTail:
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_rejects_a_seed_outside_64_bits_when_made(self, seed):
-        # With SeedSpec's message, before a pass could start a pool and fail in its trials.
-        with pytest.raises(ParameterError, match=f"base_seed must be a 64-bit unsigned int, got {seed}"):
+        # With as_seed's message, before a pass could start a pool and fail in its trials.
+        rule = "at least 0" if seed < 0 else "a 64-bit unsigned int"
+        with pytest.raises(ParameterError, match=f"base_seed must be {rule}, got {seed}"):
             ExperimentSpec(ALL_ONES_4x1, Rademacher(1.0), N=4, r=0.4, base_seed=seed)
         spec = ExperimentSpec(ALL_ONES_4x1, Rademacher(1.0), N=4, r=0.4, base_seed=np.uint64(2**64 - 1))
         assert spec.base_seed == 2**64 - 1 and type(spec.base_seed) is int
@@ -641,6 +642,14 @@ class TestSweep:
                 sweep(base, axis, values, "fixed_mds", eps=0.05)
         (row,) = sweep(base, "N", [400], "fixed_mds")
         assert row.axis_value == 400 and row.trials == 40
+
+    def test_an_unknown_bound_tag_is_rejected_before_any_design_is_measured(self, monkeypatch):
+        # Such a tag once had a random design measured before bound_for rejected
+        # it, and a non-random design reported as one no bound covers.
+        monkeypatch.setattr(montecarlo, "implied_problem_params", lambda *args, **kw: pytest.fail("measured"))
+        for base in (self.base(), ExperimentSpec(ALL_ONES_4x1, self.NOISE, N=4, r=1.0, trials=10)):
+            with pytest.raises(ParameterError, match="^unknown bound tag 'bogus'"):
+                sweep(base, "N", [4], "bogus")
 
     def test_fixed_mds_rejects_a_random_design(self):
         # Its sigma_min would be the population one, not that of the Gram
@@ -1356,7 +1365,8 @@ def test_a_count_must_be_an_integer_of_at_least_its_minimum(build, name, minimum
     # Each count argument is read by params.as_count; each design here has
     # p = 1, so its N must be at least 2.
     for bad, rule in ((minimum + 1.5, "an integer"), (float(minimum + 1), "an integer"),
-                      (str(minimum + 1), "an integer"), (minimum - 1, f"at least {minimum}")):
+                      (str(minimum + 1), "an integer"), (True, "an integer"), (False, "an integer"),
+                      (minimum - 1, f"at least {minimum}")):
         with pytest.raises(ParameterError, match=f"^{name} must be {rule}, got "):
             build(bad)
     build(np.int64(minimum + 1))
