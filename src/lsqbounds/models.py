@@ -2,9 +2,11 @@
 
 Every model is a frozen dataclass whose sample(count, seed) is a pure
 function of (model, count, SeedSpec), so trials can run concurrently and in
-any order without sharing RNG state; a random model's sample(count, seed,
-out) fills and returns out, a C-contiguous float array, with the same values.
-A noise law also declares subgaussian_param, a valid (not necessarily
+any order without sharing RNG state.  A seed whose trial is a range labels a
+block: sample stacks one row per trial, each its one-trial draw bit for bit,
+and centres and scales the block in one pass.  A random model's sample(count,
+seed, out) fills and returns out, a C-contiguous float array, with the same
+values.  A noise law also declares subgaussian_param, a valid (not necessarily
 minimal) sub-Gaussian parameter, and bound, an almost-sure bound on |v| or
 None when the law is unbounded.  A design family declares p and random,
 whether a trial draws its own matrix.  Members that are not dataclass fields
@@ -44,29 +46,44 @@ class SeedSpec:
     Its stream is default_rng(SeedSequence(base_seed, spawn_key=(trial,
     ROLE_IDS[role], *subkeys))), the same across runs, platforms, worker
     counts and call orders, built from a cached block of 256 trials' words.
+    A trial range (nonempty, of step 1, from 0 up) labels one stream per trial.
     """
 
     base_seed: int
-    trial: int = 0
+    trial: int | range = 0
     role: str = "noise"
     subkeys: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        # The readers turn numpy integers into ints; a plain (int seed, int >= 0, ()) label skips them.
+        ranged = type(self.trial) is range
+        if ranged and not (self.trial and self.trial.step == 1 and self.trial.start >= 0):
+            raise ParameterError(f"a trial range must be nonempty, of step 1 and from 0 up, got {self.trial!r}")
+        # The readers turn numpy integers into ints; a plain (int seed, range or int >= 0, ()) label skips them.
         if (type(self.base_seed) is not int or not 0 <= self.base_seed < 2**64
-                or type(self.trial) is not int or self.trial < 0 or self.subkeys != ()):
+                or not ranged and (type(self.trial) is not int or self.trial < 0) or self.subkeys != ()):
             if not isinstance(self.subkeys, (tuple, list)):
                 raise ParameterError(f"subkeys must be a sequence of integers, got {self.subkeys!r}")
             object.__setattr__(self, "base_seed", as_seed("base_seed", self.base_seed))
-            object.__setattr__(self, "trial", as_count("trial", self.trial, 0))
+            if not ranged:
+                object.__setattr__(self, "trial", as_count("trial", self.trial, 0))
             object.__setattr__(self, "subkeys", tuple(as_count("subkey", k, 0) for k in self.subkeys))
         if self.role not in ROLE_IDS:
             raise ParameterError(f"role must be one of {sorted(ROLE_IDS)}, got {self.role!r}")
 
+    def generators(self) -> list[np.random.Generator]:
+        """A fresh stream per trial of the label, in order, from one lookup per 256-trial block."""
+        trials = self.trial if type(self.trial) is range else range(self.trial, self.trial + 1)
+        rngs, seeded = [], _seeded_pcg64()
+        for block in range(trials.start // _SEED_BLOCK, (trials.stop - 1) // _SEED_BLOCK + 1):
+            words = _seed_words(self.base_seed, ROLE_IDS[self.role], self.subkeys, block)
+            rows = range(_SEED_BLOCK)[max(trials.start - block * _SEED_BLOCK, 0) : trials.stop - block * _SEED_BLOCK]
+            rngs += [np.random.Generator(seeded(words[i])) for i in rows]  # indexing rows beats iterating them
+        return rngs
+
     def generator(self) -> np.random.Generator:
-        block, row = divmod(self.trial, _SEED_BLOCK)
-        words = _seed_words(self.base_seed, ROLE_IDS[self.role], self.subkeys, block)[row]
-        return np.random.Generator(_seeded_pcg64()(words))
+        """The stream of a one-trial label."""
+        (rng,) = self.generators()
+        return rng
 
     def child(self, k: int) -> "SeedSpec":
         """Independent sub-stream k of this stream (for nested models)."""
@@ -76,7 +93,7 @@ class SeedSpec:
 @functools.cache
 def _seeded_pcg64():
     """The map from a row of _seed_words to a fresh PCG64, which seeds itself
-    in C; built on the first generator() call, which imports numpy.random."""
+    in C; built on the first generators() call, which imports numpy.random."""
     from numpy.random import PCG64
     from numpy.random.bit_generator import ISeedSequence
 
@@ -151,10 +168,16 @@ def _centre(x: np.ndarray, c: float) -> np.ndarray:
     return _scale(x, 2.0 * c)
 
 
-def _signs(rng: np.random.Generator, shape, out: np.ndarray | None = None) -> np.ndarray:
-    """rng.integers(0, 2, size=shape) as floats, copied into out if given: integers has no out."""
-    out = np.empty(shape) if out is None else out
-    out[...] = rng.integers(0, 2, size=shape)
+def _fill(seed: SeedSpec, shape: tuple, out: np.ndarray | None, law: str) -> np.ndarray:
+    """Each trial's draw of shape in its row of out (new if None), stacked if seed's trial is a range:
+    rng.random or rng.standard_normal (law) into the row, or rng.integers(0, 2) (law "integers") copied in."""
+    rngs, stacked = seed.generators(), type(seed.trial) is range
+    out = np.empty((len(rngs), *shape) if stacked else shape) if out is None else out
+    for rng, row in zip(rngs, out if stacked else out[None]):
+        if law == "integers":
+            row[...] = rng.integers(0, 2, size=shape)
+        else:
+            getattr(rng, law)(out=row)
     return out
 
 
@@ -172,7 +195,7 @@ class Gaussian:
         as_scale("sigma", self.sigma)
 
     def sample(self, n: int, seed: SeedSpec, out: np.ndarray | None = None) -> np.ndarray:
-        return _scale(seed.generator().standard_normal(n, out=out), self.sigma)
+        return _scale(_fill(seed, (n,), out, "standard_normal"), self.sigma)
 
     @property
     def subgaussian_param(self) -> float:
@@ -198,8 +221,8 @@ class GaussianMixture:
         as_fraction("weight_large", self.weight_large)
 
     def sample(self, n: int, seed: SeedSpec, out: np.ndarray | None = None) -> np.ndarray:
-        large = seed.child(0).generator().random(n) < self.weight_large
-        z = seed.child(1).generator().standard_normal(n, out=out)
+        large = _fill(seed.child(0), (n,), None, "random") < self.weight_large
+        z = _fill(seed.child(1), (n,), out, "standard_normal")
         return np.multiply(z, np.where(large, self.sigma_large, self.sigma_small), out=z)
 
     @property
@@ -218,7 +241,7 @@ class Uniform:
         as_scale("half_width", self.half_width)
 
     def sample(self, n: int, seed: SeedSpec, out: np.ndarray | None = None) -> np.ndarray:
-        return _centre(seed.generator().random(n, out=out), self.half_width)
+        return _centre(_fill(seed, (n,), out, "random"), self.half_width)
 
     @property
     def subgaussian_param(self) -> float:
@@ -241,8 +264,8 @@ class UniformPlusGaussian:
         as_scale("sigma", self.sigma)
 
     def sample(self, n: int, seed: SeedSpec, out: np.ndarray | None = None) -> np.ndarray:
-        v = _centre(seed.child(0).generator().random(n, out=out), self.half_width)  # Uniform's draw
-        v += _scale(seed.child(1).generator().standard_normal(n), self.sigma)  # Gaussian's draw
+        v = _centre(_fill(seed.child(0), (n,), out, "random"), self.half_width)  # Uniform's draw
+        v += _scale(_fill(seed.child(1), (n,), None, "standard_normal"), self.sigma)  # Gaussian's draw
         return v
 
     @property
@@ -258,7 +281,7 @@ class Rademacher:
         as_scale("scale", self.scale)
 
     def sample(self, n: int, seed: SeedSpec, out: np.ndarray | None = None) -> np.ndarray:
-        return _centre(_signs(seed.generator(), n, out), self.scale)
+        return _centre(_fill(seed, (n,), out, "integers"), self.scale)
 
     @property
     def subgaussian_param(self) -> float:
@@ -289,9 +312,10 @@ class FirMds:
         as_scale("jammer_scale", self.jammer_scale)
 
     def sample(self, n: int, seed: SeedSpec, out: np.ndarray | None = None) -> np.ndarray:
-        jam = _centre(_signs(seed.child(0).generator(), n), self.jammer_scale)
+        jam = _centre(_fill(seed.child(0), (n,), None, "integers"), self.jammer_scale)
         v = self.receiver.sample(n, seed.child(1), out)
-        v += np.convolve(jam, np.asarray(self.taps))[:n]  # w + conv: IEEE addition commutes
+        for v_row, jam_row in zip(np.atleast_2d(v), np.atleast_2d(jam)):
+            v_row += np.convolve(jam_row, self.taps)[:n]  # w + conv: IEEE addition commutes
         return v
 
     @property
@@ -348,19 +372,18 @@ class IidBoundedColumns:
         return ROOT3 * peak if self.entry_law == "scaled-uniform" else peak
 
     def sample(self, N: int, seed: SeedSpec, out: np.ndarray | None = None) -> np.ndarray:
-        """An (N, p) draw, centred and scaled in place: in one multiply if every column has
-        the same factor, else column by column (an (N, p) * (p,) broadcast is as slow as the draw)."""
+        """An (N, p) draw per trial, centred and scaled in place: in one multiply if every column
+        has the same factor, else column by column (an (N, p) * (p,) broadcast is as slow as the draw)."""
         N = as_count("N", N, self.p + 1)
-        rng = seed.generator()
         uniform = self.entry_law == "scaled-uniform"
-        A = rng.random((N, self.p), out=out) if uniform else _signs(rng, (N, self.p), out)
+        A = _fill(seed, (N, self.p), out, "random" if uniform else "integers")
         A -= 0.5
         factors = [2.0 * (ROOT3 * sd if uniform else sd) for sd in self.column_stddevs]
         if len(set(factors)) == 1:
             A *= factors[0]
         else:
             for k, factor in enumerate(factors):
-                A[:, k] *= factor
+                A[..., k] *= factor
         return A
 
 
@@ -442,7 +465,7 @@ DesignModel = IidBoundedColumns | ToeplitzPilot | FixedMatrix
 def random_pilots(length: int, seed: SeedSpec) -> tuple[float, ...]:
     """Seeded +-1 training sequence of the given length."""
     length = as_count("length", length)
-    return tuple(_centre(_signs(seed.generator(), length), 1.0))
+    return tuple(_centre(_fill(seed, (length,), None, "integers"), 1.0))
 
 
 def _full_rank(G: np.ndarray) -> np.ndarray:

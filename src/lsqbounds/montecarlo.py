@@ -115,23 +115,18 @@ def wilson_interval(successes: int, n: int) -> tuple[float, float]:
     return (lo, hi)
 
 
-def _stack(model, n: int, seed: int, trials: range, role: str, buf: np.ndarray) -> np.ndarray:
-    """model's draws of size n for trials, each drawn in place into its row of buf."""
-    for i, t in enumerate(trials):
-        model.sample(n, SeedSpec(seed, t, role), out=buf[i])
-    return buf[: len(trials)]
-
-
 def _trials(spec: ExperimentSpec, start: int, stop: int, sizes, plan, diagnosed):
     """Yield (G, rhs, diag) for each block of up to B consecutive trials of
-    start..stop-1.  Each trial draws its noise (and a random design) from its
-    own (base_seed, trial, role) stream, once at the largest N, in place into
-    the block's buffers; every sampler is prefix-consistent, so at each N of
-    sizes, a and u are the block's N-row design and noise prefixes.  G holds
-    a^T a per N and matrix, (sizes, m, p, p), or a non-random design's plan's
-    (sizes, 1, p, p); rhs, each trial's a^T u, (sizes, m, p), for _solve;
-    diag, the (m, p) diagonal sums ((a*a)^T (u*u))/N^2 of each N in diagnosed,
-    in sizes order.  No record is a view of a buffer that a block refills.
+    start..stop-1.  Each model draws the block in one sample call on a block
+    label at the largest N, each trial from its own (base_seed, trial, role)
+    stream, into the block's buffers, and centres and scales it in one pass.
+    Every sampler is prefix-consistent, so at each N of sizes, a and u are
+    the block's N-row design and noise prefixes.  G holds a^T a per N and
+    matrix, (sizes, m, p, p), or a non-random design's plan's (sizes, 1, p,
+    p); rhs, each trial's a^T u, (sizes, m, p), for _solve; diag, the (m, p)
+    diagonal sums ((a*a)^T (u*u))/N^2 of each N in diagnosed, in sizes order,
+    squared in the spent design copy and noise buffer, never in a plan's
+    shared matrix.  No record is a view of a buffer that a block refills.
 
     A random design's G and a^T u add, in row order, the products of the
     whole segments of S = max(1, SEGMENT_ELEMS // p^2) rows from row 0 below N,
@@ -155,11 +150,12 @@ def _trials(spec: ExperimentSpec, start: int, stop: int, sizes, plan, diagnosed)
     else:
         A, G = plan
         A, G = A[None], G[:, None]
+        A_sq = A * A if diagnosed else None
     for lo in range(start, stop, block):
         trials = range(lo, min(lo + block, stop))
-        V = _stack(spec.noise, n_max, spec.base_seed, trials, "noise", v_buf)
+        V = spec.noise.sample(n_max, SeedSpec(spec.base_seed, trials, "noise"), out=v_buf[: len(trials)])
         if random_design:
-            A = _stack(spec.design, n_max, spec.base_seed, trials, "design", a_buf)
+            A = spec.design.sample(n_max, SeedSpec(spec.base_seed, trials, "design"), out=a_buf[: len(trials)])
             C = c_buf[: len(trials)]
             np.copyto(C, A)  # a^T C runs as GEMM; a^T a, one buffer, as SYRK, slower at these shapes
             if whole:
@@ -177,8 +173,10 @@ def _trials(spec: ExperimentSpec, start: int, stop: int, sizes, plan, diagnosed)
                     rhs[k] += rhs_cum[:, cut // seg - 1]
         else:
             rhs = np.stack([A[:, :N].swapaxes(-1, -2) @ V[:, :N, None] for N in sizes])
-        diag = [((A[:, :N] * A[:, :N]).swapaxes(-1, -2) @ (V[:, :N] * V[:, :N])[..., None])[..., 0] / N**2
-                for N in sizes if N in diagnosed]
+        if diagnosed:  # G and rhs are formed, so C and V are spent
+            A_sq = np.multiply(A, A, out=C) if random_design else A_sq
+            V_sq = np.multiply(V, V, out=V)
+        diag = [(A_sq[:, :N].swapaxes(-1, -2) @ V_sq[:, :N, None])[..., 0] / N**2 for N in sizes if N in diagnosed]
         yield G, rhs[..., 0], diag
 
 
@@ -210,9 +208,13 @@ def _count(rows, G: np.ndarray, rhs: np.ndarray, diag_sums) -> np.ndarray:
     of r (a non-finite error exceeds) and invalid trials, then, if any row
     sets sigma_min, its e_rand, lemma-1 violation, identity violation and
     uncovered counts and its e2 and e3 counts per coordinate (zero for a row
-    without one).  Every N holds the same trials, so one _solve serves all."""
+    without one).  Every N holds the same trials, so one _solve serves all.
+    A G or rhs that is not finite raises SimulationQualityError naming its N."""
     sizes = tuple(dict.fromkeys(N for N, _, _ in rows))
     diagnosed = {N for N, _, sigma_min in rows if sigma_min is not None}
+    for N, G_N, rhs_N in zip(sizes, G, rhs):
+        if not (np.isfinite(G_N).all() and np.isfinite(rhs_N).all()):
+            raise SimulationQualityError(f"the normal equations overflow at N = {N}; check the model scales")
     counts = np.zeros((len(rows), 6 + 2 * G.shape[-1] if diagnosed else 2), dtype=np.int64)
     err, ok = _solve(G, rhs)
     diag_sums = iter(diag_sums)

@@ -17,8 +17,8 @@ class ParameterError(ValueError):
 
 class SimulationQualityError(RuntimeError):
     """The simulation cannot answer: a rank-deficient design, too many
-    rank-deficient trials, or no sample count in the search range meets the
-    target.  The CLI exits 4."""
+    rank-deficient trials, normal equations that overflow, or no sample count
+    in the search range meets the target.  The CLI exits 4."""
 
 
 def as_count(name: str, value, minimum: int = 1) -> int:

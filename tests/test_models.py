@@ -112,6 +112,20 @@ class TestSeedSpec:
         np.testing.assert_array_equal([a for a, _ in interleaved], alone)
         np.testing.assert_array_equal([b for _, b in interleaved], alone)
 
+    @pytest.mark.parametrize("trials", [range(5, 5), range(3, 1), range(0, 10, 2), range(5, 0, -1), range(-1, 3)],
+                             ids=["empty", "reversed", "step-2", "step-minus-1", "negative-start"])
+    def test_block_labels_reject_bad_ranges(self, trials):
+        with pytest.raises(ParameterError, match="trial range must be nonempty, of step 1 and from 0 up"):
+            SeedSpec(0, trials, "noise")
+
+    def test_block_generators_equal_one_trial_generators(self):
+        # Each block crosses a 256-trial block of seed words, the last also 2**32.
+        for seed, trials, subkeys in ((3, range(250, 262), ()), (2**64 - 1, range(0, 513), (1,)),
+                                      (7, range(2**32 - 3, 2**32 + 2), (2, 5))):
+            block = SeedSpec(seed, trials, "design", subkeys).generators()
+            alone = [SeedSpec(seed, t, "design", subkeys).generator() for t in trials]
+            assert [g.bit_generator.state for g in block] == [g.bit_generator.state for g in alone]
+
     def test_seed_word_block_is_a_pure_function_of_its_key(self):
         key = (11, ROLE_IDS["noise"], (0,), 3)
         cached = _seed_words(*key).copy()
@@ -533,6 +547,17 @@ def _sampled(model, n, seed, shape, into):
     return got
 
 
+NOISE_LAWS = [
+    Gaussian(0.7),
+    GaussianMixture(0.3, 2.5, 0.2),
+    Uniform(1.3),
+    UniformPlusGaussian(0.8, 0.25),
+    Rademacher(0.4),
+    FirMds(taps=(1.0, 0.8, 0.64), jammer_scale=0.2, receiver=Gaussian(0.05)),
+    FirMds(taps=(1.0, -0.5), jammer_scale=0.3, receiver=Uniform(0.1)),
+]
+
+
 class TestSamplersMatchOneLineExpressions:
     """The in-place samplers reproduce rng.uniform(-1, 1, shape) * scale and
     the other one-line expressions bit for bit, whether they allocate or draw
@@ -569,6 +594,33 @@ class TestSamplersMatchOneLineExpressions:
             seed = SeedSpec(base, 17, "noise")
             for n in (2, 257, 10_000):
                 _assert_bit_identical(_sampled(model, n, seed, (n,), into), _plain_noise(model, n, seed))
+
+    # Trials 250..261 cross the 256-trial boundary of the seed-word blocks.
+    BLOCK = range(250, 262)
+
+    @pytest.mark.parametrize("into", [False, True], ids=["alloc", "out"])
+    @pytest.mark.parametrize("law", ["scaled-uniform", "scaled-rademacher"])
+    @pytest.mark.parametrize("p", [1, 2, 4, 8])
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_design_block(self, law, p, mixed, into):
+        """A block label's rows are the one-trial draws of its trials."""
+        sds = tuple(0.3 + 0.45 * k for k in range(p)) if mixed else (0.7,) * p
+        model = IidBoundedColumns(sds, law)
+        for base in BASE_SEEDS:
+            for N in (p + 1, 257):
+                got = _sampled(model, N, SeedSpec(base, self.BLOCK, "design"), (len(self.BLOCK), N, p), into)
+                for row, t in zip(got, self.BLOCK, strict=True):
+                    _assert_bit_identical(row, model.sample(N, SeedSpec(base, t, "design")))
+
+    @pytest.mark.parametrize("into", [False, True], ids=["alloc", "out"])
+    @pytest.mark.parametrize("model", NOISE_LAWS)
+    def test_noise_block(self, model, into):
+        """A block label's rows are the one-trial draws of its trials."""
+        for base in BASE_SEEDS:
+            for n in (2, 257):
+                got = _sampled(model, n, SeedSpec(base, self.BLOCK, "noise"), (len(self.BLOCK), n), into)
+                for row, t in zip(got, self.BLOCK, strict=True):
+                    _assert_bit_identical(row, model.sample(n, SeedSpec(base, t, "noise")))
 
 
 def _preset_factors() -> set:
@@ -642,6 +694,22 @@ class TestPrefixConsistency:
         full = model.sample(4001, self.SEED)
         for n in (1000, 4000):
             np.testing.assert_array_equal(model.sample(n, self.SEED), full[:n])
+
+    BLOCK = SeedSpec(77, range(250, 262), "noise")
+
+    @pytest.mark.parametrize("model", NOISE_LAWS)
+    def test_noise_block(self, model):
+        full = model.sample(4001, self.BLOCK)
+        for n in (1, 2, 3, 1000, 4000):
+            np.testing.assert_array_equal(model.sample(n, self.BLOCK), full[:, :n])
+
+    @pytest.mark.parametrize("law", ["scaled-uniform", "scaled-rademacher"])
+    def test_design_block(self, law):
+        model = IidBoundedColumns((0.5, 1.0, 2.0), law)
+        seed = SeedSpec(77, range(250, 262), "design")
+        full = model.sample(4001, seed)
+        for N in (4, 5, 1000, 4000):
+            np.testing.assert_array_equal(model.sample(N, seed), full[:, :N])
 
 
 class TestImpliedParams:

@@ -325,7 +325,7 @@ class TestRunTail:
         def no_trials(*args):
             raise AssertionError("a trial ran")
 
-        monkeypatch.setattr(montecarlo, "_stack", no_trials)
+        monkeypatch.setattr(SeedSpec, "generators", no_trials)
         rows = [[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]
         spec = ExperimentSpec(FixedMatrix(np.array(rows)), Gaussian(1.0), N=3, r=0.5, trials=10, base_seed=3)
         with pytest.raises(SimulationQualityError, match="rank deficient at N = 3"):
@@ -335,17 +335,25 @@ class TestRunTail:
         with pytest.raises(SimulationQualityError, match="rank deficient at N = 3"):
             _run_chunks(spec, [(4, 0.5, None), (3, 0.5, None), (5, 0.5, None)], 1)
 
-    # Each trial's draws or sums overflow, so every error is inf or nan; such
-    # an error counts as an exceedance, and numpy warns of it.
+    # Each trial's draws or sums overflow, so its G or A^T v is not finite.
+    # The pass raises and names the row's N, where it once counted every such
+    # trial as an exceedance; numpy warns of the overflow first.
     @pytest.mark.parametrize(
-        "noise", [Uniform(1e308), Gaussian(1e308), GaussianMixture(1.0, 1e308, 0.5)],
-        ids=["uniform-1e308", "gaussian-1e308", "mixture-1e308"],
+        "design,noise",
+        [
+            (IidBoundedColumns((1.0, 1.0)), Uniform(1e308)),
+            (IidBoundedColumns((1.0, 1.0)), Gaussian(1e308)),
+            (IidBoundedColumns((1.0, 1.0)), GaussianMixture(1.0, 1e308, 0.5)),
+            (IidBoundedColumns((1e200, 1.0)), Uniform(1.0)),
+        ],
+        ids=["uniform-1e308", "gaussian-1e308", "mixture-1e308", "design-1e200"],
     )
-    def test_a_non_finite_error_counts_as_an_exceedance(self, noise):
-        spec = ExperimentSpec(IidBoundedColumns((1.0, 1.0)), noise, N=10, r=0.5, trials=50, base_seed=1)
-        with pytest.warns(RuntimeWarning):
-            est = run_tail(spec)
-        assert (est.exceed_count, est.invalid_trials) == (50, 0)
+    @pytest.mark.parametrize("trials,workers", [(50, 1), (256, 2)], ids=["serial", "pooled"])
+    def test_normal_equations_that_overflow_raise(self, design, noise, trials, workers):
+        spec = ExperimentSpec(design, noise, N=10, r=0.5, trials=trials, base_seed=1)
+        with pytest.raises(SimulationQualityError, match="^the normal equations overflow at N = 10;"):
+            with pytest.warns(RuntimeWarning):
+                run_tail(spec, workers=workers)
 
     def test_fixed_rank_deficient_fails_before_any_pool(self, monkeypatch):
         started = []
@@ -868,12 +876,28 @@ class TestOnePassSweep:
         sample = law.sample
 
         def counted(model, n, seed, out=None):
-            calls.append(n)
+            calls.append((n, seed.trial))
             return sample(model, n, seed, out)
 
         monkeypatch.setattr(law, "sample", counted)
         sweep(*args)
-        assert calls == [1500] * 50
+        assert [n for n, _ in calls] == [1500] * len(calls)
+        assert [t for _, trials in calls for t in trials] == list(range(50))
+
+    def test_a_pass_draws_each_block_in_one_call_per_model(self, monkeypatch):
+        # fig3 at N = 1987: blocks of 524288 // (8 * 1987 * 5) = 6 trials, so
+        # 400 trials make 67 blocks and 67 sample calls per model, not 400.
+        roles = []
+        design, noise = FIGURES["fig3"].panels[0].models(0)
+        for model in (design, noise):
+            def counted(self, n, seed, out=None, sample=type(model).sample):
+                roles.append(seed.role)
+                return sample(self, n, seed, out)
+
+            monkeypatch.setattr(type(model), "sample", counted)
+        spec = ExperimentSpec(design, noise, N=1987, r=1.0, trials=400, diagnostics=True)
+        run_event_diagnostics(spec)
+        assert (roles.count("design"), roles.count("noise")) == (67, 67)
 
     def test_sweep_starts_at_most_one_pool(self, monkeypatch):
         started = []
