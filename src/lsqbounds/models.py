@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -58,15 +58,13 @@ class SeedSpec:
         ranged = type(self.trial) is range
         if ranged and not (self.trial and self.trial.step == 1 and self.trial.start >= 0):
             raise ParameterError(f"a trial range must be nonempty, of step 1 and from 0 up, got {self.trial!r}")
-        # The readers turn numpy integers into ints; a plain (int seed, range or int >= 0, ()) label skips them.
-        if (type(self.base_seed) is not int or not 0 <= self.base_seed < 2**64
-                or not ranged and (type(self.trial) is not int or self.trial < 0) or self.subkeys != ()):
-            if not isinstance(self.subkeys, (tuple, list)):
-                raise ParameterError(f"subkeys must be a sequence of integers, got {self.subkeys!r}")
-            object.__setattr__(self, "base_seed", as_seed("base_seed", self.base_seed))
-            if not ranged:
-                object.__setattr__(self, "trial", as_count("trial", self.trial, 0))
-            object.__setattr__(self, "subkeys", tuple(as_count("subkey", k, 0) for k in self.subkeys))
+        if not isinstance(self.subkeys, (tuple, list)):
+            raise ParameterError(f"subkeys must be a sequence of integers, got {self.subkeys!r}")
+        # The readers turn numpy integers into ints.
+        object.__setattr__(self, "base_seed", as_seed("base_seed", self.base_seed))
+        if not ranged:
+            object.__setattr__(self, "trial", as_count("trial", self.trial, 0))
+        object.__setattr__(self, "subkeys", tuple(as_count("subkey", k, 0) for k in self.subkeys))
         if self.role not in ROLE_IDS:
             raise ParameterError(f"role must be one of {sorted(ROLE_IDS)}, got {self.role!r}")
 
@@ -79,11 +77,6 @@ class SeedSpec:
             rows = range(_SEED_BLOCK)[max(trials.start - block * _SEED_BLOCK, 0) : trials.stop - block * _SEED_BLOCK]
             rngs += [np.random.Generator(seeded(words[i])) for i in rows]  # indexing rows beats iterating them
         return rngs
-
-    def generator(self) -> np.random.Generator:
-        """The stream of a one-trial label."""
-        (rng,) = self.generators()
-        return rng
 
     def child(self, k: int) -> "SeedSpec":
         """Independent sub-stream k of this stream (for nested models)."""
@@ -485,12 +478,20 @@ def _full_rank(G: np.ndarray) -> np.ndarray:
     return pivot > floor
 
 
+def _require_finite(N: int, *arrays: np.ndarray) -> None:
+    """SimulationQualityError naming N unless every entry of arrays, the normal equations at N, is finite."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise SimulationQualityError(f"the normal equations overflow at N = {N}; check the model scales")
+
+
 def _measure_design(design: DesignModel, sizes) -> tuple[np.ndarray, np.ndarray]:
     """A non-random design's A at max(sizes) rows and A[:N]^T A[:N] for each N of sizes,
-    stacked, once each passes _full_rank, the rank rule of every trial, else
-    SimulationQualityError names the first N that fails.  Such a design draws nothing."""
+    stacked, once each is finite and passes _full_rank, the rank rule of every trial,
+    else SimulationQualityError names the first N that fails.  Such a design draws nothing."""
     A = design.sample(max(sizes), SeedSpec(0, 0, "design"))
     G = np.stack([A[:N].T @ A[:N] for N in sizes])
+    for N, G_N in zip(sizes, G):
+        _require_finite(N, G_N)
     for N, ok in zip(sizes, _full_rank(G)):
         if not ok:
             raise SimulationQualityError(f"design Gram matrix is rank deficient at N = {N}")
@@ -526,7 +527,7 @@ def implied_problem_params(
     )
 
 # ---------------------------------------------------------------------------
-# Declarative config (used by the CLI; see io.py for the document schema).
+# Model-config reader (used by io.py's run-config parser, which holds the document schema).
 # A model's config is {"kind": ..., <field>: ...} over its dataclass fields; a
 # field's metadata may name its key, tuples are JSON arrays, a matrix is an
 # array of rows and a nested model is its own config.
@@ -606,34 +607,3 @@ def _from_config(doc, union):
         return cls(**args)
     except ValueError as exc:  # e.g. the ragged rows of a fixed matrix
         raise ParameterError(f"{kind} config: {exc}") from None
-
-
-def _to_config(model, union) -> dict:
-    if type(model) not in get_args(union):
-        expected = [c.__name__ for c in get_args(union)]
-        raise ParameterError(f"{type(model).__name__} is not one of {expected}")
-    doc = {"kind": _KIND_NAMES[type(model)]}
-    for key, (name, hint) in CONFIG_FIELDS[type(model)].items():
-        value = getattr(model, name)
-        if is_dataclass(value):
-            value = _to_config(value, hint)
-        elif isinstance(value, (tuple, np.ndarray)):
-            value = np.asarray(value).tolist()
-        doc[key] = value
-    return doc
-
-
-def noise_to_config(model: NoiseModel) -> dict:
-    return _to_config(model, NoiseModel)
-
-
-def noise_from_config(doc: dict) -> NoiseModel:
-    return _from_config(doc, NoiseModel)
-
-
-def design_to_config(model: DesignModel) -> dict:
-    return _to_config(model, DesignModel)
-
-
-def design_from_config(doc: dict) -> DesignModel:
-    return _from_config(doc, DesignModel)

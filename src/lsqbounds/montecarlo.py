@@ -19,7 +19,8 @@ import numpy as np
 
 from . import bounds
 from .io import ResultRow
-from .models import DesignModel, FixedMatrix, NoiseModel, SeedSpec, _full_rank, _measure_design, implied_problem_params
+from .models import (DesignModel, FixedMatrix, NoiseModel, SeedSpec, _full_rank, _measure_design, _require_finite,
+                     implied_problem_params)
 from .params import (Accuracy, ParameterError, ProblemParams, SimulationQualityError, as_axis_values, as_count,
                      as_positive, as_seed)
 
@@ -213,8 +214,7 @@ def _count(rows, G: np.ndarray, rhs: np.ndarray, diag_sums) -> np.ndarray:
     sizes = tuple(dict.fromkeys(N for N, _, _ in rows))
     diagnosed = {N for N, _, sigma_min in rows if sigma_min is not None}
     for N, G_N, rhs_N in zip(sizes, G, rhs):
-        if not (np.isfinite(G_N).all() and np.isfinite(rhs_N).all()):
-            raise SimulationQualityError(f"the normal equations overflow at N = {N}; check the model scales")
+        _require_finite(N, G_N, rhs_N)
     counts = np.zeros((len(rows), 6 + 2 * G.shape[-1] if diagnosed else 2), dtype=np.int64)
     err, ok = _solve(G, rhs)
     diag_sums = iter(diag_sums)

@@ -3,7 +3,7 @@
 import copy
 import json
 import re
-from dataclasses import asdict, fields, replace
+from dataclasses import MISSING, asdict, fields, replace
 from importlib import resources
 from typing import get_args
 from xml.etree import ElementTree
@@ -12,7 +12,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from lsqbounds import bounds, cli, montecarlo, presets
+from lsqbounds import bounds, cli, io, montecarlo, presets
 from lsqbounds.io import (
     RESULT_COLUMNS,
     ResultRow,
@@ -38,9 +38,7 @@ from lsqbounds.models import (
     ToeplitzPilot,
     Uniform,
     UniformPlusGaussian,
-    design_to_config,
     implied_problem_params,
-    noise_to_config,
 )
 from lsqbounds.montecarlo import ExperimentSpec, fixed_design_bound, run_event_diagnostics, sweep
 from lsqbounds.params import Accuracy, ParameterError, ProblemParams, SimulationQualityError
@@ -239,30 +237,32 @@ def _valid_doc(design=None, noise=None, **top):
     }
 
 
-# One valid instance of every config kind.
+# One valid config of every kind, and the model it reads as.
 MODEL_EXAMPLES = {
     "noise": [
-        Gaussian(0.1),
-        GaussianMixture(0.05, 0.1, 0.1),
-        Uniform(1.0),
-        UniformPlusGaussian(0.2, 0.1),
-        Rademacher(1.0),
-        FirMds(taps=(1.0, 0.5), jammer_scale=0.2, receiver=Gaussian(0.1)),
+        ({"kind": "gaussian", "sigma": 0.1}, Gaussian(0.1)),
+        ({"kind": "gaussian-mixture", "sigma_small": 0.05, "sigma_large": 0.1, "weight_large": 0.1},
+         GaussianMixture(0.05, 0.1, 0.1)),
+        ({"kind": "uniform", "half_width": 1.0}, Uniform(1.0)),
+        ({"kind": "uniform-plus-gaussian", "half_width": 0.2, "sigma": 0.1}, UniformPlusGaussian(0.2, 0.1)),
+        ({"kind": "rademacher", "scale": 1.0}, Rademacher(1.0)),
+        ({"kind": "fir-mds", "taps": [1.0, 0.5], "jammer_scale": 0.2, "receiver": {"kind": "gaussian", "sigma": 0.1}},
+         FirMds(taps=(1.0, 0.5), jammer_scale=0.2, receiver=Gaussian(0.1))),
     ],
     "design": [
-        IidBoundedColumns((1.0, 0.5), "scaled-rademacher"),
-        ToeplitzPilot((1.0, -1.0, 1.0, 1.0), 2),
-        FixedMatrix(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])),
+        ({"kind": "iid-bounded-columns", "column_stddevs": [1.0, 0.5], "entry_law": "scaled-rademacher"},
+         IidBoundedColumns((1.0, 0.5), "scaled-rademacher")),
+        ({"kind": "toeplitz-pilot", "pilots": [1.0, -1.0, 1.0, 1.0], "p": 2}, ToeplitzPilot((1.0, -1.0, 1.0, 1.0), 2)),
+        ({"kind": "fixed-matrix", "entries": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]},
+         FixedMatrix(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))),
     ],
 }
-_TO_CONFIG = {"noise": noise_to_config, "design": design_to_config}
+MODEL_CONFIGS = [(slot, config, model) for slot, examples in MODEL_EXAMPLES.items() for config, model in examples]
 
 VALID_DOCS = [
     _valid_doc(),
     _valid_doc(trials=10.0, base_seed=3, diagnostics=False, r=0.5),
     _valid_doc(axis={"name": "N", "values": [3, 4.0]}, r=0.5, output={"csv": "a.csv", "svg": "a.svg"}),
-    *(_valid_doc(**{slot: _TO_CONFIG[slot](model)}) for slot in MODEL_EXAMPLES
-      for model in MODEL_EXAMPLES[slot]),
 ]
 
 
@@ -311,9 +311,8 @@ def _malformed_docs():
     for path in (("schema_version",), ("theorem",), ("design",), ("noise",), ("axis",),
                  ("output",), ("axis", "name"), ("axis", "values"), ("output", "csv")):
         yield "missing-" + ".".join(path), _edit(base, path, delete=True)
-    receiver = _valid_doc(noise=noise_to_config(MODEL_EXAMPLES["noise"][-1]))
-    models = [(slot, _valid_doc(**{slot: _TO_CONFIG[slot](m)})) for slot in MODEL_EXAMPLES
-              for m in MODEL_EXAMPLES[slot]]
+    receiver = _valid_doc(noise=MODEL_EXAMPLES["noise"][-1][0])
+    models = [(slot, _valid_doc(**{slot: config})) for slot, config, _ in MODEL_CONFIGS]
     models.append((("noise", "receiver"), receiver))
     for slot, doc in models:
         path = slot if isinstance(slot, tuple) else (slot,)
@@ -329,13 +328,10 @@ def _malformed_docs():
             if key != "kind":
                 yield f"missing-{name}.{key}", _edit(doc, (*path, key), delete=True)
         yield f"unknown-{name}", _edit(doc, (*path, "bogus"), 1)
-    other = {"noise": MODEL_EXAMPLES["design"][0], "design": MODEL_EXAMPLES["noise"][0]}
-    for slot, model in other.items():
-        config = {"noise": design_to_config, "design": noise_to_config}[slot](model)
+    other = {"noise": MODEL_EXAMPLES["design"][0][0], "design": MODEL_EXAMPLES["noise"][0][0]}
+    for slot, config in other.items():
         yield f"kind-{slot}-given-{config['kind']}", _valid_doc(**{slot: config})
-    yield "kind-receiver-given-design", _edit(
-        receiver, ("noise", "receiver"), design_to_config(MODEL_EXAMPLES["design"][0])
-    )
+    yield "kind-receiver-given-design", _edit(receiver, ("noise", "receiver"), MODEL_EXAMPLES["design"][0][0])
 
 
 MALFORMED_DOCS = [pytest.param(doc, id=name) for name, doc in _malformed_docs()]
@@ -360,10 +356,32 @@ class TestSchemaParity:
             keys = {"kind", *CONFIG_FIELDS[CONFIG_KINDS[kind]]}
             assert set(branch["required"]) == set(branch["properties"]) == keys
 
+    def test_run_config_keys_are_the_layout(self):
+        # Keys from the RunConfig fields laid out as io._LAYOUT; a key is
+        # required if it holds a nested object or a field without a default.
+        no_default = {f.name for f in fields(io.RunConfig) if f.default is MISSING}
+
+        def required(layout):
+            return {k for k, name in layout.items() if isinstance(name, dict) or name in no_default}
+
+        assert set(self.schema["properties"]) == {"schema_version", *io._LAYOUT}
+        assert set(self.schema["required"]) == {"schema_version", *required(io._LAYOUT)}
+        for key, layout in io._NESTED.items():
+            nested = self.schema["properties"][key]
+            assert set(nested["properties"]) == set(layout)
+            assert set(nested["required"]) == required(layout)
+
     @pytest.mark.parametrize("doc", VALID_DOCS)
     def test_valid_documents_pass_both(self, doc):
         jsonschema.validate(doc, self.schema)
         parse_run_config(doc)
+
+    @pytest.mark.parametrize("slot,config,model", MODEL_CONFIGS,
+                             ids=[f"{slot}-{config['kind']}" for slot, config, _ in MODEL_CONFIGS])
+    def test_model_configs_pass_both_as_their_models(self, slot, config, model):
+        doc = _valid_doc(**{slot: config})
+        jsonschema.validate(doc, self.schema)
+        assert getattr(parse_run_config(doc), slot) == model
 
     @pytest.mark.parametrize("doc", MALFORMED_DOCS)
     def test_malformed_documents_fail_both(self, doc, tmp_path, monkeypatch, capsys):
@@ -835,6 +853,11 @@ def _write_config(tmp_path, doc) -> str:
     return str(path)
 
 
+def _pilot_config(design: ToeplitzPilot) -> dict:
+    """The config of a pilot design such as channel_pilot_design's, whose pilots are too many to spell out."""
+    return {"kind": "toeplitz-pilot", "pilots": list(design.pilots), "p": design.p}
+
+
 class TestSimulateFixedDesign:
     """simulate measures a fixed design at the N each row runs."""
 
@@ -843,8 +866,9 @@ class TestSimulateFixedDesign:
         return {
             "schema_version": "1",
             "theorem": "fixed_mds",
-            "design": design_to_config(design),
-            "noise": noise_to_config(noise),
+            "design": _pilot_config(design),
+            "noise": {"kind": "fir-mds", "taps": list(noise.taps), "jammer_scale": noise.jammer_scale,
+                      "receiver": {"kind": "gaussian", "sigma": noise.receiver.sigma}},
             "eps": 0.01,
             "axis": {"name": "r", "values": [0.05, 0.1, 0.2]},
             "trials": trials,
@@ -889,7 +913,7 @@ class TestSimulateFixedDesign:
             out = tmp_path / f"o{seed}"
             cfg = _valid_doc(
                 theorem="fixed_mds",
-                design=design_to_config(design),
+                design={"kind": "fixed-matrix", "entries": design.matrix.tolist()},
                 noise={"kind": "gaussian", "sigma": 1.0},
                 r=0.5,
                 axis={"name": "N", "values": [40]},
@@ -924,8 +948,8 @@ class TestSimulateFixedDesign:
         cfg = {
             "schema_version": "1",
             "theorem": "fixed_mds",
-            "design": design_to_config(channel_pilot_design(p=4, length=256, seed=5)),
-            "noise": noise_to_config(Gaussian(0.1)),
+            "design": _pilot_config(channel_pilot_design(p=4, length=256, seed=5)),
+            "noise": {"kind": "gaussian", "sigma": 0.1},
             "eps": 0.05,
             "axis": {"name": "r", "values": [0.01]},
             "trials": 40,
@@ -956,8 +980,8 @@ class TestSimulateFixedDesign:
         cfg = {
             "schema_version": "1",
             "theorem": "fixed_mds",
-            "design": design_to_config(design),
-            "noise": noise_to_config(noise),
+            "design": _pilot_config(design),
+            "noise": {"kind": "gaussian", "sigma": 0.1},
             "eps": 0.05,
             "axis": {"name": "r", "values": [0.05, 0.1]},
             "trials": 300,
@@ -996,16 +1020,21 @@ class TestSimulateDiagnostics:
     it starts one process pool at most, and each row's diagnostics equal a
     diagnostics run at that row's own spec and params."""
 
+    PILOTS = channel_pilot_design(p=4, length=2048, seed=5)
     CASES = {
         "random-N-axis": (
             IidBoundedColumns((0.5, 1.0), "scaled-uniform"),
             FirMds((1.0, 0.5), 0.2, Gaussian(0.1)),
-            {"theorem": "mds_subgaussian", "r": 0.2, "axis": {"name": "N", "values": [64, 128, 256]}},
+            {"design": {"kind": "iid-bounded-columns", "column_stddevs": [0.5, 1.0], "entry_law": "scaled-uniform"},
+             "noise": {"kind": "fir-mds", "taps": [1.0, 0.5], "jammer_scale": 0.2,
+                       "receiver": {"kind": "gaussian", "sigma": 0.1}},
+             "theorem": "mds_subgaussian", "r": 0.2, "axis": {"name": "N", "values": [64, 128, 256]}},
         ),
         "toeplitz-r-axis": (
-            channel_pilot_design(p=4, length=2048, seed=5),
+            PILOTS,
             Gaussian(0.1),
-            {"theorem": "fixed_mds", "eps": 0.05, "axis": {"name": "r", "values": [0.05, 0.1, 0.2]}},
+            {"design": _pilot_config(PILOTS), "noise": {"kind": "gaussian", "sigma": 0.1},
+             "theorem": "fixed_mds", "eps": 0.05, "axis": {"name": "r", "values": [0.05, 0.1, 0.2]}},
         ),
     }
 
@@ -1023,8 +1052,6 @@ class TestSimulateDiagnostics:
         design, noise, top = self.CASES[case]
         cfg = {
             "schema_version": "1",
-            "design": design_to_config(design),
-            "noise": noise_to_config(noise),
             "trials": 300,
             "base_seed": 9,
             "diagnostics": True,

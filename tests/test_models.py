@@ -30,11 +30,8 @@ from lsqbounds.models import (
     Uniform,
     UniformPlusGaussian,
     _seed_words,
-    design_from_config,
-    design_to_config,
     implied_problem_params,
-    noise_from_config,
-    noise_to_config,
+    json_value,
     random_pilots,
 )
 from lsqbounds.params import ParameterError
@@ -97,7 +94,7 @@ class TestSeedSpec:
             for trial in trials:
                 for subkeys in subkey_sets:
                     role = ("design", "noise")[int(rng.integers(2))]
-                    ours = SeedSpec(seed, trial, role, subkeys).generator()
+                    (ours,) = SeedSpec(seed, trial, role, subkeys).generators()
                     ref = np.random.default_rng(
                         np.random.SeedSequence(entropy=seed, spawn_key=(trial, ROLE_IDS[role], *subkeys))
                     )
@@ -106,9 +103,9 @@ class TestSeedSpec:
 
     def test_generators_of_one_label_share_no_state(self):
         label = SeedSpec(5, 300, "noise", (1,))
-        first, second = label.generator(), label.generator()
+        (first,), (second,), (alone,) = label.generators(), label.generators(), label.generators()
         interleaved = [(first.random(), second.random()) for _ in range(4)]
-        alone = label.generator().random(4)
+        alone = alone.random(4)
         np.testing.assert_array_equal([a for a, _ in interleaved], alone)
         np.testing.assert_array_equal([b for _, b in interleaved], alone)
 
@@ -123,7 +120,7 @@ class TestSeedSpec:
         for seed, trials, subkeys in ((3, range(250, 262), ()), (2**64 - 1, range(0, 513), (1,)),
                                       (7, range(2**32 - 3, 2**32 + 2), (2, 5))):
             block = SeedSpec(seed, trials, "design", subkeys).generators()
-            alone = [SeedSpec(seed, t, "design", subkeys).generator() for t in trials]
+            alone = [g for t in trials for g in SeedSpec(seed, t, "design", subkeys).generators()]
             assert [g.bit_generator.state for g in block] == [g.bit_generator.state for g in alone]
 
     def test_seed_word_block_is_a_pure_function_of_its_key(self):
@@ -135,7 +132,7 @@ class TestSeedSpec:
         assert fresh.shape == (256, 4) and fresh.dtype == np.uint64 and not fresh.flags.writeable
 
     def test_import_does_not_load_numpy_random(self):
-        # numpy.random loads on the first generator() call; importing it with
+        # numpy.random loads on the first generators() call; importing it with
         # the package would add to every command's start-up time.
         import lsqbounds
 
@@ -497,7 +494,7 @@ def _plain_rademacher(rng, shape):
 
 def _plain_design(model, N, seed):
     """The design sampler as a one-line numpy expression per entry law."""
-    rng = seed.generator()
+    (rng,) = seed.generators()
     sd = np.asarray(model.column_stddevs)
     if model.entry_law == "scaled-uniform":
         return rng.uniform(-1.0, 1.0, (N, model.p)) * (float(np.sqrt(3.0)) * sd)
@@ -505,20 +502,20 @@ def _plain_design(model, N, seed):
 
 
 def _plain_noise(model, n, seed):
-    """The noise samplers as one-line numpy expressions."""
+    """The noise samplers as one-line numpy expressions on the one-trial seed's stream or its children's."""
+    (rng,), (rng0,), (rng1,) = seed.generators(), seed.child(0).generators(), seed.child(1).generators()
     if isinstance(model, Gaussian):
-        return model.sigma * seed.generator().standard_normal(n)
+        return model.sigma * rng.standard_normal(n)
     if isinstance(model, Uniform):
-        return model.half_width * seed.generator().uniform(-1.0, 1.0, n)
+        return model.half_width * rng.uniform(-1.0, 1.0, n)
     if isinstance(model, Rademacher):
-        return model.scale * _plain_rademacher(seed.generator(), n)
+        return model.scale * _plain_rademacher(rng, n)
     if isinstance(model, GaussianMixture):
-        large = seed.child(0).generator().uniform(0.0, 1.0, n) < model.weight_large
-        return np.where(large, model.sigma_large, model.sigma_small) * seed.child(1).generator().standard_normal(n)
+        large = rng0.uniform(0.0, 1.0, n) < model.weight_large
+        return np.where(large, model.sigma_large, model.sigma_small) * rng1.standard_normal(n)
     if isinstance(model, UniformPlusGaussian):
-        return (model.half_width * seed.child(0).generator().uniform(-1.0, 1.0, n)
-                + model.sigma * seed.child(1).generator().standard_normal(n))
-    jam = model.jammer_scale * _plain_rademacher(seed.child(0).generator(), n)
+        return model.half_width * rng0.uniform(-1.0, 1.0, n) + model.sigma * rng1.standard_normal(n)
+    jam = model.jammer_scale * _plain_rademacher(rng0, n)
     v = np.convolve(jam, np.asarray(model.taps))[:n]
     return v + _plain_noise(model.receiver, n, seed.child(1))
 
@@ -782,51 +779,53 @@ class TestModelInterface:
         assert not {"sample", "subgaussian_param", "bound", "random"} & set(names)
 
 
-class TestConfigRoundTrip:
+class TestConfigReader:
+    """Each model is read from its config, spelled out as a run config holds it."""
+
     @pytest.mark.parametrize(
-        "model",
+        "config,model",
         [
-            Gaussian(0.3),
-            GaussianMixture(0.05, 0.31, 0.1),
-            Uniform(1.0),
-            UniformPlusGaussian(0.2, 0.1),
-            Rademacher(2.0),
-            FirMds(taps=(1.0, 0.8), jammer_scale=0.25, receiver=Uniform(0.1)),
+            ({"kind": "gaussian", "sigma": 0.3}, Gaussian(0.3)),
+            ({"kind": "gaussian-mixture", "sigma_small": 0.05, "sigma_large": 0.31, "weight_large": 0.1},
+             GaussianMixture(0.05, 0.31, 0.1)),
+            ({"kind": "uniform", "half_width": 1}, Uniform(1.0)),
+            ({"kind": "uniform-plus-gaussian", "half_width": 0.2, "sigma": 0.1}, UniformPlusGaussian(0.2, 0.1)),
+            ({"kind": "rademacher", "scale": 2.0}, Rademacher(2.0)),
+            ({"kind": "fir-mds", "taps": [1, 0.8], "jammer_scale": 0.25,
+              "receiver": {"kind": "uniform", "half_width": 0.1}},
+             FirMds(taps=(1.0, 0.8), jammer_scale=0.25, receiver=Uniform(0.1))),
         ],
     )
-    def test_noise_round_trip(self, model):
-        assert noise_from_config(noise_to_config(model)) == model
+    def test_noise_configs(self, config, model):
+        assert json_value(config, NoiseModel, "noise") == model
 
-    def test_design_round_trip(self):
-        designs = [
-            IidBoundedColumns((0.5, 1.0), "scaled-rademacher"),
-            ToeplitzPilot((1.0, -1.0, 1.0, 1.0), 2),
-        ]
-        for model in designs:
-            assert design_from_config(design_to_config(model)) == model
-
-    def test_fixed_matrix_round_trip(self):
-        model = FixedMatrix(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
-        assert design_from_config(design_to_config(model)) == model
+    @pytest.mark.parametrize(
+        "config,model",
+        [
+            ({"kind": "iid-bounded-columns", "column_stddevs": [0.5, 1], "entry_law": "scaled-rademacher"},
+             IidBoundedColumns((0.5, 1.0), "scaled-rademacher")),
+            ({"kind": "toeplitz-pilot", "pilots": [1, -1, 1, 1], "p": 2}, ToeplitzPilot((1.0, -1.0, 1.0, 1.0), 2)),
+            ({"kind": "fixed-matrix", "entries": [[1, 2], [3, 4], [5, 6.0]]},
+             FixedMatrix(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))),
+        ],
+    )
+    def test_design_configs(self, config, model):
+        assert json_value(config, DesignModel, "design") == model
 
     def test_kinds_stay_in_their_union(self):
-        with pytest.raises(ParameterError):
-            noise_from_config(design_to_config(ToeplitzPilot((1.0, -1.0, 1.0), 2)))
-        with pytest.raises(ParameterError):
-            design_from_config(noise_to_config(Gaussian(1.0)))
-        with pytest.raises(ParameterError):
-            noise_to_config(ToeplitzPilot((1.0, -1.0, 1.0), 2))
-        with pytest.raises(ParameterError):
-            design_to_config(Gaussian(1.0))
+        with pytest.raises(ParameterError, match="unknown model kind 'toeplitz-pilot'"):
+            json_value({"kind": "toeplitz-pilot", "pilots": [1, -1, 1], "p": 2}, NoiseModel, "noise")
+        with pytest.raises(ParameterError, match="unknown model kind 'gaussian'"):
+            json_value({"kind": "gaussian", "sigma": 1.0}, DesignModel, "design")
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ParameterError):
-            noise_from_config({"kind": "gaussian", "sigma": 1.0, "bogus": 2})
+            json_value({"kind": "gaussian", "sigma": 1.0, "bogus": 2}, NoiseModel, "noise")
         with pytest.raises(ParameterError):
-            noise_from_config({"kind": "laplace", "scale": 1.0})
+            json_value({"kind": "laplace", "scale": 1.0}, NoiseModel, "noise")
         with pytest.raises(ParameterError):
-            design_from_config({"kind": "iid-bounded-columns", "column_stddevs": [1.0]})
+            json_value({"kind": "iid-bounded-columns", "column_stddevs": [1.0]}, DesignModel, "design")
 
     def test_integer_beyond_float_range_rejected(self):
         with pytest.raises(ParameterError, match="out of range"):
-            noise_from_config({"kind": "gaussian", "sigma": 10**400})
+            json_value({"kind": "gaussian", "sigma": 10**400}, NoiseModel, "noise")

@@ -355,6 +355,16 @@ class TestRunTail:
             with pytest.warns(RuntimeWarning):
                 run_tail(spec, workers=workers)
 
+    # A fixed design whose Gram sums overflow fails when the run is planned
+    # with the trials' overflow error, not as a rank-deficient design.
+    def test_fixed_design_whose_gram_overflows_raises_the_overflow_error(self):
+        design = FixedMatrix(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1e200, 1.0], [1.0, 2.0]]))
+        spec = ExperimentSpec(design, Gaussian(1.0), N=5, r=0.5, trials=10, base_seed=1)
+        for call in (lambda: run_tail(spec), lambda: implied_problem_params(design, Gaussian(1.0), N_hint=5)):
+            with pytest.raises(SimulationQualityError, match="^the normal equations overflow at N = 5;"):
+                with pytest.warns(RuntimeWarning):
+                    call()
+
     def test_fixed_rank_deficient_fails_before_any_pool(self, monkeypatch):
         started = []
 
