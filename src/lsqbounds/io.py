@@ -18,8 +18,8 @@ from typing import get_args, get_type_hints
 
 from .bounds import check_tag
 from .models import DesignModel, NoiseModel, check_keys, json_value
-from .params import (BoundBreakdown, OutageBreakdown, ParameterError, as_axis_values, as_count, as_fraction,
-                     as_positive, as_seed)
+from .params import (DEFAULT_TRIALS, BoundBreakdown, OutageBreakdown, ParameterError, as_axis_values, as_count,
+                     as_fraction, as_positive, as_seed)
 
 SCHEMA_VERSION = "1"
 SEED_ENV_VAR = "LSQBOUNDS_SEED"
@@ -148,7 +148,7 @@ class RunConfig:
     svg_path: str | None = None
     r: float | None = None
     eps: float | None = None
-    trials: int = 50_000
+    trials: int = DEFAULT_TRIALS
     base_seed: int = 0
     diagnostics: bool = False
 

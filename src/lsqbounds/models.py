@@ -147,7 +147,8 @@ def _seed_words(base_seed: int, role_id: int, subkeys: tuple[int, ...], block: i
 # Samplers fill one buffer and centre and scale it in place.  On a draw u of
 # rng.random (a multiple of 2^-53) or rng.integers(0, 2), u - 1/2 and every
 # doubling are exact, so (u - 1/2) (2c) equals c (2u - 1), which is
-# c * rng.uniform(-1, 1), bit for bit, with one pass fewer.
+# c * rng.uniform(-1, 1), bit for bit, with one pass fewer.  Where 2c
+# overflows (c above about 8.99e307), ((u - 1/2) 2) c rounds once too.
 
 
 def _scale(x: np.ndarray, c: float) -> np.ndarray:
@@ -156,9 +157,12 @@ def _scale(x: np.ndarray, c: float) -> np.ndarray:
 
 
 def _centre(x: np.ndarray, c: float) -> np.ndarray:
-    """c (2x - 1), computed in place as (x - 1/2) (2c)."""
+    """c (2x - 1), computed in place as (x - 1/2) (2c), or ((x - 1/2) 2) c if 2c overflows."""
     x -= 0.5
-    return _scale(x, 2.0 * c)
+    if math.isfinite(2.0 * c):
+        return _scale(x, 2.0 * c)
+    x *= 2.0
+    return _scale(x, c)
 
 
 def _fill(seed: SeedSpec, shape: tuple, out: np.ndarray | None, law: str) -> np.ndarray:
@@ -371,7 +375,11 @@ class IidBoundedColumns:
         uniform = self.entry_law == "scaled-uniform"
         A = _fill(seed, (N, self.p), out, "random" if uniform else "integers")
         A -= 0.5
-        factors = [2.0 * (ROOT3 * sd if uniform else sd) for sd in self.column_stddevs]
+        scales = [ROOT3 * sd if uniform else sd for sd in self.column_stddevs]
+        factors = [2.0 * c for c in scales]
+        if not all(map(math.isfinite, factors)):  # as _centre does where 2c overflows
+            A *= 2.0
+            factors = scales
         if len(set(factors)) == 1:
             A *= factors[0]
         else:
@@ -488,8 +496,9 @@ def _measure_design(design: DesignModel, sizes) -> tuple[np.ndarray, np.ndarray]
     """A non-random design's A at max(sizes) rows and A[:N]^T A[:N] for each N of sizes,
     stacked, once each is finite and passes _full_rank, the rank rule of every trial,
     else SimulationQualityError names the first N that fails.  Such a design draws nothing."""
-    A = design.sample(max(sizes), SeedSpec(0, 0, "design"))
-    G = np.stack([A[:N].T @ A[:N] for N in sizes])
+    with np.errstate(over="ignore", invalid="ignore"):  # _require_finite reports an overflow
+        A = design.sample(max(sizes), SeedSpec(0, 0, "design"))
+        G = np.stack([A[:N].T @ A[:N] for N in sizes])
     for N, G_N in zip(sizes, G):
         _require_finite(N, G_N)
     for N, ok in zip(sizes, _full_rank(G)):

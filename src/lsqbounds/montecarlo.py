@@ -21,8 +21,8 @@ from . import bounds
 from .io import ResultRow
 from .models import (DesignModel, FixedMatrix, NoiseModel, SeedSpec, _full_rank, _measure_design, _require_finite,
                      implied_problem_params)
-from .params import (Accuracy, ParameterError, ProblemParams, SimulationQualityError, as_axis_values, as_count,
-                     as_positive, as_seed)
+from .params import (DEFAULT_TRIALS, Accuracy, ParameterError, ProblemParams, SimulationQualityError, as_axis_values,
+                     as_count, as_positive, as_seed)
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -48,7 +48,7 @@ class ExperimentSpec:
     noise: NoiseModel
     N: int
     r: float
-    trials: int = 50_000
+    trials: int = DEFAULT_TRIALS
     base_seed: int = 0
     diagnostics: bool = False
 
@@ -154,26 +154,27 @@ def _trials(spec: ExperimentSpec, start: int, stop: int, sizes, plan, diagnosed)
         A_sq = A * A if diagnosed else None
     for lo in range(start, stop, block):
         trials = range(lo, min(lo + block, stop))
-        V = spec.noise.sample(n_max, SeedSpec(spec.base_seed, trials, "noise"), out=v_buf[: len(trials)])
-        if random_design:
-            A = spec.design.sample(n_max, SeedSpec(spec.base_seed, trials, "design"), out=a_buf[: len(trials)])
-            C = c_buf[: len(trials)]
-            np.copyto(C, A)  # a^T C runs as GEMM; a^T a, one buffer, as SYRK, slower at these shapes
-            if whole:
-                segs = (len(trials), whole // seg, seg)
-                aT = A[:, :whole].reshape(*segs, p).swapaxes(-1, -2)
-                G_cum = np.cumsum(aT @ C[:, :whole].reshape(*segs, p), axis=1)
-                rhs_cum = np.cumsum(aT @ V[:, :whole].reshape(*segs, 1), axis=1)
-            G, rhs = np.empty((len(sizes), len(trials), p, p)), np.empty((len(sizes), len(trials), p, 1))
-            for k, N in enumerate(sizes):
-                cut = N // seg * seg  # rows below cut are whole segments
-                aT = A[:, cut:N].swapaxes(-1, -2)
-                G[k], rhs[k] = aT @ C[:, cut:N], aT @ V[:, cut:N, None]
-                if cut:
-                    G[k] += G_cum[:, cut // seg - 1]
-                    rhs[k] += rhs_cum[:, cut // seg - 1]
-        else:
-            rhs = np.stack([A[:, :N].swapaxes(-1, -2) @ V[:, :N, None] for N in sizes])
+        with np.errstate(over="ignore", invalid="ignore"):  # _count's _require_finite reports an overflow
+            V = spec.noise.sample(n_max, SeedSpec(spec.base_seed, trials, "noise"), out=v_buf[: len(trials)])
+            if random_design:
+                A = spec.design.sample(n_max, SeedSpec(spec.base_seed, trials, "design"), out=a_buf[: len(trials)])
+                C = c_buf[: len(trials)]
+                np.copyto(C, A)  # a^T C runs as GEMM; a^T a, one buffer, as SYRK, slower at these shapes
+                if whole:
+                    segs = (len(trials), whole // seg, seg)
+                    aT = A[:, :whole].reshape(*segs, p).swapaxes(-1, -2)
+                    G_cum = np.cumsum(aT @ C[:, :whole].reshape(*segs, p), axis=1)
+                    rhs_cum = np.cumsum(aT @ V[:, :whole].reshape(*segs, 1), axis=1)
+                G, rhs = np.empty((len(sizes), len(trials), p, p)), np.empty((len(sizes), len(trials), p, 1))
+                for k, N in enumerate(sizes):
+                    cut = N // seg * seg  # rows below cut are whole segments
+                    aT = A[:, cut:N].swapaxes(-1, -2)
+                    G[k], rhs[k] = aT @ C[:, cut:N], aT @ V[:, cut:N, None]
+                    if cut:
+                        G[k] += G_cum[:, cut // seg - 1]
+                        rhs[k] += rhs_cum[:, cut // seg - 1]
+            else:
+                rhs = np.stack([A[:, :N].swapaxes(-1, -2) @ V[:, :N, None] for N in sizes])
         if diagnosed:  # G and rhs are formed, so C and V are spent
             A_sq = np.multiply(A, A, out=C) if random_design else A_sq
             V_sq = np.multiply(V, V, out=V)

@@ -8,6 +8,8 @@ import operator
 import sys
 from dataclasses import dataclass
 
+DEFAULT_TRIALS = 50_000  # trials per point of a run that names no count
+
 
 class ParameterError(ValueError):
     """An input no bound or run accepts: invalid or missing parameters, an

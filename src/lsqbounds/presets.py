@@ -32,10 +32,9 @@ from .models import (
     random_pilots,
 )
 from .montecarlo import ExperimentSpec, _result_rows, _sweep_rows
-from .params import ParameterError
+from .params import DEFAULT_TRIALS, ParameterError
 from .svg import write_line_plot
 
-DEFAULT_TRIALS = 50_000
 DEFAULT_SEED = 20_240_601
 
 DEFAULT_FIR_TAPS = (1.0, 0.8, 0.64, 0.512)

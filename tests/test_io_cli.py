@@ -433,6 +433,14 @@ class TestCli:
         assert sorted(n for n in dir(lsqbounds) if n.endswith("Error")) == [
             "ParameterError", "SimulationQualityError"]
 
+    def test_one_default_trial_count(self):
+        # params owns it; a run config, a spec, a preset and reproduce read it.
+        from lsqbounds.params import DEFAULT_TRIALS
+
+        spec_default = {f.name: f.default for f in fields(ExperimentSpec)}["trials"]
+        reproduce_default = cli.build_parser().parse_args(["reproduce", "fig1", "--outdir", "o"]).trials
+        assert io.RunConfig.trials == spec_default == presets.DEFAULT_TRIALS == reproduce_default == DEFAULT_TRIALS
+
     def test_bound_n_json(self, capsys):
         code = cli.main(
             "bound-n --model main --r 1 --eps 0.05 --p 2 --alpha 1 --R 1 "

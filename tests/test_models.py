@@ -573,6 +573,18 @@ class TestSamplersMatchOneLineExpressions:
             for N in (p + 1, 257, 10_000):
                 _assert_bit_identical(_sampled(model, N, seed, (N, p), into), _plain_design(model, N, seed))
 
+    # Twice the factor sqrt(3) 6e307 of a uniform column, or 1e308 of a sign
+    # column or of a uniform or sign noise, overflows, but the draw is finite.
+    @pytest.mark.parametrize("into", [False, True], ids=["alloc", "out"])
+    @pytest.mark.parametrize(
+        "law,sds",
+        [("scaled-uniform", (6e307,)), ("scaled-uniform", (6e307, 0.7)), ("scaled-rademacher", (1e308, 0.7))],
+        ids=["uniform", "uniform-mixed", "rademacher-mixed"],
+    )
+    def test_design_near_the_float_limit(self, law, sds, into):
+        model, seed = IidBoundedColumns(sds, law), SeedSpec(0, 17, "design")
+        _assert_bit_identical(_sampled(model, 257, seed, (257, len(sds)), into), _plain_design(model, 257, seed))
+
     @pytest.mark.parametrize("into", [False, True], ids=["alloc", "out"])
     @pytest.mark.parametrize(
         "model",
@@ -584,6 +596,8 @@ class TestSamplersMatchOneLineExpressions:
             Rademacher(0.4),
             FirMds(taps=(1.0, 0.8, 0.64), jammer_scale=0.2, receiver=Gaussian(0.05)),
             FirMds(taps=(1.0, -0.5), jammer_scale=0.3, receiver=Uniform(0.1)),
+            Uniform(1e308),
+            Rademacher(1e308),
         ],
     )
     def test_noise(self, model, into):
