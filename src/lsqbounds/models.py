@@ -156,13 +156,21 @@ def _scale(x: np.ndarray, c: float) -> np.ndarray:
     return x
 
 
-def _centre(x: np.ndarray, c: float) -> np.ndarray:
-    """c (2x - 1), computed in place as (x - 1/2) (2c), or ((x - 1/2) 2) c if 2c overflows."""
+def _centre(x: np.ndarray, *scales: float) -> np.ndarray:
+    """c (2x - 1) in place, for the one scale c of x or the scale c of each column of x:
+    (x - 1/2) (2c), or ((x - 1/2) 2) c if some 2c overflows.  x takes one multiply if
+    every column has the same factor, else one per column (an (N, p) * (p,) broadcast
+    is as slow as the draw)."""
     x -= 0.5
-    if math.isfinite(2.0 * c):
-        return _scale(x, 2.0 * c)
-    x *= 2.0
-    return _scale(x, c)
+    factors = [2.0 * c for c in scales]
+    if not all(map(math.isfinite, factors)):
+        x *= 2.0
+        factors = scales
+    if len(set(factors)) == 1:
+        return _scale(x, factors[0])
+    for k, factor in enumerate(factors):
+        x[..., k] *= factor
+    return x
 
 
 def _fill(seed: SeedSpec, shape: tuple, out: np.ndarray | None, law: str) -> np.ndarray:
@@ -369,23 +377,11 @@ class IidBoundedColumns:
         return ROOT3 * peak if self.entry_law == "scaled-uniform" else peak
 
     def sample(self, N: int, seed: SeedSpec, out: np.ndarray | None = None) -> np.ndarray:
-        """An (N, p) draw per trial, centred and scaled in place: in one multiply if every column
-        has the same factor, else column by column (an (N, p) * (p,) broadcast is as slow as the draw)."""
+        """An (N, p) draw per trial, centred and scaled in place by _centre."""
         N = as_count("N", N, self.p + 1)
         uniform = self.entry_law == "scaled-uniform"
         A = _fill(seed, (N, self.p), out, "random" if uniform else "integers")
-        A -= 0.5
-        scales = [ROOT3 * sd if uniform else sd for sd in self.column_stddevs]
-        factors = [2.0 * c for c in scales]
-        if not all(map(math.isfinite, factors)):  # as _centre does where 2c overflows
-            A *= 2.0
-            factors = scales
-        if len(set(factors)) == 1:
-            A *= factors[0]
-        else:
-            for k, factor in enumerate(factors):
-                A[..., k] *= factor
-        return A
+        return _centre(A, *(ROOT3 * sd if uniform else sd for sd in self.column_stddevs))
 
 
 @dataclass(frozen=True)

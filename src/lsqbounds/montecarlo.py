@@ -175,10 +175,11 @@ def _trials(spec: ExperimentSpec, start: int, stop: int, sizes, plan, diagnosed)
                         rhs[k] += rhs_cum[:, cut // seg - 1]
             else:
                 rhs = np.stack([A[:, :N].swapaxes(-1, -2) @ V[:, :N, None] for N in sizes])
-        if diagnosed:  # G and rhs are formed, so C and V are spent
-            A_sq = np.multiply(A, A, out=C) if random_design else A_sq
-            V_sq = np.multiply(V, V, out=V)
-        diag = [(A_sq[:, :N].swapaxes(-1, -2) @ V_sq[:, :N, None])[..., 0] / N**2 for N in sizes if N in diagnosed]
+            if diagnosed:  # G and rhs are formed, so C and V are spent
+                A_sq = np.multiply(A, A, out=C) if random_design else A_sq
+                V_sq = np.multiply(V, V, out=V)
+            diag = [(A_sq[:, :N].swapaxes(-1, -2) @ V_sq[:, :N, None])[..., 0] / N**2
+                    for N in sizes if N in diagnosed]
         yield G, rhs[..., 0], diag
 
 
@@ -211,20 +212,21 @@ def _count(rows, G: np.ndarray, rhs: np.ndarray, diag_sums) -> np.ndarray:
     sets sigma_min, its e_rand, lemma-1 violation, identity violation and
     uncovered counts and its e2 and e3 counts per coordinate (zero for a row
     without one).  Every N holds the same trials, so one _solve serves all.
-    A G or rhs that is not finite raises SimulationQualityError naming its N."""
+    A G, rhs or diagonal sum that is not finite raises SimulationQualityError
+    naming its N."""
     sizes = tuple(dict.fromkeys(N for N, _, _ in rows))
     diagnosed = {N for N, _, sigma_min in rows if sigma_min is not None}
+    diag_sums = dict(zip((N for N in sizes if N in diagnosed), diag_sums))
     for N, G_N, rhs_N in zip(sizes, G, rhs):
-        _require_finite(N, G_N, rhs_N)
+        _require_finite(N, G_N, rhs_N, *([diag_sums[N]] if N in diagnosed else []))
     counts = np.zeros((len(rows), 6 + 2 * G.shape[-1] if diagnosed else 2), dtype=np.int64)
     err, ok = _solve(G, rhs)
-    diag_sums = iter(diag_sums)
     for N, G_N, rhs_N, err_N, ok_N in zip(sizes, G, rhs, err, ok):
         invalid = len(ok_N) - np.count_nonzero(ok_N)
         keep = ok_N if invalid else slice(None)
         err_max = np.max(np.abs(err_N[keep]), axis=1)
         if N in diagnosed:
-            s_vec, gram, diag_sum = rhs_N[keep] / N, G_N[keep] / N, next(diag_sums)[keep]
+            s_vec, gram, diag_sum = rhs_N[keep] / N, G_N[keep] / N, diag_sums[N][keep]
             lam_min = np.linalg.eigvalsh(gram)[..., 0]
             lam_tilde = np.divide(1.0, lam_min, out=np.full_like(lam_min, np.inf), where=lam_min > 0)
             lam = np.broadcast_to(lam_tilde, len(err_max))

@@ -16,7 +16,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -41,8 +41,7 @@ class Row:
     stderr: str = ""  # a pattern that stderr matches whole
     same: tuple[str, ...] = ()  # files in {d}, or "-" for stdout, byte-equal in every run
     grep: tuple[tuple[str, str, bool], ...] = ()  # (file or "-", text, whether every run's holds it)
-    config: dict | bytes | None = None  # written to {cfg}, with {d} formatted in its output paths
-    env: dict = field(default_factory=dict)
+    config: dict | None = None  # written to {cfg}, with {d} formatted in its output paths
 
 
 def _reproduce(figure: str, trials: int, *files: str, workers=(1, 2), grep=()) -> Row:
@@ -79,16 +78,11 @@ ROWS = [
     Row("bound-eps", "bound-eps --r 0.5 --n 256 --p 4 --alpha 1 --R 0.1 --sigma-min 1 --sigma-max 1"),
     Row("fig2-smoke", "reproduce fig2 --trials 20 --outdir {d}", grep=(("fig2.svg", "p_hat", False),)),
     Row("fig5-smoke", "reproduce fig5 --trials 20 --outdir {d}", grep=(("fig5.svg", "p_hat", False),)),
-    # Rejected inputs exit 2: a removed flag, a malformed seed variable, a
-    # worker count below 1 and a seed outside 64 bits, before any directory
-    # or pool; an N below the variance floor, a radius of 0 or below, an eps
-    # of 1, inputs at the edge of the float range that leave the cross term
-    # no positive slack, and a run config that is not UTF-8.
-    Row("removed-flag", f"bound-n --model main --beta-as-printed --r 1 --eps 0.05 {PARAMS}", code=2,
-        stderr="(?s)usage: .*error: unrecognized arguments: --beta-as-printed\n"),
-    Row("seed-env", "reproduce fig2 --trials 20 --outdir {d}", code=2, stderr=ERROR, env={"LSQBOUNDS_SEED": "nope"}),
-    Row("workers-0", "reproduce fig2 --workers 0 --outdir {d}", code=2, stderr=ERROR),
-    Row("seed-negative", "reproduce fig2 --seed -1 --workers 2 --outdir {d}", code=2, stderr=ERROR),
+    # Rejected inputs exit 2: an N below the variance floor, a radius of 0 or
+    # below, an eps of 1, inputs at the edge of the float range that leave the
+    # cross term no positive slack.  tests/test_io_cli.py holds the rest: a
+    # removed flag, a malformed seed variable, a worker count below 1, a seed
+    # outside 64 bits and a run config that is not UTF-8.
     Row("n-below-floor", "bound-eps --r 1 --n 1 --p 2 --alpha 1 --R 1 --sigma-min 1 --sigma-max 1",
         code=2, stderr=ERROR),
     Row("r-zero", f"bound-n --model main --r 0 --eps 0.05 {PARAMS}", code=2, stderr=ERROR),
@@ -97,7 +91,6 @@ ROWS = [
         code=2, stderr=ERROR),
     Row("float-edge", "bound-n --model main --r 1e-5 --eps 0.05 --p 2 --alpha 1e-50 --R 1e-20 --sigma-min 1e-150 "
         "--sigma-max 1e-150", code=2, stderr=ERROR),
-    Row("not-utf8", "simulate --config {cfg}", code=2, stderr=ERROR, config=b"\xff\xfe{}"),
     # The pooled path: one fig6 sweep starts its pool once for all of its
     # rows; fig6 is on the N axis, where the bound is an outage probability,
     # so p_hat is plotted.  --workers 3 runs a pool of two beside the caller.
@@ -177,15 +170,11 @@ def _read(d: Path, out: str, name: str) -> bytes:
 
 
 @pytest.mark.parametrize("row", ROWS, ids=[row.id for row in ROWS])
-def test_console(row, tmp_path, monkeypatch, capsys):
+def test_console(row, tmp_path, capsys):
     runs, procs = {}, {}  # output directory -> (exit code, stdout, stderr), or its process
-    for k, v in row.env.items():
-        monkeypatch.setenv(k, v)
     for w in row.workers or (None,):
         d, cfg = tmp_path / f"w{w}", tmp_path / f"w{w}.json"
-        if isinstance(row.config, bytes):
-            cfg.write_bytes(row.config)
-        elif row.config:
+        if row.config:
             output = {k: path.format(d=d) for k, path in row.config["output"].items()}
             cfg.write_text(json.dumps({**row.config, "output": output}), encoding="utf-8")
         argv = [arg.format(d=d, w=w, cfg=cfg) for arg in row.argv.split()]
@@ -193,11 +182,7 @@ def test_console(row, tmp_path, monkeypatch, capsys):
             procs[d] = subprocess.Popen([sys.executable, "-m", "lsqbounds.cli", *argv], env=ENV,
                                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
             continue
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # argparse's rejection
-            code = exc.code
-        runs[d] = (code, *capsys.readouterr())
+        runs[d] = (cli.main(argv), *capsys.readouterr())
     try:
         for d, proc in procs.items():
             out, err = proc.communicate(timeout=600)

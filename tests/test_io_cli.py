@@ -483,6 +483,7 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli.main(argv + ["--beta-as-printed"])
         assert exc.value.code == 2
+        assert re.fullmatch("(?s)usage: .*error: unrecognized arguments: --beta-as-printed\n", capsys.readouterr().err)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "1e300", "1e160", "1e-160", "1e-300"])
     @pytest.mark.parametrize("flag", ["alpha", "R", "sigma-min", "sigma-max", "r"])
@@ -624,7 +625,7 @@ class TestCli:
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_bytes(content)
         assert cli.main(["simulate", "--config", str(cfg_path)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {cfg_path}: not a JSON run config")
+        assert re.fullmatch(f"error: {re.escape(str(cfg_path))}: not a JSON run config: .+\n", capsys.readouterr().err)
 
     def test_simulate_missing_file_exit_3(self, capsys):
         assert cli.main(["simulate", "--config", "/nonexistent/cfg.json"]) == 3
@@ -698,8 +699,7 @@ class TestCli:
     def test_reproduce_malformed_seed_env_exit_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("LSQBOUNDS_SEED", "abc")
         assert cli.main(["reproduce", "fig2", "--outdir", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "LSQBOUNDS_SEED" in err
+        assert capsys.readouterr().err == "error: LSQBOUNDS_SEED must be an integer, got 'abc'\n"
         assert not (tmp_path / "o").exists()
 
     def test_reproduce_seed_outside_64_bits_exits_2_before_any_pool(self, tmp_path, monkeypatch, capsys):
@@ -714,7 +714,7 @@ class TestCli:
         out = tmp_path / "o"
         argv = ["reproduce", "fig2", "--seed", "-1", "--trials", "300", "--workers", "2", "--outdir", str(out)]
         assert cli.main(argv) == 2
-        assert "base_seed must be at least 0, got -1" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: base_seed must be at least 0, got -1\n"
         assert started == [] and not out.exists()
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
@@ -753,7 +753,7 @@ class TestCli:
         cfg = _valid_doc(output={"csv": str(out / "csv" / "sim.csv"), "svg": str(out / "svg" / "sim.svg")})
         cfg_path = _write_config(tmp_path, cfg)
         assert cli.main([arg.format(out=out, cfg=cfg_path) for arg in argv]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        assert re.fullmatch("error: .+\n", capsys.readouterr().err)
         assert not out.exists()
 
     def test_reproduce_checks_every_panel_before_any_trial(self, tmp_path, monkeypatch, capsys):

@@ -355,6 +355,19 @@ class TestRunTail:
         with pytest.raises(SimulationQualityError, match="^the normal equations overflow at N = 10;"):
             run_tail(spec, workers=workers)
 
+    # Scales that implied_problem_params accepts, yet each trial's G overflows
+    # (gram), or its G and A^T v are finite and only the diagnostic sums of
+    # a^2 v^2 overflow (diagonal-sums).  A diagnostics pass raises the
+    # overflow error, with no RuntimeWarning first.
+    @pytest.mark.parametrize("stddevs,sigma", [((1.0, 7e153), 1.0), ((1.0, 2e153), 3.0)],
+                             ids=["gram", "diagonal-sums"])
+    @pytest.mark.parametrize("trials,workers", [(50, 1), (256, 2)], ids=["serial", "pooled"])
+    def test_diagnostics_that_overflow_raise(self, stddevs, sigma, trials, workers):
+        spec = ExperimentSpec(IidBoundedColumns(stddevs), Gaussian(sigma), N=10, r=0.5, trials=trials, base_seed=1,
+                              diagnostics=True)
+        with pytest.raises(SimulationQualityError, match="^the normal equations overflow at N = 10;"):
+            run_event_diagnostics(spec, workers=workers)
+
     # A fixed design whose Gram sums overflow fails when the run is planned
     # with the trials' overflow error, not as a rank-deficient design.
     def test_fixed_design_whose_gram_overflows_raises_the_overflow_error(self):
