@@ -20,7 +20,7 @@ import numpy as np
 from . import bounds
 from .io import ResultRow
 from .models import (DesignModel, FixedMatrix, NoiseModel, SeedSpec, _full_rank, _measure_design, _require_finite,
-                     implied_problem_params)
+                     ToeplitzPilot, implied_problem_params)
 from .params import (DEFAULT_TRIALS, Accuracy, ParameterError, ProblemParams, SimulationQualityError, as_axis_values,
                      as_count, as_positive, as_seed)
 
@@ -116,71 +116,78 @@ def wilson_interval(successes: int, n: int) -> tuple[float, float]:
     return (lo, hi)
 
 
-def _trials(spec: ExperimentSpec, start: int, stop: int, sizes, plan, diagnosed):
-    """Yield (G, rhs, diag) for each block of up to B consecutive trials of
-    start..stop-1.  Each model draws the block in one sample call on a block
-    label at the largest N, each trial from its own (base_seed, trial, role)
-    stream, into the block's buffers, and centres and scales it in one pass.
-    Every sampler is prefix-consistent, so at each N of sizes, a and u are
-    the block's N-row design and noise prefixes.  G holds a^T a per N and
-    matrix, (sizes, m, p, p), or a non-random design's plan's (sizes, 1, p,
-    p); rhs, each trial's a^T u, (sizes, m, p), for _solve; diag, the (m, p)
-    diagonal sums ((a*a)^T (u*u))/N^2 of each N in diagnosed, in sizes order,
-    squared in the spent design copy and noise buffer, never in a plan's
-    shared matrix.  No record is a view of a buffer that a block refills.
+def _layout(rows) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The distinct N of (N, r, sigma_min) rows, and those where a row sets sigma_min, in first-seen order."""
+    sizes = tuple(dict.fromkeys(N for N, _, _ in rows))
+    return sizes, tuple(dict.fromkeys(N for N, _, sigma_min in rows if sigma_min is not None))
 
-    A random design's G and a^T u add, in row order, the products of the
-    whole segments of S = max(1, SEGMENT_ELEMS // p^2) rows from row 0 below N,
-    then that of the rows past them.  Each product is one GEMM against a copy
-    of the design.
+
+def _sums(X: np.ndarray, Y: np.ndarray, sizes, out: np.ndarray) -> None:
+    """Set out[k] to X[:, :N]^T Y[:, :N] for the k-th N of sizes: the products
+    of the whole segments of S = max(1, SEGMENT_ELEMS // p^2) rows from row 0
+    below N, added in row order, then that of the rows past them.  X is
+    (m or 1, n, p), so a plan's matrix broadcasts, and Y is (m, n, q).  Each
+    product is one stacked matmul, which numpy runs per matrix, and the grid
+    depends on p alone, so no sum depends on m or on the other sizes."""
+    seg = max(1, SEGMENT_ELEMS // X.shape[-1] ** 2)
+    whole = max(sizes) // seg * seg
+    if whole:
+        Xs, Ys = (Z[:, :whole].reshape(len(Z), whole // seg, seg, -1) for Z in (X, Y))
+        cum = np.cumsum(Xs.swapaxes(-1, -2) @ Ys, axis=1)
+    for k, N in enumerate(sizes):
+        cut = N // seg * seg  # rows below cut are whole segments
+        np.matmul(X[:, cut:N].swapaxes(-1, -2), Y[:, cut:N], out=out[k])
+        if cut:
+            out[k] += cum[:, cut // seg - 1]
+
+
+def _trials(spec: ExperimentSpec, start: int, stop: int, rows, plan):
+    """(G, rhs, diag) of trials start..stop-1 at _layout's sizes and
+    diagnosed N of rows.  G holds a^T a per N and trial, (sizes, trials, p,
+    p), or a non-random design's plan's (sizes, 1, p, p); rhs, each trial's
+    a^T u, (sizes, trials, p), for _solve; diag, the (diagnosed, trials, p)
+    diagonal sums ((a*a)^T (u*u))/N^2.  Every sum but a plan's G is _sums'.
+
+    Trials run in blocks of up to B consecutive trials, each written into its
+    slices of the chunk's arrays.  Each model draws the block in one sample
+    call on a block label at the largest N, each trial from its own
+    (base_seed, trial, role) stream, into the block's buffers, and centres and
+    scales it in one pass.  Every sampler is prefix-consistent, so at each N,
+    a and u are the block's N-row design and noise prefixes.  The diagonal
+    sums square the spent design copy and noise buffer, never a plan's matrix.
 
     B is max(1, BLOCK_BYTES // (8 n_max (p + 1))) for a random design and
     max(1, BLOCK_BYTES // (8 n_max)) for a non-random one: the size of the
     preallocated draw buffers.  Each stacked call is bit-identical to the
     per-trial call (numpy runs BLAS per slice) and the segments depend on p
-    alone, so no G or rhs depends on B, blocks or sizes.
+    alone, so no sum depends on B, blocks or sizes.
     """
-    n_max = max(sizes)
-    p, random_design = spec.design.p, spec.design.random
+    sizes, diagnosed = _layout(rows)
+    n_max, p, random_design = max(sizes), spec.design.p, spec.design.random
     block = max(1, BLOCK_BYTES // (8 * n_max * (p + 1 if random_design else 1)))
     v_buf = np.empty((block, n_max))
+    rhs, diag = np.empty((len(sizes), stop - start, p, 1)), np.empty((len(diagnosed), stop - start, p, 1))
     if random_design:
         a_buf, c_buf = np.empty((2, block, n_max, p))
-        seg = max(1, SEGMENT_ELEMS // (p * p))
-        whole = n_max // seg * seg
+        G = np.empty((len(sizes), stop - start, p, p))
     else:
-        A, G = plan
-        A, G = A[None], G[:, None]
-        A_sq = A * A if diagnosed else None
+        A, G = plan[0][None], plan[1][:, None]
     for lo in range(start, stop, block):
         trials = range(lo, min(lo + block, stop))
+        at = slice(lo - start, trials.stop - start)
         with np.errstate(over="ignore", invalid="ignore"):  # _count's _require_finite reports an overflow
             V = spec.noise.sample(n_max, SeedSpec(spec.base_seed, trials, "noise"), out=v_buf[: len(trials)])
             if random_design:
                 A = spec.design.sample(n_max, SeedSpec(spec.base_seed, trials, "design"), out=a_buf[: len(trials)])
                 C = c_buf[: len(trials)]
                 np.copyto(C, A)  # a^T C runs as GEMM; a^T a, one buffer, as SYRK, slower at these shapes
-                if whole:
-                    segs = (len(trials), whole // seg, seg)
-                    aT = A[:, :whole].reshape(*segs, p).swapaxes(-1, -2)
-                    G_cum = np.cumsum(aT @ C[:, :whole].reshape(*segs, p), axis=1)
-                    rhs_cum = np.cumsum(aT @ V[:, :whole].reshape(*segs, 1), axis=1)
-                G, rhs = np.empty((len(sizes), len(trials), p, p)), np.empty((len(sizes), len(trials), p, 1))
-                for k, N in enumerate(sizes):
-                    cut = N // seg * seg  # rows below cut are whole segments
-                    aT = A[:, cut:N].swapaxes(-1, -2)
-                    G[k], rhs[k] = aT @ C[:, cut:N], aT @ V[:, cut:N, None]
-                    if cut:
-                        G[k] += G_cum[:, cut // seg - 1]
-                        rhs[k] += rhs_cum[:, cut // seg - 1]
-            else:
-                rhs = np.stack([A[:, :N].swapaxes(-1, -2) @ V[:, :N, None] for N in sizes])
+                _sums(A, C, sizes, G[:, at])
+            _sums(A, V[..., None], sizes, rhs[:, at])
             if diagnosed:  # G and rhs are formed, so C and V are spent
-                A_sq = np.multiply(A, A, out=C) if random_design else A_sq
-                V_sq = np.multiply(V, V, out=V)
-            diag = [(A_sq[:, :N].swapaxes(-1, -2) @ V_sq[:, :N, None])[..., 0] / N**2
-                    for N in sizes if N in diagnosed]
-        yield G, rhs[..., 0], diag
+                A_sq = np.multiply(A, A, out=C if random_design else None)
+                _sums(A_sq, np.multiply(V, V, out=V)[..., None], diagnosed, diag[:, at])
+    diag /= np.square(diagnosed)[:, None, None, None]
+    return G, rhs[..., 0], diag[..., 0]
 
 
 def _solve(G: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -192,31 +199,19 @@ def _solve(G: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.solve(np.where(ok[..., None, None], G, np.eye(p)), rhs[..., None])[..., 0], ok
 
 
-def _sweep_chunk(spec: ExperimentSpec, start: int, stop: int, rows, plan) -> np.ndarray:
-    """_count's counts of rows over trials start..stop-1: _trials' records of
-    its blocks, each array joined on the trial axis, where a non-random
-    design keeps its plan's one G."""
-    sizes = tuple(dict.fromkeys(N for N, _, _ in rows))
-    diagnosed = {N for N, _, sigma_min in rows if sigma_min is not None}
-    Gs, rhs, diag = zip(*_trials(spec, start, stop, sizes, plan, diagnosed))
-    G = np.concatenate(Gs, axis=1) if spec.design.random else Gs[0]
-    return _count(rows, G, np.concatenate(rhs, axis=1), [np.concatenate(sums) for sums in zip(*diag)])
-
-
 def _count(rows, G: np.ndarray, rhs: np.ndarray, diag_sums) -> np.ndarray:
     """Counts of each (N, r, sigma_min) row over the trials of G, (sizes, trials,
     p, p), or (sizes, 1, p, p) for a non-random design, whose G passed
     _full_rank; rhs, (sizes, trials, p); and diag_sums, the (trials, p)
-    diagonal sums of each diagnosed N in sizes order.  Each row's exceedances
-    of r (a non-finite error exceeds) and invalid trials, then, if any row
-    sets sigma_min, its e_rand, lemma-1 violation, identity violation and
-    uncovered counts and its e2 and e3 counts per coordinate (zero for a row
-    without one).  Every N holds the same trials, so one _solve serves all.
-    A G, rhs or diagonal sum that is not finite raises SimulationQualityError
-    naming its N."""
-    sizes = tuple(dict.fromkeys(N for N, _, _ in rows))
-    diagnosed = {N for N, _, sigma_min in rows if sigma_min is not None}
-    diag_sums = dict(zip((N for N in sizes if N in diagnosed), diag_sums))
+    diagonal sums of each diagnosed N, in _layout's order, as _trials returns
+    them.  Each row's exceedances of r (a non-finite error exceeds) and
+    invalid trials, then, if any row sets sigma_min, its e_rand, lemma-1
+    violation, identity violation and uncovered counts and its e2 and e3
+    counts per coordinate (zero for a row without one).  Every N holds the
+    same trials, so one _solve serves all.  A G, rhs or diagonal sum that is
+    not finite raises SimulationQualityError naming its N."""
+    sizes, diagnosed = _layout(rows)
+    diag_sums = dict(zip(diagnosed, diag_sums))
     for N, G_N, rhs_N in zip(sizes, G, rhs):
         _require_finite(N, G_N, rhs_N, *([diag_sums[N]] if N in diagnosed else []))
     counts = np.zeros((len(rows), 6 + 2 * G.shape[-1] if diagnosed else 2), dtype=np.int64)
@@ -261,20 +256,19 @@ def _pool_init(spec: ExperimentSpec, rows, plan) -> None:
 
 def _pooled_chunk(start: int, stop: int) -> np.ndarray:
     spec, rows, plan = _POOLED
-    return _sweep_chunk(spec, start, stop, rows, plan)
+    return _count(rows, *_trials(spec, start, stop, rows, plan))
 
 
 def _run_chunks(spec: ExperimentSpec, rows, workers: int) -> np.ndarray:
-    """_sweep_chunk's counts of rows over all spec.trials trials (spec.N is
-    not used), planned once before any trial: a non-random design measured,
-    and chunks of at most BLOCK_BYTES of held statistics, or one trial, and at
-    most ceil(trials / (4 workers)) trials if pooled.  The caller runs a
-    worker's share; the pool's workers - 1 processes, or one per task if
-    fewer, each sent the pass once by its initializer, run the rest as
-    (start, stop) tasks."""
+    """_count's counts of rows over all spec.trials trials (spec.N is not
+    used), each chunk's from its _trials, planned once before any trial: a
+    non-random design measured, and chunks of at most BLOCK_BYTES of held
+    statistics, or one trial, and at most ceil(trials / (4 workers)) trials
+    if pooled.  The caller runs a worker's share; the pool's workers - 1
+    processes, or one per task if fewer, each sent the pass once by its
+    initializer, run the rest as (start, stop) tasks."""
     workers = as_count("workers", workers)
-    sizes = tuple(dict.fromkeys(N for N, _, _ in rows))
-    diagnosed = {N for N, _, sigma_min in rows if sigma_min is not None}
+    sizes, diagnosed = _layout(rows)
     p, random_design = spec.design.p, spec.design.random
     plan = None if random_design else _measure_design(spec.design, sizes)
     held = 8 * p * sum(1 + p * random_design + (N in diagnosed) for N in sizes)  # a trial's rhs, G, diagonal sums
@@ -282,12 +276,12 @@ def _run_chunks(spec: ExperimentSpec, rows, workers: int) -> np.ndarray:
     step = min(math.ceil(spec.trials / (1 if serial else min(spec.trials, 4 * workers))), max(1, BLOCK_BYTES // held))
     chunks = [(a, min(a + step, spec.trials)) for a in range(0, spec.trials, step)]
     if serial:
-        return sum(_sweep_chunk(spec, a, b, rows, plan) for a, b in chunks)
+        return sum(_count(rows, *_trials(spec, a, b, rows, plan)) for a, b in chunks)
     own = len(chunks) // workers
     processes = min(workers - 1, len(chunks) - own)  # no more than its tasks
     with ProcessPoolExecutor(max_workers=processes, initializer=_pool_init, initargs=(spec, rows, plan)) as pool:
         futures = [pool.submit(_pooled_chunk, a, b) for a, b in chunks[own:]]
-        counts = sum(_sweep_chunk(spec, a, b, rows, plan) for a, b in chunks[:own])
+        counts = sum(_count(rows, *_trials(spec, a, b, rows, plan)) for a, b in chunks[:own])
         return counts + sum(fut.result() for fut in futures)
 
 
@@ -332,18 +326,24 @@ def run_event_diagnostics(spec: ExperimentSpec, workers: int = 1) -> EventDiagno
 
 
 def fixed_design_bound(
-    acc: Accuracy, design: DesignModel, noise: NoiseModel
+    acc: Accuracy, design: ToeplitzPilot, noise: NoiseModel
 ) -> tuple[int, ProblemParams, bounds.BoundBreakdown]:
-    """The smallest self-consistent sample count for a measured design.
+    """The smallest self-consistent sample count for a pilot design.
 
     The fixed-design bound uses the smallest Gram eigenvalue of the matrix
-    actually used, which itself depends on N: return the first of
-    N = p+1, p+2, ... whose bound at its own matrix is at most N.  That test
-    is not monotone in N, so the scan cannot bisect.  An N whose matrix is
+    actually used, which itself depends on N: return the first N > p whose
+    bound at its own matrix is at most N.  That test is not monotone in N, so
+    the scan cannot bisect.  It starts at the bound's ceiling at alpha = a,
+    the largest pilot's magnitude, and sigma_min = a^2, as every N below
+    fails: each entry of a pilot matrix is a pilot or 0, so sigma_min(N) <=
+    (G/N)_kk <= alpha(N)^2 <= a^2, and n1(N) = 8 alpha(N)^2 R^2 log(2p/eps) /
+    (sigma_min(N) r)^2 >= 8 R^2 log(2p/eps) / (a r)^2.  An N whose matrix is
     rank deficient is not self-consistent, so the scan moves past it; a
     design that runs out of rows first raises from its sampler.
     """
-    for N in itertools.count(design.p + 1):
+    a = max(map(abs, design.pilots))
+    floor = ProblemParams(design.p, a, a * a, a * a, noise.subgaussian_param or None, noise.bound)
+    for N in itertools.count(bounds.bound_for("fixed_mds", acc, floor).n_ceil):
         try:
             params = implied_problem_params(design, noise, N_hint=N)
         except SimulationQualityError:

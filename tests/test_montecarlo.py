@@ -36,7 +36,6 @@ from lsqbounds.montecarlo import (
     _full_rank,
     _run_chunks,
     _solve,
-    _sweep_chunk,
     _tail_estimate,
     _trials,
     find_empirical_n,
@@ -61,9 +60,14 @@ def plan_of(spec: ExperimentSpec, sizes):
 
 
 def chunk_counts(spec: ExperimentSpec, start: int, stop: int, rows) -> np.ndarray:
-    """_sweep_chunk's counts of rows over trials start..stop-1, with the plan
-    that _run_chunks makes for them."""
-    return _sweep_chunk(spec, start, stop, rows, plan_of(spec, [N for N, _, _ in rows]))
+    """_count's counts of rows over trials start..stop-1 as one chunk, with
+    the plan that _run_chunks makes for them."""
+    return _count(rows, *_trials(spec, start, stop, rows, plan_of(spec, [N for N, _, _ in rows])))
+
+
+def undiagnosed(sizes):
+    """Rows at each N of sizes that set no sigma_min, so _trials forms no diagonal sums."""
+    return [(N, 1.0, None) for N in sizes]
 
 
 def exact_sign_tail(N: int, r: float) -> float:
@@ -214,7 +218,7 @@ class TestFullRankSolve:
 
 
 def segment_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A^T B as _trials forms a random design's sums: one product per whole
+    """A^T B as _trials forms every per-trial sum: one product per whole
     segment of SEGMENT_ELEMS // p^2 rows, added in row order, plus the product
     of the rows past the last whole segment.  B must not share A's buffer, so
     that numpy runs GEMM."""
@@ -228,17 +232,20 @@ def segment_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 class TestTrialGram:
-    """_sweep_chunk's diagnostics read lambda_min off the G that _trials
-    yields for each block: one stacked G per block of a random design, one
-    (1, p, p) G for every block of a fixed one.  That equals the symmetrized
-    (1/N) A^T A only if each trial's G is exactly symmetric, and one
-    eigensolve serves a fixed design's whole block only if its G holds one
-    matrix."""
+    """_count's diagnostics read lambda_min off the G that _trials returns:
+    one stacked G per chunk of a random design, one (1, p, p) G for every
+    chunk of a fixed one.  That equals the symmetrized (1/N) A^T A only if
+    each trial's G is exactly symmetric, and one eigensolve serves a fixed
+    design's whole chunk only if its G holds one matrix."""
 
     @staticmethod
     def grams(spec):
-        """The G of each block that _trials yields for spec at spec.N alone."""
-        return [G[0] for G, _, _ in _trials(spec, 0, spec.trials, (spec.N,), plan_of(spec, (spec.N,)), set())]
+        """The G that _trials returns for spec at spec.N alone, one chunk per
+        block of B trials, all with one plan."""
+        p, plan = spec.design.p, plan_of(spec, (spec.N,))
+        B = max(1, montecarlo.BLOCK_BYTES // (8 * spec.N * (p + 1 if spec.design.random else 1)))
+        return [_trials(spec, lo, min(lo + B, spec.trials), undiagnosed((spec.N,)), plan)[0][0]
+                for lo in range(0, spec.trials, B)]
 
     @pytest.mark.parametrize("law", ["scaled-uniform", "scaled-rademacher"])
     @pytest.mark.parametrize("p", range(1, 9))
@@ -792,10 +799,33 @@ class TestFixedDesignScan:
         assert bd.n_ceil == n_ceil_at(acc, design, noise, N) <= N
         assert params == implied_problem_params(design, noise, N_hint=N)
 
+    @pytest.mark.parametrize("r,eps", [*zip(PANEL.values, itertools.repeat(PANEL.eps)), (0.01, 0.01)])
+    def test_scan_from_its_floor_equals_a_scan_from_p_plus_one(self, r, eps, monkeypatch):
+        # The scan skips only N that a scan from p + 1 rejects, so both return
+        # one triple; at r = eps = 0.01 that is N = 6241.
+        acc, (design, noise) = Accuracy(r, eps), fig5_models()
+        for N in itertools.count(design.p + 1):  # fig5's matrix has no rank-deficient prefix
+            params = implied_problem_params(design, noise, N_hint=N)
+            bd = bounds.bound_for("fixed_mds", acc, params)
+            if bd.n_ceil <= N:
+                full = N, params, bd
+                break
+        measured = []
+
+        def counted(design, noise, N_hint):
+            measured.append(N_hint)
+            return implied_problem_params(design, noise, N_hint=N_hint)
+
+        monkeypatch.setattr(montecarlo, "implied_problem_params", counted)
+        assert fixed_design_bound(acc, design, noise) == full
+        assert measured == list(range(measured[0], full[0] + 1)) and measured[0] > design.p + 1
+
     def test_pilot_budget_ends_the_scan(self):
+        # The scan starts at 4061, the bound's ceiling at alpha = sigma_min = 1,
+        # past the 256 pilots.
         design = channel_pilot_design(p=4, length=256, seed=5)
         t0 = time.perf_counter()
-        with pytest.raises(ParameterError, match="need at least N = 257 pilot symbols, have 256"):
+        with pytest.raises(ParameterError, match="need at least N = 4061 pilot symbols, have 256"):
             fixed_design_bound(Accuracy(0.01, 0.05), design, Gaussian(0.1))
         assert time.perf_counter() - t0 < 0.1
 
@@ -851,11 +881,11 @@ class TestOnePassSweep:
         design, sizes = self.DESIGNS[design]
         spec = ExperimentSpec(design, Uniform(1.0), N=max(sizes), r=1.0, trials=20, base_seed=5)
         distinct = tuple(dict.fromkeys(sizes))
-        one_pass = [(N, row) for G, rhs, _ in _trials(spec, 0, spec.trials, distinct, plan_of(spec, distinct), set())
-                    for N, errs in zip(distinct, _solve(G, rhs)[0]) for row in errs]
+        G, rhs, _ = _trials(spec, 0, spec.trials, undiagnosed(distinct), plan_of(spec, distinct))
+        one_pass = [(N, row) for N, errs in zip(distinct, _solve(G, rhs)[0]) for row in errs]
         for N in distinct:
-            own = [err for G, rhs, _ in _trials(replace(spec, N=N), 0, spec.trials, (N,), plan_of(spec, (N,)), set())
-                   for err in _solve(G, rhs)[0][0]]
+            G, rhs, _ = _trials(replace(spec, N=N), 0, spec.trials, undiagnosed((N,)), plan_of(spec, (N,)))
+            own = list(_solve(G, rhs)[0][0])
             prefix = [err for n, err in one_pass if n == N]
             assert len(prefix) == len(own) == spec.trials
             assert all(np.array_equal(a, b) for a, b in zip(prefix, own))
@@ -964,14 +994,14 @@ class TestPooledPass:
                 tasks.append(args + tuple(kwargs.values()))
                 return super().submit(fn, *args, **kwargs)
 
-        sweep_chunk = montecarlo._sweep_chunk
+        trials = montecarlo._trials
 
         def recorded(*args):
             pids.append(os.getpid())  # a pool process appends to its own copy
-            return sweep_chunk(*args)
+            return trials(*args)
 
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordedPool)
-        monkeypatch.setattr(montecarlo, "_sweep_chunk", recorded)
+        monkeypatch.setattr(montecarlo, "_trials", recorded)
         counts = _run_chunks(spec, rows, workers)
         assert pools == [workers - 1]
         assert tasks and all(len(args) == 2 and all(type(a) is int for a in args) for args in tasks)
@@ -1215,11 +1245,11 @@ class TestTrialBlocks:
         plan = _measure_design(design, sizes)
         for a, b in [(0, spec.trials), *zip(cuts, cuts[1:])]:
             got = {N: [] for N in sizes}
-            for G, rhs, _ in _trials(spec, a, b, sizes, plan, set()):
-                err, ok = _solve(G, rhs)
-                assert ok.all()
-                for N, err_N in zip(sizes, err):
-                    got[N].extend(err_N)
+            G, rhs, _ = _trials(spec, a, b, undiagnosed(sizes), plan)
+            err, ok = _solve(G, rhs)
+            assert ok.all()
+            for N, err_N in zip(sizes, err):
+                got[N].extend(err_N)
             for N in sizes:
                 assert len(got[N]) == b - a
                 assert all(x.tobytes() == y.tobytes() for x, y in zip(got[N], own[N][a:b]))
@@ -1261,9 +1291,9 @@ class TestTrialBlocks:
 
 
 class TestSegmentSums:
-    """A random design's G and a^T u are sums over row segments on a grid set
-    by p alone, so each row of a sweep equals a run at the row's own N bit for
-    bit.  SEGMENT_ELEMS = 64 gives 16-row segments at p = 2; the sizes lie
+    """A random design's G and every design's a^T u and diagonal sums are sums
+    over row segments on a grid set by p alone, so each row of a sweep equals
+    a run at the row's own N bit for bit.  SEGMENT_ELEMS = 64 gives 16-row segments at p = 2; the sizes lie
     below the first boundary (9), on a boundary with an empty tail (48), and
     across boundaries (37, 70, 100)."""
 
@@ -1278,11 +1308,11 @@ class TestSegmentSums:
 
     @staticmethod
     def per_trial(spec, sizes):
-        """(N, G, err) of each trial and size that _trials yields, with err
+        """(N, G, err) of each trial and size that _trials returns, with err
         from _solve."""
+        G, rhs, _ = _trials(spec, 0, spec.trials, undiagnosed(sizes), None)
         return [
             (N, G_N[i], err_N[i])
-            for G, rhs, _ in _trials(spec, 0, spec.trials, sizes, None, set())
             for N, G_N, err_N in zip(sizes, G, _solve(G, rhs)[0])
             for i in range(len(G_N))
         ]
@@ -1299,6 +1329,28 @@ class TestSegmentSums:
                 assert np.array_equal(G, G.T)
                 assert np.array_equal(G, segment_product(a, a.copy()))
                 assert G.tobytes() == G_own.tobytes() and err.tobytes() == err_own.tobytes()
+
+    @pytest.mark.parametrize("design", [IidBoundedColumns((1.0, 0.5), "scaled-uniform"),
+                                        channel_pilot_design(p=2, length=128, seed=4)], ids=["uniform", "toeplitz"])
+    def test_rhs_and_diagonal_sums_bit_identical_to_own_n_runs(self, spec, design):
+        # Every N diagnosed: a^T u and the diagonal sums of a random and of a
+        # pilot design take the same segment grid as a random design's G.
+        spec = replace(spec, design=design)
+
+        def sums(spec, sizes):
+            _, rhs, diag = _trials(spec, 0, spec.trials, [(N, 1.0, 1.0) for N in sizes], plan_of(spec, sizes))
+            return rhs, diag
+
+        rhs, diag = sums(spec, self.SIZES)
+        assert rhs.shape == diag.shape == (len(self.SIZES), spec.trials, 2)
+        for k, N in enumerate(self.SIZES):
+            own_rhs, own_diag = sums(replace(spec, N=N), (N,))
+            assert rhs[k].tobytes() == own_rhs[0].tobytes() and diag[k].tobytes() == own_diag[0].tobytes()
+            for t in range(spec.trials):
+                a = design.sample(spec.N, SeedSpec(spec.base_seed, t, "design"))[:N]  # the sweep's draw
+                v = spec.noise.sample(spec.N, SeedSpec(spec.base_seed, t, "noise"))[:N, None]
+                assert np.array_equal(rhs[k, t], segment_product(a, v)[:, 0])
+                assert np.array_equal(diag[k, t], segment_product(a * a, v * v)[:, 0] / N**2)
 
     def test_counts_do_not_depend_on_blocks(self, spec, monkeypatch):
         B = spec.trials - 7
