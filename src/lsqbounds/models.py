@@ -43,10 +43,11 @@ _SEED_BLOCK = 256  # trials per cached block of seed words; divides 2**32
 class SeedSpec:
     """Reproducible stream label: (base seed, trial index, role, subkeys).
 
-    Its stream is default_rng(SeedSequence(base_seed, spawn_key=(trial,
-    ROLE_IDS[role], *subkeys))), the same across runs, platforms, worker
-    counts and call orders, built from a cached block of 256 trials' words.
-    A trial range (nonempty, of step 1, from 0 up) labels one stream per trial.
+    Its stream is Generator(SFC64(SeedSequence(base_seed, spawn_key=(trial,
+    ROLE_IDS[role], *subkeys)))), the same across runs, platforms, worker
+    counts and call orders, built from a cached block of 256 trials' three
+    seed words.  A trial range (nonempty, of step 1, from 0 up) labels one
+    stream per trial.
     """
 
     base_seed: int
@@ -71,7 +72,7 @@ class SeedSpec:
     def generators(self) -> list[np.random.Generator]:
         """A fresh stream per trial of the label, in order, from one lookup per 256-trial block."""
         trials = self.trial if type(self.trial) is range else range(self.trial, self.trial + 1)
-        rngs, seeded = [], _seeded_pcg64()
+        rngs, seeded = [], _seeded_sfc64()
         for block in range(trials.start // _SEED_BLOCK, (trials.stop - 1) // _SEED_BLOCK + 1):
             words = _seed_words(self.base_seed, ROLE_IDS[self.role], self.subkeys, block)
             rows = range(_SEED_BLOCK)[max(trials.start - block * _SEED_BLOCK, 0) : trials.stop - block * _SEED_BLOCK]
@@ -84,10 +85,10 @@ class SeedSpec:
 
 
 @functools.cache
-def _seeded_pcg64():
-    """The map from a row of _seed_words to a fresh PCG64, which seeds itself
+def _seeded_sfc64():
+    """The map from a row of _seed_words to a fresh SFC64, which seeds itself
     in C; built on the first generators() call, which imports numpy.random."""
-    from numpy.random import PCG64
+    from numpy.random import SFC64
     from numpy.random.bit_generator import ISeedSequence
 
     class SeedWords(ISeedSequence):
@@ -95,9 +96,11 @@ def _seeded_pcg64():
             self.words = words
 
         def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-            return self.words  # PCG64 asks for (4, np.uint64) only
+            if n_words != 3 or dtype is not np.uint64:  # all that SFC64 asks for
+                raise ValueError(f"seed words come as (3, np.uint64), not ({n_words}, {dtype})")
+            return self.words
 
-    return lambda words: PCG64(SeedWords(words))
+    return lambda words: SFC64(SeedWords(words))
 
 
 def _words32(n: int) -> list[int]:
@@ -125,8 +128,8 @@ def _mix(x, y):  # numpy's mix, with its MIX_MULT_L and MIX_MULT_R
 
 @functools.lru_cache(maxsize=32)
 def _seed_words(base_seed: int, role_id: int, subkeys: tuple[int, ...], block: int) -> np.ndarray:
-    """Read-only (256, 4) uint64 array whose row i is SeedSequence(base_seed, spawn_key=
-    (t, role_id, *subkeys)).generate_state(4, np.uint64) for t = 256 block + i: numpy's
+    """Read-only (256, 3) uint64 array whose row i is SeedSequence(base_seed, spawn_key=
+    (t, role_id, *subkeys)).generate_state(3, np.uint64) for t = 256 block + i: numpy's
     mix_entropy and generate_state, the trial's low word as an array, all else as ints."""
     base, trial = _words32(base_seed), _words32(block * _SEED_BLOCK)
     trial[0] = np.arange(_SEED_BLOCK, dtype=np.uint32) + trial[0]
@@ -138,14 +141,14 @@ def _seed_words(base_seed: int, role_id: int, subkeys: tuple[int, ...], block: i
     for e, dst in itertools.product(entropy[4:], range(4)):
         pool[dst] = _mix(pool[dst], hashmix(e))
     hashmix = _hasher(0x8B51F9DD, 0x58F38DED)  # numpy's INIT_B, MULT_B
-    half = np.array([hashmix(pool[i % 4]) for i in range(8)], dtype=np.uint64)
+    half = np.array([hashmix(pool[i % 4]) for i in range(6)], dtype=np.uint64)
     words = np.ascontiguousarray((half[0::2] | half[1::2] << 32).T)
     words.flags.writeable = False
     return words
 
 
 # Samplers fill one buffer and centre and scale it in place.  On a draw u of
-# rng.random (a multiple of 2^-53) or rng.integers(0, 2), u - 1/2 and every
+# rng.random (a multiple of 2^-53) or a sign bit (0 or 1), u - 1/2 and every
 # doubling are exact, so (u - 1/2) (2c) equals c (2u - 1), which is
 # c * rng.uniform(-1, 1), bit for bit, with one pass fewer.  Where 2c
 # overflows (c above about 8.99e307), ((u - 1/2) 2) c rounds once too.
@@ -175,12 +178,14 @@ def _centre(x: np.ndarray, *scales: float) -> np.ndarray:
 
 def _fill(seed: SeedSpec, shape: tuple, out: np.ndarray | None, law: str) -> np.ndarray:
     """Each trial's draw of shape in its row of out (new if None), stacked if seed's trial is a range:
-    rng.random or rng.standard_normal (law) into the row, or rng.integers(0, 2) (law "integers") copied in."""
-    rngs, stacked = seed.generators(), type(seed.trial) is range
+    rng.random or rng.standard_normal (law) into the row, or 0 or 1 (law "signs"), where entry k in C
+    order is bit k mod 64, from the least significant, of the bit generator's raw word k // 64."""
+    rngs, stacked, size = seed.generators(), type(seed.trial) is range, math.prod(shape)
     out = np.empty((len(rngs), *shape) if stacked else shape) if out is None else out
     for rng, row in zip(rngs, out if stacked else out[None]):
-        if law == "integers":
-            row[...] = rng.integers(0, 2, size=shape)
+        if law == "signs":
+            words = rng.bit_generator.random_raw(-(-size // 64)).astype("<u8", copy=False)
+            row[...] = np.unpackbits(words.view(np.uint8), count=size, bitorder="little").reshape(shape)
         else:
             getattr(rng, law)(out=row)
     return out
@@ -286,7 +291,7 @@ class Rademacher:
         as_scale("scale", self.scale)
 
     def sample(self, n: int, seed: SeedSpec, out: np.ndarray | None = None) -> np.ndarray:
-        return _centre(_fill(seed, (n,), out, "integers"), self.scale)
+        return _centre(_fill(seed, (n,), out, "signs"), self.scale)
 
     @property
     def subgaussian_param(self) -> float:
@@ -317,7 +322,7 @@ class FirMds:
         as_scale("jammer_scale", self.jammer_scale)
 
     def sample(self, n: int, seed: SeedSpec, out: np.ndarray | None = None) -> np.ndarray:
-        jam = _centre(_fill(seed.child(0), (n,), None, "integers"), self.jammer_scale)
+        jam = _centre(_fill(seed.child(0), (n,), None, "signs"), self.jammer_scale)
         v = self.receiver.sample(n, seed.child(1), out)
         for v_row, jam_row in zip(np.atleast_2d(v), np.atleast_2d(jam)):
             v_row += np.convolve(jam_row, self.taps)[:n]  # w + conv: IEEE addition commutes
@@ -380,7 +385,7 @@ class IidBoundedColumns:
         """An (N, p) draw per trial, centred and scaled in place by _centre."""
         N = as_count("N", N, self.p + 1)
         uniform = self.entry_law == "scaled-uniform"
-        A = _fill(seed, (N, self.p), out, "random" if uniform else "integers")
+        A = _fill(seed, (N, self.p), out, "random" if uniform else "signs")
         return _centre(A, *(ROOT3 * sd if uniform else sd for sd in self.column_stddevs))
 
 
@@ -460,9 +465,14 @@ DesignModel = IidBoundedColumns | ToeplitzPilot | FixedMatrix
 
 
 def random_pilots(length: int, seed: SeedSpec) -> tuple[float, ...]:
-    """Seeded +-1 training sequence of the given length."""
+    """Seeded +-1 training sequence of the given length.  Pilots are a model constant, not a trial draw,
+    so they keep their own stream: default_rng(SeedSequence(...)).integers(0, 2) of seed's one-trial label."""
     length = as_count("length", length)
-    return tuple(_centre(_fill(seed, (length,), None, "integers"), 1.0))
+    if type(seed.trial) is range:
+        raise ParameterError(f"pilots need a one-trial label, got trial {seed.trial!r}")
+    key = (seed.trial, ROLE_IDS[seed.role], *seed.subkeys)
+    rng = np.random.default_rng(np.random.SeedSequence(seed.base_seed, spawn_key=key))
+    return tuple(rng.integers(0, 2, length) * 2.0 - 1.0)
 
 
 def _full_rank(G: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Tests for noise/design generators, declared parameters, and seeding."""
 
+import hashlib
 import math
 import os
 import pickle
@@ -35,9 +36,15 @@ from lsqbounds.models import (
     random_pilots,
 )
 from lsqbounds.params import ParameterError
-from lsqbounds.presets import FIGURES, channel_pilot_design
+from lsqbounds.presets import DEFAULT_SEED, FIGURES, PILOT_BUDGET, channel_pilot_design
 
 SEED = SeedSpec(base_seed=123, trial=0, role="noise")
+
+
+def _state(rng):
+    """A generator's bit-generator state, key by key, with its arrays as tuples so that states compare."""
+    state = rng.bit_generator.state
+    return {k: {n: tuple(w.tolist()) for n, w in v.items()} if isinstance(v, dict) else v for k, v in state.items()}
 
 
 class TestSeedSpec:
@@ -82,9 +89,9 @@ class TestSeedSpec:
         assert type(spec.subkeys) is tuple and type(spec.subkeys[0]) is int
 
     def test_generator_equals_numpy_seed_sequence(self):
-        # Streams are defined as default_rng(SeedSequence(...)); a numpy
-        # release that changes SeedSequence fails here instead of silently
-        # moving every seeded count.
+        # Streams are defined as Generator(SFC64(SeedSequence(...))); a numpy
+        # release that changes SeedSequence or SFC64's seeding fails here
+        # instead of silently moving every seeded count.
         rng = np.random.default_rng(20261018)
         random_seeds = rng.integers(0, 2**64, 4, dtype=np.uint64)
         seeds = [0, 2**32 - 1, 2**32, 2**64 - 1, *(int(x) for x in random_seeds)]
@@ -95,10 +102,10 @@ class TestSeedSpec:
                 for subkeys in subkey_sets:
                     role = ("design", "noise")[int(rng.integers(2))]
                     (ours,) = SeedSpec(seed, trial, role, subkeys).generators()
-                    ref = np.random.default_rng(
+                    ref = np.random.Generator(np.random.SFC64(
                         np.random.SeedSequence(entropy=seed, spawn_key=(trial, ROLE_IDS[role], *subkeys))
-                    )
-                    assert ours.bit_generator.state == ref.bit_generator.state, (seed, trial, subkeys)
+                    ))
+                    assert _state(ours) == _state(ref), (seed, trial, subkeys)
                     np.testing.assert_array_equal(ours.random(3), ref.random(3))
 
     def test_generators_of_one_label_share_no_state(self):
@@ -121,7 +128,7 @@ class TestSeedSpec:
                                       (7, range(2**32 - 3, 2**32 + 2), (2, 5))):
             block = SeedSpec(seed, trials, "design", subkeys).generators()
             alone = [g for t in trials for g in SeedSpec(seed, t, "design", subkeys).generators()]
-            assert [g.bit_generator.state for g in block] == [g.bit_generator.state for g in alone]
+            assert [_state(g) for g in block] == [_state(g) for g in alone]
 
     def test_seed_word_block_is_a_pure_function_of_its_key(self):
         key = (11, ROLE_IDS["noise"], (0,), 3)
@@ -129,7 +136,16 @@ class TestSeedSpec:
         _seed_words.cache_clear()
         fresh = _seed_words(*key)
         np.testing.assert_array_equal(fresh, cached)
-        assert fresh.shape == (256, 4) and fresh.dtype == np.uint64 and not fresh.flags.writeable
+        assert fresh.shape == (256, 3) and fresh.dtype == np.uint64 and not fresh.flags.writeable
+
+    def test_seed_words_answer_only_what_sfc64_asks_for(self):
+        (rng,) = SeedSpec(11, 300, "noise", (0,)).generators()
+        words = rng.bit_generator._seed_seq  # the SeedWords that seeded it
+        want = np.random.SeedSequence(11, spawn_key=(300, ROLE_IDS["noise"], 0)).generate_state(3, np.uint64)
+        np.testing.assert_array_equal(words.generate_state(3, np.uint64), want)
+        for request in ((4, np.uint64), (2, np.uint64), (3, np.uint32), (6, np.uint32), (3,)):
+            with pytest.raises(ValueError, match="seed words come as"):
+                words.generate_state(*request)
 
     def test_import_does_not_load_numpy_random(self):
         # numpy.random loads on the first generators() call; importing it with
@@ -477,11 +493,12 @@ def test_a_scale_must_be_finite_and_nonnegative(build, name, value):
         (lambda: IidBoundedColumns(()), "the number of column_stddevs must be at least 1, got 0"),
         (lambda: random_pilots(0, SeedSpec(0, 0, "design")), "length must be at least 1, got 0"),
         (lambda: random_pilots(2.5, SeedSpec(0, 0, "design")), "length must be an integer, got 2.5"),
+        (lambda: random_pilots(8, SeedSpec(0, range(3), "design")), "pilots need a one-trial label"),
         (lambda: ToeplitzPilot((1.0, -1.0), 2), "the number of pilots must be at least 3, got 2"),
     ],
     ids=["mixture-sigma-order", "mixture-weight-0", "mixture-weight-1", "fir-no-taps", "fir-nan-tap",
          "fir-infinite-tap", "iid-entry-law", "iid-zero-stddev", "iid-no-stddevs", "pilots-length-0",
-         "pilots-length-2.5", "toeplitz-too-few-pilots"],
+         "pilots-length-2.5", "pilots-block-label", "toeplitz-too-few-pilots"],
 )
 def test_rejects_arguments_outside_the_domain(build, match):
     with pytest.raises(ParameterError, match=match):
@@ -489,7 +506,10 @@ def test_rejects_arguments_outside_the_domain(build, match):
 
 
 def _plain_rademacher(rng, shape):
-    return rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
+    """Sign k (in C order) is bit k mod 64, from the least significant, of raw word k // 64, as +-1."""
+    k = np.arange(np.prod(shape), dtype=np.uint64)
+    words = rng.bit_generator.random_raw(-(-k.size // 64))
+    return ((words[k // np.uint64(64)] >> k % np.uint64(64) & np.uint64(1)) * 2.0 - 1.0).reshape(shape)
 
 
 def _plain_design(model, N, seed):
@@ -632,6 +652,52 @@ class TestSamplersMatchOneLineExpressions:
                 got = _sampled(model, n, SeedSpec(base, self.BLOCK, "noise"), (len(self.BLOCK), n), into)
                 for row, t in zip(got, self.BLOCK, strict=True):
                     _assert_bit_identical(row, model.sample(n, SeedSpec(base, t, "noise")))
+
+
+class TestSignLaw:
+    """Every +-1 draw (Rademacher noise, the FirMds jammer, scaled-rademacher
+    columns) takes sign k of a trial from bit k mod 64, counted from the least
+    significant bit, of its bit generator's raw word k // 64."""
+
+    # Counts on and off a multiple of 64, for the trials 250..261 of a block
+    # label, which cross the 256-trial boundary of the seed-word blocks.
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 200, 4097])
+    def test_block_rows_equal_the_reference_expression(self, n):
+        block = SeedSpec(3, range(250, 262), "noise")
+        got = Rademacher(1.0).sample(n, block)
+        for row, rng in zip(got, block.generators(), strict=True):
+            _assert_bit_identical(row, _plain_rademacher(rng, n))
+
+    def test_signs_are_balanced_and_uncorrelated(self):
+        # The share of +1, and of equal neighbours at lags 1 and 64, each
+        # within 5 standard errors of 1/2.
+        bits = Rademacher(1.0).sample(2**20, SeedSpec(20261022, 0, "noise")) > 0
+        for x in (bits, bits[1:] == bits[:-1], bits[64:] == bits[:-64]):
+            assert abs(x.mean() - 0.5) <= 5.0 * 0.5 / math.sqrt(x.size)
+
+
+class TestPilots:
+    """The pilots are a model constant, not a trial draw: fig5's printed N,
+    fig6's bound column and the benchmark's recorded outage bound depend on
+    them, so they keep their own stream when the trial streams change."""
+
+    # sha256 of the little-endian float64 bytes of channel_pilot_design()'s symbols.
+    DIGEST = "0dbd9f388f71625aaa77a02a6928f3497de979e51e81a79417b9f38c78550a89"
+
+    def test_channel_pilots_equal_their_digest(self):
+        symbols = np.asarray(channel_pilot_design(seed=DEFAULT_SEED).pilots, dtype="<f8")
+        assert symbols.shape == (PILOT_BUDGET,) == (8192,)
+        assert hashlib.sha256(symbols.tobytes()).hexdigest() == self.DIGEST
+
+    @pytest.mark.parametrize(
+        "seed",
+        [SeedSpec(9, 0, "design"), SeedSpec(2**64 - 1, 2**32, "design", (3,)), SeedSpec(0, 5, "noise", (1, 2**40))],
+        ids=["design", "large", "noise-subkeys"],
+    )
+    def test_random_pilots_are_default_rng_integers(self, seed):
+        key = (seed.trial, ROLE_IDS[seed.role], *seed.subkeys)
+        bits = np.random.default_rng(np.random.SeedSequence(seed.base_seed, spawn_key=key)).integers(0, 2, 1000)
+        np.testing.assert_array_equal(random_pilots(1000, seed), np.where(bits == 1, 1.0, -1.0))
 
 
 def _preset_factors() -> set:
